@@ -9,6 +9,13 @@ and how many of the reference list's top-k entities the other list
 misses, for a ladder of top percentages.
 
 Reports render as CSV, JSON, or aligned-column markdown tables.
+
+numpy and scipy are imported inside the functions that use them, never at
+module level: importing them costs a fresh CLI process more time than
+``score``, ``vtr`` or ``rank`` spend on their work, and ``scipy.stats``
+alone costs more than the whole of a small ``compare``.  The p-value calls
+``scipy.special.stdtr``, the ufunc that ``scipy.stats.t.sf`` evaluates,
+so the narrow import returns the same bits.
 """
 
 from __future__ import annotations
@@ -20,9 +27,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
-from scipy import stats
 
 from .corpus import DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, write_csv
 from .errors import ValidationError
@@ -215,6 +219,9 @@ def spearman(
         raise ValueError(f"rank vectors differ in length: {n} vs {len(ranks_b)}")
     if n < 3:
         raise ValueError(f"need at least 3 pairs, got {n}")
+    import numpy as np
+    from scipy.special import stdtr
+
     a = np.asarray(ranks_a, dtype=float)
     b = np.asarray(ranks_b, dtype=float)
     da = a - a.mean()
@@ -230,13 +237,14 @@ def spearman(
     if abs(rho) == 1.0:
         return rho, 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stats.t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, min(1.0, p)
 
 
-def _exact_permutation_p(a: np.ndarray, b: np.ndarray, observed_rho: float) -> float:
+def _exact_permutation_p(a, b, observed_rho: float) -> float:
     """Two-sided permutation p-value over all n! pairings of the rank vectors."""
-    n = len(a)
+    import numpy as np
+
     da = a - a.mean()
     db = b - b.mean()
     denom = math.sqrt(float(da @ da) * float(db @ db))
@@ -245,21 +253,21 @@ def _exact_permutation_p(a: np.ndarray, b: np.ndarray, observed_rho: float) -> f
     hits = 0
     chunk: list[tuple[float, ...]] = []
     chunk_size = 100_000
+
+    def count_hits(perms: list[tuple[float, ...]]) -> int:
+        rhos = np.asarray(perms) @ da / denom
+        return int(np.count_nonzero(np.abs(rhos) >= threshold))
+
     for perm in permutations(db):
         chunk.append(perm)
         if len(chunk) == chunk_size:
-            hits += _count_hits(np.asarray(chunk), da, denom, threshold)
+            hits += count_hits(chunk)
             total += len(chunk)
             chunk = []
     if chunk:
-        hits += _count_hits(np.asarray(chunk), da, denom, threshold)
+        hits += count_hits(chunk)
         total += len(chunk)
     return hits / total
-
-
-def _count_hits(perms: np.ndarray, da: np.ndarray, denom: float, threshold: float) -> int:
-    rhos = perms @ da / denom
-    return int(np.count_nonzero(np.abs(rhos) >= threshold))
 
 
 def strength_label(rho: float) -> str:

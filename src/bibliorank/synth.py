@@ -164,6 +164,11 @@ def generate(params: SynthParams) -> SynthData:
             pair_fte[(university, sds)] = years_total / window_len
 
     # Publications with citations; authors drawn from the staffed pair.
+    # A cross-university partner is drawn uniformly from the other
+    # universities staffed in the same SDS, in ``universities`` order.
+    staffed_in: dict[str, list[str]] = {
+        sds: [u for u in universities if (u, sds) in staff_of_pair] for sds in sds_ids
+    }
     doc_types = ("article", "article", "article", "review", "proceedings")
     pub_serial = 0
     for university in universities:
@@ -171,6 +176,8 @@ def generate(params: SynthParams) -> SynthData:
             members = staff_of_pair.get((university, sds))
             if not members:
                 continue
+            peers = staffed_in[sds]
+            home = peers.index(university)
             expected = params.pubs_per_fte * quality[university] * pair_fte[(university, sds)]
             n_pubs = int(rng.poisson(expected))
             for _ in range(n_pubs):
@@ -187,13 +194,10 @@ def generate(params: SynthParams) -> SynthData:
 
                 n_home = 1 + min(int(rng.poisson(1.2)), len(members) - 1)
                 cross: list[tuple[str, str]] = []
-                if rng.random() < params.cross_university_rate:
-                    partners = [
-                        u for u in universities if u != university and (u, sds) in staff_of_pair
-                    ]
-                    if partners:
-                        partner = partners[int(rng.integers(0, len(partners)))]
-                        cross = [(partner, sds)] * (1 + int(rng.integers(0, 2)))
+                if rng.random() < params.cross_university_rate and len(peers) > 1:
+                    pick = int(rng.integers(0, len(peers) - 1))
+                    partner = peers[pick + (pick >= home)]  # skip the home university
+                    cross = [(partner, sds)] * (1 + int(rng.integers(0, 2)))
                 n_external = int(rng.binomial(params.max_external_authors, 0.15))
                 total = n_home + len(cross) + n_external
 

@@ -434,3 +434,17 @@ def test_render_comparison_formats():
     assert csv_text.startswith("# comparison P vs VTR")
     payload = json.loads(render_comparison(report, "json"))
     assert payload["n"] == 61 and payload["rho"] == pytest.approx(-1.0)
+
+
+def test_spearman_p_value_is_bitwise_scipy_t_sf():
+    # The narrow scipy.special import must give the exact bits of stats.t.sf.
+    rng = random.Random(23)
+    for n in (3, 4, 5, 7, 10, 20, 31, 60, 100, 500):
+        for _ in range(40):
+            ranks_b = list(range(1, n + 1))
+            rng.shuffle(ranks_b)
+            rho, p = spearman(list(range(1, n + 1)), ranks_b)
+            if abs(rho) == 1.0:
+                continue
+            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+            assert p == min(1.0, 2.0 * float(stats.t.sf(abs(t), n - 2)))
