@@ -177,6 +177,24 @@ def _safe_label(label: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in label)
 
 
+def _check_labels(rankings: list[rankcmp.RankingList]) -> None:
+    """Reject rankings whose labels are equal or name the same output files once sanitised."""
+    seen: dict[str, str] = {}
+    for ranking in rankings:
+        safe = _safe_label(ranking.label)
+        if safe in seen:
+            raise ValidationError(
+                f"ranking labels {seen[safe]!r} and {ranking.label!r} name the same output files ({safe!r})"
+            )
+        seen[safe] = ranking.label
+
+
+def _write_scores(bundle: productivity.ScoreBundle, out: Path) -> None:
+    for level in productivity.LEVELS:
+        productivity.write_score_csv(getattr(bundle, level), out / f"scores_{level}.csv")
+    productivity.write_eligibility_csv(bundle.eligibility, out / "eligibility.csv")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -186,11 +204,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     corpus = corpus_mod.load_corpus(_require_corpus_dir(config), config.window)
     bundle = productivity.score_corpus(corpus)
     out = config.out_dir
-    productivity.write_score_csv(bundle.sds, out / "scores_sds.csv")
-    productivity.write_score_csv(bundle.uda, out / "scores_uda.csv")
-    productivity.write_score_csv(bundle.macro, out / "scores_macro.csv")
-    productivity.write_score_csv(bundle.university, out / "scores_university.csv")
-    productivity.write_eligibility_csv(bundle.eligibility, out / "eligibility.csv")
+    _write_scores(bundle, out)
     eligible = sum(1 for e in bundle.eligibility.values() if e.eligible)
     print(
         f"scored {len(corpus.publications)} publications "
@@ -210,9 +224,6 @@ def cmd_vtr(args: argparse.Namespace) -> int:
     return 0
 
 
-_RATED_COLUMNS = ("university_id", "uda_id", "R", "category_percentile")
-
-
 def _sniff_header(path: Path) -> tuple[str, ...]:
     if not path.exists():
         raise ValidationError(f"{path}: missing input file")
@@ -229,7 +240,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     path = Path(args.input)
     header = _sniff_header(path)
     rankings: list[rankcmp.RankingList] = []
-    if header == ("level", "university_id", "unit_id", "P", "RS"):
+    if header == corpus_mod.SCHEMAS["scores"]:
         table = productivity.read_score_csv(path)
         units = sorted({unit for _, unit in table.entries}) if args.unit is None else [args.unit]
         if args.label and len(units) > 1:
@@ -242,7 +253,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             rankings.append(
                 rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, label, table.level)
             )
-    elif header == ("indicator_name", "direction", "university_id", "value"):
+    elif header == corpus_mod.SCHEMAS["indicators"]:
         if args.unit is not None:
             raise ValidationError("--unit does not apply to indicator files")
         tables = corpus_mod.read_indicators_csv(path)
@@ -253,7 +264,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             rankings.append(
                 rankcmp.build_ranking(table.values, table.direction, label, "university")
             )
-    elif header == _RATED_COLUMNS:
+    elif header == corpus_mod.SCHEMAS["rated"]:
         rated = _read_rated_csv(path)
         udas = sorted({uda for _, uda in rated}) if args.unit is None else [args.unit]
         if args.label and len(udas) > 1:
@@ -266,6 +277,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             rankings.append(rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, label, "uda"))
     else:
         raise ValidationError(f"{path.name}: unrecognized header {','.join(header)!r}")
+    _check_labels(rankings)
     for ranking in rankings:
         out = config.out_dir / f"ranking_{_safe_label(ranking.label)}.csv"
         rankcmp.write_ranking_csv(ranking, out)
@@ -276,7 +288,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def _read_rated_csv(path: Path) -> dict[tuple[str, str], float]:
     name = path.name
     rated: dict[tuple[str, str], float] = {}
-    for line, row in corpus_mod._read_rows(path, _RATED_COLUMNS, required=True):
+    for line, row in corpus_mod.read_rows(path, "rated"):
         key = (
             corpus_mod._require(name, line, "university_id", row["university_id"]),
             corpus_mod._require(name, line, "uda_id", row["uda_id"]),
@@ -310,6 +322,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.rankings) < 2:
         raise ValidationError("compare needs at least 2 ranking files")
     rankings = [rankcmp.read_ranking_csv(Path(p)) for p in args.rankings]
+    _check_labels(rankings)
     _emit_comparisons(rankings, config, config.out_dir)
     pairs = len(rankings) * (len(rankings) - 1) // 2
     print(f"compared {len(rankings)} rankings ({pairs} pairs) -> {config.out_dir}")
@@ -334,28 +347,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     corpus = corpus_mod.load_corpus(_require_corpus_dir(config), config.window)
     out = config.out_dir
     bundle = productivity.score_corpus(corpus)
-    productivity.write_score_csv(bundle.sds, out / "scores_sds.csv")
-    productivity.write_score_csv(bundle.uda, out / "scores_uda.csv")
-    productivity.write_score_csv(bundle.macro, out / "scores_macro.csv")
-    productivity.write_score_csv(bundle.university, out / "scores_university.csv")
-    productivity.write_eligibility_csv(bundle.eligibility, out / "eligibility.csv")
-
     rankings = [
         rankcmp.build_ranking(bundle.university.university_scores(""), corpus_mod.HIGHER_IS_BETTER, "P", "university")
     ]
     if corpus.peer_outcomes:
-        rated = peer_rating.rate_outcomes(corpus.peer_outcomes)
-        peer_rating.write_rated_csv(rated, out / "vtr_ratings.csv")
         pooled = peer_rating.pooled_university_ratings(corpus.peer_outcomes)
         rankings.append(rankcmp.build_ranking(pooled, corpus_mod.HIGHER_IS_BETTER, "VTR", "university"))
     for table in corpus.indicators:
         rankings.append(
             rankcmp.build_ranking(table.values, table.direction, table.indicator_name, "university")
         )
-    for ranking in rankings:
-        rankcmp.write_ranking_csv(ranking, out / f"ranking_{_safe_label(ranking.label)}.csv")
     if len(rankings) < 2:
         raise ValidationError("report needs peer outcomes or indicators to compare against P")
+    _check_labels(rankings)
+
+    _write_scores(bundle, out)
+    if corpus.peer_outcomes:
+        peer_rating.write_rated_csv(peer_rating.rate_outcomes(corpus.peer_outcomes), out / "vtr_ratings.csv")
+    for ranking in rankings:
+        rankcmp.write_ranking_csv(ranking, out / f"ranking_{_safe_label(ranking.label)}.csv")
     _emit_comparisons(rankings, config, out)
     print(f"report over {len(rankings)} rankings -> {out}")
     return 0

@@ -1,16 +1,19 @@
 """Input corpus: publications, staff roster, taxonomy, peer outcomes, indicators.
 
-All inputs are comma-delimited UTF-8 CSV files with a header row:
+All inputs and outputs are comma-delimited UTF-8 CSV files with a header
+row.  :data:`SCHEMAS`, keyed by file stem, is the single list of those
+headers; every reader and writer looks its header up there.  The corpus
+files are:
 
-    publications.csv    pub_id,year,doc_type,citations,total_author_count
-    pub_categories.csv  pub_id,category_id,weight
-    pub_authors.csv     pub_id,position,is_domestic_academic,university_id,sds_id
-    staff.csv           researcher_id,university_id,sds_id,years_on_staff
-    taxonomy.csv        sds_id,uda_id,is_life_science
-    macro_map.csv       uda_id,macro_id
-    peer_outcomes.csv   university_id,uda_id,E,G,A,L
-    indicators.csv      indicator_name,direction,university_id,value
-    categories.csv      category_id,is_life_science
+    publications      indexed outputs with their citations and byline length
+    pub_categories    subject categories of each publication, with weights
+    pub_authors       listed byline slots
+    staff             researcher-university-SDS affiliations
+    taxonomy          SDS -> UDA map with a life-science flag
+    macro_map         UDA -> macro-UDA map
+    peer_outcomes     peer-review grade counts per (university, UDA)
+    indicators        external indicator values per university
+    categories        life-science flag per subject category
 
 The first five files are required; the rest are optional and default to
 empty.  In ``pub_authors.csv`` the university/sds fields are empty for
@@ -18,6 +21,11 @@ external (non-domestic) co-authors and ``position`` may be empty when
 byline order is unknown.  Author slots not listed at all are implicit
 anonymous external co-authors; ``total_author_count`` is always the full
 byline length.
+
+The pipeline derives four more: ``scores`` (productivity per university
+and unit at one level), ``eligibility`` (active staff share per SDS),
+``rated`` (peer rating and category percentile per cell) and ``ranking``
+(tie-averaged ranks of one indicator).
 
 Loading is fail-fast: the first violation raises :class:`ValidationError`
 naming the file and line.  A loaded :class:`Corpus` is immutable and safe
@@ -27,9 +35,9 @@ for unrestricted concurrent reads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -39,6 +47,22 @@ LOWER_IS_BETTER = "lower_is_better"
 DIRECTIONS = (HIGHER_IS_BETTER, LOWER_IS_BETTER)
 
 WEIGHT_SUM_TOL = 1e-9
+
+SCHEMAS: dict[str, tuple[str, ...]] = {
+    "publications": ("pub_id", "year", "doc_type", "citations", "total_author_count"),
+    "pub_categories": ("pub_id", "category_id", "weight"),
+    "pub_authors": ("pub_id", "position", "is_domestic_academic", "university_id", "sds_id"),
+    "staff": ("researcher_id", "university_id", "sds_id", "years_on_staff"),
+    "taxonomy": ("sds_id", "uda_id", "is_life_science"),
+    "macro_map": ("uda_id", "macro_id"),
+    "peer_outcomes": ("university_id", "uda_id", "E", "G", "A", "L"),
+    "indicators": ("indicator_name", "direction", "university_id", "value"),
+    "categories": ("category_id", "is_life_science"),
+    "scores": ("level", "university_id", "unit_id", "P", "RS"),
+    "eligibility": ("sds_id", "staff_count", "active_count", "active_fraction", "eligible"),
+    "rated": ("university_id", "uda_id", "R", "category_percentile"),
+    "ranking": ("entity_id", "score", "rank"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,12 +107,6 @@ class Taxonomy:
     life_science_sds: frozenset[str]
     life_science_categories: frozenset[str]
 
-    def uda_of(self, sds_id: str) -> str:
-        try:
-            return self.sds_to_uda[sds_id]
-        except KeyError:
-            raise KeyError(f"SDS {sds_id!r} has no UDA in the taxonomy") from None
-
     def is_life_science_publication(self, pub: PublicationRecord) -> bool:
         return any(cat in self.life_science_categories for cat, _ in pub.categories)
 
@@ -97,9 +115,9 @@ class Taxonomy:
 class PeerOutcome:
     """Peer-review grade counts for one (university, UDA) cell.
 
-    ``T`` is the declared total of submitted outputs; rows where the four
-    grade counts do not add up to it are caught by
-    :func:`validate_peer_outcomes`, not at construction.
+    ``T`` is the total of submitted outputs.  :func:`read_peer_outcomes_csv`
+    sets it to the sum of the four grade counts, and
+    :func:`bibliorank.peer_rating.rating_key` rejects a cell where they differ.
     """
 
     university_id: str
@@ -120,12 +138,6 @@ class IndicatorTable:
     values: dict[str, float]  # university_id -> value
 
 
-class PeerOutcomeCheck(NamedTuple):
-    university_id: str
-    uda_id: str
-    ok: bool
-
-
 @dataclass(frozen=True)
 class Corpus:
     """Cross-validated, immutable snapshot of all inputs for one window."""
@@ -143,22 +155,8 @@ class Corpus:
     def rejected_count(self) -> int:
         return self.rejected_out_of_window + self.rejected_no_domestic
 
-    @property
-    def window_years(self) -> int:
-        start, end = self.window
-        return end - start + 1
-
     def universities(self) -> list[str]:
         return sorted({e.university_id for e in self.staff})
-
-    def staff_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((e.university_id, e.sds_id) for e in self.staff)
-
-    def indicator(self, name: str) -> IndicatorTable:
-        for table in self.indicators:
-            if table.indicator_name == name:
-                return table
-        raise KeyError(f"no indicator named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -176,29 +174,20 @@ class CorpusPaths:
     @classmethod
     def from_dir(cls, root: Path | str) -> "CorpusPaths":
         root = Path(root)
-        return cls(
-            publications=root / "publications.csv",
-            pub_categories=root / "pub_categories.csv",
-            pub_authors=root / "pub_authors.csv",
-            staff=root / "staff.csv",
-            taxonomy=root / "taxonomy.csv",
-            macro_map=root / "macro_map.csv",
-            peer_outcomes=root / "peer_outcomes.csv",
-            indicators=root / "indicators.csv",
-            categories=root / "categories.csv",
-        )
+        return cls(**{f.name: root / f"{f.name}.csv" for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
 # CSV primitives
 
 
-def _read_rows(path: Path, columns: tuple[str, ...], required: bool) -> list[tuple[int, dict[str, str]]]:
+def read_rows(path: Path, schema: str, required: bool = True) -> list[tuple[int, dict[str, str]]]:
     """Read a CSV file, returning (line_number, row) pairs.
 
     Optional files that do not exist yield no rows; existing files must
-    carry exactly the expected header.
+    carry exactly the header ``SCHEMAS[schema]``.
     """
+    columns = SCHEMAS[schema]
     if not path.exists():
         if required:
             raise ValidationError(f"{path.name}: missing required input file")
@@ -300,7 +289,7 @@ def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
     name = paths.taxonomy.name
     sds_to_uda: dict[str, str] = {}
     life_sds: set[str] = set()
-    for line, row in _read_rows(paths.taxonomy, ("sds_id", "uda_id", "is_life_science"), required=True):
+    for line, row in read_rows(paths.taxonomy, "taxonomy"):
         sds = _require(name, line, "sds_id", row["sds_id"])
         uda = _require(name, line, "uda_id", row["uda_id"])
         if sds in sds_to_uda:
@@ -311,7 +300,7 @@ def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
 
     macro_name = paths.macro_map.name
     uda_to_macro: dict[str, str] = {}
-    for line, row in _read_rows(paths.macro_map, ("uda_id", "macro_id"), required=False):
+    for line, row in read_rows(paths.macro_map, "macro_map", required=False):
         uda = _require(macro_name, line, "uda_id", row["uda_id"])
         macro = _require(macro_name, line, "macro_id", row["macro_id"])
         if uda in uda_to_macro:
@@ -321,7 +310,7 @@ def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
     cat_name = paths.categories.name
     life_categories: set[str] = set()
     seen_cats: set[str] = set()
-    for line, row in _read_rows(paths.categories, ("category_id", "is_life_science"), required=False):
+    for line, row in read_rows(paths.categories, "categories", required=False):
         cat = _require(cat_name, line, "category_id", row["category_id"])
         if cat in seen_cats:
             raise ValidationError(f"{cat_name}:{line}: duplicate category_id {cat!r}")
@@ -341,7 +330,7 @@ def _load_staff(path: Path, taxonomy: Taxonomy, window_len: int) -> tuple[StaffE
     name = path.name
     entries: list[StaffEntry] = []
     seen: set[tuple[str, str, str]] = set()
-    for line, row in _read_rows(path, ("researcher_id", "university_id", "sds_id", "years_on_staff"), required=True):
+    for line, row in read_rows(path, "staff"):
         researcher = _require(name, line, "researcher_id", row["researcher_id"])
         university = _require(name, line, "university_id", row["university_id"])
         sds = _require(name, line, "sds_id", row["sds_id"])
@@ -370,9 +359,7 @@ def _load_publications(
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
     name = paths.publications.name
     heads: dict[str, tuple[int, int, str, int, int]] = {}  # pub_id -> (line, year, doc_type, citations, total)
-    for line, row in _read_rows(
-        paths.publications, ("pub_id", "year", "doc_type", "citations", "total_author_count"), required=True
-    ):
+    for line, row in read_rows(paths.publications, "publications"):
         pid = _require(name, line, "pub_id", row["pub_id"])
         if pid in heads:
             raise ValidationError(f"{name}:{line}: duplicate pub_id {pid!r}")
@@ -386,7 +373,7 @@ def _load_publications(
 
     cat_name = paths.pub_categories.name
     categories: dict[str, list[tuple[str, float]]] = {pid: [] for pid in heads}
-    for line, row in _read_rows(paths.pub_categories, ("pub_id", "category_id", "weight"), required=True):
+    for line, row in read_rows(paths.pub_categories, "pub_categories"):
         pid = _require(cat_name, line, "pub_id", row["pub_id"])
         if pid not in heads:
             raise ValidationError(f"{cat_name}:{line}: unknown pub_id {pid!r}")
@@ -400,9 +387,7 @@ def _load_publications(
 
     auth_name = paths.pub_authors.name
     authors: dict[str, list[AuthorSlot]] = {pid: [] for pid in heads}
-    for line, row in _read_rows(
-        paths.pub_authors, ("pub_id", "position", "is_domestic_academic", "university_id", "sds_id"), required=True
-    ):
+    for line, row in read_rows(paths.pub_authors, "pub_authors"):
         pid = _require(auth_name, line, "pub_id", row["pub_id"])
         if pid not in heads:
             raise ValidationError(f"{auth_name}:{line}: unknown pub_id {pid!r}")
@@ -485,7 +470,7 @@ def read_peer_outcomes_csv(path: Path) -> tuple[PeerOutcome, ...]:
     name = path.name
     outcomes: list[PeerOutcome] = []
     seen: set[tuple[str, str]] = set()
-    for line, row in _read_rows(path, ("university_id", "uda_id", "E", "G", "A", "L"), required=False):
+    for line, row in read_rows(path, "peer_outcomes", required=False):
         university = _require(name, line, "university_id", row["university_id"])
         uda = _require(name, line, "uda_id", row["uda_id"])
         counts = tuple(_parse_int(name, line, grade, row[grade], minimum=0) for grade in ("E", "G", "A", "L"))
@@ -506,7 +491,7 @@ def read_indicators_csv(path: Path) -> tuple[IndicatorTable, ...]:
     name = path.name
     directions: dict[str, str] = {}
     values: dict[str, dict[str, float]] = {}
-    for line, row in _read_rows(path, ("indicator_name", "direction", "university_id", "value"), required=False):
+    for line, row in read_rows(path, "indicators", required=False):
         indicator = _require(name, line, "indicator_name", row["indicator_name"])
         direction = _require(name, line, "direction", row["direction"])
         if direction not in DIRECTIONS:
@@ -526,24 +511,16 @@ def read_indicators_csv(path: Path) -> tuple[IndicatorTable, ...]:
     )
 
 
-def validate_peer_outcomes(outcomes: Iterable[PeerOutcome]) -> list[PeerOutcomeCheck]:
-    """Flag rows whose grade counts do not add up to the declared total."""
-    return [
-        PeerOutcomeCheck(o.university_id, o.uda_id, o.E + o.G + o.A + o.L == o.T)
-        for o in outcomes
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Emission
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """Write rows as UTF-8 CSV with a fixed newline so output is byte-stable."""
+def write_csv(path: Path, schema: str, rows: Iterable[tuple]) -> None:
+    """Write rows under the header ``SCHEMAS[schema]`` as UTF-8 CSV with a fixed newline, so output is byte-stable."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(SCHEMAS[schema])
         writer.writerows(rows)
 
 
@@ -556,22 +533,16 @@ def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
 
     Emission is deterministic; reloading yields an equal corpus.
     """
-    out = Path(out_dir)
-    paths = CorpusPaths.from_dir(out)
-    write_csv(
-        paths.publications,
-        ("pub_id", "year", "doc_type", "citations", "total_author_count"),
-        ((p.pub_id, p.year, p.doc_type, p.citations, p.total_author_count) for p in corpus.publications),
+    taxonomy = corpus.taxonomy
+    categories = sorted(
+        {cat for p in corpus.publications for cat, _ in p.categories} | set(taxonomy.life_science_categories)
     )
-    write_csv(
-        paths.pub_categories,
-        ("pub_id", "category_id", "weight"),
-        ((p.pub_id, cat, _fmt(w)) for p in corpus.publications for cat, w in p.categories),
-    )
-    write_csv(
-        paths.pub_authors,
-        ("pub_id", "position", "is_domestic_academic", "university_id", "sds_id"),
-        (
+    tables: dict[str, Iterable[tuple]] = {
+        "publications": (
+            (p.pub_id, p.year, p.doc_type, p.citations, p.total_author_count) for p in corpus.publications
+        ),
+        "pub_categories": ((p.pub_id, cat, _fmt(w)) for p in corpus.publications for cat, w in p.categories),
+        "pub_authors": (
             (
                 p.pub_id,
                 "" if slot.position is None else slot.position,
@@ -582,44 +553,22 @@ def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
             for p in corpus.publications
             for slot in p.authors
         ),
-    )
-    write_csv(
-        paths.staff,
-        ("researcher_id", "university_id", "sds_id", "years_on_staff"),
-        ((e.researcher_id, e.university_id, e.sds_id, _fmt(e.years_on_staff)) for e in corpus.staff),
-    )
-    write_csv(
-        paths.taxonomy,
-        ("sds_id", "uda_id", "is_life_science"),
-        (
-            (sds, uda, "true" if sds in corpus.taxonomy.life_science_sds else "false")
-            for sds, uda in corpus.taxonomy.sds_to_uda.items()
+        "staff": ((e.researcher_id, e.university_id, e.sds_id, _fmt(e.years_on_staff)) for e in corpus.staff),
+        "taxonomy": (
+            (sds, uda, "true" if sds in taxonomy.life_science_sds else "false")
+            for sds, uda in taxonomy.sds_to_uda.items()
         ),
-    )
-    write_csv(
-        paths.macro_map,
-        ("uda_id", "macro_id"),
-        corpus.taxonomy.uda_to_macro.items(),
-    )
-    categories = sorted(
-        {cat for p in corpus.publications for cat, _ in p.categories} | set(corpus.taxonomy.life_science_categories)
-    )
-    write_csv(
-        paths.categories,
-        ("category_id", "is_life_science"),
-        ((cat, "true" if cat in corpus.taxonomy.life_science_categories else "false") for cat in categories),
-    )
-    write_csv(
-        paths.peer_outcomes,
-        ("university_id", "uda_id", "E", "G", "A", "L"),
-        ((o.university_id, o.uda_id, o.E, o.G, o.A, o.L) for o in corpus.peer_outcomes),
-    )
-    write_csv(
-        paths.indicators,
-        ("indicator_name", "direction", "university_id", "value"),
-        (
+        "macro_map": taxonomy.uda_to_macro.items(),
+        "peer_outcomes": ((o.university_id, o.uda_id, o.E, o.G, o.A, o.L) for o in corpus.peer_outcomes),
+        "indicators": (
             (t.indicator_name, t.direction, university, _fmt(value))
             for t in corpus.indicators
             for university, value in t.values.items()
         ),
-    )
+        "categories": (
+            (cat, "true" if cat in taxonomy.life_science_categories else "false") for cat in categories
+        ),
+    }
+    paths = CorpusPaths.from_dir(out_dir)
+    for stem, rows in tables.items():
+        write_csv(getattr(paths, stem), stem, rows)

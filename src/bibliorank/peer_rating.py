@@ -124,6 +124,6 @@ def pooled_university_ratings(outcomes: Iterable[PeerOutcome]) -> dict[str, floa
 def write_rated_csv(rated: Iterable[RatedOutcome], path) -> None:
     write_csv(
         path,
-        ("university_id", "uda_id", "R", "category_percentile"),
+        "rated",
         ((r.university_id, r.uda_id, repr(r.R), repr(r.category_percentile)) for r in rated),
     )

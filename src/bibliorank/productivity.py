@@ -14,14 +14,13 @@ ineligible SDSs are excluded from every downstream table.
 
 from __future__ import annotations
 
-import csv
 import logging
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .corpus import Corpus, StaffEntry, write_csv
+from .corpus import Corpus, StaffEntry, _parse_float, _require, read_rows, write_csv
 from .errors import ValidationError
 from .scoring import CreditShare, compute_baselines, credit_shares
 
@@ -62,19 +61,6 @@ class ScoreTable:
             for (university, unit), entry in self.entries.items()
             if unit_id is None or unit == unit_id
         }
-
-
-def staff_time_equivalent(
-    roster: Iterable[StaffEntry], university_id: str, sds_id: str, window: tuple[int, int]
-) -> float:
-    """FTE count of one (university, SDS) group over the window."""
-    window_len = window[1] - window[0] + 1
-    if window_len <= 0:
-        raise ValueError(f"window {window} has non-positive length")
-    years = sum(
-        e.years_on_staff for e in roster if e.university_id == university_id and e.sds_id == sds_id
-    )
-    return years / window_len
 
 
 def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[str, EligibilityEntry]:
@@ -219,47 +205,33 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
 
 
 def read_score_csv(path) -> ScoreTable:
-    """Read a score table written by :func:`write_score_csv`."""
+    """Read a score table written by :func:`write_score_csv`; ``unit_id`` is empty at university level."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"{path.name}: missing score file")
+    name = path.name
     entries: dict[tuple[str, str], ScoreEntry] = {}
     level: str | None = None
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ("level", "university_id", "unit_id", "P", "RS")
-        if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-            raise ValidationError(f"{path.name}:1: expected header {','.join(expected)!r}")
-        for row in reader:
-            row_level = (row["level"] or "").strip()
-            if row_level not in LEVELS:
-                raise ValidationError(f"{path.name}:{reader.line_num}: unknown level {row_level!r}")
-            if level is None:
-                level = row_level
-            elif row_level != level:
-                raise ValidationError(f"{path.name}:{reader.line_num}: mixed levels {level!r} and {row_level!r}")
-            university = (row["university_id"] or "").strip()
-            if not university:
-                raise ValidationError(f"{path.name}:{reader.line_num}: empty university_id")
-            unit = (row["unit_id"] or "").strip()
-            try:
-                p_value = float(row["P"])
-                rs_value = float(row["RS"])
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path.name}:{reader.line_num}: malformed P/RS") from None
-            key = (university, unit)
-            if key in entries:
-                raise ValidationError(f"{path.name}:{reader.line_num}: duplicate entry {key}")
-            entries[key] = ScoreEntry(p_value, rs_value)
+    for line, row in read_rows(path, "scores"):
+        row_level = row["level"].strip()
+        if row_level not in LEVELS:
+            raise ValidationError(f"{name}:{line}: unknown level {row_level!r}")
+        if level is None:
+            level = row_level
+        elif row_level != level:
+            raise ValidationError(f"{name}:{line}: mixed levels {level!r} and {row_level!r}")
+        key = (_require(name, line, "university_id", row["university_id"]), row["unit_id"].strip())
+        if key in entries:
+            raise ValidationError(f"{name}:{line}: duplicate entry {key}")
+        p_value = _parse_float(name, line, "P", row["P"])
+        entries[key] = ScoreEntry(p_value, _parse_float(name, line, "RS", row["RS"]))
     if level is None:
-        raise ValidationError(f"{path.name}: empty score table")
+        raise ValidationError(f"{name}: empty score table")
     return ScoreTable(level=level, entries=dict(sorted(entries.items())), national_means={})
 
 
 def write_score_csv(table: ScoreTable, path) -> None:
     write_csv(
         path,
-        ("level", "university_id", "unit_id", "P", "RS"),
+        "scores",
         (
             (table.level, university, unit, repr(entry.P), repr(entry.RS))
             for (university, unit), entry in sorted(table.entries.items())
@@ -270,7 +242,7 @@ def write_score_csv(table: ScoreTable, path) -> None:
 def write_eligibility_csv(report: dict[str, EligibilityEntry], path) -> None:
     write_csv(
         path,
-        ("sds_id", "staff_count", "active_count", "active_fraction", "eligible"),
+        "eligibility",
         (
             (sds, e.staff_count, e.active_count, repr(e.active_fraction), "true" if e.eligible else "false")
             for sds, e in sorted(report.items())

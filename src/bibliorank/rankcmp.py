@@ -20,21 +20,19 @@ so the narrow import returns the same bits.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, write_csv
+from .corpus import DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, _parse_float, _require, read_rows, write_csv
 from .errors import ValidationError
 
 DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 SIGNIFICANCE_LEVEL = 0.05
 MIN_COMMON_ENTITIES = 3
-EXACT_PERMUTATION_MAX_N = 10
 
 
 class RankEntry(NamedTuple):
@@ -138,44 +136,29 @@ def build_ranking(
             raise ValidationError(f"ranking {label!r}: NaN score for entity {entity!r}")
     sign = 1.0 if direction == LOWER_IS_BETTER else -1.0
     ordered = sorted(scores.items(), key=lambda item: (sign * item[1], item[0]))
+    entries = _tie_averaged([RankEntry(entity, score, 0.0) for entity, score in ordered], lambda e: e.score)
+    return RankingList(label=label, level=level, entries=entries)
+
+
+def _tie_averaged(ordered: Sequence[RankEntry], key: Callable[[RankEntry], float]) -> tuple[RankEntry, ...]:
+    """Re-rank entries in display order, giving each run of equal ``key`` the average of its positions."""
     entries: list[RankEntry] = []
     position = 0
-    for _, group in _group_by(ordered, key=lambda item: sign * item[1]):
+    for _, run in groupby(ordered, key=key):
+        group = list(run)
         start = position + 1
         position += len(group)
         rank = (start + position) / 2
-        entries.extend(RankEntry(entity, score, rank) for entity, score in group)
-    return RankingList(label=label, level=level, entries=tuple(entries))
-
-
-def _group_by(items: Sequence, key) -> Iterable[tuple[object, list]]:
-    group: list = []
-    current = object()
-    for item in items:
-        k = key(item)
-        if group and k == current:
-            group.append(item)
-        else:
-            if group:
-                yield current, group
-            group = [item]
-            current = k
-    if group:
-        yield current, group
+        entries.extend(e._replace(rank=rank) for e in group)
+    return tuple(entries)
 
 
 def restrict_ranking(ranking: RankingList, keep: Iterable[str]) -> RankingList:
     """Drop entities outside ``keep`` and re-rank inside the survivors."""
     keep = set(keep)
     survivors = [e for e in ranking.entries if e.entity_id in keep]
-    entries: list[RankEntry] = []
-    position = 0
-    for _, group in _group_by(survivors, key=lambda e: e.rank):
-        start = position + 1
-        position += len(group)
-        rank = (start + position) / 2
-        entries.extend(RankEntry(e.entity_id, e.score, rank) for e in group)
-    return RankingList(label=ranking.label, level=ranking.level, entries=tuple(entries))
+    entries = _tie_averaged(survivors, lambda e: e.rank)
+    return RankingList(label=ranking.label, level=ranking.level, entries=entries)
 
 
 def align(a: RankingList, b: RankingList) -> Alignment:
@@ -204,15 +187,12 @@ def align(a: RankingList, b: RankingList) -> Alignment:
 # Correlation
 
 
-def spearman(
-    ranks_a: Sequence[float], ranks_b: Sequence[float], exact: bool = False
-) -> tuple[float, float]:
+def spearman(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> tuple[float, float]:
     """Spearman rho of two paired rank vectors with a two-sided p-value.
 
     rho is the Pearson correlation of the tie-averaged ranks.  The
     p-value uses the t-approximation with n-2 degrees of freedom (0 at
-    rho = +/-1); with ``exact=True`` and n <= 10 it is replaced by the
-    exact permutation probability of |rho| at least as large.
+    rho = +/-1).
     """
     n = len(ranks_a)
     if len(ranks_b) != n:
@@ -232,42 +212,11 @@ def spearman(
         raise ValueError("zero rank variance: rho is undefined")
     rho = float(da @ db) / math.sqrt(var_a * var_b)
     rho = max(-1.0, min(1.0, rho))
-    if exact and n <= EXACT_PERMUTATION_MAX_N:
-        return rho, _exact_permutation_p(a, b, rho)
     if abs(rho) == 1.0:
         return rho, 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, min(1.0, p)
-
-
-def _exact_permutation_p(a, b, observed_rho: float) -> float:
-    """Two-sided permutation p-value over all n! pairings of the rank vectors."""
-    import numpy as np
-
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
-    threshold = abs(observed_rho) - 1e-12
-    total = 0
-    hits = 0
-    chunk: list[tuple[float, ...]] = []
-    chunk_size = 100_000
-
-    def count_hits(perms: list[tuple[float, ...]]) -> int:
-        rhos = np.asarray(perms) @ da / denom
-        return int(np.count_nonzero(np.abs(rhos) >= threshold))
-
-    for perm in permutations(db):
-        chunk.append(perm)
-        if len(chunk) == chunk_size:
-            hits += count_hits(chunk)
-            total += len(chunk)
-            chunk = []
-    if chunk:
-        hits += count_hits(chunk)
-        total += len(chunk)
-    return hits / total
 
 
 def strength_label(rho: float) -> str:
@@ -429,7 +378,7 @@ def compare_rankings(
 def write_ranking_csv(ranking: RankingList, path: Path | str) -> None:
     write_csv(
         Path(path),
-        ("entity_id", "score", "rank"),
+        "ranking",
         ((e.entity_id, repr(e.score), repr(e.rank)) for e in ranking.entries),
     )
 
@@ -437,31 +386,19 @@ def write_ranking_csv(ranking: RankingList, path: Path | str) -> None:
 def read_ranking_csv(path: Path | str, label: str | None = None, level: str = "university") -> RankingList:
     """Read a ranking written by :func:`write_ranking_csv`; label defaults to the file stem."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"{path.name}: missing ranking file")
+    name = path.name
     entries: list[RankEntry] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != ("entity_id", "score", "rank"):
-            raise ValidationError(f"{path.name}:1: expected header 'entity_id,score,rank'")
-        for row in reader:
-            entity = (row["entity_id"] or "").strip()
-            if not entity:
-                raise ValidationError(f"{path.name}:{reader.line_num}: empty entity_id")
-            if entity in seen:
-                raise ValidationError(f"{path.name}:{reader.line_num}: duplicate entity {entity!r}")
-            seen.add(entity)
-            try:
-                score = float(row["score"])
-                rank = float(row["rank"])
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path.name}:{reader.line_num}: malformed score/rank") from None
-            if math.isnan(score) or math.isnan(rank):
-                raise ValidationError(f"{path.name}:{reader.line_num}: NaN score/rank")
-            entries.append(RankEntry(entity, score, rank))
+    for line, row in read_rows(path, "ranking"):
+        entity = _require(name, line, "entity_id", row["entity_id"])
+        if entity in seen:
+            raise ValidationError(f"{name}:{line}: duplicate entity {entity!r}")
+        seen.add(entity)
+        score = _parse_float(name, line, "score", row["score"])
+        rank = _parse_float(name, line, "rank", row["rank"])
+        entries.append(RankEntry(entity, score, rank))
     if not entries:
-        raise ValidationError(f"{path.name}: empty ranking")
+        raise ValidationError(f"{name}: empty ranking")
     entries.sort(key=lambda e: (e.rank, e.entity_id))
     return RankingList(label=label if label is not None else path.stem, level=level, entries=tuple(entries))
 

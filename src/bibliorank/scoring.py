@@ -19,9 +19,9 @@ import logging
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .corpus import Corpus, PublicationRecord, Taxonomy, write_csv
+from .corpus import Corpus, PublicationRecord, Taxonomy
 
 log = logging.getLogger(__name__)
 
@@ -212,13 +212,3 @@ def credit_shares(
             shares.append(CreditShare(pub.pub_id, university, sds, fraction, value))
     return shares
 
-
-def write_shares_csv(shares: Iterable[CreditShare], path) -> None:
-    write_csv(
-        path,
-        ("pub_id", "university_id", "sds_id", "fraction", "standardized_value"),
-        (
-            (s.pub_id, s.university_id, s.sds_id, repr(s.fraction), repr(s.standardized_value))
-            for s in shares
-        ),
-    )

@@ -18,7 +18,7 @@ truth.  A fixed seed reproduces the corpus byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -261,15 +261,8 @@ def generate(params: SynthParams) -> SynthData:
 def write_synth(data: SynthData, out_dir: Path | str) -> None:
     """Write all generated rows as corpus CSV files under ``out_dir``."""
     paths = CorpusPaths.from_dir(Path(out_dir))
-    write_csv(paths.publications, ("pub_id", "year", "doc_type", "citations", "total_author_count"), data.publications)
-    write_csv(paths.pub_categories, ("pub_id", "category_id", "weight"), data.pub_categories)
-    write_csv(paths.pub_authors, ("pub_id", "position", "is_domestic_academic", "university_id", "sds_id"), data.pub_authors)
-    write_csv(paths.staff, ("researcher_id", "university_id", "sds_id", "years_on_staff"), data.staff)
-    write_csv(paths.taxonomy, ("sds_id", "uda_id", "is_life_science"), data.taxonomy)
-    write_csv(paths.macro_map, ("uda_id", "macro_id"), data.macro_map)
-    write_csv(paths.categories, ("category_id", "is_life_science"), data.categories)
-    write_csv(paths.peer_outcomes, ("university_id", "uda_id", "E", "G", "A", "L"), data.peer_outcomes)
-    write_csv(paths.indicators, ("indicator_name", "direction", "university_id", "value"), data.indicators)
+    for f in fields(CorpusPaths):
+        write_csv(getattr(paths, f.name), f.name, getattr(data, f.name))
 
 
 def synthesize(params: SynthParams, out_dir: Path | str) -> SynthData:

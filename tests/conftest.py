@@ -2,30 +2,17 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import pytest
 
-SCHEMAS = {
-    "publications.csv": ("pub_id", "year", "doc_type", "citations", "total_author_count"),
-    "pub_categories.csv": ("pub_id", "category_id", "weight"),
-    "pub_authors.csv": ("pub_id", "position", "is_domestic_academic", "university_id", "sds_id"),
-    "staff.csv": ("researcher_id", "university_id", "sds_id", "years_on_staff"),
-    "taxonomy.csv": ("sds_id", "uda_id", "is_life_science"),
-    "macro_map.csv": ("uda_id", "macro_id"),
-    "categories.csv": ("category_id", "is_life_science"),
-    "peer_outcomes.csv": ("university_id", "uda_id", "E", "G", "A", "L"),
-    "indicators.csv": ("indicator_name", "direction", "university_id", "value"),
-}
+from bibliorank.corpus import write_csv
 
 
 def write_file(directory: Path, name: str, rows: list[tuple]) -> Path:
+    """Write ``rows`` under the header that ``bibliorank.corpus.SCHEMAS`` gives the file's stem."""
     path = directory / name
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCHEMAS[name])
-        writer.writerows(rows)
+    write_csv(path, path.stem, rows)
     return path
 
 

@@ -1,4 +1,4 @@
-"""CLI behaviour: start-up imports, collector state, rank labels, rated-file validation."""
+"""CLI behaviour: start-up imports, collector state, rank labels, input-file validation."""
 
 from __future__ import annotations
 
@@ -13,9 +13,15 @@ import pytest
 
 import bibliorank
 from bibliorank import cli
+from bibliorank.corpus import SCHEMAS
+
+from conftest import minimal_rows, write_corpus
 
 SRC = str(Path(bibliorank.__file__).resolve().parents[1])
-RATED_HEADER = "university_id,uda_id,R,category_percentile\n"
+
+
+def header(schema: str) -> str:
+    return ",".join(SCHEMAS[schema]) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +114,86 @@ def test_rank_label_with_unit_names_the_ranking(synth_dir, tmp_path, name):
 )
 def test_rated_file_rejects_bad_rows(tmp_path, capsys, rows, message):
     path = tmp_path / "vtr_ratings.csv"
-    path.write_text(RATED_HEADER + rows, encoding="utf-8")
+    path.write_text(header("rated") + rows, encoding="utf-8")
     assert cli.main(["rank", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+GOOD_RANKING = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\nD,0.0,4.0\n"
+
+
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        (
+            "scores_university.csv",
+            header("scores") + "university,U1,,1.0,3.0\nuniversity,U2,,inf,3.0\n",
+            "scores_university.csv:3: P must be finite",
+        ),
+        (
+            "scores_university.csv",
+            header("scores") + "university,U1,,1.0,3.0\nuniversity,U2,,nan,3.0\n",
+            "scores_university.csv:3: P must be finite",
+        ),
+        (
+            "ranking_B.csv",
+            header("ranking") + "A,3.0,1.0\nB,inf,2.0\nC,1.0,3.0\nD,0.0,4.0\n",
+            "ranking_B.csv:3: score must be finite",
+        ),
+    ],
+)
+def test_non_finite_value_rejected_with_file_and_line(tmp_path, capsys, name, body, message):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    if name.startswith("ranking_"):
+        good = tmp_path / "ranking_A.csv"
+        good.write_text(header("ranking") + GOOD_RANKING, encoding="utf-8")
+        argv = ["compare", str(good), str(path), "--out-dir", str(out)]
+    else:
+        argv = ["rank", "--input", str(path), "--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank_rejects_empty_input_file(tmp_path, capsys):
+    path = tmp_path / "scores_university.csv"
+    path.write_text("", encoding="utf-8")
+    assert cli.main(["rank", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "scores_university.csv:1: empty file, header row required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [("X Y", "X_Y"), ("P",)])
+def test_report_rejects_colliding_labels_before_writing(tmp_path, capsys, names):
+    rows = minimal_rows()
+    rows["indicators"] = [(name, "higher_is_better", "U1", "1.0") for name in names]
+    corpus = write_corpus(tmp_path / "corpus", **rows)
+    out = tmp_path / "out"
+    assert cli.main(["report", "--corpus-dir", str(corpus), "--out-dir", str(out)]) == 2
+    assert "name the same output files" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank_rejects_units_colliding_once_sanitised(tmp_path, capsys):
+    path = tmp_path / "scores_uda.csv"
+    path.write_text(header("scores") + "uda,U1,X Y,1.0,3.0\nuda,U1,X_Y,2.0,3.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["rank", "--input", str(path), "--out-dir", str(out)]) == 2
+    assert "'P_uda_X Y' and 'P_uda_X_Y' name the same output files ('P_uda_X_Y')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stems", [("X Y", "X_Y", "Z"), ("X", "X")])
+def test_compare_rejects_colliding_labels(tmp_path, capsys, stems):
+    paths = []
+    for index, stem in enumerate(stems):
+        path = tmp_path / str(index) / f"{stem}.csv"
+        path.parent.mkdir()
+        path.write_text(header("ranking") + GOOD_RANKING, encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "out"
+    assert cli.main(["compare", *paths, "--out-dir", str(out)]) == 2
+    assert "name the same output files ('X" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,11 +3,9 @@ from pathlib import Path
 import pytest
 
 from bibliorank.corpus import (
-    PeerOutcome,
     emit_corpus,
     load_corpus,
     read_indicators_csv,
-    validate_peer_outcomes,
 )
 from bibliorank.errors import ValidationError
 
@@ -22,7 +20,7 @@ def test_minimal_corpus_loads(minimal_corpus_dir):
     assert len(corpus.staff) == 1
     assert corpus.rejected_count == 0
     assert corpus.universities() == ["U1"]
-    assert corpus.window_years == 3
+    assert corpus.window == WINDOW
 
 
 def test_category_weights_must_sum_to_one(tmp_path):
@@ -203,17 +201,7 @@ def test_indicators_loaded(tmp_path):
     directory = write_corpus(tmp_path, **rows)
     corpus = load_corpus(directory, WINDOW)
     assert [t.indicator_name for t in corpus.indicators] == ["LAT", "RES"]
-    assert corpus.indicator("LAT").values == {"U1": 41.5}
-    with pytest.raises(KeyError):
-        corpus.indicator("GDP")
-
-
-def test_validate_peer_outcomes():
-    ok = PeerOutcome("TorVergata", "math", 17, 5, 1, 0, 23)
-    bad = PeerOutcome("X", "math", 1, 1, 0, 0, 1)
-    report = validate_peer_outcomes([ok, bad])
-    assert [check.ok for check in report] == [True, False]
-    assert validate_peer_outcomes([]) == []
+    assert corpus.indicators[0].values == {"U1": 41.5}
 
 
 def test_peer_outcomes_loaded_with_derived_total(tmp_path):

@@ -12,7 +12,6 @@ from bibliorank.productivity import (
     read_score_csv,
     score_corpus,
     sds_productivity,
-    staff_time_equivalent,
     uda_productivity,
     university_productivity,
     write_score_csv,
@@ -32,17 +31,18 @@ def share(university="U1", sds="S1", fraction=1.0, value=1.0, pub_id="P1"):
     return CreditShare(pub_id, university, sds, fraction, value)
 
 
-def test_staff_time_equivalent_full_window():
+def test_staff_equivalent_full_window():
     roster = [staff("R1"), staff("R2")]
-    assert staff_time_equivalent(roster, "U1", "S1", WINDOW) == 2.0
+    assert sds_productivity([], roster, WINDOW).entries[("U1", "S1")].RS == 2.0
 
 
-def test_staff_time_equivalent_partial_years():
-    assert staff_time_equivalent([staff("R1", years=2.0)], "U1", "S1", WINDOW) == pytest.approx(2 / 3)
+def test_staff_equivalent_partial_years():
+    table = sds_productivity([], [staff("R1", years=2.0)], WINDOW)
+    assert table.entries[("U1", "S1")].RS == pytest.approx(2 / 3)
 
 
-def test_staff_time_equivalent_no_match():
-    assert staff_time_equivalent([staff("R1")], "U9", "S1", WINDOW) == 0.0
+def test_staff_equivalent_no_match():
+    assert ("U9", "S1") not in sds_productivity([], [staff("R1")], WINDOW).entries
 
 
 # ---------------------------------------------------------------------------
