@@ -5,6 +5,11 @@ values individual flags override.  Outputs are written under ``--out-dir``
 and are byte-identical across reruns with the same inputs and seed.
 
 Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
+Every subcommand computes all its outputs (scores, ratings, rankings and
+every pairwise comparison) before its first write, so a run that exits 2
+writes nothing.  A config file may hold only the settings listed in
+``_SETTINGS``; an unknown key or a value that does not parse exits 2 and
+names the setting.
 
 Each run pays only for the machinery it uses.  The ``synth`` module needs
 numpy, so it is imported inside the synth subcommand; ``score``, ``vtr`` and
@@ -28,8 +33,9 @@ import csv
 import gc
 import sys
 from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import corpus as corpus_mod
 from . import peer_rating, productivity, rankcmp
@@ -79,15 +85,65 @@ def parse_percentages(raw: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
+_SYNTH_RENAME = {"universities": "n_universities", "udas": "n_udas"}
+_SYNTH_KEYS: dict[str, type] = {
+    "universities": int,
+    "udas": int,
+    "sds_per_uda": int,
+    "life_science_udas": int,
+    "staff_presence": float,
+    "staff_min": int,
+    "staff_max": int,
+    "pubs_per_fte": float,
+    "multi_category_rate": float,
+    "cross_university_rate": float,
+    "external_listed_rate": float,
+    "max_external_authors": int,
+    "citation_sigma": float,
+    "gradient_strength": float,
+    "peer_noise": float,
+}
+
+
+# RunConfig field and cast of each config-file setting that is not a synth parameter.
+_CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], Any]]] = {
+    ("io", "out_dir"): ("out_dir", Path),
+    ("io", "format"): ("out_format", str),
+    ("corpus", "dir"): ("corpus_dir", Path),
+    ("analysis", "window"): ("window", parse_window),
+    ("analysis", "percentages"): ("percentages", parse_percentages),
+    ("synth", "seed"): ("rng_seed", int),
+}
+# Cast of every setting a config file may hold; any other key is refused.
+_SETTINGS = {key: cast for key, (_, cast) in _CONFIG_KEYS.items()} | {
+    ("synth", key): cast for key, cast in _SYNTH_KEYS.items()
+}
+
+
+def _read_ini(path: Path) -> dict[tuple[str, str], Any]:
+    """Read a config file into cast values keyed by (section, key), refusing unknown and malformed settings."""
     if not path.exists():
         raise ValidationError(f"{path}: missing config file")
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
+        raw = {(configparser.DEFAULTSECT, key): text for key, text in parser.defaults().items()}
+        raw.update(
+            ((section, key), parser.get(section, key))
+            for section in parser.sections()
+            for key in parser.options(section)
+        )
     except configparser.Error as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return parser
+    values: dict[tuple[str, str], Any] = {}
+    for (section, key), text in raw.items():
+        if (section, key) not in _SETTINGS:
+            raise ValidationError(f"{path}: unknown setting [{section}] {key}")
+        try:
+            values[section, key] = _SETTINGS[section, key](text)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: [{section}] {key}: {exc}") from None
+    return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -95,18 +151,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
         ini = _read_ini(Path(args.config))
-        if ini.has_option("io", "out_dir"):
-            config = replace(config, out_dir=Path(ini.get("io", "out_dir")))
-        if ini.has_option("io", "format"):
-            config = replace(config, out_format=ini.get("io", "format"))
-        if ini.has_option("corpus", "dir"):
-            config = replace(config, corpus_dir=Path(ini.get("corpus", "dir")))
-        if ini.has_option("analysis", "window"):
-            config = replace(config, window=parse_window(ini.get("analysis", "window")))
-        if ini.has_option("analysis", "percentages"):
-            config = replace(config, percentages=parse_percentages(ini.get("analysis", "percentages")))
-        if ini.has_option("synth", "seed"):
-            config = replace(config, rng_seed=ini.getint("synth", "seed"))
+        config = replace(config, **{field: ini[key] for key, (field, _) in _CONFIG_KEYS.items() if key in ini})
     if getattr(args, "out_dir", None):
         config = replace(config, out_dir=Path(args.out_dir))
     if getattr(args, "format", None):
@@ -127,44 +172,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def build_synth_params(args: argparse.Namespace, config: RunConfig) -> SynthParams:
     from .synth import SynthParams
 
-    values: dict[str, object] = {"seed": config.rng_seed}
-    if args.config:
-        ini = _read_ini(Path(args.config))
-        if ini.has_section("synth"):
-            section = ini["synth"]
-            for key, caster in _SYNTH_KEYS.items():
-                if key in section:
-                    values[_SYNTH_RENAME.get(key, key)] = caster(section[key])
+    values: dict[str, object] = {}
+    ini = _read_ini(Path(args.config)) if args.config else {}
     for key in _SYNTH_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[_SYNTH_RENAME.get(key, key)] = flag
+        value = getattr(args, key, None)
+        if value is None:
+            value = ini.get(("synth", key))
+        if value is not None:
+            values[_SYNTH_RENAME.get(key, key)] = value
     values["window"] = config.window
     values["seed"] = config.rng_seed
     try:
         return SynthParams(**values)  # type: ignore[arg-type]
     except TypeError as exc:
         raise ValidationError(f"bad synth parameter: {exc}") from None
-
-
-_SYNTH_RENAME = {"universities": "n_universities", "udas": "n_udas"}
-_SYNTH_KEYS: dict[str, type] = {
-    "universities": int,
-    "udas": int,
-    "sds_per_uda": int,
-    "life_science_udas": int,
-    "staff_presence": float,
-    "staff_min": int,
-    "staff_max": int,
-    "pubs_per_fte": float,
-    "multi_category_rate": float,
-    "cross_university_rate": float,
-    "external_listed_rate": float,
-    "max_external_authors": int,
-    "citation_sigma": float,
-    "gradient_strength": float,
-    "peer_noise": float,
-}
 
 
 def _require_corpus_dir(config: RunConfig) -> Path:
@@ -304,17 +325,21 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _emit_comparisons(
-    rankings: list[rankcmp.RankingList], config: RunConfig, out: Path
+def _compare_all(
+    rankings: list[rankcmp.RankingList], config: RunConfig
+) -> tuple[list[rankcmp.ComparisonReport], rankcmp.CorrelationMatrix]:
+    reports = [rankcmp.compare_rankings(a, b, config.percentages) for a, b in combinations(rankings, 2)]
+    return reports, rankcmp.correlation_matrix(rankings, reports)
+
+
+def _write_comparisons(
+    reports: list[rankcmp.ComparisonReport], matrix: rankcmp.CorrelationMatrix, config: RunConfig, out: Path
 ) -> None:
     ext = _EXT[config.out_format]
-    matrix = rankcmp.correlation_matrix(rankings)
     _write_text(out / f"correlation_matrix.{ext}", rankcmp.render_matrix(matrix, config.out_format))
-    for i in range(len(rankings)):
-        for j in range(i + 1, len(rankings)):
-            report = rankcmp.compare_rankings(rankings[i], rankings[j], config.percentages)
-            name = f"comparison_{_safe_label(report.label_a)}_vs_{_safe_label(report.label_b)}.{ext}"
-            _write_text(out / name, rankcmp.render_comparison(report, config.out_format))
+    for report in reports:
+        name = f"comparison_{_safe_label(report.label_a)}_vs_{_safe_label(report.label_b)}.{ext}"
+        _write_text(out / name, rankcmp.render_comparison(report, config.out_format))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -323,9 +348,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValidationError("compare needs at least 2 ranking files")
     rankings = [rankcmp.read_ranking_csv(Path(p)) for p in args.rankings]
     _check_labels(rankings)
-    _emit_comparisons(rankings, config, config.out_dir)
-    pairs = len(rankings) * (len(rankings) - 1) // 2
-    print(f"compared {len(rankings)} rankings ({pairs} pairs) -> {config.out_dir}")
+    reports, matrix = _compare_all(rankings, config)
+    _write_comparisons(reports, matrix, config, config.out_dir)
+    print(f"compared {len(rankings)} rankings ({len(reports)} pairs) -> {config.out_dir}")
     return 0
 
 
@@ -360,13 +385,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     if len(rankings) < 2:
         raise ValidationError("report needs peer outcomes or indicators to compare against P")
     _check_labels(rankings)
+    reports, matrix = _compare_all(rankings, config)
+    rated = peer_rating.rate_outcomes(corpus.peer_outcomes) if corpus.peer_outcomes else None
 
     _write_scores(bundle, out)
-    if corpus.peer_outcomes:
-        peer_rating.write_rated_csv(peer_rating.rate_outcomes(corpus.peer_outcomes), out / "vtr_ratings.csv")
+    if rated is not None:
+        peer_rating.write_rated_csv(rated, out / "vtr_ratings.csv")
     for ranking in rankings:
         rankcmp.write_ranking_csv(ranking, out / f"ranking_{_safe_label(ranking.label)}.csv")
-    _emit_comparisons(rankings, config, out)
+    _write_comparisons(reports, matrix, config, out)
     print(f"report over {len(rankings)} rankings -> {out}")
     return 0
 

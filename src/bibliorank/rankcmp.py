@@ -1,12 +1,15 @@
 """Build ranking lists and compare them: Spearman, quartile shifts, top-k overlap.
 
 Rankings assign tie-averaged ranks (1 = best) per the indicator's
-direction; display order breaks ties by entity id.  Comparisons first
-restrict both lists to their common entities and re-rank inside the
-intersection, then report the Spearman correlation with a two-sided
-t-approximated p-value, the distribution of absolute quartile shifts,
-and how many of the reference list's top-k entities the other list
-misses, for a ladder of top percentages.
+direction; display order breaks ties by entity id.  ``compare_rankings``
+is the one place that compares a pair: it restricts both lists to their
+common entities, of which there must be at least ``MIN_COMMON_ENTITIES``
+(one per quartile class), re-ranks inside the intersection, then reports
+the Spearman correlation with a two-sided t-approximated p-value, the
+distribution of absolute quartile shifts, and how many of the reference
+list's top-k entities the other list misses, for a ladder of top
+percentages.  The correlation matrix is built from those pairwise
+reports, so each pair is aligned and correlated once.
 
 Reports render as CSV, JSON, or aligned-column markdown tables.
 
@@ -20,10 +23,12 @@ so the narrow import returns the same bits.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -32,7 +37,7 @@ from .errors import ValidationError
 
 DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 SIGNIFICANCE_LEVEL = 0.05
-MIN_COMMON_ENTITIES = 3
+MIN_COMMON_ENTITIES = 4
 
 
 class RankEntry(NamedTuple):
@@ -61,17 +66,6 @@ class RankingList:
 
     def top(self, k: int) -> set[str]:
         return {e.entity_id for e in self.entries[:k]}
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """Two rankings restricted and re-ranked on their common entities."""
-
-    entities: tuple[str, ...]  # sorted
-    ranks_a: tuple[float, ...]
-    ranks_b: tuple[float, ...]
-    dropped_a: tuple[str, ...]
-    dropped_b: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class CorrelationMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Construction and alignment
+# Construction and restriction
 
 
 def build_ranking(
@@ -159,28 +153,6 @@ def restrict_ranking(ranking: RankingList, keep: Iterable[str]) -> RankingList:
     survivors = [e for e in ranking.entries if e.entity_id in keep]
     entries = _tie_averaged(survivors, lambda e: e.rank)
     return RankingList(label=ranking.label, level=ranking.level, entries=entries)
-
-
-def align(a: RankingList, b: RankingList) -> Alignment:
-    """Restrict both rankings to their common entities and pair the rank vectors."""
-    ids_a = set(a.entity_ids())
-    ids_b = set(b.entity_ids())
-    common = ids_a & ids_b
-    if len(common) < MIN_COMMON_ENTITIES:
-        raise ValidationError(
-            f"too few common entities between {a.label!r} and {b.label!r}: "
-            f"{len(common)} < {MIN_COMMON_ENTITIES}"
-        )
-    ranks_a = restrict_ranking(a, common).ranks()
-    ranks_b = restrict_ranking(b, common).ranks()
-    entities = tuple(sorted(common))
-    return Alignment(
-        entities=entities,
-        ranks_a=tuple(ranks_a[e] for e in entities),
-        ranks_b=tuple(ranks_b[e] for e in entities),
-        dropped_a=tuple(sorted(ids_a - common)),
-        dropped_b=tuple(sorted(ids_b - common)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +205,14 @@ def strength_label(rho: float) -> str:
     return "strong"
 
 
-def correlation_matrix(rankings: Sequence[RankingList]) -> CorrelationMatrix:
-    """Pairwise Spearman matrix; each pair is aligned on its own common entities."""
+def correlation_matrix(
+    rankings: Sequence[RankingList], reports: Iterable[ComparisonReport]
+) -> CorrelationMatrix:
+    """Pairwise Spearman matrix from the :func:`compare_rankings` reports.
+
+    ``reports`` holds one report per pair ``(i, j)`` of ``rankings``, in
+    ``itertools.combinations(range(len(rankings)), 2)`` order.
+    """
     if len(rankings) < 2:
         raise ValueError(f"need at least 2 rankings, got {len(rankings)}")
     labels = [r.label for r in rankings]
@@ -247,14 +225,12 @@ def correlation_matrix(rankings: Sequence[RankingList]) -> CorrelationMatrix:
     n_common = [[0] * size for _ in range(size)]
     for i in range(size):
         n_common[i][i] = rankings[i].n
-        for j in range(i + 1, size):
-            pair = align(rankings[i], rankings[j])
-            r, p = spearman(pair.ranks_a, pair.ranks_b)
-            for row, col in ((i, j), (j, i)):
-                rho[row][col] = r
-                p_values[row][col] = p
-                significant[row][col] = p < SIGNIFICANCE_LEVEL
-                n_common[row][col] = len(pair.entities)
+    for (i, j), report in zip(combinations(range(size), 2), reports, strict=True):
+        for row, col in ((i, j), (j, i)):
+            rho[row][col] = report.rho
+            p_values[row][col] = report.p_value
+            significant[row][col] = report.p_value < SIGNIFICANCE_LEVEL
+            n_common[row][col] = report.n
     return CorrelationMatrix(
         labels=tuple(labels),
         rho=tuple(tuple(row) for row in rho),
@@ -277,8 +253,8 @@ def quartile_classify(ranking: RankingList) -> dict[str, int]:
     display order (entity id ascending), which the output preserves.
     """
     n = ranking.n
-    if n < 4:
-        raise ValueError(f"quartile classification needs at least 4 entities, got {n}")
+    if n < MIN_COMMON_ENTITIES:
+        raise ValueError(f"quartile classification needs at least {MIN_COMMON_ENTITIES} entities, got {n}")
     q4_end = n // 4
     q3_end = n // 2
     q2_end = (3 * n) // 4
@@ -330,7 +306,7 @@ def topk_overlap(
 ) -> list[TopkRow]:
     """Per top-percentage: how many of the reference's top k the other ranking misses."""
     if set(reference.entity_ids()) != set(other.entity_ids()):
-        raise ValueError("top-k comparison requires a common entity set; align first")
+        raise ValueError("top-k comparison requires a common entity set; restrict both rankings first")
     n = reference.n
     rows: list[TopkRow] = []
     for percentage in percentages:
@@ -346,23 +322,34 @@ def topk_overlap(
 def compare_rankings(
     a: RankingList, b: RankingList, percentages: Sequence[float] = DEFAULT_PERCENTAGES
 ) -> ComparisonReport:
-    """Full pairwise comparison: Spearman, quartile shifts, top-k variation."""
-    pair = align(a, b)
-    rho, p = spearman(pair.ranks_a, pair.ranks_b)
-    common = set(pair.entities)
+    """Full pairwise comparison on the common entities: Spearman, quartile shifts, top-k variation."""
+    ids_a = set(a.entity_ids())
+    ids_b = set(b.entity_ids())
+    common = ids_a & ids_b
+    if len(common) < MIN_COMMON_ENTITIES:
+        raise ValidationError(
+            f"too few common entities between {a.label!r} and {b.label!r}: "
+            f"{len(common)} < {MIN_COMMON_ENTITIES}"
+        )
     restricted_a = restrict_ranking(a, common)
     restricted_b = restrict_ranking(b, common)
-    if len(common) < 4:
-        raise ValidationError(
-            f"quartile comparison needs at least 4 common entities, got {len(common)}"
-        )
+    for restricted, other in ((restricted_a, b), (restricted_b, a)):
+        if restricted.entries[0].rank == restricted.entries[-1].rank:
+            raise ValidationError(
+                f"ranking {restricted.label!r}: all {len(common)} entities it shares with "
+                f"{other.label!r} tie, so rho is undefined"
+            )
+    entities = sorted(common)
+    ranks_a = restricted_a.ranks()
+    ranks_b = restricted_b.ranks()
+    rho, p = spearman([ranks_a[e] for e in entities], [ranks_b[e] for e in entities])
     shifts = shift_distribution(quartile_classify(restricted_a), quartile_classify(restricted_b))
     return ComparisonReport(
         label_a=a.label,
         label_b=b.label,
         n=len(common),
-        dropped_a=pair.dropped_a,
-        dropped_b=pair.dropped_b,
+        dropped_a=tuple(sorted(ids_a - common)),
+        dropped_b=tuple(sorted(ids_b - common)),
         rho=rho,
         p_value=p,
         strength=strength_label(rho),
@@ -384,22 +371,32 @@ def write_ranking_csv(ranking: RankingList, path: Path | str) -> None:
 
 
 def read_ranking_csv(path: Path | str, label: str | None = None, level: str = "university") -> RankingList:
-    """Read a ranking written by :func:`write_ranking_csv`; label defaults to the file stem."""
+    """Read a ranking written by :func:`write_ranking_csv`; label defaults to the file stem.
+
+    Every rank must be the tie-averaged position that :func:`build_ranking`
+    gives it: the average of the display positions its run of equal ranks holds.
+    """
     path = Path(path)
     name = path.name
     entries: list[RankEntry] = []
-    seen: set[str] = set()
+    lines: dict[str, int] = {}
     for line, row in read_rows(path, "ranking"):
         entity = _require(name, line, "entity_id", row["entity_id"])
-        if entity in seen:
+        if entity in lines:
             raise ValidationError(f"{name}:{line}: duplicate entity {entity!r}")
-        seen.add(entity)
+        lines[entity] = line
         score = _parse_float(name, line, "score", row["score"])
         rank = _parse_float(name, line, "rank", row["rank"])
         entries.append(RankEntry(entity, score, rank))
     if not entries:
         raise ValidationError(f"{name}: empty ranking")
     entries.sort(key=lambda e: (e.rank, e.entity_id))
+    for entry, expected in zip(entries, _tie_averaged(entries, lambda e: e.rank)):
+        if entry.rank != expected.rank:
+            raise ValidationError(
+                f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has rank {entry.rank!r}, "
+                f"expected the tie-averaged position {expected.rank!r}"
+            )
     return RankingList(label=label if label is not None else path.stem, level=level, entries=tuple(entries))
 
 
@@ -427,14 +424,16 @@ def render_matrix(matrix: CorrelationMatrix, fmt: str) -> str:
     """Render the correlation matrix as csv, json, or lower-triangle markdown."""
     labels = matrix.labels
     if fmt == "csv":
-        rows = []
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("row", "column", "rho", "p_value", "significant", "n_common"))
         for i, row_label in enumerate(labels):
             for j, col_label in enumerate(labels):
-                rows.append(
-                    f"{row_label},{col_label},{matrix.rho[i][j]!r},{matrix.p_values[i][j]!r},"
-                    f"{'true' if matrix.significant[i][j] else 'false'},{matrix.n_common[i][j]}"
-                )
-        return "row,column,rho,p_value,significant,n_common\n" + "\n".join(rows) + "\n"
+                writer.writerow((
+                    row_label, col_label, repr(matrix.rho[i][j]), repr(matrix.p_values[i][j]),
+                    "true" if matrix.significant[i][j] else "false", matrix.n_common[i][j],
+                ))
+        return buffer.getvalue()
     if fmt == "json":
         payload = {
             "labels": list(labels),

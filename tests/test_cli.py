@@ -1,9 +1,10 @@
-"""CLI behaviour: start-up imports, collector state, rank labels, input-file validation."""
+"""CLI behaviour: start-up imports, collector state, rank labels, input-file and config validation."""
 
 from __future__ import annotations
 
 import gc
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -197,3 +198,88 @@ def test_compare_rejects_colliding_labels(tmp_path, capsys, stems):
     assert cli.main(["compare", *paths, "--out-dir", str(out)]) == 2
     assert "name the same output files ('X" in capsys.readouterr().err
     assert not out.exists()
+
+
+THREE_ENTITIES = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\n"
+
+
+@pytest.mark.parametrize(
+    "command, inputs, message",
+    [
+        ("compare", (THREE_ENTITIES, THREE_ENTITIES), "too few common entities between 'a' and 'b': 3 < 4"),
+        (
+            "compare",
+            (GOOD_RANKING, "A,1.0,1.0\nB,1.0,1.0\nC,1.0,1.0\nD,1.0,1.0\n"),
+            "b.csv:2: entity 'A' has rank 1.0, expected the tie-averaged position 2.5",
+        ),
+        (
+            "compare",
+            (GOOD_RANKING, "A,1.0,2.5\nB,1.0,2.5\nC,1.0,2.5\nD,1.0,2.5\n"),
+            "ranking 'b': all 4 entities it shares with 'a' tie, so rho is undefined",
+        ),
+        (
+            "report",
+            "".join(f"GDP,higher_is_better,U{i:03d},{i}.0\n" for i in range(1, 4)),
+            "too few common entities between 'P' and 'GDP': 3 < 4",
+        ),
+        (
+            "report",
+            "".join(f"GDP,higher_is_better,U{i:03d},1.0\n" for i in range(1, 21)),
+            "ranking 'GDP': all 20 entities it shares with 'P' tie",
+        ),
+    ],
+    ids=["compare-3-entities", "compare-ranks-not-averaged", "compare-all-tied", "report-3-universities",
+         "report-constant-indicator"],
+)
+def test_failed_comparison_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, command, inputs, message):
+    if command == "compare":
+        argv = ["compare"]
+        for stem, body in zip("ab", inputs):
+            path = tmp_path / f"{stem}.csv"
+            path.write_text(header("ranking") + body, encoding="utf-8")
+            argv.append(str(path))
+    else:
+        corpus = tmp_path / "corpus"
+        shutil.copytree(synth_dir / "corpus", corpus)
+        (corpus / "indicators.csv").write_text(header("indicators") + inputs, encoding="utf-8")
+        argv = ["report", "--corpus-dir", str(corpus)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[synth]\nuniversities = abc\n", "[synth] universities: invalid literal for int()"),
+        ("[synth]\nseed = x\n", "[synth] seed: invalid literal for int()"),
+        ("[synth]\nuniversites = 50\n", "unknown setting [synth] universites"),
+        ("[analysis]\nwindow = 2001\n", "[analysis] window: window must look like 2001-2003"),
+        ("[io]\nformat = csv\n[DEFAULT]\nformat = csv\n", "unknown setting [DEFAULT] format"),
+    ],
+    ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section"],
+)
+def test_config_error_exits_2_and_names_the_setting(tmp_path, capsys, text, message):
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "synth", "--out-dir", str(out)]) == 2
+    assert f"run.ini: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_settings_reach_run_and_synth_parameters(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[io]\nformat = json\n[analysis]\nwindow = 2002-2004\npercentages = 10, 20\n"
+        "[synth]\nseed = 7\nuniversities = 5\nlife_science_udas = 2\n"
+        "max_external_authors = 40\ncross_university_rate = 0.6\n",
+        encoding="utf-8",
+    )
+    args = cli.build_parser().parse_args(["--config", str(config), "synth", "--universities", "6"])
+    run = cli.build_config(args)
+    params = cli.build_synth_params(args, run)
+    assert (run.out_format, run.window, run.percentages, run.rng_seed) == ("json", (2002, 2004), (10.0, 20.0), 7)
+    assert (params.seed, params.window, params.n_universities) == (7, (2002, 2004), 6)
+    assert (params.life_science_udas, params.max_external_authors, params.cross_university_rate) == (2, 40, 0.6)

@@ -1,13 +1,15 @@
-"""Properties of the score and ranking files and of tie-averaged ranking."""
+"""Properties of the score and ranking files, of tie-averaged ranking and of pairwise comparison."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.corpus import HIGHER_IS_BETTER, LOWER_IS_BETTER
+from bibliorank.errors import ValidationError
 from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, write_score_csv
-from bibliorank.rankcmp import build_ranking, read_ranking_csv, write_ranking_csv
+from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
 
 # Ids are stripped on reading, so only stripped, non-empty ids round-trip.
 ids = st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8).map(str.strip).filter(bool)
@@ -76,3 +78,24 @@ def test_tied_scores_share_the_averaged_rank(values, direction):
         assert {e.rank for e in entries if e.score == score} == {(positions[0] + positions[-1]) / 2}
     n = len(entries)
     assert sum(e.rank for e in entries) == n * (n + 1) / 2
+
+
+# A small id pool, so that two rankings share some entities but not all.
+compared = st.dictionaries(st.sampled_from([f"e{i:02d}" for i in range(16)]), scores, min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=compared, b=compared, direction=st.sampled_from([HIGHER_IS_BETTER, LOWER_IS_BETTER]))
+def test_compare_rankings_is_symmetric(a, b, direction):
+    ranking_a = build_ranking(a, HIGHER_IS_BETTER, "a")
+    ranking_b = build_ranking(b, direction, "b")
+    try:
+        forward = compare_rankings(ranking_a, ranking_b)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            compare_rankings(ranking_b, ranking_a)
+        return
+    backward = compare_rankings(ranking_b, ranking_a)
+    assert (forward.rho.hex(), forward.p_value.hex()) == (backward.rho.hex(), backward.p_value.hex())
+    assert (forward.dropped_a, forward.dropped_b) == (backward.dropped_b, backward.dropped_a)
+    assert (forward.n, forward.shifts) == (backward.n, backward.shifts)

@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import json
 import math
 import random
@@ -5,10 +8,10 @@ import random
 import pytest
 from scipy import stats
 
+from bibliorank import rankcmp
 from bibliorank.corpus import HIGHER_IS_BETTER, LOWER_IS_BETTER
 from bibliorank.errors import ValidationError
 from bibliorank.rankcmp import (
-    align,
     build_ranking,
     compare_rankings,
     correlation_matrix,
@@ -78,42 +81,73 @@ def test_ranks_are_one_to_n_with_tie_averages():
 
 
 # ---------------------------------------------------------------------------
-# align
+# alignment inside compare_rankings
 
 
-def test_align_identical_sets_has_no_drops():
-    a = ranking_from_order(["A", "B", "C"])
-    b = ranking_from_order(["C", "B", "A"])
-    pair = align(a, b)
-    assert pair.dropped_a == () and pair.dropped_b == ()
-    assert pair.entities == ("A", "B", "C")
-
-
-def test_align_small_intersection_is_an_error():
-    a = ranking_from_order(["A", "B", "C"])
-    b = ranking_from_order(["B", "C", "D"])
-    with pytest.raises(ValidationError, match="too few common entities"):
-        align(a, b)
-
-
-def test_align_drops_non_common_entities():
-    a = ranking_from_order([f"U{i:02d}" for i in range(66)])
-    b = ranking_from_order([f"U{i:02d}" for i in range(5, 66)])
-    pair = align(a, b)
-    assert len(pair.entities) == 61
-    assert len(pair.dropped_a) == 5
-    assert pair.dropped_b == ()
-
-
-def test_align_reranks_within_intersection():
+def test_compare_rankings_identical_sets_has_no_drops():
     a = ranking_from_order(["A", "B", "C", "D"])
     b = ranking_from_order(["D", "C", "B", "A"])
-    pair = align(a, b)
-    keep = {"A", "C", "D"}
+    report = compare_rankings(a, b)
+    assert report.dropped_a == () and report.dropped_b == ()
+    assert report.n == 4
+
+
+def test_compare_rankings_small_intersection_is_an_error():
+    a = ranking_from_order(["A", "B", "C", "D"], label="a")
+    b = ranking_from_order(["B", "C", "D", "E"], label="b")
+    with pytest.raises(ValidationError, match="too few common entities between 'a' and 'b': 3 < 4"):
+        compare_rankings(a, b)
+
+
+def test_compare_rankings_drops_non_common_entities():
+    a = ranking_from_order([f"U{i:02d}" for i in range(66)])
+    b = ranking_from_order([f"U{i:02d}" for i in range(5, 66)])
+    report = compare_rankings(a, b)
+    assert report.n == 61
+    assert report.dropped_a == tuple(f"U{i:02d}" for i in range(5))
+    assert report.dropped_b == ()
+
+
+def test_compare_rankings_reranks_within_intersection():
+    a = ranking_from_order(["A", "B", "C", "D", "E"])
+    b = ranking_from_order(["E", "D", "C", "A"])
+    keep = {"A", "C", "D", "E"}
     restricted = restrict_ranking(a, keep)
-    assert [e.rank for e in restricted.entries] == [1.0, 2.0, 3.0]
-    rho, _ = spearman(pair.ranks_a, pair.ranks_b)
-    assert rho == pytest.approx(-1.0)
+    assert [e.rank for e in restricted.entries] == [1.0, 2.0, 3.0, 4.0]
+    report = compare_rankings(a, b)
+    assert report.dropped_a == ("B",)
+    assert report.rho == -1.0
+
+
+def test_compare_rankings_rejects_a_side_that_ties_throughout():
+    a = build_ranking({"A": 1.0, "B": 1.0, "C": 1.0, "D": 1.0, "E": 2.0}, label="flat")
+    b = ranking_from_order(["A", "B", "C", "D"], label="other")
+    with pytest.raises(ValidationError, match="ranking 'flat': all 4 entities it shares with 'other' tie"):
+        compare_rankings(a, b)
+    with pytest.raises(ValidationError, match="ranking 'flat'"):
+        compare_rankings(b, a)
+
+
+def test_each_pair_is_restricted_twice_and_correlated_once(monkeypatch):
+    calls = {"spearman": 0, "restrict_ranking": 0}
+
+    def counting(name):
+        original = getattr(rankcmp, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(rankcmp, name, counting(name))
+    rng = random.Random(41)
+    base = [f"e{i:02d}" for i in range(12)]
+    rankings = [ranking_from_order(rng.sample(base, len(base)), label=f"L{i}") for i in range(5)]
+    reports = [compare_rankings(a, b) for a, b in itertools.combinations(rankings, 2)]
+    correlation_matrix(rankings, reports)
+    assert calls == {"spearman": 10, "restrict_ranking": 20}
 
 
 def test_restrict_preserves_ties():
@@ -304,10 +338,15 @@ def test_topk_variations_bounded_and_nested():
 # matrix and full comparison
 
 
+def matrix_of(rankings):
+    reports = [compare_rankings(a, b) for a, b in itertools.combinations(rankings, 2)]
+    return correlation_matrix(rankings, reports)
+
+
 def test_correlation_matrix_single_pair():
     a = ranking_from_order(["A", "B", "C", "D"], label="P")
     b = ranking_from_order(["D", "C", "B", "A"], label="VTR")
-    m = correlation_matrix([a, b])
+    m = matrix_of([a, b])
     assert m.rho[0][0] == m.rho[1][1] == 1.0
     assert m.rho[0][1] == pytest.approx(-1.0)
     assert m.rho[0][1] == m.rho[1][0]
@@ -321,28 +360,40 @@ def test_correlation_matrix_three_rankings_match_pairwise():
     for _ in range(3):
         order = base[:]
         rng.shuffle(order)
-        orders.append(order)
+        orders.append(order[: rng.randint(15, 20)])
     rankings = [ranking_from_order(order, label=f"L{i}") for i, order in enumerate(orders)]
-    m = correlation_matrix(rankings)
+    m = matrix_of(rankings)
     for i in range(3):
         for j in range(i + 1, 3):
-            pair = align(rankings[i], rankings[j])
-            rho, p = spearman(pair.ranks_a, pair.ranks_b)
-            assert m.rho[i][j] == pytest.approx(rho)
-            assert m.p_values[i][j] == pytest.approx(p)
+            common = set(orders[i]) & set(orders[j])
+            ranks_i = restrict_ranking(rankings[i], common).ranks()
+            ranks_j = restrict_ranking(rankings[j], common).ranks()
+            entities = sorted(common)
+            rho, p = spearman([ranks_i[e] for e in entities], [ranks_j[e] for e in entities])
+            assert m.rho[i][j] == m.rho[j][i] == rho
+            assert m.p_values[i][j] == m.p_values[j][i] == p
             assert m.significant[i][j] == (p < 0.05)
+            assert m.n_common[i][j] == len(common)
+        assert m.n_common[i][i] == len(orders[i])
 
 
 def test_correlation_matrix_needs_two_rankings():
     with pytest.raises(ValueError):
-        correlation_matrix([ranking_from_order(["A", "B", "C"])])
+        correlation_matrix([ranking_from_order(["A", "B", "C", "D"])], [])
+
+
+def test_correlation_matrix_needs_one_report_per_pair():
+    rankings = [ranking_from_order(["A", "B", "C", "D"], label=label) for label in "XYZ"]
+    reports = [compare_rankings(rankings[0], rankings[1])]
+    with pytest.raises(ValueError):
+        correlation_matrix(rankings, reports)
 
 
 def test_correlation_matrix_duplicate_labels_rejected():
-    a = ranking_from_order(["A", "B", "C"], label="P")
-    b = ranking_from_order(["C", "B", "A"], label="P")
+    a = ranking_from_order(["A", "B", "C", "D"], label="P")
+    b = ranking_from_order(["D", "C", "B", "A"], label="P")
     with pytest.raises(ValidationError, match="duplicate"):
-        correlation_matrix([a, b])
+        matrix_of([a, b])
 
 
 def test_compare_rankings_report():
@@ -395,10 +446,35 @@ def test_read_ranking_rejects_bad_files(tmp_path):
         read_ranking_csv(path)
 
 
+@pytest.mark.parametrize(
+    "ranks, line, entity, expected",
+    [
+        ("1.0,1.0,1.0,1.0", 2, "A", "2.5"),
+        ("1.0,2.0,2.0,4.0", 3, "B", "2.5"),
+        ("1.0,2.0,3.0,5.0", 5, "D", "4.0"),
+        ("0.0,1.0,2.0,3.0", 2, "A", "1.0"),
+    ],
+)
+def test_read_ranking_rejects_ranks_that_are_not_tie_averaged(tmp_path, ranks, line, entity, expected):
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{e},1.0,{rank}\n" for e, rank in zip("ABCD", ranks.split(",")))
+    path.write_text("entity_id,score,rank\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"bad.csv:{line}: entity '{entity}' has rank .* position {expected}$"):
+        read_ranking_csv(path)
+
+
+def test_render_matrix_csv_quotes_labels():
+    labels = ["GDP, 2003", 'say "P"']
+    rankings = [ranking_from_order([f"e{i:02d}" for i in range(20)], label=label) for label in labels]
+    rows = list(csv.reader(io.StringIO(render_matrix(matrix_of(rankings), "csv"))))
+    assert {len(row) for row in rows} == {6}
+    assert [row[:2] for row in rows[1:]] == [[a, b] for a in labels for b in labels]
+
+
 def test_render_matrix_formats():
     a = ranking_from_order([f"e{i:02d}" for i in range(20)], label="P")
     b = ranking_from_order([f"e{i:02d}" for i in range(20)], label="NI")
-    m = correlation_matrix([a, b])
+    m = matrix_of([a, b])
     md = render_matrix(m, "markdown")
     assert "1.0000" in md and "| P" in md and "* p-value < 0.05" in md
     assert "1.0000*" in md  # identical rankings correlate significantly
