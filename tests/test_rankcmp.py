@@ -84,7 +84,7 @@ def test_ranks_are_one_to_n_with_tie_averages():
 # alignment inside compare_rankings
 
 
-def test_compare_rankings_identical_sets_has_no_drops():
+def test_align_identical_sets_has_no_drops():
     a = ranking_from_order(["A", "B", "C", "D"])
     b = ranking_from_order(["D", "C", "B", "A"])
     report = compare_rankings(a, b)
@@ -92,14 +92,14 @@ def test_compare_rankings_identical_sets_has_no_drops():
     assert report.n == 4
 
 
-def test_compare_rankings_small_intersection_is_an_error():
+def test_align_small_intersection_is_an_error():
     a = ranking_from_order(["A", "B", "C", "D"], label="a")
     b = ranking_from_order(["B", "C", "D", "E"], label="b")
     with pytest.raises(ValidationError, match="too few common entities between 'a' and 'b': 3 < 4"):
         compare_rankings(a, b)
 
 
-def test_compare_rankings_drops_non_common_entities():
+def test_align_drops_non_common_entities():
     a = ranking_from_order([f"U{i:02d}" for i in range(66)])
     b = ranking_from_order([f"U{i:02d}" for i in range(5, 66)])
     report = compare_rankings(a, b)
@@ -108,7 +108,7 @@ def test_compare_rankings_drops_non_common_entities():
     assert report.dropped_b == ()
 
 
-def test_compare_rankings_reranks_within_intersection():
+def test_align_reranks_within_intersection():
     a = ranking_from_order(["A", "B", "C", "D", "E"])
     b = ranking_from_order(["E", "D", "C", "A"])
     keep = {"A", "C", "D", "E"}
