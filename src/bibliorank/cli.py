@@ -309,14 +309,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def _read_rated_csv(path: Path) -> dict[tuple[str, str], float]:
     name = path.name
     rated: dict[tuple[str, str], float] = {}
-    for line, row in corpus_mod.read_rows(path, "rated"):
+    for line, (raw_university, raw_uda, raw_r, _) in corpus_mod.read_rows(path, "rated"):
         key = (
-            corpus_mod._require(name, line, "university_id", row["university_id"]),
-            corpus_mod._require(name, line, "uda_id", row["uda_id"]),
+            corpus_mod._require(name, line, "university_id", raw_university),
+            corpus_mod._require(name, line, "uda_id", raw_uda),
         )
         if key in rated:
             raise ValidationError(f"{name}:{line}: duplicate rating for {key}")
-        rated[key] = corpus_mod._parse_float(name, line, "R", row["R"])
+        rated[key] = corpus_mod._parse_float(name, line, "R", raw_r)
     return rated
 
 

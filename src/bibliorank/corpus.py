@@ -27,9 +27,13 @@ and unit at one level), ``eligibility`` (active staff share per SDS),
 ``rated`` (peer rating and category percentile per cell) and ``ranking``
 (tie-averaged ranks of one indicator).
 
-Loading is fail-fast: the first violation raises :class:`ValidationError`
-naming the file and line.  A loaded :class:`Corpus` is immutable and safe
-for unrestricted concurrent reads.
+Every file streams through one positional reader, :func:`read_rows`, which
+yields each data row's fields in ``SCHEMAS`` order and never holds a whole
+file in memory.  Loading is fail-fast: the first violation in file order
+raises :class:`ValidationError` naming the file and line.  The records
+(:class:`AuthorSlot`, :class:`PublicationRecord`, :class:`StaffEntry`) are
+``NamedTuple``s.  A loaded :class:`Corpus` is immutable and safe for
+unrestricted concurrent reads.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 
@@ -65,8 +69,7 @@ SCHEMAS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class AuthorSlot:
+class AuthorSlot(NamedTuple):
     """One byline slot.  External co-authors carry no university/SDS."""
 
     position: int | None
@@ -75,8 +78,7 @@ class AuthorSlot:
     is_domestic_academic: bool
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """One indexed output with its citation count and byline."""
 
     pub_id: str
@@ -88,8 +90,7 @@ class PublicationRecord:
     total_author_count: int
 
 
-@dataclass(frozen=True)
-class StaffEntry:
+class StaffEntry(NamedTuple):
     """One researcher-university-SDS affiliation over the observation window."""
 
     researcher_id: str
@@ -181,31 +182,44 @@ class CorpusPaths:
 # CSV primitives
 
 
-def read_rows(path: Path, schema: str, required: bool = True) -> list[tuple[int, dict[str, str]]]:
-    """Read a CSV file, returning (line_number, row) pairs.
+def read_rows(path: Path, schema: str, required: bool = True) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_number, fields)`` for each data row, the fields in ``SCHEMAS[schema]`` order.
 
     Optional files that do not exist yield no rows; existing files must
-    carry exactly the header ``SCHEMAS[schema]``.
+    carry exactly the header ``SCHEMAS[schema]``.  Blank lines are
+    skipped.  A row with the wrong number of fields, or a record spanning
+    more than one line (a line break inside a quoted field), is refused.
     """
     columns = SCHEMAS[schema]
+    name = path.name
     if not path.exists():
         if required:
-            raise ValidationError(f"{path.name}: missing required input file")
-        return []
-    rows: list[tuple[int, dict[str, str]]] = []
+            raise ValidationError(f"{name}: missing required input file")
+        return
+    width = len(columns)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path.name}:1: empty file, header row required")
-        if tuple(reader.fieldnames) != columns:
-            raise ValidationError(
-                f"{path.name}:1: expected header {','.join(columns)!r}, got {','.join(reader.fieldnames)!r}"
-            )
-        for row in reader:
-            if None in row or any(v is None for v in row.values()):
-                raise ValidationError(f"{path.name}:{reader.line_num}: wrong number of fields")
-            rows.append((reader.line_num, row))
-    return rows
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{name}:1: empty file, header row required")
+            if tuple(header) != columns:
+                raise ValidationError(
+                    f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
+                )
+            previous = reader.line_num
+            for row in reader:
+                line = reader.line_num
+                if line != previous + 1:
+                    raise ValidationError(f"{name}:{previous + 1}: line break inside a field")
+                previous = line
+                if len(row) != width:
+                    if not row:
+                        continue  # a blank line
+                    raise ValidationError(f"{name}:{line}: wrong number of fields")
+                yield line, row
+        except csv.Error as exc:
+            raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
 
 
 def _parse_int(name: str, line: int, column: str, raw: str, minimum: int | None = None) -> int:
@@ -289,20 +303,20 @@ def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
     name = paths.taxonomy.name
     sds_to_uda: dict[str, str] = {}
     life_sds: set[str] = set()
-    for line, row in read_rows(paths.taxonomy, "taxonomy"):
-        sds = _require(name, line, "sds_id", row["sds_id"])
-        uda = _require(name, line, "uda_id", row["uda_id"])
+    for line, (raw_sds, raw_uda, raw_life) in read_rows(paths.taxonomy, "taxonomy"):
+        sds = _require(name, line, "sds_id", raw_sds)
+        uda = _require(name, line, "uda_id", raw_uda)
         if sds in sds_to_uda:
             raise ValidationError(f"{name}:{line}: duplicate sds_id {sds!r}")
         sds_to_uda[sds] = uda
-        if _parse_bool(name, line, "is_life_science", row["is_life_science"]):
+        if _parse_bool(name, line, "is_life_science", raw_life):
             life_sds.add(sds)
 
     macro_name = paths.macro_map.name
     uda_to_macro: dict[str, str] = {}
-    for line, row in read_rows(paths.macro_map, "macro_map", required=False):
-        uda = _require(macro_name, line, "uda_id", row["uda_id"])
-        macro = _require(macro_name, line, "macro_id", row["macro_id"])
+    for line, (raw_uda, raw_macro) in read_rows(paths.macro_map, "macro_map", required=False):
+        uda = _require(macro_name, line, "uda_id", raw_uda)
+        macro = _require(macro_name, line, "macro_id", raw_macro)
         if uda in uda_to_macro:
             raise ValidationError(f"{macro_name}:{line}: duplicate uda_id {uda!r}")
         uda_to_macro[uda] = macro
@@ -310,12 +324,12 @@ def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
     cat_name = paths.categories.name
     life_categories: set[str] = set()
     seen_cats: set[str] = set()
-    for line, row in read_rows(paths.categories, "categories", required=False):
-        cat = _require(cat_name, line, "category_id", row["category_id"])
+    for line, (raw_cat, raw_life) in read_rows(paths.categories, "categories", required=False):
+        cat = _require(cat_name, line, "category_id", raw_cat)
         if cat in seen_cats:
             raise ValidationError(f"{cat_name}:{line}: duplicate category_id {cat!r}")
         seen_cats.add(cat)
-        if _parse_bool(cat_name, line, "is_life_science", row["is_life_science"]):
+        if _parse_bool(cat_name, line, "is_life_science", raw_life):
             life_categories.add(cat)
 
     return Taxonomy(
@@ -330,11 +344,11 @@ def _load_staff(path: Path, taxonomy: Taxonomy, window_len: int) -> tuple[StaffE
     name = path.name
     entries: list[StaffEntry] = []
     seen: set[tuple[str, str, str]] = set()
-    for line, row in read_rows(path, "staff"):
-        researcher = _require(name, line, "researcher_id", row["researcher_id"])
-        university = _require(name, line, "university_id", row["university_id"])
-        sds = _require(name, line, "sds_id", row["sds_id"])
-        years = _parse_float(name, line, "years_on_staff", row["years_on_staff"])
+    for line, (raw_researcher, raw_university, raw_sds, raw_years) in read_rows(path, "staff"):
+        researcher = _require(name, line, "researcher_id", raw_researcher)
+        university = _require(name, line, "university_id", raw_university)
+        sds = _require(name, line, "sds_id", raw_sds)
+        years = _parse_float(name, line, "years_on_staff", raw_years)
         if not 0 < years <= window_len:
             raise ValidationError(
                 f"{name}:{line}: years_on_staff must be in (0, {window_len}], got {years:g}"
@@ -359,40 +373,46 @@ def _load_publications(
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
     name = paths.publications.name
     heads: dict[str, tuple[int, int, str, int, int]] = {}  # pub_id -> (line, year, doc_type, citations, total)
-    for line, row in read_rows(paths.publications, "publications"):
-        pid = _require(name, line, "pub_id", row["pub_id"])
+    for line, (raw_pid, raw_year, raw_doc_type, raw_citations, raw_total) in read_rows(
+        paths.publications, "publications"
+    ):
+        pid = _require(name, line, "pub_id", raw_pid)
         if pid in heads:
             raise ValidationError(f"{name}:{line}: duplicate pub_id {pid!r}")
-        year = _parse_int(name, line, "year", row["year"])
-        doc_type = _require(name, line, "doc_type", row["doc_type"])
+        year = _parse_int(name, line, "year", raw_year)
+        doc_type = _require(name, line, "doc_type", raw_doc_type)
         if doc_type not in DOC_TYPES:
             raise ValidationError(f"{name}:{line}: doc_type must be one of {DOC_TYPES}, got {doc_type!r}")
-        citations = _parse_int(name, line, "citations", row["citations"], minimum=0)
-        total = _parse_int(name, line, "total_author_count", row["total_author_count"], minimum=1)
+        citations = _parse_int(name, line, "citations", raw_citations, minimum=0)
+        total = _parse_int(name, line, "total_author_count", raw_total, minimum=1)
         heads[pid] = (line, year, doc_type, citations, total)
 
     cat_name = paths.pub_categories.name
-    categories: dict[str, list[tuple[str, float]]] = {pid: [] for pid in heads}
-    for line, row in read_rows(paths.pub_categories, "pub_categories"):
-        pid = _require(cat_name, line, "pub_id", row["pub_id"])
+    categories: dict[str, dict[str, float]] = {pid: {} for pid in heads}  # in file order, so weight sums are stable
+    for line, (raw_pid, raw_cat, raw_weight) in read_rows(paths.pub_categories, "pub_categories"):
+        pid = _require(cat_name, line, "pub_id", raw_pid)
         if pid not in heads:
             raise ValidationError(f"{cat_name}:{line}: unknown pub_id {pid!r}")
-        cat = _require(cat_name, line, "category_id", row["category_id"])
-        weight = _parse_float(cat_name, line, "weight", row["weight"])
+        cat = _require(cat_name, line, "category_id", raw_cat)
+        weight = _parse_float(cat_name, line, "weight", raw_weight)
         if not 0 < weight <= 1:
             raise ValidationError(f"{cat_name}:{line}: weight must be in (0, 1], got {weight:g}")
-        if any(cat == existing for existing, _ in categories[pid]):
+        pub_cats = categories[pid]
+        if cat in pub_cats:
             raise ValidationError(f"{cat_name}:{line}: duplicate category {cat!r} for pub {pid!r}")
-        categories[pid].append((cat, weight))
+        pub_cats[cat] = weight
 
     auth_name = paths.pub_authors.name
     authors: dict[str, list[AuthorSlot]] = {pid: [] for pid in heads}
-    for line, row in read_rows(paths.pub_authors, "pub_authors"):
-        pid = _require(auth_name, line, "pub_id", row["pub_id"])
+    positions: dict[str, list[int]] = {pid: [] for pid in heads}  # lists: a set per pub adds ~18 MB at 95k pubs
+    for line, (raw_pid, raw_pos, raw_domestic, raw_university, raw_sds) in read_rows(
+        paths.pub_authors, "pub_authors"
+    ):
+        pid = _require(auth_name, line, "pub_id", raw_pid)
         if pid not in heads:
             raise ValidationError(f"{auth_name}:{line}: unknown pub_id {pid!r}")
         total = heads[pid][4]
-        raw_pos = row["position"].strip()
+        raw_pos = raw_pos.strip()
         position = None
         if raw_pos:
             position = _parse_int(auth_name, line, "position", raw_pos, minimum=1)
@@ -400,11 +420,13 @@ def _load_publications(
                 raise ValidationError(
                     f"{auth_name}:{line}: position {position} exceeds total_author_count {total}"
                 )
-            if any(slot.position == position for slot in authors[pid]):
+            taken = positions[pid]
+            if position in taken:
                 raise ValidationError(f"{auth_name}:{line}: duplicate position {position} for pub {pid!r}")
-        domestic = _parse_bool(auth_name, line, "is_domestic_academic", row["is_domestic_academic"])
-        university = row["university_id"].strip() or None
-        sds = row["sds_id"].strip() or None
+            taken.append(position)
+        domestic = _parse_bool(auth_name, line, "is_domestic_academic", raw_domestic)
+        university = raw_university.strip() or None
+        sds = raw_sds.strip() or None
         if domestic:
             if university is None or sds is None:
                 raise ValidationError(
@@ -431,7 +453,7 @@ def _load_publications(
         cats = categories[pid]
         if not cats:
             raise ValidationError(f"{cat_name}: pub {pid!r}: no categories listed")
-        weight_sum = sum(w for _, w in cats)
+        weight_sum = sum(cats.values())
         if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"{cat_name}: pub {pid!r}: weights sum {weight_sum:g}")
         slots = authors[pid]
@@ -439,7 +461,7 @@ def _load_publications(
             raise ValidationError(
                 f"{auth_name}: pub {pid!r}: {len(slots)} listed authors exceed total_author_count {total}"
             )
-        life_science = any(cat in taxonomy.life_science_categories for cat, _ in cats)
+        life_science = not taxonomy.life_science_categories.isdisjoint(cats)
         if life_science and any(slot.position is None for slot in slots):
             raise ValidationError(
                 f"{auth_name}: pub {pid!r}: life-science publication with unknown author positions"
@@ -449,10 +471,8 @@ def _load_publications(
             year=year,
             doc_type=doc_type,
             citations=citations,
-            categories=tuple(sorted(cats)),
-            authors=tuple(
-                sorted(slots, key=lambda s: (s.position is None, s.position or 0, s.university_id or "", s.sds_id or ""))
-            ),
+            categories=tuple(sorted(cats.items())),
+            authors=tuple(sorted(slots, key=_byline_order)),
             total_author_count=total,
         )
         if not start <= year <= end:
@@ -465,15 +485,23 @@ def _load_publications(
     return tuple(publications), out_of_window, no_domestic
 
 
+def _byline_order(slot: AuthorSlot) -> tuple:
+    """Known positions first, then every field, so that any row order gives the same byline."""
+    position = slot.position
+    return (position is None, position or 0, slot.university_id or "", slot.sds_id or "", slot.is_domestic_academic)
+
+
 def read_peer_outcomes_csv(path: Path) -> tuple[PeerOutcome, ...]:
     """Read peer-review grade counts; the total T is the sum of the four grades."""
     name = path.name
     outcomes: list[PeerOutcome] = []
     seen: set[tuple[str, str]] = set()
-    for line, row in read_rows(path, "peer_outcomes", required=False):
-        university = _require(name, line, "university_id", row["university_id"])
-        uda = _require(name, line, "uda_id", row["uda_id"])
-        counts = tuple(_parse_int(name, line, grade, row[grade], minimum=0) for grade in ("E", "G", "A", "L"))
+    for line, (raw_university, raw_uda, *raw_counts) in read_rows(path, "peer_outcomes", required=False):
+        university = _require(name, line, "university_id", raw_university)
+        uda = _require(name, line, "uda_id", raw_uda)
+        counts = tuple(
+            _parse_int(name, line, grade, raw, minimum=0) for grade, raw in zip(("E", "G", "A", "L"), raw_counts)
+        )
         total = sum(counts)
         if total < 1:
             raise ValidationError(f"{name}:{line}: all grade counts are zero")
@@ -491,13 +519,15 @@ def read_indicators_csv(path: Path) -> tuple[IndicatorTable, ...]:
     name = path.name
     directions: dict[str, str] = {}
     values: dict[str, dict[str, float]] = {}
-    for line, row in read_rows(path, "indicators", required=False):
-        indicator = _require(name, line, "indicator_name", row["indicator_name"])
-        direction = _require(name, line, "direction", row["direction"])
+    for line, (raw_indicator, raw_direction, raw_university, raw_value) in read_rows(
+        path, "indicators", required=False
+    ):
+        indicator = _require(name, line, "indicator_name", raw_indicator)
+        direction = _require(name, line, "direction", raw_direction)
         if direction not in DIRECTIONS:
             raise ValidationError(f"{name}:{line}: direction must be one of {DIRECTIONS}, got {direction!r}")
-        university = _require(name, line, "university_id", row["university_id"])
-        value = _parse_float(name, line, "value", row["value"])
+        university = _require(name, line, "university_id", raw_university)
+        value = _parse_float(name, line, "value", raw_value)
         if indicator in directions and directions[indicator] != direction:
             raise ValidationError(f"{name}:{line}: conflicting direction for indicator {indicator!r}")
         directions[indicator] = direction

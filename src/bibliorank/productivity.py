@@ -210,19 +210,19 @@ def read_score_csv(path) -> ScoreTable:
     name = path.name
     entries: dict[tuple[str, str], ScoreEntry] = {}
     level: str | None = None
-    for line, row in read_rows(path, "scores"):
-        row_level = row["level"].strip()
+    for line, (raw_level, raw_university, raw_unit, raw_p, raw_rs) in read_rows(path, "scores"):
+        row_level = raw_level.strip()
         if row_level not in LEVELS:
             raise ValidationError(f"{name}:{line}: unknown level {row_level!r}")
         if level is None:
             level = row_level
         elif row_level != level:
             raise ValidationError(f"{name}:{line}: mixed levels {level!r} and {row_level!r}")
-        key = (_require(name, line, "university_id", row["university_id"]), row["unit_id"].strip())
+        key = (_require(name, line, "university_id", raw_university), raw_unit.strip())
         if key in entries:
             raise ValidationError(f"{name}:{line}: duplicate entry {key}")
-        p_value = _parse_float(name, line, "P", row["P"])
-        entries[key] = ScoreEntry(p_value, _parse_float(name, line, "RS", row["RS"]))
+        p_value = _parse_float(name, line, "P", raw_p)
+        entries[key] = ScoreEntry(p_value, _parse_float(name, line, "RS", raw_rs))
     if level is None:
         raise ValidationError(f"{name}: empty score table")
     return ScoreTable(level=level, entries=dict(sorted(entries.items())), national_means={})

@@ -374,29 +374,45 @@ def read_ranking_csv(path: Path | str, label: str | None = None, level: str = "u
     """Read a ranking written by :func:`write_ranking_csv`; label defaults to the file stem.
 
     Every rank must be the tie-averaged position that :func:`build_ranking`
-    gives it: the average of the display positions its run of equal ranks holds.
+    gives it: the average of the display positions its run of equal ranks
+    holds.  In rank order the scores must be monotone, and entities with
+    equal scores must share one rank.
     """
     path = Path(path)
     name = path.name
     entries: list[RankEntry] = []
     lines: dict[str, int] = {}
-    for line, row in read_rows(path, "ranking"):
-        entity = _require(name, line, "entity_id", row["entity_id"])
+    for line, (raw_entity, raw_score, raw_rank) in read_rows(path, "ranking"):
+        entity = _require(name, line, "entity_id", raw_entity)
         if entity in lines:
             raise ValidationError(f"{name}:{line}: duplicate entity {entity!r}")
         lines[entity] = line
-        score = _parse_float(name, line, "score", row["score"])
-        rank = _parse_float(name, line, "rank", row["rank"])
+        score = _parse_float(name, line, "score", raw_score)
+        rank = _parse_float(name, line, "rank", raw_rank)
         entries.append(RankEntry(entity, score, rank))
     if not entries:
         raise ValidationError(f"{name}: empty ranking")
     entries.sort(key=lambda e: (e.rank, e.entity_id))
-    for entry, expected in zip(entries, _tie_averaged(entries, lambda e: e.rank)):
-        if entry.rank != expected.rank:
+
+    def check_ties(key: Callable[[RankEntry], float]) -> None:
+        for entry, expected in zip(entries, _tie_averaged(entries, key)):
+            if entry.rank != expected.rank:
+                raise ValidationError(
+                    f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has rank {entry.rank!r}, "
+                    f"expected the tie-averaged position {expected.rank!r}"
+                )
+
+    check_ties(lambda e: e.rank)
+    order = 0  # +1 once scores rise with rank, -1 once they fall
+    for previous, entry in zip(entries, entries[1:]):
+        step = (entry.score > previous.score) - (entry.score < previous.score)
+        if step and order and step != order:
             raise ValidationError(
-                f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has rank {entry.rank!r}, "
-                f"expected the tie-averaged position {expected.rank!r}"
+                f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has score {entry.score!r}, "
+                f"out of order after {previous.entity_id!r} with {previous.score!r}"
             )
+        order = order or step
+    check_ties(lambda e: e.score)
     return RankingList(label=label if label is not None else path.stem, level=level, entries=tuple(entries))
 
 

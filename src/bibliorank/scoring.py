@@ -10,16 +10,20 @@ positional weights (first/last authors dominate).
 
 Per-slot weights are computed with exact rational arithmetic so that the
 fraction-conservation invariant (group fractions plus the external-author
-residual equal 1) holds to float precision for any byline.
+residual equal 1) holds to float precision for any byline.  The weights
+depend only on the byline length and the shared first/last branch, so
+they are cached per ``(n, shared)``; the cached mapping is read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, Taxonomy
 
@@ -51,8 +55,7 @@ class CitationBaseline:
     count: int
 
 
-@dataclass(frozen=True)
-class CreditShare:
+class CreditShare(NamedTuple):
     """Fraction of one publication's standardized value owned by a (university, SDS) group."""
 
     pub_id: str
@@ -115,8 +118,9 @@ def standardize_citations(
     return total
 
 
-def life_science_position_weights(n: int, shared_first_last: bool) -> dict[int, Fraction]:
-    """Exact per-position weights for a life-science byline of length ``n``.
+@functools.cache
+def life_science_position_weights(n: int, shared_first_last: bool) -> Mapping[int, Fraction]:
+    """Exact per-position weights for a life-science byline of length ``n``, as a read-only mapping.
 
     Positions are assigned to the highest-priority class they qualify for
     (first > last > second > second-to-last > rest); when a byline is too
@@ -127,7 +131,7 @@ def life_science_position_weights(n: int, shared_first_last: bool) -> dict[int, 
     if n < 1:
         raise ValueError("byline must have at least one author")
     if n == 1:
-        return {1: Fraction(1)}
+        return MappingProxyType({1: Fraction(1)})
     classes = _SHARED_CLASSES if shared_first_last else _SPLIT_CLASSES
     members: dict[str, list[int]] = {name: [] for name, _ in classes}
     for position in range(1, n + 1):
@@ -152,7 +156,7 @@ def life_science_position_weights(n: int, shared_first_last: bool) -> dict[int, 
         per_slot = class_weight / occupied_total / len(positions)
         for position in positions:
             weights[position] = per_slot
-    return weights
+    return MappingProxyType(weights)
 
 
 def author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> dict[tuple[str, str], float]:
@@ -175,7 +179,8 @@ def author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> dict[tuple[s
             if slot.is_domestic_academic:
                 key = (slot.university_id, slot.sds_id)
                 counts[key] = counts.get(key, 0) + 1
-        return {key: float(Fraction(count, n)) for key, count in sorted(counts.items())}
+        # int / int is correctly rounded, so this is float(Fraction(count, n)) without the Fraction.
+        return {key: count / n for key, count in sorted(counts.items())}
 
     if any(slot.position is None for slot in pub.authors):
         raise ValueError(
@@ -190,14 +195,14 @@ def author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> dict[tuple[s
         and first.university_id is not None
         and first.university_id == last.university_id
     )
-    weights = life_science_position_weights(n, shared_first_last=shared)
+    weights = life_science_position_weights(n, shared)
     fractions: dict[tuple[str, str], Fraction] = {}
-    for position, weight in weights.items():
-        slot = by_position.get(position)
-        if slot is None or not slot.is_domestic_academic:
-            continue  # external share stays in the residual
+    for position, slot in by_position.items():
+        weight = weights.get(position)
+        if weight is None or not slot.is_domestic_academic:
+            continue  # an external slot's weight stays in the residual
         key = (slot.university_id, slot.sds_id)
-        fractions[key] = fractions.get(key, Fraction(0)) + weight
+        fractions[key] = fractions[key] + weight if key in fractions else weight
     return {key: float(value) for key, value in sorted(fractions.items())}
 
 

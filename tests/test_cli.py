@@ -218,6 +218,16 @@ THREE_ENTITIES = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\n"
             "ranking 'b': all 4 entities it shares with 'a' tie, so rho is undefined",
         ),
         (
+            "compare",
+            (GOOD_RANKING, "A,5.0,1.0\nB,5.0,2.0\nC,3.0,3.0\nD,1.0,4.0\n"),
+            "b.csv:2: entity 'A' has rank 1.0, expected the tie-averaged position 1.5",
+        ),
+        (
+            "compare",
+            (GOOD_RANKING, "A,5.0,1.0\nB,3.0,2.0\nC,5.0,3.0\nD,1.0,4.0\n"),
+            "b.csv:4: entity 'C' has score 5.0, out of order after 'B' with 3.0",
+        ),
+        (
             "report",
             "".join(f"GDP,higher_is_better,U{i:03d},{i}.0\n" for i in range(1, 4)),
             "too few common entities between 'P' and 'GDP': 3 < 4",
@@ -228,8 +238,8 @@ THREE_ENTITIES = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\n"
             "ranking 'GDP': all 20 entities it shares with 'P' tie",
         ),
     ],
-    ids=["compare-3-entities", "compare-ranks-not-averaged", "compare-all-tied", "report-3-universities",
-         "report-constant-indicator"],
+    ids=["compare-3-entities", "compare-ranks-not-averaged", "compare-all-tied", "compare-unaveraged-tie",
+         "compare-scores-out-of-order", "report-3-universities", "report-constant-indicator"],
 )
 def test_failed_comparison_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, command, inputs, message):
     if command == "compare":
@@ -246,6 +256,19 @@ def test_failed_comparison_exits_2_and_writes_nothing(synth_dir, tmp_path, capsy
     out = tmp_path / "out"
     assert cli.main([*argv, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir / "corpus", corpus)
+    indicators = corpus / "indicators.csv"
+    text = indicators.read_text(encoding="utf-8")
+    first_gdp_line = 1 + next(i for i, row in enumerate(text.splitlines()) if row.startswith("GDP,"))
+    indicators.write_text(text.replace("GDP,", '"GDP\nX",'), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["report", "--corpus-dir", str(corpus), "--out-dir", str(out)]) == 2
+    assert f"error: indicators.csv:{first_gdp_line}: line break inside a field" in capsys.readouterr().err
     assert not out.exists()
 
 

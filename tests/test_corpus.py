@@ -1,8 +1,12 @@
+import gc
+import warnings
 from pathlib import Path
 
 import pytest
 
+from bibliorank import cli
 from bibliorank.corpus import (
+    SCHEMAS,
     emit_corpus,
     load_corpus,
     read_indicators_csv,
@@ -266,6 +270,17 @@ def test_round_trip_emit_and_reload(tmp_path):
     assert reloaded == corpus
 
 
+def test_unpositioned_slots_load_in_one_order_whatever_the_row_order(tmp_path):
+    rows = minimal_rows()
+    rows["publications"] = [("P1", 2001, "article", 4, 3)]
+    slots = [("P1", "", "true", "U1", "S1"), ("P1", "", "false", "U1", "S1"), ("P1", "", "false", "", "")]
+    rows["pub_authors"] = slots
+    forward = load_corpus(write_corpus(tmp_path / "forward", **rows), WINDOW)
+    rows["pub_authors"] = slots[::-1]
+    backward = load_corpus(write_corpus(tmp_path / "backward", **rows), WINDOW)
+    assert backward == forward
+
+
 def test_loading_is_deterministic(tmp_path):
     directory = _rich_corpus_dir(tmp_path)
     assert load_corpus(directory, WINDOW) == load_corpus(directory, WINDOW)
@@ -286,3 +301,71 @@ def test_read_indicators_csv_standalone(tmp_path):
     tables = read_indicators_csv(path)
     assert tables[0].indicator_name == "NI"
     assert tables[0].values["U1"] == 1.2
+
+
+# ---------------------------------------------------------------------------
+# The row reader
+
+
+def _two_author_corpus(tmp_path: Path, authors_body: str) -> Path:
+    """The minimal corpus with a two-author byline whose ``pub_authors.csv`` data rows are ``authors_body`` verbatim."""
+    rows = minimal_rows()
+    rows["publications"] = [("P1", 2001, "article", 4, 2)]
+    directory = write_corpus(tmp_path / "corpus", **rows)
+    header = ",".join(SCHEMAS["pub_authors"]) + "\n"
+    (directory / "pub_authors.csv").write_text(header + authors_body, encoding="utf-8", newline="")
+    return directory
+
+
+def test_blank_line_between_rows_is_skipped(tmp_path):
+    directory = _two_author_corpus(tmp_path, "P1,1,true,U1,S1\n\nP1,2,false,,\n")
+    corpus = load_corpus(directory, WINDOW)
+    assert [slot.position for slot in corpus.publications[0].authors] == [1, 2]
+
+
+def test_crlf_line_endings_load(tmp_path):
+    directory = _two_author_corpus(tmp_path, "P1,1,true,U1,S1\r\nP1,2,false,,\r\n")
+    assert len(load_corpus(directory, WINDOW).publications[0].authors) == 2
+
+
+@pytest.mark.parametrize("bad_row", ["P1,2,false,", "P1,2,false,,,extra"], ids=["short", "long"])
+def test_row_with_wrong_field_count_exits_2_with_its_line(tmp_path, capsys, bad_row):
+    # line 2 is a good row, line 3 is blank, so the bad row is line 4
+    directory = _two_author_corpus(tmp_path, f"P1,1,true,U1,S1\n\n{bad_row}\n")
+    out = tmp_path / "out"
+    assert cli.main(["score", "--corpus-dir", str(directory), "--out-dir", str(out)]) == 2
+    assert "error: pub_authors.csv:4: wrong number of fields" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_first_violation_in_file_order_is_reported_and_file_closed(tmp_path):
+    rows = minimal_rows()
+    rows["publications"] = [(f"P{i:03d}", 2001, "article", 4, 1) for i in range(200)]
+    rows["pub_categories"] = [(f"P{i:03d}", "C1", "1.0") for i in range(200)]
+    authors = [(f"P{i:03d}", 1, "true", "U1", "S1") for i in range(200)]
+    authors[99] = ("P099", 1, "true", "U_GHOST", "S1")  # line 101
+    authors[150] = ("P150", 1, "true")  # line 152: a later, purely syntactic fault
+    rows["pub_authors"] = authors
+    directory = write_corpus(tmp_path, **rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=r"^pub_authors\.csv:101: university 'U_GHOST' absent"):
+            load_corpus(directory, WINDOW)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_line_break_inside_a_field_rejected(tmp_path):
+    rows = minimal_rows()
+    rows["indicators"] = [("LAT", "higher_is_better", "U1", "41.5"), ("GDP\nX", "higher_is_better", "U1", "2.0")]
+    directory = write_corpus(tmp_path, **rows)
+    with pytest.raises(ValidationError, match=r"^indicators\.csv:3: line break inside a field$"):
+        load_corpus(directory, WINDOW)
+
+
+def test_oversized_field_rejected_with_file_and_line(tmp_path):
+    rows = minimal_rows()
+    rows["staff"] = [("R1", "U1", "S1", "3.0"), ("R" * 200_000, "U1", "S1", "3.0")]
+    directory = write_corpus(tmp_path, **rows)
+    with pytest.raises(ValidationError, match=r"^staff\.csv:3: field larger than field limit"):
+        load_corpus(directory, WINDOW)

@@ -1,15 +1,101 @@
-"""Properties of the score and ranking files, of tie-averaged ranking and of pairwise comparison."""
+"""Properties of corpus loading, positional credit, the score and ranking files, tie-averaged ranking and pairwise comparison."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibliorank.corpus import HIGHER_IS_BETTER, LOWER_IS_BETTER
+from bibliorank import cli
+from bibliorank.corpus import (
+    HIGHER_IS_BETTER,
+    LOWER_IS_BETTER,
+    AuthorSlot,
+    CorpusPaths,
+    PublicationRecord,
+    Taxonomy,
+    emit_corpus,
+    load_corpus,
+)
 from bibliorank.errors import ValidationError
 from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, write_score_csv
 from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
+from bibliorank.scoring import author_fractions, life_science_position_weights
+from bibliorank.synth import SynthParams, synthesize
+
+WINDOW = (2001, 2003)
+# Small synth corpora: a few universities, one life-science UDA of two.
+synth_params = st.builds(
+    SynthParams,
+    seed=st.integers(0, 2**32 - 1),
+    n_universities=st.integers(6, 10),
+    n_udas=st.just(2),
+    sds_per_uda=st.just(2),
+)
+
+
+def _file_bytes(directory: Path) -> dict[str, bytes]:
+    return {path.relative_to(directory).as_posix(): path.read_bytes() for path in sorted(directory.rglob("*"))
+            if path.is_file()}
+
+
+@settings(max_examples=15, deadline=None)
+@given(params=synth_params)
+def test_emit_then_load_is_a_fixed_point(tmp_path_factory, params):
+    root = tmp_path_factory.mktemp("fixed")
+    synthesize(params, root / "synth")
+    corpus = load_corpus(root / "synth", WINDOW)
+    emit_corpus(corpus, root / "a")
+    reloaded = load_corpus(root / "a", WINDOW)
+    assert reloaded == corpus
+    emit_corpus(reloaded, root / "b")
+    assert _file_bytes(root / "b") == _file_bytes(root / "a")
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=synth_params, data=st.data())
+def test_row_order_changes_neither_corpus_nor_report(tmp_path_factory, params, data):
+    root = tmp_path_factory.mktemp("shuffle")
+    synthesize(params, root / "corpus")
+    shuffled = root / "shuffled"
+    shuffled.mkdir()
+    rng = data.draw(st.randoms(use_true_random=False))
+    for path in vars(CorpusPaths.from_dir(root / "corpus")).values():
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(rows)
+        (shuffled / path.name).write_text(header + "".join(rows), encoding="utf-8")
+    assert load_corpus(shuffled, WINDOW) == load_corpus(root / "corpus", WINDOW)
+    for name in ("corpus", "shuffled"):
+        argv = ["report", "--corpus-dir", str(root / name), "--format", "json", "--out-dir", str(root / f"{name}-out")]
+        assert cli.main(argv) == 0
+    assert _file_bytes(root / "shuffled-out") == _file_bytes(root / "corpus-out")
+
+
+LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), shared=st.booleans(), data=st.data())
+def test_positional_group_fractions_and_residual_sum_to_one(n, shared, data):
+    # position -> university of a domestic author, or None for a listed external one
+    owners = data.draw(st.dictionaries(st.integers(1, n), st.sampled_from([None, "U1", "U2", "U3"]), min_size=1))
+    if shared:
+        owners[1] = owners[n] = "U1"
+    elif n > 1:
+        owners[1], owners[n] = "U1", data.draw(st.sampled_from([None, "U2"]))
+    slots = tuple(AuthorSlot(pos, uni, None if uni is None else "S1", uni is not None) for pos, uni in owners.items())
+    pub = PublicationRecord("P1", 2001, "article", 1, (("LC", 1.0),), slots, n)
+    weights = life_science_position_weights(n, shared)
+    groups: dict[str, Fraction] = {}
+    for position, university in owners.items():
+        if university is not None:
+            groups[university] = groups.get(university, Fraction(0)) + weights[position]
+    residual = sum((w for position, w in weights.items() if owners.get(position) is None), Fraction(0))
+    assert sum(groups.values()) + residual == 1
+    assert author_fractions(pub, LIFE_TAXONOMY) == {(u, "S1"): float(f) for u, f in sorted(groups.items())}
 
 # Ids are stripped on reading, so only stripped, non-empty ids round-trip.
 ids = st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8).map(str.strip).filter(bool)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from scipy import stats
@@ -461,6 +462,35 @@ def test_read_ranking_rejects_ranks_that_are_not_tie_averaged(tmp_path, ranks, l
     path.write_text("entity_id,score,rank\n" + rows, encoding="utf-8")
     with pytest.raises(ValidationError, match=f"bad.csv:{line}: entity '{entity}' has rank .* position {expected}$"):
         read_ranking_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # equal scores with different ranks: build_ranking would give both 1.5
+        ("A,5.0,1.0\nB,5.0,2.0\nC,3.0,3.0\nD,1.0,4.0\n", "bad.csv:2: entity 'A' has rank 1.0, expected the tie-averaged position 1.5"),
+        ("A,9.0,1.0\nB,5.0,2.0\nC,3.0,3.0\nD,3.0,4.0\n", "bad.csv:4: entity 'C' has rank 3.0, expected the tie-averaged position 3.5"),
+        # equal ranks with different scores
+        ("A,5.0,1.5\nB,4.0,1.5\nC,3.0,3.0\nD,1.0,4.0\n", "bad.csv:2: entity 'A' has rank 1.5, expected the tie-averaged position 1.0"),
+        # scores not monotone in rank order
+        ("A,5.0,1.0\nB,3.0,2.0\nC,5.0,3.0\nD,1.0,4.0\n", "bad.csv:4: entity 'C' has score 5.0, out of order after 'B' with 3.0"),
+        ("D,1.0,1.0\nC,2.0,2.0\nB,3.0,3.0\nA,2.5,4.0\n", "bad.csv:5: entity 'A' has score 2.5, out of order after 'B' with 3.0"),
+    ],
+    ids=["unaveraged-tie", "unaveraged-tie-last", "tied-rank-distinct-scores", "falling-then-rising",
+         "rising-then-falling"],
+)
+def test_read_ranking_rejects_ranks_that_disagree_with_scores(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("entity_id,score,rank\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_ranking_csv(path)
+
+
+def test_read_ranking_accepts_scores_rising_with_rank(tmp_path):
+    ranking = build_ranking({"A": 1.0, "B": 2.0, "C": 2.0, "D": 3.0}, LOWER_IS_BETTER, "low")
+    path = tmp_path / "low.csv"
+    write_ranking_csv(ranking, path)
+    assert read_ranking_csv(path).entries == ranking.entries
 
 
 def test_render_matrix_csv_quotes_labels():

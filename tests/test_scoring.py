@@ -203,6 +203,17 @@ def test_life_science_weights_total_one_without_renormalization():
             assert sum(life_science_position_weights(n, shared).values()) == Fraction(1)
 
 
+def test_life_science_weights_are_cached_and_read_only():
+    weights = life_science_position_weights(7, False)
+    assert life_science_position_weights(7, False) is weights
+    assert life_science_position_weights(7, True) is not weights
+    with pytest.raises(TypeError):
+        weights[1] = Fraction(1)  # type: ignore[index]
+    with pytest.raises(AttributeError):
+        weights.pop(1)  # type: ignore[attr-defined]
+    assert sum(weights.values()) == Fraction(1)
+
+
 def test_life_science_external_first_author_selects_split_branch():
     # position 1 is an unlisted external author, so first/last cannot share
     pub = make_pub(1, [("LC", 1.0)], [domestic(3, "UX")], total=5)
