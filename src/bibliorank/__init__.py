@@ -1,90 +1,3 @@
 """Field-normalized research productivity scores, peer-review ratings, and ranking comparison."""
 
-from .corpus import (
-    AuthorSlot,
-    Corpus,
-    CorpusPaths,
-    IndicatorTable,
-    PeerOutcome,
-    PublicationRecord,
-    StaffEntry,
-    Taxonomy,
-    emit_corpus,
-    load_corpus,
-)
-from .errors import ValidationError
-from .peer_rating import RatedOutcome, category_percentile, rate_outcomes, vtr_rating
-from .productivity import (
-    ScoreBundle,
-    ScoreTable,
-    filter_eligible_sds,
-    macro_uda_productivity,
-    score_corpus,
-    sds_productivity,
-    uda_productivity,
-    university_productivity,
-)
-from .rankcmp import (
-    ComparisonReport,
-    RankingList,
-    build_ranking,
-    compare_rankings,
-    correlation_matrix,
-    quartile_classify,
-    shift_distribution,
-    spearman,
-    strength_label,
-    topk_overlap,
-)
-from .scoring import (
-    CitationBaseline,
-    CreditShare,
-    author_fractions,
-    compute_baselines,
-    credit_shares,
-    standardize_citations,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuthorSlot",
-    "CitationBaseline",
-    "ComparisonReport",
-    "Corpus",
-    "CorpusPaths",
-    "CreditShare",
-    "IndicatorTable",
-    "PeerOutcome",
-    "PublicationRecord",
-    "RankingList",
-    "RatedOutcome",
-    "ScoreBundle",
-    "ScoreTable",
-    "StaffEntry",
-    "Taxonomy",
-    "ValidationError",
-    "author_fractions",
-    "build_ranking",
-    "category_percentile",
-    "compare_rankings",
-    "compute_baselines",
-    "correlation_matrix",
-    "credit_shares",
-    "emit_corpus",
-    "filter_eligible_sds",
-    "load_corpus",
-    "macro_uda_productivity",
-    "quartile_classify",
-    "rate_outcomes",
-    "score_corpus",
-    "sds_productivity",
-    "shift_distribution",
-    "spearman",
-    "standardize_citations",
-    "strength_label",
-    "topk_overlap",
-    "uda_productivity",
-    "university_productivity",
-    "vtr_rating",
-]

@@ -1,15 +1,19 @@
 """Command-line front end: score, vtr, rank, compare, synth, report.
 
-All subcommands read an optional INI config file (``--config``) whose
-values individual flags override.  Outputs are written under ``--out-dir``
-and are byte-identical across reruns with the same inputs and seed.
+Outputs are written under ``--out-dir`` and are byte-identical across
+reruns with the same inputs and seed.
+
+Every setting is one row of ``SETTINGS``: its config-file key, its flag and
+its cast.  That table alone gives each subcommand its setting flags, the
+keys an INI config file (``--config``) may hold, and the layering of
+defaults, then the file, then the flags given, so a flag wins over its key.
+Flag and file values share the cast: a value that does not parse, or an
+unknown key, exits 2 and names the flag or the setting.
 
 Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
 Every subcommand computes all its outputs (scores, ratings, rankings and
 every pairwise comparison) before its first write, so a run that exits 2
-writes nothing.  A config file may hold only the settings listed in
-``_SETTINGS``; an unknown key or a value that does not parse exits 2 and
-names the setting.
+writes nothing.
 
 Each run pays only for the machinery it uses.  The ``synth`` module needs
 numpy, so it is imported inside the synth subcommand; ``score``, ``vtr`` and
@@ -32,7 +36,7 @@ import configparser
 import csv
 import gc
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -51,12 +55,21 @@ _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Resolved settings: fields named after their flags, and ``synth`` with the other ``[synth]`` values given."""
+
     window: tuple[int, int] = DEFAULT_WINDOW
     corpus_dir: Path | None = None
     out_dir: Path = Path("out")
-    out_format: str = "csv"
-    rng_seed: int = 0
+    format: str = "csv"
+    seed: int = 0
     percentages: tuple[float, ...] = rankcmp.DEFAULT_PERCENTAGES
+    synth: dict[str, Any] = field(default_factory=dict)
+
+
+def parse_format(raw: str) -> str:
+    if raw not in FORMATS:
+        raise ValidationError(f"format must be one of {FORMATS}, got {raw!r}")
+    return raw
 
 
 def parse_window(raw: str) -> tuple[int, int]:
@@ -85,107 +98,83 @@ def parse_percentages(raw: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-_SYNTH_RENAME = {"universities": "n_universities", "udas": "n_udas"}
-_SYNTH_KEYS: dict[str, type] = {
-    "universities": int,
-    "udas": int,
-    "sds_per_uda": int,
-    "life_science_udas": int,
-    "staff_presence": float,
-    "staff_min": int,
-    "staff_max": int,
-    "pubs_per_fte": float,
-    "multi_category_rate": float,
-    "cross_university_rate": float,
-    "external_listed_rate": float,
-    "max_external_authors": int,
-    "citation_sigma": float,
-    "gradient_strength": float,
-    "peer_noise": float,
+# Flag and cast of every setting, keyed by its (section, key) in a config file.
+# A flag's argparse dest names the RunConfig field, or the SynthParams field
+# for the [synth] keys other than seed.
+SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str], Any]]] = {
+    ("io", "out_dir"): ("--out-dir", Path),
+    ("io", "format"): ("--format", parse_format),
+    ("corpus", "dir"): ("--corpus-dir", Path),
+    ("analysis", "window"): ("--window", parse_window),
+    ("analysis", "percentages"): ("--percentages", parse_percentages),
+    ("synth", "seed"): ("--seed", int),
+    ("synth", "universities"): ("--universities", int),
+    ("synth", "udas"): ("--udas", int),
+    ("synth", "sds_per_uda"): ("--sds-per-uda", int),
+    ("synth", "life_science_udas"): ("--life-science-udas", int),
+    ("synth", "staff_presence"): ("--staff-presence", float),
+    ("synth", "staff_min"): ("--staff-min", int),
+    ("synth", "staff_max"): ("--staff-max", int),
+    ("synth", "pubs_per_fte"): ("--pubs-per-fte", float),
+    ("synth", "multi_category_rate"): ("--multi-category-rate", float),
+    ("synth", "cross_university_rate"): ("--cross-university-rate", float),
+    ("synth", "external_listed_rate"): ("--external-listed-rate", float),
+    ("synth", "max_external_authors"): ("--max-external-authors", int),
+    ("synth", "citation_sigma"): ("--citation-sigma", float),
+    ("synth", "gradient_strength"): ("--gradient-strength", float),
+    ("synth", "peer_noise"): ("--peer-noise", float),
 }
 
 
-# RunConfig field and cast of each config-file setting that is not a synth parameter.
-_CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], Any]]] = {
-    ("io", "out_dir"): ("out_dir", Path),
-    ("io", "format"): ("out_format", str),
-    ("corpus", "dir"): ("corpus_dir", Path),
-    ("analysis", "window"): ("window", parse_window),
-    ("analysis", "percentages"): ("percentages", parse_percentages),
-    ("synth", "seed"): ("rng_seed", int),
-}
-# Cast of every setting a config file may hold; any other key is refused.
-_SETTINGS = {key: cast for key, (_, cast) in _CONFIG_KEYS.items()} | {
-    ("synth", key): cast for key, cast in _SYNTH_KEYS.items()
-}
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _read_ini(path: Path) -> dict[tuple[str, str], Any]:
-    """Read a config file into cast values keyed by (section, key), refusing unknown and malformed settings."""
+def _cast(where: str, cast: Callable[[str], Any], text: str) -> Any:
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _read_ini(path: Path) -> dict[str, Any]:
+    """Read a config file into cast values keyed by flag dest, refusing unknown and malformed settings."""
     if not path.exists():
         raise ValidationError(f"{path}: missing config file")
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
-        raw = {(configparser.DEFAULTSECT, key): text for key, text in parser.defaults().items()}
-        raw.update(
-            ((section, key), parser.get(section, key))
-            for section in parser.sections()
-            for key in parser.options(section)
-        )
+        # [DEFAULT] comes first, so a key set there is refused under its own name, not a section's.
+        raw = {(section, key): text for section in parser for key, text in parser[section].items()}
     except configparser.Error as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    values: dict[tuple[str, str], Any] = {}
+    values: dict[str, Any] = {}
     for (section, key), text in raw.items():
-        if (section, key) not in _SETTINGS:
+        if (section, key) not in SETTINGS:
             raise ValidationError(f"{path}: unknown setting [{section}] {key}")
-        try:
-            values[section, key] = _SETTINGS[section, key](text)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: [{section}] {key}: {exc}") from None
+        flag, cast = SETTINGS[section, key]
+        values[_dest(flag)] = _cast(f"{path}: [{section}] {key}", cast, text)
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, then the config file, then explicit flags."""
-    config = RunConfig()
-    if args.config:
-        ini = _read_ini(Path(args.config))
-        config = replace(config, **{field: ini[key] for key, (field, _) in _CONFIG_KEYS.items() if key in ini})
-    if getattr(args, "out_dir", None):
-        config = replace(config, out_dir=Path(args.out_dir))
-    if getattr(args, "format", None):
-        config = replace(config, out_format=args.format)
-    if getattr(args, "corpus_dir", None):
-        config = replace(config, corpus_dir=Path(args.corpus_dir))
-    if getattr(args, "window", None):
-        config = replace(config, window=parse_window(args.window))
-    if getattr(args, "percentages", None):
-        config = replace(config, percentages=parse_percentages(args.percentages))
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, rng_seed=args.seed)
-    if config.out_format not in FORMATS:
-        raise ValidationError(f"format must be one of {FORMATS}, got {config.out_format!r}")
-    return config
+    """Layer defaults, then the config file, then the flags given."""
+    values = _read_ini(Path(args.config)) if args.config else {}
+    for flag, cast in SETTINGS.values():
+        text = getattr(args, _dest(flag), None)
+        if text is not None:
+            values[_dest(flag)] = _cast(flag, cast, text)
+    run_fields = {f.name for f in fields(RunConfig)}
+    return RunConfig(
+        **{name: value for name, value in values.items() if name in run_fields},
+        synth={name: value for name, value in values.items() if name not in run_fields},
+    )
 
 
-def build_synth_params(args: argparse.Namespace, config: RunConfig) -> SynthParams:
+def build_synth_params(config: RunConfig) -> SynthParams:
     from .synth import SynthParams
 
-    values: dict[str, object] = {}
-    ini = _read_ini(Path(args.config)) if args.config else {}
-    for key in _SYNTH_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            value = ini.get(("synth", key))
-        if value is not None:
-            values[_SYNTH_RENAME.get(key, key)] = value
-    values["window"] = config.window
-    values["seed"] = config.rng_seed
-    try:
-        return SynthParams(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ValidationError(f"bad synth parameter: {exc}") from None
+    return SynthParams(seed=config.seed, window=config.window, **config.synth)
 
 
 def _require_corpus_dir(config: RunConfig) -> Path:
@@ -237,7 +226,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_vtr(args: argparse.Namespace) -> int:
     config = build_config(args)
-    outcomes = corpus_mod.read_peer_outcomes_csv(Path(args.outcomes))
+    path = Path(args.outcomes)
+    outcomes = corpus_mod.read_peer_outcomes_csv(path)
+    if not outcomes:
+        raise ValidationError(f"{path}: no peer outcomes" if path.exists() else f"{path}: missing input file")
     rated = peer_rating.rate_outcomes(outcomes)
     out = config.out_dir / "vtr_ratings.csv"
     peer_rating.write_rated_csv(rated, out)
@@ -249,55 +241,49 @@ def _sniff_header(path: Path) -> tuple[str, ...]:
     if not path.exists():
         raise ValidationError(f"{path}: missing input file")
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            return tuple(next(reader))
-        except StopIteration:
-            raise ValidationError(f"{path.name}:1: empty file, header row required") from None
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise ValidationError(f"{path.name}:1: empty file, header row required")
+    return tuple(header)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     config = build_config(args)
     path = Path(args.input)
     header = _sniff_header(path)
-    rankings: list[rankcmp.RankingList] = []
+    # (unit, default label, university scores, direction) of each ranking in the file; indicators have no unit.
+    found: list[tuple[str | None, str, dict[str, float], str]]
     if header == corpus_mod.SCHEMAS["scores"]:
         table = productivity.read_score_csv(path)
-        units = sorted({unit for _, unit in table.entries}) if args.unit is None else [args.unit]
-        if args.label and len(units) > 1:
-            raise ValidationError("--label requires a single ranking; choose one with --unit")
-        for unit in units:
-            scores = table.university_scores(unit)
-            if not scores:
-                raise ValidationError(f"{path.name}: no rows for unit {args.unit!r}")
-            label = args.label or (f"P_{table.level}_{unit}" if unit else f"P_{table.level}")
-            rankings.append(
-                rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, label, table.level)
-            )
+        found = [
+            (unit, f"P_{table.level}_{unit}" if unit else f"P_{table.level}", table.university_scores(unit),
+             corpus_mod.HIGHER_IS_BETTER)
+            for unit in sorted({unit for _, unit in table.entries})
+        ]
     elif header == corpus_mod.SCHEMAS["indicators"]:
-        if args.unit is not None:
-            raise ValidationError("--unit does not apply to indicator files")
-        tables = corpus_mod.read_indicators_csv(path)
-        if args.label and len(tables) > 1:
-            raise ValidationError("--label requires a single-indicator file")
-        for table in tables:
-            label = args.label or table.indicator_name
-            rankings.append(
-                rankcmp.build_ranking(table.values, table.direction, label, "university")
-            )
+        found = [(None, t.indicator_name, t.values, t.direction) for t in corpus_mod.read_indicators_csv(path)]
     elif header == corpus_mod.SCHEMAS["rated"]:
         rated = _read_rated_csv(path)
-        udas = sorted({uda for _, uda in rated}) if args.unit is None else [args.unit]
-        if args.label and len(udas) > 1:
-            raise ValidationError("--label requires a single ranking; choose one with --unit")
-        for uda in udas:
-            scores = {univ: value for (univ, cell_uda), value in rated.items() if cell_uda == uda}
-            if not scores:
-                raise ValidationError(f"{path.name}: no rows for UDA {uda!r}")
-            label = args.label or f"VTR_{uda}"
-            rankings.append(rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, label, "uda"))
+        found = [
+            (uda, f"VTR_{uda}", {univ: value for (univ, cell_uda), value in rated.items() if cell_uda == uda},
+             corpus_mod.HIGHER_IS_BETTER)
+            for uda in sorted({uda for _, uda in rated})
+        ]
     else:
         raise ValidationError(f"{path.name}: unrecognized header {','.join(header)!r}")
+    if not found:
+        raise ValidationError(f"{path.name}: no rows to rank")
+    if args.unit is not None:
+        if found[0][0] is None:
+            raise ValidationError("--unit does not apply to indicator files")
+        found = [ranking for ranking in found if ranking[0] == args.unit]
+        if not found:
+            raise ValidationError(f"{path.name}: no rows for unit {args.unit!r}")
+    if args.label and len(found) > 1:
+        raise ValidationError(f"--label requires a single ranking; {path.name} holds {len(found)}")
+    rankings = [
+        rankcmp.build_ranking(scores, direction, args.label or label) for _, label, scores, direction in found
+    ]
     _check_labels(rankings)
     for ranking in rankings:
         out = config.out_dir / f"ranking_{_safe_label(ranking.label)}.csv"
@@ -335,11 +321,11 @@ def _compare_all(
 def _write_comparisons(
     reports: list[rankcmp.ComparisonReport], matrix: rankcmp.CorrelationMatrix, config: RunConfig, out: Path
 ) -> None:
-    ext = _EXT[config.out_format]
-    _write_text(out / f"correlation_matrix.{ext}", rankcmp.render_matrix(matrix, config.out_format))
+    ext = _EXT[config.format]
+    _write_text(out / f"correlation_matrix.{ext}", rankcmp.render_matrix(matrix, config.format))
     for report in reports:
         name = f"comparison_{_safe_label(report.label_a)}_vs_{_safe_label(report.label_b)}.{ext}"
-        _write_text(out / name, rankcmp.render_comparison(report, config.out_format))
+        _write_text(out / name, rankcmp.render_comparison(report, config.format))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -356,13 +342,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = build_config(args)
-    params = build_synth_params(args, config)
+    params = build_synth_params(config)
     from .synth import synthesize
 
     data = synthesize(params, config.out_dir)
     print(
         f"synthesized {len(data.publications)} publications, {len(data.staff)} staff, "
-        f"{params.n_universities} universities (seed {params.seed}) -> {config.out_dir}"
+        f"{params.universities} universities (seed {params.seed}) -> {config.out_dir}"
     )
     return 0
 
@@ -372,16 +358,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     corpus = corpus_mod.load_corpus(_require_corpus_dir(config), config.window)
     out = config.out_dir
     bundle = productivity.score_corpus(corpus)
-    rankings = [
-        rankcmp.build_ranking(bundle.university.university_scores(""), corpus_mod.HIGHER_IS_BETTER, "P", "university")
-    ]
+    rankings = [rankcmp.build_ranking(bundle.university.university_scores(""), corpus_mod.HIGHER_IS_BETTER, "P")]
     if corpus.peer_outcomes:
         pooled = peer_rating.pooled_university_ratings(corpus.peer_outcomes)
-        rankings.append(rankcmp.build_ranking(pooled, corpus_mod.HIGHER_IS_BETTER, "VTR", "university"))
+        rankings.append(rankcmp.build_ranking(pooled, corpus_mod.HIGHER_IS_BETTER, "VTR"))
     for table in corpus.indicators:
-        rankings.append(
-            rankcmp.build_ranking(table.values, table.direction, table.indicator_name, "university")
-        )
+        rankings.append(rankcmp.build_ranking(table.values, table.direction, table.indicator_name))
     if len(rankings) < 2:
         raise ValidationError("report needs peer outcomes or indicators to compare against P")
     _check_labels(rankings)
@@ -409,58 +391,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
+    keys = {flag: f"[{section}] {key}" for (section, key), (flag, _) in SETTINGS.items()}
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out-dir", help="output directory (default: out)")
-        p.add_argument("--format", choices=FORMATS, help="report format (default: csv)")
+    def add(name: str, func: Callable[..., int], summary: str, flags: tuple[str, ...]) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in (*flags, "--out-dir", "--format"):
+            p.add_argument(flag, help=f"overrides {keys[flag]} in the config file")
+        p.set_defaults(func=func)
+        return p
 
-    p_score = sub.add_parser("score", help="compute productivity score tables from a corpus")
-    p_score.add_argument("--corpus-dir", help="directory with the corpus CSV files")
-    p_score.add_argument("--window", help="observation window, e.g. 2001-2003")
-    common(p_score)
-    p_score.set_defaults(func=cmd_score)
-
-    p_vtr = sub.add_parser("vtr", help="compute peer-review ratings and category percentiles")
+    add("score", cmd_score, "compute productivity score tables from a corpus", ("--corpus-dir", "--window"))
+    p_vtr = add("vtr", cmd_vtr, "compute peer-review ratings and category percentiles", ())
     p_vtr.add_argument("--outcomes", required=True, help="peer_outcomes.csv file")
-    common(p_vtr)
-    p_vtr.set_defaults(func=cmd_vtr)
-
-    p_rank = sub.add_parser("rank", help="build ranking lists from scores, indicators, or ratings")
+    p_rank = add("rank", cmd_rank, "build ranking lists from scores, indicators, or ratings", ())
     p_rank.add_argument("--input", required=True, help="score table, indicators, or vtr ratings CSV")
     p_rank.add_argument("--unit", help="restrict to one unit id (SDS/UDA/macro)")
     p_rank.add_argument("--label", help="ranking label (single ranking only)")
-    common(p_rank)
-    p_rank.set_defaults(func=cmd_rank)
-
-    p_cmp = sub.add_parser("compare", help="compare ranking files pairwise")
+    p_cmp = add("compare", cmd_compare, "compare ranking files pairwise", ("--percentages",))
     p_cmp.add_argument("rankings", nargs="+", help="ranking CSV files (entity_id,score,rank)")
-    p_cmp.add_argument("--percentages", help="top-k percentages, e.g. 5,10,25")
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_synth = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p_synth.add_argument("--seed", type=int, help="RNG seed")
-    p_synth.add_argument("--window", help="observation window, e.g. 2001-2003")
-    p_synth.add_argument("--universities", type=int, help="number of universities")
-    p_synth.add_argument("--udas", type=int)
-    p_synth.add_argument("--sds-per-uda", dest="sds_per_uda", type=int)
-    p_synth.add_argument("--life-science-udas", dest="life_science_udas", type=int)
-    p_synth.add_argument("--staff-presence", dest="staff_presence", type=float)
-    p_synth.add_argument("--staff-min", dest="staff_min", type=int)
-    p_synth.add_argument("--staff-max", dest="staff_max", type=int)
-    p_synth.add_argument("--pubs-per-fte", dest="pubs_per_fte", type=float)
-    p_synth.add_argument("--gradient-strength", dest="gradient_strength", type=float)
-    p_synth.add_argument("--peer-noise", dest="peer_noise", type=float)
-    p_synth.add_argument("--citation-sigma", dest="citation_sigma", type=float)
-    common(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_rep = sub.add_parser("report", help="full pipeline: score, rate, rank, compare")
-    p_rep.add_argument("--corpus-dir", help="directory with the corpus CSV files")
-    p_rep.add_argument("--window", help="observation window, e.g. 2001-2003")
-    p_rep.add_argument("--percentages", help="top-k percentages, e.g. 5,10,25")
-    common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
+    synth_flags = tuple(flag for (section, _), (flag, _) in SETTINGS.items() if section == "synth")
+    add("synth", cmd_synth, "generate a seeded synthetic corpus", ("--window", *synth_flags))
+    add("report", cmd_report, "full pipeline: score, rate, rank, compare",
+        ("--corpus-dir", "--window", "--percentages"))
     return parser
 
 

@@ -178,7 +178,6 @@ class ScoreBundle:
     """Everything the scoring pipeline produces for one corpus."""
 
     eligibility: dict[str, EligibilityEntry]
-    shares: list[CreditShare]
     sds: ScoreTable
     uda: ScoreTable
     macro: ScoreTable
@@ -196,7 +195,6 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
     sds_table = sds_productivity(kept_shares, roster, corpus.window)
     return ScoreBundle(
         eligibility=eligibility,
-        shares=shares,
         sds=sds_table,
         uda=uda_productivity(sds_table, corpus.taxonomy),
         macro=macro_uda_productivity(sds_table, corpus.taxonomy),

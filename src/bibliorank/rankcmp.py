@@ -51,7 +51,6 @@ class RankingList:
     """Scored entities in display order (rank ascending, entity id as tie-break)."""
 
     label: str
-    level: str
     entries: tuple[RankEntry, ...]
 
     @property
@@ -118,7 +117,6 @@ def build_ranking(
     scores: Mapping[str, float],
     direction: str = HIGHER_IS_BETTER,
     label: str = "",
-    level: str = "university",
 ) -> RankingList:
     """Rank entities by score, averaging ranks over exact score ties."""
     if direction not in DIRECTIONS:
@@ -131,7 +129,7 @@ def build_ranking(
     sign = 1.0 if direction == LOWER_IS_BETTER else -1.0
     ordered = sorted(scores.items(), key=lambda item: (sign * item[1], item[0]))
     entries = _tie_averaged([RankEntry(entity, score, 0.0) for entity, score in ordered], lambda e: e.score)
-    return RankingList(label=label, level=level, entries=entries)
+    return RankingList(label=label, entries=entries)
 
 
 def _tie_averaged(ordered: Sequence[RankEntry], key: Callable[[RankEntry], float]) -> tuple[RankEntry, ...]:
@@ -152,7 +150,7 @@ def restrict_ranking(ranking: RankingList, keep: Iterable[str]) -> RankingList:
     keep = set(keep)
     survivors = [e for e in ranking.entries if e.entity_id in keep]
     entries = _tie_averaged(survivors, lambda e: e.rank)
-    return RankingList(label=ranking.label, level=ranking.level, entries=entries)
+    return RankingList(label=ranking.label, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ def write_ranking_csv(ranking: RankingList, path: Path | str) -> None:
     )
 
 
-def read_ranking_csv(path: Path | str, label: str | None = None, level: str = "university") -> RankingList:
+def read_ranking_csv(path: Path | str, label: str | None = None) -> RankingList:
     """Read a ranking written by :func:`write_ranking_csv`; label defaults to the file stem.
 
     Every rank must be the tie-averaged position that :func:`build_ranking`
@@ -413,7 +411,7 @@ def read_ranking_csv(path: Path | str, label: str | None = None, level: str = "u
             )
         order = order or step
     check_ties(lambda e: e.score)
-    return RankingList(label=label if label is not None else path.stem, level=level, entries=tuple(entries))
+    return RankingList(label=label if label is not None else path.stem, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

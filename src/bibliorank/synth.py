@@ -30,8 +30,8 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class SynthParams:
     seed: int
-    n_universities: int = 20
-    n_udas: int = 3
+    universities: int = 20
+    udas: int = 3
     sds_per_uda: int = 3
     life_science_udas: int = 1
     window: tuple[int, int] = (2001, 2003)
@@ -48,11 +48,11 @@ class SynthParams:
     peer_noise: float = 0.1
 
     def validate(self) -> None:
-        if self.n_universities < 2:
+        if self.universities < 2:
             raise ValidationError("synth: need at least 2 universities")
-        if self.n_udas < 1 or self.sds_per_uda < 1:
+        if self.udas < 1 or self.sds_per_uda < 1:
             raise ValidationError("synth: need at least one UDA and one SDS per UDA")
-        if not 0 <= self.life_science_udas <= self.n_udas:
+        if not 0 <= self.life_science_udas <= self.udas:
             raise ValidationError("synth: life_science_udas out of range")
         if self.window[1] < self.window[0]:
             raise ValidationError("synth: window end precedes start")
@@ -118,11 +118,11 @@ def generate(params: SynthParams) -> SynthData:
     start_year, end_year = params.window
     window_len = end_year - start_year + 1
 
-    universities = [f"U{i + 1:03d}" for i in range(params.n_universities)]
-    quality_draw = rng.gamma(shape=6.0, scale=1.0 / 6.0, size=params.n_universities)
+    universities = [f"U{i + 1:03d}" for i in range(params.universities)]
+    quality_draw = rng.gamma(shape=6.0, scale=1.0 / 6.0, size=params.universities)
     quality = {u: float(max(0.05, q)) for u, q in zip(universities, quality_draw)}
 
-    udas = [f"UDA{i + 1}" for i in range(params.n_udas)]
+    udas = [f"UDA{i + 1}" for i in range(params.udas)]
     sds_of_uda: dict[str, list[str]] = {}
     sds_ids: list[str] = []
     data = SynthData(params=params, quality=quality)

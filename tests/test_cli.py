@@ -302,7 +302,70 @@ def test_config_settings_reach_run_and_synth_parameters(tmp_path):
     )
     args = cli.build_parser().parse_args(["--config", str(config), "synth", "--universities", "6"])
     run = cli.build_config(args)
-    params = cli.build_synth_params(args, run)
-    assert (run.out_format, run.window, run.percentages, run.rng_seed) == ("json", (2002, 2004), (10.0, 20.0), 7)
-    assert (params.seed, params.window, params.n_universities) == (7, (2002, 2004), 6)
+    params = cli.build_synth_params(run)
+    assert (run.format, run.window, run.percentages, run.seed) == ("json", (2002, 2004), (10.0, 20.0), 7)
+    assert (params.seed, params.window, params.universities) == (7, (2002, 2004), 6)
     assert (params.life_science_udas, params.max_external_authors, params.cross_university_rate) == (2, 40, 0.6)
+
+
+@pytest.mark.parametrize("key", [key for section, key in cli.SETTINGS if section == "synth"])
+def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
+    flag, cast = cli.SETTINGS["synth", key]
+    in_file, on_line = ("7", "9") if cast is int else ("0.35", "0.45")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[synth]\n{key} = {in_file}\n", encoding="utf-8")
+
+    def value(config_argv: list[str], flag_argv: list[str]):
+        args = cli.build_parser().parse_args([*config_argv, "synth", *flag_argv])
+        return getattr(cli.build_synth_params(cli.build_config(args)), key)
+
+    assert value([], []) != cast(in_file)
+    assert value(["--config", str(config)], []) == value([], [flag, in_file]) == cast(in_file)
+    assert value(["--config", str(config)], [flag, on_line]) == cast(on_line)
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--universities", "abc", "--universities: invalid literal for int()"),
+        ("--format", "xml", "--format: format must be one of ('csv', 'json', 'markdown'), got 'xml'"),
+        ("--window", "2001", "--window: window must look like 2001-2003, got '2001'"),
+    ],
+    ids=["universities", "format", "window"],
+)
+def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, capsys, flag, text, message):
+    out = tmp_path / "out"
+    assert cli.main(["synth", flag, text, "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_reads_its_config_file_once(tmp_path, monkeypatch):
+    read_ini = cli._read_ini
+    calls = []
+    monkeypatch.setattr(cli, "_read_ini", lambda path: calls.append(path) or read_ini(path))
+    config = tmp_path / "run.ini"
+    config.write_text("[synth]\nuniversities = 4\nudas = 1\nsds_per_uda = 1\n", encoding="utf-8")
+    assert cli.main(["--config", str(config), "synth", "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == [config]
+
+
+@pytest.mark.parametrize(
+    "command, name, body, message",
+    [
+        ("vtr", "peer_outcomes.csv", None, "peer_outcomes.csv: missing input file"),
+        ("vtr", "peer_outcomes.csv", header("peer_outcomes"), "peer_outcomes.csv: no peer outcomes"),
+        ("rank", "indicators.csv", header("indicators"), "indicators.csv: no rows to rank"),
+        ("rank", "vtr_ratings.csv", header("rated"), "vtr_ratings.csv: no rows to rank"),
+    ],
+    ids=["vtr-missing", "vtr-header-only", "rank-indicators-header-only", "rank-rated-header-only"],
+)
+def test_empty_input_exits_2_and_writes_nothing(tmp_path, capsys, command, name, body, message):
+    path = tmp_path / name
+    if body is not None:
+        path.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    flag = "--outcomes" if command == "vtr" else "--input"
+    assert cli.main([command, flag, str(path), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

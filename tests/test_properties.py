@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,8 +33,8 @@ WINDOW = (2001, 2003)
 synth_params = st.builds(
     SynthParams,
     seed=st.integers(0, 2**32 - 1),
-    n_universities=st.integers(6, 10),
-    n_udas=st.just(2),
+    universities=st.integers(6, 10),
+    udas=st.just(2),
     sds_per_uda=st.just(2),
 )
 
@@ -185,3 +187,26 @@ def test_compare_rankings_is_symmetric(a, b, direction):
     assert (forward.rho.hex(), forward.p_value.hex()) == (backward.rho.hex(), backward.p_value.hex())
     assert (forward.dropped_a, forward.dropped_b) == (backward.dropped_b, backward.dropped_a)
     assert (forward.n, forward.shifts) == (backward.n, backward.shifts)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+"""
+
+
+def test_failing_property_prints_its_falsifying_example(tmp_path):
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
