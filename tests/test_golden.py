@@ -1,8 +1,12 @@
-"""Golden output hashes: the default synth corpus (seed 3) and its reports.
+"""Golden outputs: the default synth corpus (seed 3) and its reports, and a hand-written ``compare``.
 
 ``golden_seed3.json`` maps every file that ``synth --seed 3`` and
-``report`` in csv, json and markdown format write to its sha256.  A
-change that alters any of these bytes must say why and repin the file.
+``report`` in csv, json and markdown format write to its sha256.
+``golden_compare.json`` holds the exact text of every file ``compare``
+writes in each format for ``RANKINGS``: entities dropped on both sides of
+every pair, tied scores, a ranking whose scores rise with rank, and top
+percentages small enough to leave a top-k row empty.  A change that alters
+any of these bytes must say why and repin the file.
 """
 
 from __future__ import annotations
@@ -14,6 +18,48 @@ from pathlib import Path
 from bibliorank import cli
 
 GOLDEN = Path(__file__).with_name("golden_seed3.json")
+GOLDEN_COMPARE = Path(__file__).with_name("golden_compare.json")
+
+RANKINGS = {
+    "P": """\
+U01,9.5,1.0
+U02,8.0,2.5
+U03,8.0,2.5
+U04,7.25,4.0
+U05,6.0,5.0
+U06,5.5,6.5
+U07,5.5,6.5
+U08,4.0,8.0
+U09,3.0,9.0
+U10,2.0,10.0
+U11,1.0,11.0
+""",
+    "VTR": """\
+U03,0.9,1.0
+U02,0.85,2.0
+U13,0.8,3.0
+U04,0.7,4.5
+U06,0.7,4.5
+U12,0.6,6.0
+U07,0.5,7.0
+U08,0.4,8.5
+U09,0.4,8.5
+U10,0.2,10.0
+""",
+    "GDP": """\
+U05,100.0,1.0
+U01,120.0,2.0
+U14,130.0,3.0
+U02,150.0,4.5
+U09,150.0,4.5
+U03,170.0,6.0
+U10,180.0,7.0
+U04,200.0,8.5
+U07,200.0,8.5
+U06,250.0,10.0
+U08,260.0,11.0
+""",
+}
 
 
 def test_default_corpus_reports_match_golden_hashes(tmp_path):
@@ -28,3 +74,26 @@ def test_default_corpus_reports_match_golden_hashes(tmp_path):
         if path.is_file()
     }
     assert hashes == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def compare_outputs(root: Path) -> dict[str, str]:
+    """Run ``compare`` on ``RANKINGS`` in every format under ``root``; map each output to its text."""
+    paths = []
+    for label, rows in RANKINGS.items():
+        path = root / "rankings" / f"{label}.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("entity_id,score,rank\n" + rows, encoding="utf-8", newline="\n")
+        paths.append(str(path))
+    out = root / "out"
+    for fmt in ("csv", "json", "markdown"):
+        argv = ["compare", *paths, "--percentages", "2.5,5,50,100", "--format", fmt, "--out-dir", str(out / fmt)]
+        assert cli.main(argv) == 0
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes().decode("utf-8")
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_compare_outputs_match_golden_bytes(tmp_path):
+    assert compare_outputs(tmp_path) == json.loads(GOLDEN_COMPARE.read_text(encoding="utf-8"))
