@@ -11,7 +11,9 @@ list's top-k entities the other list misses, for a ladder of top
 percentages.  The correlation matrix is built from those pairwise
 reports, so each pair is aligned and correlated once.
 
-Reports render as CSV, JSON, or aligned-column markdown tables.
+Reports render as CSV, JSON, or aligned-column markdown tables.  The
+JSON of a ``ComparisonReport`` or ``CorrelationMatrix`` is its dataclass
+fields, key for key, so the report types are the JSON schema.
 
 numpy and scipy are imported inside the functions that use them, never at
 module level: importing them costs a fresh CLI process more time than
@@ -27,7 +29,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -68,16 +70,6 @@ class RankingList:
 
 
 @dataclass(frozen=True)
-class ShiftDistribution:
-    """Relative frequency of absolute quartile shifts between two classifications."""
-
-    n: int
-    counts: dict[int, int]         # shift (0..3) -> entity count
-    frequencies: dict[int, float]  # shift -> relative frequency, sums to 1
-    cumulative: dict[int, float]   # shift -> cumulative relative frequency
-
-
-@dataclass(frozen=True)
 class TopkRow:
     percentage: float
     k: int
@@ -96,8 +88,10 @@ class ComparisonReport:
     rho: float
     p_value: float
     strength: str
-    shifts: ShiftDistribution
-    topk_rows: tuple[TopkRow, ...]
+    shift_counts: dict[int, int]         # absolute quartile shift (0..3) -> entity count
+    shift_frequencies: dict[int, float]  # shift -> relative frequency, sums to 1
+    shift_cumulative: dict[int, float]   # shift -> cumulative relative frequency
+    topk: tuple[TopkRow, ...]
 
 
 @dataclass(frozen=True)
@@ -157,18 +151,15 @@ def restrict_ranking(ranking: RankingList, keep: Iterable[str]) -> RankingList:
 # Correlation
 
 
-def spearman(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> tuple[float, float]:
+def _spearman(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> tuple[float, float]:
     """Spearman rho of two paired rank vectors with a two-sided p-value.
 
     rho is the Pearson correlation of the tie-averaged ranks.  The
     p-value uses the t-approximation with n-2 degrees of freedom (0 at
-    rho = +/-1).
+    rho = +/-1).  Its one caller, :func:`compare_rankings`, passes equal-length
+    vectors over at least ``MIN_COMMON_ENTITIES`` entities, neither constant.
     """
     n = len(ranks_a)
-    if len(ranks_b) != n:
-        raise ValueError(f"rank vectors differ in length: {n} vs {len(ranks_b)}")
-    if n < 3:
-        raise ValueError(f"need at least 3 pairs, got {n}")
     import numpy as np
     from scipy.special import stdtr
 
@@ -178,8 +169,6 @@ def spearman(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> tuple[float,
     db = b - b.mean()
     var_a = float(da @ da)
     var_b = float(db @ db)
-    if var_a == 0.0 or var_b == 0.0:
-        raise ValueError("zero rank variance: rho is undefined")
     rho = float(da @ db) / math.sqrt(var_a * var_b)
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
@@ -271,8 +260,8 @@ def quartile_classify(ranking: RankingList) -> dict[str, int]:
 
 def shift_distribution(
     quartiles_a: Mapping[str, int], quartiles_b: Mapping[str, int]
-) -> ShiftDistribution:
-    """Distribution of absolute quartile shifts between two classifications."""
+) -> tuple[dict[int, int], dict[int, float], dict[int, float]]:
+    """Count, relative frequency and cumulative relative frequency of each absolute quartile shift (0..3)."""
     if set(quartiles_a) != set(quartiles_b):
         raise ValueError("mismatched entity sets between quartile classifications")
     n = len(quartiles_a)
@@ -287,7 +276,7 @@ def shift_distribution(
     for shift in range(4):
         running += counts[shift]
         cumulative[shift] = running / n
-    return ShiftDistribution(n=n, counts=counts, frequencies=frequencies, cumulative=cumulative)
+    return counts, frequencies, cumulative
 
 
 def top_k_size(percentage: float, n: int) -> int:
@@ -340,8 +329,10 @@ def compare_rankings(
     entities = sorted(common)
     ranks_a = restricted_a.ranks()
     ranks_b = restricted_b.ranks()
-    rho, p = spearman([ranks_a[e] for e in entities], [ranks_b[e] for e in entities])
-    shifts = shift_distribution(quartile_classify(restricted_a), quartile_classify(restricted_b))
+    rho, p = _spearman([ranks_a[e] for e in entities], [ranks_b[e] for e in entities])
+    counts, frequencies, cumulative = shift_distribution(
+        quartile_classify(restricted_a), quartile_classify(restricted_b)
+    )
     return ComparisonReport(
         label_a=a.label,
         label_b=b.label,
@@ -351,8 +342,10 @@ def compare_rankings(
         rho=rho,
         p_value=p,
         strength=strength_label(rho),
-        shifts=shifts,
-        topk_rows=tuple(topk_overlap(restricted_a, restricted_b, percentages)),
+        shift_counts=counts,
+        shift_frequencies=frequencies,
+        shift_cumulative=cumulative,
+        topk=tuple(topk_overlap(restricted_a, restricted_b, percentages)),
     )
 
 
@@ -449,14 +442,7 @@ def render_matrix(matrix: CorrelationMatrix, fmt: str) -> str:
                 ))
         return buffer.getvalue()
     if fmt == "json":
-        payload = {
-            "labels": list(labels),
-            "rho": [list(row) for row in matrix.rho],
-            "p_values": [list(row) for row in matrix.p_values],
-            "significant": [list(row) for row in matrix.significant],
-            "n_common": [list(row) for row in matrix.n_common],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(matrix), indent=2, sort_keys=True) + "\n"
     if fmt == "markdown":
         header = [""] + list(labels)
         rows = []
@@ -477,30 +463,7 @@ def render_matrix(matrix: CorrelationMatrix, fmt: str) -> str:
 def render_comparison(report: ComparisonReport, fmt: str) -> str:
     """Render one pairwise comparison (header, shifts, top-k) as csv, json, or markdown."""
     if fmt == "json":
-        payload = {
-            "label_a": report.label_a,
-            "label_b": report.label_b,
-            "n": report.n,
-            "dropped_a": list(report.dropped_a),
-            "dropped_b": list(report.dropped_b),
-            "rho": report.rho,
-            "p_value": report.p_value,
-            "strength": report.strength,
-            "shift_counts": {str(k): v for k, v in report.shifts.counts.items()},
-            "shift_frequencies": {str(k): v for k, v in report.shifts.frequencies.items()},
-            "shift_cumulative": {str(k): v for k, v in report.shifts.cumulative.items()},
-            "topk": [
-                {
-                    "percentage": row.percentage,
-                    "k": row.k,
-                    "variations": row.variations,
-                    "variation_pct": row.variation_pct,
-                    "empty": row.empty,
-                }
-                for row in report.topk_rows
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         lines = [
             f"# comparison {report.label_a} vs {report.label_b}: n={report.n} "
@@ -509,10 +472,10 @@ def render_comparison(report: ComparisonReport, fmt: str) -> str:
             "section,key,value",
         ]
         for shift in range(4):
-            lines.append(f"shift_frequency,{shift},{report.shifts.frequencies[shift]!r}")
+            lines.append(f"shift_frequency,{shift},{report.shift_frequencies[shift]!r}")
         for shift in range(4):
-            lines.append(f"shift_cumulative,{shift},{report.shifts.cumulative[shift]!r}")
-        for row in report.topk_rows:
+            lines.append(f"shift_cumulative,{shift},{report.shift_cumulative[shift]!r}")
+        for row in report.topk:
             value = "empty" if row.empty else f"{row.variations} out of {row.k}"
             lines.append(f"topk_{row.percentage:g},{value},{row.variation_pct!r}")
         return "\n".join(lines) + "\n"
@@ -528,9 +491,9 @@ def render_comparison(report: ComparisonReport, fmt: str) -> str:
             "### Distribution of quartile shifts",
             "",
         ]
-        shift_rows = [[str(shift), f"{100.0 * report.shifts.frequencies[shift]:.2f}%"] for shift in range(4)]
+        shift_rows = [[str(shift), f"{100.0 * report.shift_frequencies[shift]:.2f}%"] for shift in range(4)]
         shift_rows += [
-            [f"<= {shift}", f"{100.0 * report.shifts.cumulative[shift]:.2f}%"] for shift in range(4)
+            [f"<= {shift}", f"{100.0 * report.shift_cumulative[shift]:.2f}%"] for shift in range(4)
         ]
         out.append(_md_table(["Changes", "Relative frequency"], shift_rows))
         out.append("### Top-percentage variation")
@@ -541,7 +504,7 @@ def render_comparison(report: ComparisonReport, fmt: str) -> str:
                 "-" if row.empty else f"{row.variations} out of {row.k}",
                 "-" if row.empty else f"{row.variation_pct:.2f}%",
             ]
-            for row in report.topk_rows
+            for row in report.topk
         ]
         out.append(_md_table(["Top universities", "Variations", "Percentage"], topk_rows))
         return "\n".join(out)

@@ -186,7 +186,8 @@ def test_compare_rankings_is_symmetric(a, b, direction):
     backward = compare_rankings(ranking_b, ranking_a)
     assert (forward.rho.hex(), forward.p_value.hex()) == (backward.rho.hex(), backward.p_value.hex())
     assert (forward.dropped_a, forward.dropped_b) == (backward.dropped_b, backward.dropped_a)
-    assert (forward.n, forward.shifts) == (backward.n, backward.shifts)
+    for field in ("n", "shift_counts", "shift_frequencies", "shift_cumulative"):
+        assert getattr(forward, field) == getattr(backward, field)
 
 
 FAILING_PROPERTY = """
