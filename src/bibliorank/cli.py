@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import gc
 import sys
 from dataclasses import dataclass, field, fields
@@ -64,6 +63,12 @@ class RunConfig:
     seed: int = 0
     percentages: tuple[float, ...] = rankcmp.DEFAULT_PERCENTAGES
     synth: dict[str, Any] = field(default_factory=dict)
+
+
+def parse_dir(raw: str) -> Path:
+    if not raw.strip():
+        raise ValidationError("directory must not be empty")
+    return Path(raw)
 
 
 def parse_format(raw: str) -> str:
@@ -102,9 +107,9 @@ def parse_percentages(raw: str) -> tuple[float, ...]:
 # A flag's argparse dest names the RunConfig field, or the SynthParams field
 # for the [synth] keys other than seed.
 SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str], Any]]] = {
-    ("io", "out_dir"): ("--out-dir", Path),
+    ("io", "out_dir"): ("--out-dir", parse_dir),
     ("io", "format"): ("--format", parse_format),
-    ("corpus", "dir"): ("--corpus-dir", Path),
+    ("corpus", "dir"): ("--corpus-dir", parse_dir),
     ("analysis", "window"): ("--window", parse_window),
     ("analysis", "percentages"): ("--percentages", parse_percentages),
     ("synth", "seed"): ("--seed", int),
@@ -237,20 +242,12 @@ def cmd_vtr(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sniff_header(path: Path) -> tuple[str, ...]:
-    if not path.exists():
-        raise ValidationError(f"{path}: missing input file")
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValidationError(f"{path.name}:1: empty file, header row required")
-    return tuple(header)
-
-
 def cmd_rank(args: argparse.Namespace) -> int:
     config = build_config(args)
     path = Path(args.input)
-    header = _sniff_header(path)
+    if not path.exists():
+        raise ValidationError(f"{path}: missing input file")
+    header = tuple(next(corpus_mod.read_records(path))[1])
     # (unit, default label, university scores, direction) of each ranking in the file; indicators have no unit.
     found: list[tuple[str | None, str, dict[str, float], str]]
     if header == corpus_mod.SCHEMAS["scores"]:

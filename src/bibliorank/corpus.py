@@ -196,30 +196,40 @@ def read_rows(path: Path, schema: str, required: bool = True) -> Iterator[tuple[
         if required:
             raise ValidationError(f"{name}: missing required input file")
         return
+    records = read_records(path)
+    _, header = next(records)
+    if tuple(header) != columns:
+        raise ValidationError(f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}")
     width = len(columns)
+    for line, row in records:
+        if len(row) != width:
+            if not row:
+                continue  # a blank line
+            raise ValidationError(f"{name}:{line}: wrong number of fields")
+        yield line, row
+
+
+def read_records(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_number, fields)`` for every record of an existing file, the header first.
+
+    An empty file, a record spanning more than one line (a line break
+    inside a quoted field) and a field over the csv module's size limit
+    are refused with the file name and line.
+    """
+    name = path.name
+    previous = 0
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{name}:1: empty file, header row required")
-            if tuple(header) != columns:
-                raise ValidationError(
-                    f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
-                )
-            previous = reader.line_num
             for row in reader:
-                line = reader.line_num
-                if line != previous + 1:
+                if reader.line_num != previous + 1:
                     raise ValidationError(f"{name}:{previous + 1}: line break inside a field")
-                previous = line
-                if len(row) != width:
-                    if not row:
-                        continue  # a blank line
-                    raise ValidationError(f"{name}:{line}: wrong number of fields")
-                yield line, row
+                previous = reader.line_num
+                yield previous, row
         except csv.Error as exc:
             raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
+    if not previous:
+        raise ValidationError(f"{name}:1: empty file, header row required")
 
 
 def _parse_int(name: str, line: int, column: str, raw: str, minimum: int | None = None) -> int:

@@ -412,6 +412,7 @@ def read_ranking_csv(path: Path | str, label: str | None = None) -> RankingList:
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
+    header, *rows = [[cell.replace("|", r"\|") for cell in row] for row in (header, *rows)]
     widths = [len(cell) for cell in header]
     for row in rows:
         for i, cell in enumerate(row):

@@ -48,6 +48,8 @@ class SynthParams:
     peer_noise: float = 0.1
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"synth: seed must be >= 0, got {self.seed}")
         if self.universities < 2:
             raise ValidationError("synth: need at least 2 universities")
         if self.udas < 1 or self.sds_per_uda < 1:
@@ -58,13 +60,19 @@ class SynthParams:
             raise ValidationError("synth: window end precedes start")
         if not 0 < self.staff_min <= self.staff_max:
             raise ValidationError("synth: staff_min/staff_max out of range")
+        if self.max_external_authors < 0:
+            raise ValidationError(f"synth: max_external_authors must be >= 0, got {self.max_external_authors}")
         for name in ("staff_presence", "multi_category_rate", "cross_university_rate",
                      "external_listed_rate", "gradient_strength"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ValidationError(f"synth: {name} must be in [0, 1], got {value}")
-        if self.pubs_per_fte < 0 or self.peer_noise < 0 or self.citation_sigma <= 0:
-            raise ValidationError("synth: rate/noise parameters out of range")
+        for name in ("pubs_per_fte", "peer_noise"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"synth: {name} must be finite and >= 0, got {value}")
+        if not 0 < self.citation_sigma < math.inf:
+            raise ValidationError(f"synth: citation_sigma must be finite and > 0, got {self.citation_sigma}")
 
 
 @dataclass

@@ -40,7 +40,8 @@ def synth_dir(tmp_path_factory) -> Path:
 def run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
 
 
@@ -159,11 +160,20 @@ def test_non_finite_value_rejected_with_file_and_line(tmp_path, capsys, name, bo
     assert not out.exists()
 
 
-def test_rank_rejects_empty_input_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "error: scores_university.csv:1: empty file, header row required"),
+        ("x" * 131073 + ",y\n", "error: scores_university.csv:1: field larger than field limit"),
+    ],
+    ids=["empty", "oversized-header-field"],
+)
+def test_rank_rejects_unreadable_header(tmp_path, capsys, body, message):
     path = tmp_path / "scores_university.csv"
-    path.write_text("", encoding="utf-8")
+    path.write_text(body, encoding="utf-8")
     assert cli.main(["rank", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "scores_university.csv:1: empty file, header row required" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("names", [("X Y", "X_Y"), ("P",)])
@@ -280,16 +290,19 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
         ("[synth]\nuniversites = 50\n", "unknown setting [synth] universites"),
         ("[analysis]\nwindow = 2001\n", "[analysis] window: window must look like 2001-2003"),
         ("[io]\nformat = csv\n[DEFAULT]\nformat = csv\n", "unknown setting [DEFAULT] format"),
+        ("[io]\nout_dir =\n", "[io] out_dir: directory must not be empty"),
+        ("[corpus]\ndir =\n", "[corpus] dir: directory must not be empty"),
     ],
-    ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section"],
+    ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section", "empty-out-dir",
+         "empty-corpus-dir"],
 )
-def test_config_error_exits_2_and_names_the_setting(tmp_path, capsys, text, message):
+def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.ini"
     config.write_text(text, encoding="utf-8")
-    out = tmp_path / "out"
-    assert cli.main(["--config", str(config), "synth", "--out-dir", str(out)]) == 2
+    assert cli.main(["--config", str(config), "synth", "--universities", "3", "--udas", "1", "--sds-per-uda", "1"]) == 2
     assert f"run.ini: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 def test_config_settings_reach_run_and_synth_parameters(tmp_path):
@@ -325,19 +338,32 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
 
 
 @pytest.mark.parametrize(
-    "flag, text, message",
+    "argv, message",
     [
-        ("--universities", "abc", "--universities: invalid literal for int()"),
-        ("--format", "xml", "--format: format must be one of ('csv', 'json', 'markdown'), got 'xml'"),
-        ("--window", "2001", "--window: window must look like 2001-2003, got '2001'"),
+        (["synth", "--universities", "abc"], "--universities: invalid literal for int()"),
+        (["synth", "--format", "xml"], "--format: format must be one of ('csv', 'json', 'markdown'), got 'xml'"),
+        (["synth", "--window", "2001"], "--window: window must look like 2001-2003, got '2001'"),
+        (["synth", "--out-dir", ""], "--out-dir: directory must not be empty"),
+        (["score", "--corpus-dir", ""], "--corpus-dir: directory must not be empty"),
+        (["synth", "--seed", "-1"], "synth: seed must be >= 0, got -1"),
+        (["synth", "--max-external-authors", "-1"], "synth: max_external_authors must be >= 0, got -1"),
+        (["synth", "--pubs-per-fte", "nan"], "synth: pubs_per_fte must be finite and >= 0, got nan"),
+        (["synth", "--pubs-per-fte", "inf"], "synth: pubs_per_fte must be finite and >= 0, got inf"),
+        (["synth", "--citation-sigma", "nan"], "synth: citation_sigma must be finite and > 0, got nan"),
+        (["synth", "--peer-noise", "nan"], "synth: peer_noise must be finite and >= 0, got nan"),
+        (["synth", "--peer-noise", "inf"], "synth: peer_noise must be finite and >= 0, got inf"),
     ],
-    ids=["universities", "format", "window"],
+    ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
+         "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
+         "nan-peer-noise", "inf-peer-noise"],
 )
-def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, capsys, flag, text, message):
-    out = tmp_path / "out"
-    assert cli.main(["synth", flag, text, "--out-dir", str(out)]) == 2
+def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    small = ["--universities", "3", "--udas", "1", "--sds-per-uda", "1"] if argv[0] == "synth" else []
+    # The flag under test comes last, so it wins over these.
+    assert cli.main([argv[0], "--out-dir", "out", *small, *argv[1:]]) == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_synth_reads_its_config_file_once(tmp_path, monkeypatch):

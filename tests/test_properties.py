@@ -206,7 +206,7 @@ def test_failing_property_prints_its_falsifying_example(tmp_path):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject), "test_fails.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout

@@ -492,6 +492,14 @@ def test_render_matrix_csv_quotes_labels():
     assert [row[:2] for row in rows[1:]] == [[a, b] for a in labels for b in labels]
 
 
+def test_render_matrix_markdown_escapes_pipes_in_labels():
+    labels = ["GDP|2003", "P"]
+    rankings = [ranking_from_order([f"e{i:02d}" for i in range(20)], label=label) for label in labels]
+    table = render_matrix(matrix_of(rankings), "markdown").split("\n\n")[0].splitlines()
+    assert table[0] == r"|           | GDP\|2003 | P      |"
+    assert {len(re.findall(r"(?<!\\)\|", line)) for line in table} == {4}
+
+
 def test_render_matrix_formats():
     a = ranking_from_order([f"e{i:02d}" for i in range(20)], label="P")
     b = ranking_from_order([f"e{i:02d}" for i in range(20)], label="NI")
