@@ -199,7 +199,9 @@ def read_rows(path: Path, schema: str, required: bool = True) -> Iterator[tuple[
     records = read_records(path)
     _, header = next(records)
     if tuple(header) != columns:
-        raise ValidationError(f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+        raise ValidationError(
+            f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
+        )
     width = len(columns)
     for line, row in records:
         if len(row) != width:
