@@ -13,7 +13,9 @@ unknown key, exits 2 and names the flag or the setting.
 Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
 Every subcommand computes all its outputs (scores, ratings, rankings and
 every pairwise comparison) before its first write, so a run that exits 2
-writes nothing.
+writes nothing.  No run writes over a file: when any file it would write
+exists already, it exits 2 naming that file, before its first write, so a
+rerun into an old ``--out-dir`` cannot leave stale files beside new ones.
 
 Each run pays only for the machinery it uses.  The ``synth`` module needs
 numpy, so it is imported inside the synth subcommand; ``score``, ``vtr`` and
@@ -38,7 +40,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from . import corpus as corpus_mod
 from . import peer_rating, productivity, rankcmp
@@ -97,6 +99,8 @@ def parse_percentages(raw: str) -> tuple[float, ...]:
             raise ValidationError(f"bad percentage {piece!r}") from None
         if not 0 < value <= 100:
             raise ValidationError(f"percentage must be in (0, 100], got {piece}")
+        if value in values:  # by value, so 50 and 50.0 are one percentage
+            raise ValidationError(f"duplicate percentage {piece}")
         values.append(value)
     if not values:
         raise ValidationError("empty percentages list")
@@ -204,10 +208,30 @@ def _check_labels(rankings: list[rankcmp.RankingList]) -> None:
         seen[safe] = ranking.label
 
 
-def _write_scores(bundle: productivity.ScoreBundle, out: Path) -> None:
-    for level in productivity.LEVELS:
-        productivity.write_score_csv(getattr(bundle, level), out / f"scores_{level}.csv")
-    productivity.write_eligibility_csv(bundle.eligibility, out / "eligibility.csv")
+# Each output file of a run: its path -> (writer, what it writes); writer(what, path) writes it.
+Outputs = dict[Path, tuple[Callable[[Any, Path], None], Any]]
+
+
+def _refuse_existing(paths: Iterable[Path]) -> None:
+    for path in paths:
+        if path.exists():
+            raise ValidationError(f"{path}: output file exists")
+
+
+def _write_outputs(outputs: Outputs) -> None:
+    """Write every output file, once none of them exists, so a run never writes over a file."""
+    _refuse_existing(outputs)
+    for path, (write, data) in outputs.items():
+        write(data, path)
+
+
+def _score_outputs(bundle: productivity.ScoreBundle, out: Path) -> Outputs:
+    outputs: Outputs = {
+        out / f"scores_{level}.csv": (productivity.write_score_csv, getattr(bundle, level))
+        for level in productivity.LEVELS
+    }
+    outputs[out / "eligibility.csv"] = (productivity.write_eligibility_csv, bundle.eligibility)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +243,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     corpus = corpus_mod.load_corpus(_require_corpus_dir(config), config.window)
     bundle = productivity.score_corpus(corpus)
     out = config.out_dir
-    _write_scores(bundle, out)
+    _write_outputs(_score_outputs(bundle, out))
     eligible = sum(1 for e in bundle.eligibility.values() if e.eligible)
     print(
         f"scored {len(corpus.publications)} publications "
@@ -237,7 +261,7 @@ def cmd_vtr(args: argparse.Namespace) -> int:
         raise ValidationError(f"{path}: no peer outcomes" if path.exists() else f"{path}: missing input file")
     rated = peer_rating.rate_outcomes(outcomes)
     out = config.out_dir / "vtr_ratings.csv"
-    peer_rating.write_rated_csv(rated, out)
+    _write_outputs({out: (peer_rating.write_rated_csv, rated)})
     print(f"rated {len(rated)} (university, UDA) cells -> {out}")
     return 0
 
@@ -247,7 +271,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.exists():
         raise ValidationError(f"{path}: missing input file")
-    header = tuple(next(corpus_mod.read_records(path))[1])
+    header = corpus_mod.read_header(path)
     # (unit, default label, university scores, direction) of each ranking in the file; indicators have no unit.
     found: list[tuple[str | None, str, dict[str, float], str]]
     if header == corpus_mod.SCHEMAS["scores"]:
@@ -282,30 +306,38 @@ def cmd_rank(args: argparse.Namespace) -> int:
         rankcmp.build_ranking(scores, direction, args.label or label) for _, label, scores, direction in found
     ]
     _check_labels(rankings)
-    for ranking in rankings:
-        out = config.out_dir / f"ranking_{_safe_label(ranking.label)}.csv"
-        rankcmp.write_ranking_csv(ranking, out)
+    outputs = _ranking_outputs(rankings, config.out_dir)
+    _write_outputs(outputs)
+    for ranking, out in zip(rankings, outputs):
         print(f"ranked {ranking.n} entities ({ranking.label}) -> {out}")
     return 0
 
 
 def _read_rated_csv(path: Path) -> dict[tuple[str, str], float]:
-    name = path.name
     rated: dict[tuple[str, str], float] = {}
-    for line, (raw_university, raw_uda, raw_r, _) in corpus_mod.read_rows(path, "rated"):
-        key = (
-            corpus_mod._require(name, line, "university_id", raw_university),
-            corpus_mod._require(name, line, "uda_id", raw_uda),
-        )
-        if key in rated:
-            raise ValidationError(f"{name}:{line}: duplicate rating for {key}")
-        rated[key] = corpus_mod._parse_float(name, line, "R", raw_r)
+    ids: dict[str, str] = {}  # one str per id across both columns
+    university_of, uda_of = corpus_mod.id_column(ids, "university_id"), corpus_mod.id_column(ids, "uda_id")
+    r_of = corpus_mod.float_column("R")
+
+    def rated_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_university, raw_uda, raw_r, _ = columns
+        keys = list(zip(university_of(raw_university), uda_of(raw_uda)))
+        corpus_mod.check_unique(keys, rated.keys(), lambda key: f"duplicate rating for {key}")
+        rated.update(zip(keys, r_of(raw_r)))
+
+    corpus_mod.read_rows(path, "rated", rated_block)
     return rated
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(text: str, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def _ranking_outputs(rankings: list[rankcmp.RankingList], out: Path) -> Outputs:
+    return {
+        out / f"ranking_{_safe_label(ranking.label)}.csv": (rankcmp.write_ranking_csv, ranking) for ranking in rankings
+    }
 
 
 def _compare_all(
@@ -315,14 +347,15 @@ def _compare_all(
     return reports, rankcmp.correlation_matrix(rankings, reports)
 
 
-def _write_comparisons(
+def _comparison_outputs(
     reports: list[rankcmp.ComparisonReport], matrix: rankcmp.CorrelationMatrix, config: RunConfig, out: Path
-) -> None:
+) -> Outputs:
     ext = _EXT[config.format]
-    _write_text(out / f"correlation_matrix.{ext}", rankcmp.render_matrix(matrix, config.format))
+    outputs: Outputs = {out / f"correlation_matrix.{ext}": (_write_text, rankcmp.render_matrix(matrix, config.format))}
     for report in reports:
         name = f"comparison_{_safe_label(report.label_a)}_vs_{_safe_label(report.label_b)}.{ext}"
-        _write_text(out / name, rankcmp.render_comparison(report, config.format))
+        outputs[out / name] = (_write_text, rankcmp.render_comparison(report, config.format))
+    return outputs
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -332,7 +365,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rankings = [rankcmp.read_ranking_csv(Path(p)) for p in args.rankings]
     _check_labels(rankings)
     reports, matrix = _compare_all(rankings, config)
-    _write_comparisons(reports, matrix, config, config.out_dir)
+    _write_outputs(_comparison_outputs(reports, matrix, config, config.out_dir))
     print(f"compared {len(rankings)} rankings ({len(reports)} pairs) -> {config.out_dir}")
     return 0
 
@@ -340,6 +373,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = build_config(args)
     params = build_synth_params(config)
+    _refuse_existing(vars(corpus_mod.CorpusPaths.from_dir(config.out_dir)).values())
     from .synth import synthesize
 
     data = synthesize(params, config.out_dir)
@@ -367,12 +401,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     reports, matrix = _compare_all(rankings, config)
     rated = peer_rating.rate_outcomes(corpus.peer_outcomes) if corpus.peer_outcomes else None
 
-    _write_scores(bundle, out)
+    outputs = _score_outputs(bundle, out)
     if rated is not None:
-        peer_rating.write_rated_csv(rated, out / "vtr_ratings.csv")
-    for ranking in rankings:
-        rankcmp.write_ranking_csv(ranking, out / f"ranking_{_safe_label(ranking.label)}.csv")
-    _write_comparisons(reports, matrix, config, out)
+        outputs[out / "vtr_ratings.csv"] = (peer_rating.write_rated_csv, rated)
+    outputs.update(_ranking_outputs(rankings, out))
+    outputs.update(_comparison_outputs(reports, matrix, config, out))
+    _write_outputs(outputs)
     print(f"report over {len(rankings)} rankings -> {out}")
     return 0
 

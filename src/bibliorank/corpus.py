@@ -27,21 +27,34 @@ and unit at one level), ``eligibility`` (active staff share per SDS),
 ``rated`` (peer rating and category percentile per cell) and ``ranking``
 (tie-averaged ranks of one indicator).
 
-Every file streams through one positional reader, :func:`read_rows`, which
-yields each data row's fields in ``SCHEMAS`` order and never holds a whole
-file in memory.  Loading is fail-fast: the first violation in file order
-raises :class:`ValidationError` naming the file and line.  The records
-(:class:`AuthorSlot`, :class:`PublicationRecord`, :class:`StaffEntry`) are
-``NamedTuple``s.  A loaded :class:`Corpus` is immutable and safe for
-unrestricted concurrent reads.
+Every file goes through one reader, :func:`read_rows`.  It reads blocks of
+:data:`BLOCK_ROWS` rows and hands each block to its loader as columns in
+``SCHEMAS`` order, so a read holds one block of raw rows, never a whole
+file.  Loaders check a block column by column: a :class:`Column` parses
+each distinct raw value once and gives every row holding it the one
+resulting object, and membership and uniqueness are set operations.  So
+each university, SDS, category, researcher and publication id is one
+shared ``str`` across all files, and the scoring dicts keyed on ids hash
+and compare them cheaply.  Only when a check fails does per-row code run:
+it finds the first bad row of the block.  Loading is fail-fast: the first
+violation in file order raises :class:`ValidationError` naming the file
+and line, with the message of the first check that row fails.  The
+records (:class:`AuthorSlot`, :class:`PublicationRecord`,
+:class:`StaffEntry`) are ``NamedTuple``s.  A loaded :class:`Corpus` is
+immutable and safe for unrestricted concurrent reads.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import compress, islice, repeat
+from operator import is_, itemgetter, le
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import AbstractSet, Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -181,14 +194,34 @@ class CorpusPaths:
 # ---------------------------------------------------------------------------
 # CSV primitives
 
+# Data rows per block.  A read holds one block of raw rows at a time, so its
+# memory beyond what the loaders keep stays bounded whatever the file size.
+BLOCK_ROWS = 4096
 
-def read_rows(path: Path, schema: str, required: bool = True) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_number, fields)`` for each data row, the fields in ``SCHEMAS[schema]`` order.
 
-    Optional files that do not exist yield no rows; existing files must
-    carry exactly the header ``SCHEMAS[schema]``.  Blank lines are
-    skipped.  A row with the wrong number of fields, or a record spanning
-    more than one line (a line break inside a quoted field), is refused.
+class RowFault(Exception):
+    """A failed check at row ``index`` of a block; :func:`read_rows` raises it as ``file:line: message``."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+# check(lines, columns): validate and keep one block; lines[i] is the file line of row i.
+BlockCheck = Callable[[Sequence[int], list[tuple[str, ...]]], None]
+
+
+def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True) -> None:
+    """Pass the data rows of ``path`` to ``check`` in blocks of up to :data:`BLOCK_ROWS` rows, as columns.
+
+    The columns come in ``SCHEMAS[schema]`` order.  Optional files that do
+    not exist give no blocks; existing files must carry exactly the header
+    ``SCHEMAS[schema]``.  Blank lines are skipped.  A row with the wrong
+    number of fields, a record spanning more than one line (a line break
+    inside a quoted field) and a field over the csv module's size limit
+    are refused.  ``check`` raises :class:`RowFault` for a bad row; the
+    error raised names the first bad line in file order, whichever check
+    found it.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -196,78 +229,235 @@ def read_rows(path: Path, schema: str, required: bool = True) -> Iterator[tuple[
         if required:
             raise ValidationError(f"{name}: missing required input file")
         return
-    records = read_records(path)
-    _, header = next(records)
-    if tuple(header) != columns:
-        raise ValidationError(
-            f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
-        )
     width = len(columns)
-    for line, row in records:
-        if len(row) != width:
-            if not row:
-                continue  # a blank line
-            raise ValidationError(f"{name}:{line}: wrong number of fields")
-        yield line, row
+    with _open_csv(path) as (reader, header):
+        if tuple(header) != columns:
+            raise ValidationError(
+                f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
+            )
+        last = 1  # the line the previous block ended on
+        while True:
+            rows: list[list[str]] = []
+            fault = None
+            try:
+                rows.extend(islice(reader, BLOCK_ROWS))  # keeps the rows read before a csv.Error
+            except csv.Error as exc:
+                fault = f"{reader.line_num}: {exc}"
+            count = len(rows)
+            if fault is None and reader.line_num - last == count and {*map(len, rows)} <= {width}:
+                lines: Sequence[int] = range(last + 1, reader.line_num + 1)
+            else:
+                rows, lines, fault = _split_at_fault(rows, last, width, fault)
+            if rows:
+                _check_block(name, check, lines, list(zip(*rows)))
+            if fault is not None:
+                raise ValidationError(f"{name}:{fault}")
+            if count < BLOCK_ROWS:
+                return
+            last = reader.line_num
 
 
-def read_records(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_number, fields)`` for every record of an existing file, the header first.
+def read_header(path: Path) -> tuple[str, ...]:
+    """The header row of an existing file."""
+    with _open_csv(path) as (_, header):
+        return tuple(header)
 
-    An empty file, a record spanning more than one line (a line break
-    inside a quoted field) and a field over the csv module's size limit
-    are refused with the file name and line.
-    """
+
+@contextmanager
+def _open_csv(path: Path) -> Iterator[tuple[Any, list[str]]]:
+    """Open ``path`` and read its header; an empty file or a bad header record is refused."""
     name = path.name
-    previous = 0
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            for row in reader:
-                if reader.line_num != previous + 1:
-                    raise ValidationError(f"{name}:{previous + 1}: line break inside a field")
-                previous = reader.line_num
-                yield previous, row
+            header = next(reader, None)
         except csv.Error as exc:
             raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
-    if not previous:
-        raise ValidationError(f"{name}:1: empty file, header row required")
+        if header is None:
+            raise ValidationError(f"{name}:1: empty file, header row required")
+        if reader.line_num != 1:
+            raise ValidationError(f"{name}:1: line break inside a field")
+        yield reader, header
 
 
-def _parse_int(name: str, line: int, column: str, raw: str, minimum: int | None = None) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{name}:{line}: {column} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{name}:{line}: {column} must be >= {minimum}, got {value}")
-    return value
+def _split_at_fault(
+    rows: list[list[str]], last: int, width: int, fault: str | None
+) -> tuple[list[list[str]], list[int], str | None]:
+    """The well-formed rows before the first malformed one, their lines, and the fault to raise after them.
+
+    Blank lines are dropped.  A record spans several lines exactly when a
+    field holds a line break, so the first such record is the one that
+    moved ``reader.line_num`` past the row count.
+    """
+    kept: list[list[str]] = []
+    lines: list[int] = []
+    for line, row in enumerate(rows, last + 1):
+        if any("\n" in value or "\r" in value for value in row):
+            return kept, lines, f"{line}: line break inside a field"
+        if len(row) != width:
+            if row:
+                return kept, lines, f"{line}: wrong number of fields"
+            continue  # a blank line
+        kept.append(row)
+        lines.append(line)
+    return kept, lines, fault
 
 
-def _parse_float(name: str, line: int, column: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(f"{name}:{line}: {column} must be a number, got {raw!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValidationError(f"{name}:{line}: {column} must be finite, got {raw!r}")
-    return value
+def _check_block(name: str, check: BlockCheck, lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+    """Run ``check`` on a block; after a fault, run it again on the rows before the faulty one.
+
+    Each check is a column-wide test, so the first fault ``check`` meets is
+    the first row failing its first failing test, not yet the first bad row.
+    A rerun on the rows before that one passes every test up to the failed
+    one, so it can only find a fault in a later test and an earlier row.
+    The last fault found is the first bad row, with the first test it fails,
+    as a row-by-row check would report it.
+    """
+    failure = None
+    while lines:
+        try:
+            check(lines, columns)
+            break
+        except RowFault as fault:
+            failure = f"{name}:{lines[fault.index]}: {fault}"
+            lines, columns = lines[: fault.index], [column[: fault.index] for column in columns]
+    if failure is not None:
+        raise ValidationError(failure)
 
 
-def _parse_bool(name: str, line: int, column: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"{name}:{line}: {column} must be true/false, got {raw!r}")
+class Column:
+    """Parses the raw values of one column, each distinct raw value once.
+
+    Rows with equal raw values get the one resulting object.  ``parse``
+    raises ``ValueError`` with the message for a bad value; the first row
+    holding a bad value faults.
+    """
+
+    def __init__(self, parse: Callable[[str], Any], memo: dict | None = None) -> None:
+        self.parse = parse
+        self.memo: dict = {} if memo is None else memo
+
+    def __call__(self, raw_values: Sequence) -> list:
+        memo = self.memo
+        try:
+            return list(map(memo.__getitem__, raw_values))
+        except KeyError:
+            pass  # some values are new
+        failed: dict = {}
+        for raw in set(raw_values).difference(memo):
+            try:
+                memo[raw] = self.parse(raw)
+            except ValueError as exc:
+                failed[raw] = str(exc)
+        if failed:
+            index = _first_in(raw_values, failed)
+            raise RowFault(index, failed[raw_values[index]])
+        return list(map(memo.__getitem__, raw_values))
 
 
-def _require(name: str, line: int, column: str, raw: str) -> str:
-    value = raw.strip()
-    if not value:
-        raise ValidationError(f"{name}:{line}: {column} must not be empty")
-    return value
+def id_column(ids: dict[str, str], column: str, optional: bool = False) -> Column:
+    """Stripped ids, one shared ``str`` per id across every column built on ``ids``.
+
+    An empty id is refused, or read as ``None`` when ``optional``.
+    """
+
+    def parse(raw: str) -> str | None:
+        value = raw.strip()
+        if not value:
+            if optional:
+                return None
+            raise ValueError(f"{column} must not be empty")
+        return ids.setdefault(value, value)
+
+    # A required id maps each raw value straight to the shared str, so all such columns share one memo.
+    return Column(parse, None if optional else ids)
+
+
+def choice_column(column: str, choices: tuple[str, ...]) -> Column:
+    def parse(raw: str) -> str:
+        value = raw.strip()
+        if not value:
+            raise ValueError(f"{column} must not be empty")
+        if value not in choices:
+            raise ValueError(f"{column} must be one of {choices}, got {value!r}")
+        return value
+
+    return Column(parse)
+
+
+def int_column(column: str, minimum: int | None = None, optional: bool = False) -> Column:
+    """Integers of at least ``minimum``; when ``optional``, a blank value reads as ``None``."""
+
+    def parse(raw: str) -> int | None:
+        if optional:
+            raw = raw.strip()
+            if not raw:
+                return None
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{column} must be an integer, got {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{column} must be >= {minimum}, got {value}")
+        return value
+
+    return Column(parse)
+
+
+def float_column(column: str, upper: float | None = None) -> Column:
+    """Finite numbers, in (0, ``upper``] when ``upper`` is given."""
+
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"{column} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{column} must be finite, got {raw!r}")
+        if upper is not None and not 0 < value <= upper:
+            raise ValueError(f"{column} must be in (0, {upper}], got {value:g}")
+        return value
+
+    return Column(parse)
+
+
+def bool_column(column: str) -> Column:
+    def parse(raw: str) -> bool:
+        lowered = raw.strip().lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ValueError(f"{column} must be true/false, got {raw!r}")
+
+    return Column(parse)
+
+
+def _first_in(values: Sequence, bad: Collection) -> int:
+    return next(index for index, value in enumerate(values) if value in bad)
+
+
+def check_known(
+    values: Sequence, known: Collection, message: Callable[[Any], str], rows: Sequence[int] | None = None
+) -> None:
+    """Fault at the first of ``values`` missing from ``known``; ``rows[i]`` is the block row of ``values[i]``."""
+    missing = set(values).difference(known)
+    if missing:
+        index = _first_in(values, missing)
+        raise RowFault(index if rows is None else rows[index], message(values[index]))
+
+
+def check_unique(
+    values: Sequence, seen: AbstractSet, message: Callable[[Any], str], rows: Sequence[int] | None = None
+) -> None:
+    """Fault at the first of ``values`` met before, in ``seen`` or earlier in the block."""
+    if len(set(values)) == len(values) and seen.isdisjoint(values):
+        return
+    met: set = set()
+    for index, value in enumerate(values):
+        if value in seen or value in met:
+            raise RowFault(index if rows is None else rows[index], message(value))
+        met.add(value)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +469,8 @@ def load_corpus(paths: CorpusPaths | Path | str, window: tuple[int, int]) -> Cor
 
     Publications dated outside ``window`` and publications without any
     domestic author slot are dropped and counted on the returned corpus;
-    every other violation raises :class:`ValidationError`.
+    every other violation raises :class:`ValidationError`.  Every id is
+    one shared ``str`` object across all files.
     """
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
@@ -288,16 +479,17 @@ def load_corpus(paths: CorpusPaths | Path | str, window: tuple[int, int]) -> Cor
         raise ValidationError(f"window {start}-{end}: end year precedes start year")
     window_len = end - start + 1
 
-    taxonomy = _load_taxonomy(paths)
-    staff = _load_staff(paths.staff, taxonomy, window_len)
+    ids: dict[str, str] = {}
+    taxonomy = _load_taxonomy(paths, ids)
+    staff = _load_staff(paths.staff, taxonomy, window_len, ids)
     universities = {e.university_id for e in staff}
     pairs = {(e.university_id, e.sds_id) for e in staff}
 
     publications, out_of_window, no_domestic = _load_publications(
-        paths, taxonomy, universities, pairs, window
+        paths, taxonomy, universities, pairs, window, ids
     )
-    peer_outcomes = read_peer_outcomes_csv(paths.peer_outcomes)
-    indicators = read_indicators_csv(paths.indicators)
+    peer_outcomes = read_peer_outcomes_csv(paths.peer_outcomes, ids)
+    indicators = read_indicators_csv(paths.indicators, ids)
 
     return Corpus(
         window=window,
@@ -311,38 +503,45 @@ def load_corpus(paths: CorpusPaths | Path | str, window: tuple[int, int]) -> Cor
     )
 
 
-def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
-    name = paths.taxonomy.name
+def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str]) -> Taxonomy:
     sds_to_uda: dict[str, str] = {}
     life_sds: set[str] = set()
-    for line, (raw_sds, raw_uda, raw_life) in read_rows(paths.taxonomy, "taxonomy"):
-        sds = _require(name, line, "sds_id", raw_sds)
-        uda = _require(name, line, "uda_id", raw_uda)
-        if sds in sds_to_uda:
-            raise ValidationError(f"{name}:{line}: duplicate sds_id {sds!r}")
-        sds_to_uda[sds] = uda
-        if _parse_bool(name, line, "is_life_science", raw_life):
-            life_sds.add(sds)
+    sds_of, uda_of, life_of = id_column(ids, "sds_id"), id_column(ids, "uda_id"), bool_column("is_life_science")
 
-    macro_name = paths.macro_map.name
+    def taxonomy_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_sds, raw_uda, raw_life = columns
+        sds, udas = sds_of(raw_sds), uda_of(raw_uda)
+        check_unique(sds, sds_to_uda.keys(), lambda value: f"duplicate sds_id {value!r}")
+        life = life_of(raw_life)
+        sds_to_uda.update(zip(sds, udas))
+        life_sds.update(compress(sds, life))
+
+    read_rows(paths.taxonomy, "taxonomy", taxonomy_block)
+
     uda_to_macro: dict[str, str] = {}
-    for line, (raw_uda, raw_macro) in read_rows(paths.macro_map, "macro_map", required=False):
-        uda = _require(macro_name, line, "uda_id", raw_uda)
-        macro = _require(macro_name, line, "macro_id", raw_macro)
-        if uda in uda_to_macro:
-            raise ValidationError(f"{macro_name}:{line}: duplicate uda_id {uda!r}")
-        uda_to_macro[uda] = macro
+    macro_of = id_column(ids, "macro_id")
 
-    cat_name = paths.categories.name
-    life_categories: set[str] = set()
+    def macro_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_uda, raw_macro = columns
+        udas, macros = uda_of(raw_uda), macro_of(raw_macro)
+        check_unique(udas, uda_to_macro.keys(), lambda value: f"duplicate uda_id {value!r}")
+        uda_to_macro.update(zip(udas, macros))
+
+    read_rows(paths.macro_map, "macro_map", macro_block, required=False)
+
     seen_cats: set[str] = set()
-    for line, (raw_cat, raw_life) in read_rows(paths.categories, "categories", required=False):
-        cat = _require(cat_name, line, "category_id", raw_cat)
-        if cat in seen_cats:
-            raise ValidationError(f"{cat_name}:{line}: duplicate category_id {cat!r}")
-        seen_cats.add(cat)
-        if _parse_bool(cat_name, line, "is_life_science", raw_life):
-            life_categories.add(cat)
+    life_categories: set[str] = set()
+    category_of = id_column(ids, "category_id")
+
+    def categories_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_cat, raw_life = columns
+        cats = category_of(raw_cat)
+        check_unique(cats, seen_cats, lambda value: f"duplicate category_id {value!r}")
+        life = life_of(raw_life)
+        seen_cats.update(cats)
+        life_categories.update(compress(cats, life))
+
+    read_rows(paths.categories, "categories", categories_block, required=False)
 
     return Taxonomy(
         sds_to_uda={k: sds_to_uda[k] for k in sorted(sds_to_uda)},
@@ -352,27 +551,26 @@ def _load_taxonomy(paths: CorpusPaths) -> Taxonomy:
     )
 
 
-def _load_staff(path: Path, taxonomy: Taxonomy, window_len: int) -> tuple[StaffEntry, ...]:
-    name = path.name
+def _load_staff(path: Path, taxonomy: Taxonomy, window_len: int, ids: dict[str, str]) -> tuple[StaffEntry, ...]:
     entries: list[StaffEntry] = []
     seen: set[tuple[str, str, str]] = set()
-    for line, (raw_researcher, raw_university, raw_sds, raw_years) in read_rows(path, "staff"):
-        researcher = _require(name, line, "researcher_id", raw_researcher)
-        university = _require(name, line, "university_id", raw_university)
-        sds = _require(name, line, "sds_id", raw_sds)
-        years = _parse_float(name, line, "years_on_staff", raw_years)
-        if not 0 < years <= window_len:
-            raise ValidationError(
-                f"{name}:{line}: years_on_staff must be in (0, {window_len}], got {years:g}"
-            )
-        if sds not in taxonomy.sds_to_uda:
-            raise ValidationError(f"{name}:{line}: sds {sds!r} has no UDA in taxonomy.csv")
-        key = (researcher, university, sds)
-        if key in seen:
-            raise ValidationError(f"{name}:{line}: duplicate staff entry {key}")
-        seen.add(key)
-        entries.append(StaffEntry(researcher, university, sds, years))
-    entries.sort(key=lambda e: (e.researcher_id, e.university_id, e.sds_id))
+    researcher_of, university_of, sds_of = (
+        id_column(ids, "researcher_id"), id_column(ids, "university_id"), id_column(ids, "sds_id")
+    )
+    years_of = float_column("years_on_staff", upper=window_len)
+
+    def staff_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_researcher, raw_university, raw_sds, raw_years = columns
+        researchers, universities, sds = researcher_of(raw_researcher), university_of(raw_university), sds_of(raw_sds)
+        years = years_of(raw_years)
+        check_known(sds, taxonomy.sds_to_uda, lambda value: f"sds {value!r} has no UDA in taxonomy.csv")
+        keys = list(zip(researchers, universities, sds))
+        check_unique(keys, seen, lambda key: f"duplicate staff entry {key}")
+        seen.update(keys)
+        entries.extend(_records(StaffEntry, researchers, universities, sds, years))
+
+    read_rows(path, "staff", staff_block)
+    entries.sort(key=itemgetter(0, 1, 2))  # (researcher_id, university_id, sds_id)
     return tuple(entries)
 
 
@@ -382,119 +580,153 @@ def _load_publications(
     universities: set[str],
     pairs: set[tuple[str, str]],
     window: tuple[int, int],
+    ids: dict[str, str],
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
-    name = paths.publications.name
-    heads: dict[str, tuple[int, int, str, int, int]] = {}  # pub_id -> (line, year, doc_type, citations, total)
-    for line, (raw_pid, raw_year, raw_doc_type, raw_citations, raw_total) in read_rows(
-        paths.publications, "publications"
-    ):
-        pid = _require(name, line, "pub_id", raw_pid)
-        if pid in heads:
-            raise ValidationError(f"{name}:{line}: duplicate pub_id {pid!r}")
-        year = _parse_int(name, line, "year", raw_year)
-        doc_type = _require(name, line, "doc_type", raw_doc_type)
-        if doc_type not in DOC_TYPES:
-            raise ValidationError(f"{name}:{line}: doc_type must be one of {DOC_TYPES}, got {doc_type!r}")
-        citations = _parse_int(name, line, "citations", raw_citations, minimum=0)
-        total = _parse_int(name, line, "total_author_count", raw_total, minimum=1)
-        heads[pid] = (line, year, doc_type, citations, total)
+    pub_id_of = id_column(ids, "pub_id")
+    heads: dict[str, tuple[int, str, int, int]] = {}  # pub_id -> (year, doc_type, citations, total)
+    year_of, doc_type_of = int_column("year"), choice_column("doc_type", DOC_TYPES)
+    citations_of, total_of = int_column("citations", minimum=0), int_column("total_author_count", minimum=1)
 
-    cat_name = paths.pub_categories.name
-    categories: dict[str, dict[str, float]] = {pid: {} for pid in heads}  # in file order, so weight sums are stable
-    for line, (raw_pid, raw_cat, raw_weight) in read_rows(paths.pub_categories, "pub_categories"):
-        pid = _require(cat_name, line, "pub_id", raw_pid)
-        if pid not in heads:
-            raise ValidationError(f"{cat_name}:{line}: unknown pub_id {pid!r}")
-        cat = _require(cat_name, line, "category_id", raw_cat)
-        weight = _parse_float(cat_name, line, "weight", raw_weight)
-        if not 0 < weight <= 1:
-            raise ValidationError(f"{cat_name}:{line}: weight must be in (0, 1], got {weight:g}")
-        pub_cats = categories[pid]
-        if cat in pub_cats:
-            raise ValidationError(f"{cat_name}:{line}: duplicate category {cat!r} for pub {pid!r}")
-        pub_cats[cat] = weight
+    def publications_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_pid, raw_year, raw_doc_type, raw_citations, raw_total = columns
+        pids = pub_id_of(raw_pid)
+        check_unique(pids, heads.keys(), lambda pid: f"duplicate pub_id {pid!r}")
+        years, doc_types = year_of(raw_year), doc_type_of(raw_doc_type)
+        citations, totals = citations_of(raw_citations), total_of(raw_total)
+        heads.update(zip(pids, zip(years, doc_types, citations, totals)))
 
-    auth_name = paths.pub_authors.name
-    authors: dict[str, list[AuthorSlot]] = {pid: [] for pid in heads}
-    positions: dict[str, list[int]] = {pid: [] for pid in heads}  # lists: a set per pub adds ~18 MB at 95k pubs
-    for line, (raw_pid, raw_pos, raw_domestic, raw_university, raw_sds) in read_rows(
-        paths.pub_authors, "pub_authors"
-    ):
-        pid = _require(auth_name, line, "pub_id", raw_pid)
-        if pid not in heads:
-            raise ValidationError(f"{auth_name}:{line}: unknown pub_id {pid!r}")
-        total = heads[pid][4]
-        raw_pos = raw_pos.strip()
-        position = None
-        if raw_pos:
-            position = _parse_int(auth_name, line, "position", raw_pos, minimum=1)
-            if position > total:
-                raise ValidationError(
-                    f"{auth_name}:{line}: position {position} exceeds total_author_count {total}"
-                )
-            taken = positions[pid]
-            if position in taken:
-                raise ValidationError(f"{auth_name}:{line}: duplicate position {position} for pub {pid!r}")
-            taken.append(position)
-        domestic = _parse_bool(auth_name, line, "is_domestic_academic", raw_domestic)
-        university = raw_university.strip() or None
-        sds = raw_sds.strip() or None
-        if domestic:
-            if university is None or sds is None:
-                raise ValidationError(
-                    f"{auth_name}:{line}: domestic author requires university_id and sds_id"
-                )
-            if university not in universities:
-                raise ValidationError(
-                    f"{auth_name}:{line}: university {university!r} absent from staff roster"
-                )
-            if sds not in taxonomy.sds_to_uda:
-                raise ValidationError(f"{auth_name}:{line}: sds {sds!r} has no UDA in taxonomy.csv")
-            if (university, sds) not in pairs:
-                raise ValidationError(
-                    f"{auth_name}:{line}: no staff entry for ({university!r}, {sds!r})"
-                )
-        authors[pid].append(AuthorSlot(position, university, sds, domestic))
+    read_rows(paths.publications, "publications", publications_block)
 
+    def unknown_pub(pid: str) -> str:
+        return f"unknown pub_id {pid!r}"
+
+    # Rows of the two per-publication files, kept flat: the pub_id of each row and its
+    # (category_id, weight) or AuthorSlot.  (pub_id, category_id) and (pub_id, position) keys
+    # catch duplicates.
+    category_pids: list[str] = []
+    category_items: list[tuple[str, float]] = []
+    category_keys: set[tuple[str, str]] = set()
+    category_of, weight_of = id_column(ids, "category_id"), float_column("weight", upper=1)
+
+    def categories_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_pid, raw_cat, raw_weight = columns
+        pids = pub_id_of(raw_pid)
+        check_known(pids, heads, unknown_pub)
+        cats, weights = category_of(raw_cat), weight_of(raw_weight)
+        keys = list(zip(pids, cats))
+        check_unique(keys, category_keys, lambda key: f"duplicate category {key[1]!r} for pub {key[0]!r}")
+        category_keys.update(keys)
+        category_pids.extend(pids)
+        category_items.extend(zip(cats, weights))
+
+    read_rows(paths.pub_categories, "pub_categories", categories_block)
+    category_keys.clear()
+
+    slot_pids: list[str] = []
+    slots: list[AuthorSlot] = []
+    position_keys: set[tuple[str, int]] = set()
+    unplaced: set[str] = set()  # publications with a slot of unknown position
+    position_of = int_column("position", minimum=1, optional=True)
+    domestic_of = bool_column("is_domestic_academic")
+    university_of = id_column(ids, "university_id", optional=True)
+    sds_of = id_column(ids, "sds_id", optional=True)
+
+    def authors_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_pid, raw_position, raw_domestic, raw_university, raw_sds = columns
+        pids = pub_id_of(raw_pid)
+        check_known(pids, heads, unknown_pub)
+        positions = position_of(raw_position)
+        placed = list(compress(range(len(pids)), positions))  # rows with a known position
+        placed_pids = list(compress(pids, positions))
+        placed_positions = list(compress(positions, positions))
+        totals = list(map(itemgetter(3), map(heads.__getitem__, placed_pids)))
+        if not all(map(le, placed_positions, totals)):
+            index = next(i for i, (position, total) in enumerate(zip(placed_positions, totals)) if position > total)
+            raise RowFault(
+                placed[index], f"position {placed_positions[index]} exceeds total_author_count {totals[index]}"
+            )
+        keys = list(zip(placed_pids, placed_positions))
+        check_unique(keys, position_keys, lambda key: f"duplicate position {key[1]} for pub {key[0]!r}", placed)
+        domestic = domestic_of(raw_domestic)
+        universities_, sds = university_of(raw_university), sds_of(raw_sds)
+        rows = list(compress(range(len(pids)), domestic))
+        domestic_universities = list(compress(universities_, domestic))
+        domestic_sds = list(compress(sds, domestic))
+        if None in domestic_universities or None in domestic_sds:
+            index = next(i for i, key in enumerate(zip(domestic_universities, domestic_sds)) if None in key)
+            raise RowFault(rows[index], "domestic author requires university_id and sds_id")
+        check_known(
+            domestic_universities, universities,
+            lambda university: f"university {university!r} absent from staff roster", rows,
+        )
+        check_known(domestic_sds, taxonomy.sds_to_uda, lambda value: f"sds {value!r} has no UDA in taxonomy.csv", rows)
+        check_known(
+            list(zip(domestic_universities, domestic_sds)), pairs,
+            lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})", rows,
+        )
+        position_keys.update(keys)
+        unplaced.update(compress(pids, map(is_, positions, repeat(None))))
+        slot_pids.extend(pids)
+        slots.extend(_records(AuthorSlot, positions, universities_, sds, domestic))
+
+    read_rows(paths.pub_authors, "pub_authors", authors_block)
+    position_keys.clear()
+
+    cat_name, auth_name = paths.pub_categories.name, paths.pub_authors.name
+    life_categories = taxonomy.life_science_categories
+    shared: dict[tuple, tuple] = {}  # equal category tuples share one object
     publications: list[PublicationRecord] = []
     out_of_window = 0
     no_domestic = 0
     start, end = window
-    for pid in sorted(heads):
-        line, year, doc_type, citations, total = heads[pid]
-        cats = categories[pid]
+    order = sorted(heads)
+    for pid, cats, pub_slots in zip(
+        order, _runs(order, category_pids, category_items), _runs(order, slot_pids, slots)
+    ):
+        year, doc_type, citations, total = heads[pid]
         if not cats:
             raise ValidationError(f"{cat_name}: pub {pid!r}: no categories listed")
-        weight_sum = sum(cats.values())
+        weight_sum = sum(map(itemgetter(1), cats))  # in file order, so the sum is stable
         if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"{cat_name}: pub {pid!r}: weights sum {weight_sum:g}")
-        slots = authors[pid]
-        if len(slots) > total:
+        if len(pub_slots) > total:
             raise ValidationError(
-                f"{auth_name}: pub {pid!r}: {len(slots)} listed authors exceed total_author_count {total}"
+                f"{auth_name}: pub {pid!r}: {len(pub_slots)} listed authors exceed total_author_count {total}"
             )
-        life_science = not taxonomy.life_science_categories.isdisjoint(cats)
-        if life_science and any(slot.position is None for slot in slots):
+        if pid in unplaced and any(cat in life_categories for cat, _ in cats):
             raise ValidationError(
                 f"{auth_name}: pub {pid!r}: life-science publication with unknown author positions"
             )
-        record = PublicationRecord(
-            pub_id=pid,
-            year=year,
-            doc_type=doc_type,
-            citations=citations,
-            categories=tuple(sorted(cats.items())),
-            authors=tuple(sorted(slots, key=_byline_order)),
-            total_author_count=total,
-        )
         if not start <= year <= end:
             out_of_window += 1
             continue
-        if not any(slot.is_domestic_academic for slot in record.authors):
+        if not any(map(itemgetter(3), pub_slots)):  # no domestic academic
             no_domestic += 1
             continue
-        publications.append(record)
+        cat_items = tuple(sorted(cats))
+        # Known positions are unique per publication, so they alone give the byline order.
+        pub_slots.sort(key=_byline_order if pid in unplaced else itemgetter(0))
+        publications.append(PublicationRecord(
+            pid, year, doc_type, citations, shared.setdefault(cat_items, cat_items), tuple(pub_slots), total
+        ))
     return tuple(publications), out_of_window, no_domestic
+
+
+def _runs(ids: list[str], keys: list[str], items: list) -> Iterator[list]:
+    """For each of the sorted ``ids`` in turn, the ``items`` whose key is that id, in their original order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable, so original order within an id
+    ordered = list(map(items.__getitem__, order))
+    counts = Counter(keys)
+    start = 0
+    for key in ids:
+        end = start + counts[key]
+        yield ordered[start:end]
+        start = end
+
+
+def _records(cls: type[tuple], *columns: Iterable) -> Iterator:
+    """``cls`` records (a ``NamedTuple``) from their field columns, without a Python call per record."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
 
 
 def _byline_order(slot: AuthorSlot) -> tuple:
@@ -503,50 +735,57 @@ def _byline_order(slot: AuthorSlot) -> tuple:
     return (position is None, position or 0, slot.university_id or "", slot.sds_id or "", slot.is_domestic_academic)
 
 
-def read_peer_outcomes_csv(path: Path) -> tuple[PeerOutcome, ...]:
+def read_peer_outcomes_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[PeerOutcome, ...]:
     """Read peer-review grade counts; the total T is the sum of the four grades."""
-    name = path.name
+    ids = {} if ids is None else ids
     outcomes: list[PeerOutcome] = []
     seen: set[tuple[str, str]] = set()
-    for line, (raw_university, raw_uda, *raw_counts) in read_rows(path, "peer_outcomes", required=False):
-        university = _require(name, line, "university_id", raw_university)
-        uda = _require(name, line, "uda_id", raw_uda)
-        counts = tuple(
-            _parse_int(name, line, grade, raw, minimum=0) for grade, raw in zip(("E", "G", "A", "L"), raw_counts)
-        )
-        total = sum(counts)
-        if total < 1:
-            raise ValidationError(f"{name}:{line}: all grade counts are zero")
-        key = (university, uda)
-        if key in seen:
-            raise ValidationError(f"{name}:{line}: duplicate outcome for {key}")
-        seen.add(key)
-        outcomes.append(PeerOutcome(university, uda, *counts, T=total))
+    university_of, uda_of = id_column(ids, "university_id"), id_column(ids, "uda_id")
+    count_of = [int_column(grade, minimum=0) for grade in ("E", "G", "A", "L")]
+
+    def outcomes_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_university, raw_uda, *raw_counts = columns
+        universities, udas = university_of(raw_university), uda_of(raw_uda)
+        counts = [parse(raw) for parse, raw in zip(count_of, raw_counts)]
+        totals = list(map(sum, zip(*counts)))
+        if 0 in totals:
+            raise RowFault(totals.index(0), "all grade counts are zero")
+        keys = list(zip(universities, udas))
+        check_unique(keys, seen, lambda key: f"duplicate outcome for {key}")
+        seen.update(keys)
+        outcomes.extend(map(PeerOutcome, universities, udas, *counts, totals))
+
+    read_rows(path, "peer_outcomes", outcomes_block, required=False)
     outcomes.sort(key=lambda o: (o.uda_id, o.university_id))
     return tuple(outcomes)
 
 
-def read_indicators_csv(path: Path) -> tuple[IndicatorTable, ...]:
+def read_indicators_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[IndicatorTable, ...]:
     """Read external indicator values, one table per indicator name."""
-    name = path.name
+    ids = {} if ids is None else ids
     directions: dict[str, str] = {}
     values: dict[str, dict[str, float]] = {}
-    for line, (raw_indicator, raw_direction, raw_university, raw_value) in read_rows(
-        path, "indicators", required=False
-    ):
-        indicator = _require(name, line, "indicator_name", raw_indicator)
-        direction = _require(name, line, "direction", raw_direction)
-        if direction not in DIRECTIONS:
-            raise ValidationError(f"{name}:{line}: direction must be one of {DIRECTIONS}, got {direction!r}")
-        university = _require(name, line, "university_id", raw_university)
-        value = _parse_float(name, line, "value", raw_value)
-        if indicator in directions and directions[indicator] != direction:
-            raise ValidationError(f"{name}:{line}: conflicting direction for indicator {indicator!r}")
-        directions[indicator] = direction
-        table = values.setdefault(indicator, {})
-        if university in table:
-            raise ValidationError(f"{name}:{line}: duplicate university_id {university!r} for {indicator!r}")
-        table[university] = value
+    indicator_of, university_of = id_column(ids, "indicator_name"), id_column(ids, "university_id")
+    direction_of, value_of = choice_column("direction", DIRECTIONS), float_column("value")
+
+    def indicators_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_indicator, raw_direction, raw_university, raw_value = columns
+        indicators, block_directions = indicator_of(raw_indicator), direction_of(raw_direction)
+        universities, block_values = university_of(raw_university), value_of(raw_value)
+        first = dict(zip(reversed(indicators), reversed(block_directions)))  # each indicator's first direction
+        first.update((indicator, directions[indicator]) for indicator in first.keys() & directions.keys())
+        check_known(
+            list(zip(indicators, block_directions)), first.items(),
+            lambda pair: f"conflicting direction for indicator {pair[0]!r}",
+        )
+        keys = list(zip(indicators, universities))
+        earlier = {(indicator, university) for indicator in first for university in values.get(indicator, ())}
+        check_unique(keys, earlier, lambda key: f"duplicate university_id {key[1]!r} for {key[0]!r}")
+        directions.update(first)
+        for (indicator, university), value in zip(keys, block_values):
+            values.setdefault(indicator, {})[university] = value
+
+    read_rows(path, "indicators", indicators_block, required=False)
     return tuple(
         IndicatorTable(indicator, directions[indicator], {k: values[indicator][k] for k in sorted(values[indicator])})
         for indicator in sorted(values)

@@ -17,10 +17,11 @@ from __future__ import annotations
 import logging
 import statistics
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import Corpus, StaffEntry, _parse_float, _require, read_rows, write_csv
+from .corpus import Column, Corpus, RowFault, StaffEntry, check_unique, float_column, id_column, read_rows, write_csv
 from .errors import ValidationError
 from .scoring import CreditShare, compute_baselines, credit_shares
 
@@ -99,11 +100,13 @@ def sds_productivity(
     if window_len <= 0:
         raise ValueError(f"window {window} has non-positive length")
     rs: dict[tuple[str, str], float] = {}
-    for entry in sorted(roster, key=lambda e: (e.university_id, e.sds_id, e.researcher_id)):
+    # Sorting on the researcher (below, the pub) id alone gives each (university, SDS) key its terms in the order
+    # the full (university, SDS, id) key gave them; the sorts are stable, so ties keep input order either way.
+    for entry in sorted(roster, key=attrgetter("researcher_id")):
         key = (entry.university_id, entry.sds_id)
         rs[key] = rs.get(key, 0.0) + entry.years_on_staff
     numerators: dict[tuple[str, str], float] = {}
-    for share in sorted(shares, key=lambda s: (s.university_id, s.sds_id, s.pub_id)):
+    for share in sorted(shares, key=attrgetter("pub_id")):
         key = (share.university_id, share.sds_id)
         if key not in rs:
             raise ValueError(f"orphan credit: shares for {key} but no staff time equivalent")
@@ -205,24 +208,34 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
 def read_score_csv(path) -> ScoreTable:
     """Read a score table written by :func:`write_score_csv`; ``unit_id`` is empty at university level."""
     path = Path(path)
-    name = path.name
     entries: dict[tuple[str, str], ScoreEntry] = {}
-    level: str | None = None
-    for line, (raw_level, raw_university, raw_unit, raw_p, raw_rs) in read_rows(path, "scores"):
-        row_level = raw_level.strip()
+    level: str | None = None  # the level of the file's first row
+
+    def parse_level(raw: str) -> str:
+        row_level = raw.strip()
         if row_level not in LEVELS:
-            raise ValidationError(f"{name}:{line}: unknown level {row_level!r}")
-        if level is None:
-            level = row_level
-        elif row_level != level:
-            raise ValidationError(f"{name}:{line}: mixed levels {level!r} and {row_level!r}")
-        key = (_require(name, line, "university_id", raw_university), raw_unit.strip())
-        if key in entries:
-            raise ValidationError(f"{name}:{line}: duplicate entry {key}")
-        p_value = _parse_float(name, line, "P", raw_p)
-        entries[key] = ScoreEntry(p_value, _parse_float(name, line, "RS", raw_rs))
+            raise ValueError(f"unknown level {row_level!r}")
+        return row_level
+
+    level_of, university_of, unit_of = Column(parse_level), id_column({}, "university_id"), Column(str.strip)
+    p_of, rs_of = float_column("P"), float_column("RS")
+
+    def scores_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        nonlocal level
+        raw_level, raw_university, raw_unit, raw_p, raw_rs = columns
+        levels = level_of(raw_level)
+        file_level = level or levels[0]
+        if levels.count(file_level) != len(levels):
+            index = next(i for i, row_level in enumerate(levels) if row_level != file_level)
+            raise RowFault(index, f"mixed levels {file_level!r} and {levels[index]!r}")
+        keys = list(zip(university_of(raw_university), unit_of(raw_unit)))
+        check_unique(keys, entries.keys(), lambda key: f"duplicate entry {key}")
+        entries.update(zip(keys, map(ScoreEntry, p_of(raw_p), rs_of(raw_rs))))
+        level = file_level
+
+    read_rows(path, "scores", scores_block)
     if level is None:
-        raise ValidationError(f"{name}: empty score table")
+        raise ValidationError(f"{path.name}: empty score table")
     return ScoreTable(level=level, entries=dict(sorted(entries.items())), national_means={})
 
 

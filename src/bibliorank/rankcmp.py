@@ -34,7 +34,9 @@ from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, _parse_float, _require, read_rows, write_csv
+from .corpus import (
+    DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column, read_rows, write_csv,
+)
 from .errors import ValidationError
 
 DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -373,14 +375,16 @@ def read_ranking_csv(path: Path | str, label: str | None = None) -> RankingList:
     name = path.name
     entries: list[RankEntry] = []
     lines: dict[str, int] = {}
-    for line, (raw_entity, raw_score, raw_rank) in read_rows(path, "ranking"):
-        entity = _require(name, line, "entity_id", raw_entity)
-        if entity in lines:
-            raise ValidationError(f"{name}:{line}: duplicate entity {entity!r}")
-        lines[entity] = line
-        score = _parse_float(name, line, "score", raw_score)
-        rank = _parse_float(name, line, "rank", raw_rank)
-        entries.append(RankEntry(entity, score, rank))
+    entity_of, score_of, rank_of = id_column({}, "entity_id"), float_column("score"), float_column("rank")
+
+    def ranking_block(block_lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_entity, raw_score, raw_rank = columns
+        entities = entity_of(raw_entity)
+        check_unique(entities, lines.keys(), lambda entity: f"duplicate entity {entity!r}")
+        entries.extend(map(RankEntry, entities, score_of(raw_score), rank_of(raw_rank)))
+        lines.update(zip(entities, block_lines))
+
+    read_rows(path, "ranking", ranking_block)
     if not entries:
         raise ValidationError(f"{name}: empty ranking")
     entries.sort(key=lambda e: (e.rank, e.entity_id))

@@ -291,9 +291,10 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
         ("[io]\nformat = csv\n[DEFAULT]\nformat = csv\n", "unknown setting [DEFAULT] format"),
         ("[io]\nout_dir =\n", "[io] out_dir: directory must not be empty"),
         ("[corpus]\ndir =\n", "[corpus] dir: directory must not be empty"),
+        ("[analysis]\npercentages = 10, 20, 10.0\n", "[analysis] percentages: duplicate percentage 10.0"),
     ],
     ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section", "empty-out-dir",
-         "empty-corpus-dir"],
+         "empty-corpus-dir", "duplicate-percentages"],
 )
 def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, text, message):
     monkeypatch.chdir(tmp_path)
@@ -351,10 +352,11 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
         (["synth", "--citation-sigma", "nan"], "synth: citation_sigma must be finite and > 0, got nan"),
         (["synth", "--peer-noise", "nan"], "synth: peer_noise must be finite and >= 0, got nan"),
         (["synth", "--peer-noise", "inf"], "synth: peer_noise must be finite and >= 0, got inf"),
+        (["report", "--percentages", "50,50.0"], "--percentages: duplicate percentage 50.0"),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
-         "nan-peer-noise", "inf-peer-noise"],
+         "nan-peer-noise", "inf-peer-noise", "duplicate-percentages"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -394,3 +396,34 @@ def test_empty_input_exits_2_and_writes_nothing(tmp_path, capsys, command, name,
     assert cli.main([command, flag, str(path), "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "score", "vtr", "rank", "compare", "report"])
+def test_no_run_writes_over_an_existing_file(synth_dir, tmp_path, capsys, command):
+    corpus, scores = synth_dir / "corpus", synth_dir / "scores"
+    rankings = []
+    for stem in "ab":
+        rankings.append(tmp_path / f"{stem}.csv")
+        rankings[-1].write_text(header("ranking") + GOOD_RANKING, encoding="utf-8")
+    argv = {
+        "synth": ["synth", "--seed", "1", "--universities", "4", "--udas", "1", "--sds-per-uda", "1"],
+        "score": ["score", "--corpus-dir", str(corpus)],
+        "vtr": ["vtr", "--outcomes", str(corpus / "peer_outcomes.csv")],
+        "rank": ["rank", "--input", str(scores / "scores_uda.csv")],
+        "compare": ["compare", *map(str, rankings)],
+        "report": ["report", "--corpus-dir", str(corpus)],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    written = sorted(out.iterdir())
+    # Keep one file, the last by name, so a rerun that wrote anything before refusing would leave more.
+    kept = written[-1]
+    for path in written[:-1]:
+        path.unlink()
+    kept.write_text("kept", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
+    assert f"error: {kept}: output file exists" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [kept.name]
+    assert kept.read_text(encoding="utf-8") == "kept"
+

@@ -1,10 +1,12 @@
 import gc
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
 from bibliorank import cli
+from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     SCHEMAS,
     emit_corpus,
@@ -12,6 +14,7 @@ from bibliorank.corpus import (
     read_indicators_csv,
 )
 from bibliorank.errors import ValidationError
+from bibliorank.productivity import read_score_csv
 
 from conftest import minimal_rows, write_corpus, write_file
 
@@ -281,6 +284,18 @@ def test_unpositioned_slots_load_in_one_order_whatever_the_row_order(tmp_path):
     assert backward == forward
 
 
+def test_loaded_ids_are_shared_objects(tmp_path):
+    corpus = load_corpus(_rich_corpus_dir(tmp_path), WINDOW)
+    university_of = {e.university_id: e.university_id for e in corpus.staff}
+    sds_of = {sds: sds for sds in corpus.taxonomy.sds_to_uda}
+    assert len({id(e.university_id) for e in corpus.staff}) == len(university_of)
+    slots = [slot for pub in corpus.publications for slot in pub.authors if slot.is_domestic_academic]
+    assert len(slots) == 5
+    for slot in slots:
+        assert slot.university_id is university_of[slot.university_id]
+        assert slot.sds_id is sds_of[slot.sds_id]
+
+
 def test_loading_is_deterministic(tmp_path):
     directory = _rich_corpus_dir(tmp_path)
     assert load_corpus(directory, WINDOW) == load_corpus(directory, WINDOW)
@@ -355,6 +370,16 @@ def test_first_violation_in_file_order_is_reported_and_file_closed(tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("block_rows", [3, corpus_mod.BLOCK_ROWS])
+def test_csv_error_after_an_earlier_fault_in_its_block_reports_the_earlier_fault(tmp_path, monkeypatch, block_rows):
+    rows = minimal_rows()
+    rows["staff"] = [("R1", "U1", "S1", "3.0"), ("R2", "U1", "S_NONE", "3.0"), ("R" * 200_000, "U1", "S1", "3.0")]
+    directory = write_corpus(tmp_path, **rows)
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
+    with pytest.raises(ValidationError, match=r"^staff\.csv:3: sds 'S_NONE' has no UDA in taxonomy\.csv$"):
+        load_corpus(directory, WINDOW)
+
+
 def test_line_break_inside_a_field_rejected(tmp_path):
     rows = minimal_rows()
     rows["indicators"] = [("LAT", "higher_is_better", "U1", "41.5"), ("GDP\nX", "higher_is_better", "U1", "2.0")]
@@ -369,3 +394,34 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
     directory = write_corpus(tmp_path, **rows)
     with pytest.raises(ValidationError, match=r"^staff\.csv:3: field larger than field limit"):
         load_corpus(directory, WINDOW)
+
+
+@pytest.mark.parametrize("block_rows", [1, corpus_mod.BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        ("taxonomy.csv", "S1,UDA1,false\nS1,UDA2,false\n", "taxonomy.csv:3: duplicate sds_id 'S1'"),
+        ("macro_map.csv", "UDA1,M1\nUDA1,M2\n", "macro_map.csv:3: duplicate uda_id 'UDA1'"),
+        ("categories.csv", "C1,false\nC1,true\n", "categories.csv:3: duplicate category_id 'C1'"),
+        (
+            "peer_outcomes.csv", "U1,UDA1,1,0,0,0\nU1,UDA1,0,1,0,0\n",
+            "peer_outcomes.csv:3: duplicate outcome for ('U1', 'UDA1')",
+        ),
+        (
+            "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,lower_is_better,U2,2.0\n",
+            "indicators.csv:3: conflicting direction for indicator 'LAT'",
+        ),
+        (
+            "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,higher_is_better,U1,2.0\n",
+            "indicators.csv:3: duplicate university_id 'U1' for 'LAT'",
+        ),
+        ("scores.csv", "uda,U1,X,1.0,3.0\nsds,U1,S1,1.0,3.0\n", "scores.csv:3: mixed levels 'uda' and 'sds'"),
+        ("scores.csv", "uda,U1,X,1.0,3.0\nuda,U1, X,2.0,3.0\n", "scores.csv:3: duplicate entry ('U1', 'X')"),
+    ],
+)
+def test_repeated_key_names_its_line_within_and_across_blocks(tmp_path, monkeypatch, block_rows, name, body, message):
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
+    path = write_corpus(tmp_path, **minimal_rows()) / name
+    path.write_text(",".join(SCHEMAS[path.stem]) + "\n" + body, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_score_csv(path) if name == "scores.csv" else load_corpus(tmp_path, WINDOW)

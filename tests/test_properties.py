@@ -6,12 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank import cli
+from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
@@ -23,9 +25,9 @@ from bibliorank.corpus import (
     load_corpus,
 )
 from bibliorank.errors import ValidationError
-from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, write_score_csv
+from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, sds_productivity, write_score_csv
 from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
-from bibliorank.scoring import author_fractions, life_science_position_weights
+from bibliorank.scoring import author_fractions, compute_baselines, credit_shares, life_science_position_weights
 from bibliorank.synth import SynthParams, synthesize
 
 WINDOW = (2001, 2003)
@@ -74,6 +76,107 @@ def test_row_order_changes_neither_corpus_nor_report(tmp_path_factory, params, d
         argv = ["report", "--corpus-dir", str(root / name), "--format", "json", "--out-dir", str(root / f"{name}-out")]
         assert cli.main(argv) == 0
     assert _file_bytes(root / "shuffled-out") == _file_bytes(root / "corpus-out")
+
+
+def _set(index: int, value: str):
+    return lambda fields, earlier: [*fields[:index], value, *fields[index + 1:]]
+
+
+def _copy(*indexes: int):
+    """Make the row a duplicate: copy the key fields of an earlier row."""
+    return lambda fields, earlier: [earlier[i] if i in indexes else value for i, value in enumerate(fields)]
+
+
+def _domestic(fields: list[str], index: int) -> bool:
+    return fields[2] == "true"
+
+
+def _not_first(fields: list[str], index: int) -> bool:
+    return index > 0
+
+
+_LARGE_FILES = ("publications.csv", "pub_categories.csv", "pub_authors.csv", "staff.csv")
+# One bad row: (file, change(fields, an earlier row's fields), which rows it applies to, message part).
+ROW_FAULTS = [
+    ("publications.csv", _set(0, " "), None, "pub_id must not be empty"),
+    ("pub_authors.csv", _set(0, ""), None, "pub_id must not be empty"),
+    ("pub_categories.csv", _set(1, ""), None, "category_id must not be empty"),
+    ("staff.csv", _set(1, ""), None, "university_id must not be empty"),
+    ("publications.csv", _set(1, "2001.5"), None, "year must be an integer"),
+    ("pub_authors.csv", _set(1, "first"), None, "position must be an integer"),
+    ("publications.csv", _set(3, "-1"), None, "citations must be >= 0"),
+    ("pub_categories.csv", _set(2, "1.5"), None, "weight must be in (0, 1]"),
+    ("pub_authors.csv", _set(1, "100000"), None, "exceeds total_author_count"),
+    ("staff.csv", _set(3, "0.0"), None, "years_on_staff must be in (0, 3]"),
+    ("pub_categories.csv", _set(0, "P_NONE"), None, "unknown pub_id 'P_NONE'"),
+    ("pub_authors.csv", _set(0, "P_NONE"), None, "unknown pub_id 'P_NONE'"),
+    ("pub_authors.csv", _set(3, "U_NONE"), _domestic, "'U_NONE' absent from staff roster"),
+    ("pub_authors.csv", _set(4, "S_NONE"), _domestic, "'S_NONE' has no UDA"),
+    ("staff.csv", _set(2, "S_NONE"), None, "'S_NONE' has no UDA"),
+    ("pub_authors.csv", _set(2, "maybe"), None, "is_domestic_academic must be true/false"),
+    ("taxonomy.csv", _set(2, "maybe"), None, "is_life_science must be true/false"),
+    ("publications.csv", _copy(0), _not_first, "duplicate pub_id"),
+    ("pub_categories.csv", _copy(0, 1), _not_first, "duplicate category"),
+    ("pub_authors.csv", _copy(0, 1), _not_first, "duplicate position"),
+    ("staff.csv", _copy(0, 1, 2), _not_first, "duplicate staff entry"),
+    *((name, lambda fields, earlier: [*fields, "x"], None, "wrong number of fields") for name in _LARGE_FILES),
+    *((name, _set(1, "9" * 140_000), None, "field larger than field limit") for name in _LARGE_FILES),  # a csv.Error
+    *(
+        (name, lambda fields, earlier: [f'"{fields[0]}\nx"', *fields[1:]], None, "line break inside a field")
+        for name in _LARGE_FILES
+    ),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.builds(SynthParams, seed=st.integers(0, 2**32 - 1), universities=st.integers(3, 5), udas=st.just(2),
+                     sds_per_uda=st.just(2)),
+    block_rows=st.integers(1, 5),
+    data=st.data(),
+)
+def test_load_reports_the_first_bad_row_in_file_order_across_blocks(tmp_path_factory, params, block_rows, data):
+    root = tmp_path_factory.mktemp("faults")
+    synthesize(params, root)
+    name, change, applies, message = data.draw(st.sampled_from(ROW_FAULTS))
+    path = root / name
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    fields = [row.split(",") for row in rows]
+
+    def spoil(index: int, change) -> None:
+        earlier = fields[data.draw(st.integers(0, index - 1))] if index else None
+        rows[index] = ",".join(change(fields[index], earlier))
+
+    first = data.draw(st.sampled_from([i for i, row in enumerate(fields) if applies is None or applies(row, i)]))
+    spoil(first, change)
+    # A second fault in a later row of the same or the next block must not hide the first.
+    later = range(first + 1, min(len(rows), (first // block_rows + 2) * block_rows))
+    second = data.draw(st.none() | st.sampled_from(later)) if later else None
+    if second is not None:
+        faults = [f for f in ROW_FAULTS if f[0] == name and (f[2] is None or f[2](fields[second], second))]
+        spoil(second, data.draw(st.sampled_from(faults))[1])
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    with mock.patch.object(corpus_mod, "BLOCK_ROWS", block_rows), pytest.raises(ValidationError) as raised:
+        load_corpus(root, WINDOW)
+    assert str(raised.value).startswith(f"{name}:{first + 2}: ")  # line 1 is the header
+    assert message in str(raised.value)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=synth_params, data=st.data())
+def test_sds_productivity_bits_do_not_depend_on_share_or_roster_order(tmp_path_factory, params, data):
+    root = tmp_path_factory.mktemp("order")
+    synthesize(params, root)
+    corpus = load_corpus(root, WINDOW)
+    shares = credit_shares(corpus, compute_baselines(corpus))
+    roster = list(corpus.staff)
+    expected = sds_productivity(shares, roster, WINDOW)
+    rng = data.draw(st.randoms(use_true_random=False))
+    rng.shuffle(shares)
+    rng.shuffle(roster)
+    table = sds_productivity(shares, roster, WINDOW)
+    assert repr(table.entries) == repr(expected.entries)
+    assert repr(table.national_means) == repr(expected.national_means)
 
 
 LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}))
