@@ -47,6 +47,7 @@ immutable and safe for unrestricted concurrent reads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -64,6 +65,9 @@ LOWER_IS_BETTER = "lower_is_better"
 DIRECTIONS = (HIGHER_IS_BETTER, LOWER_IS_BETTER)
 
 WEIGHT_SUM_TOL = 1e-9
+
+# Top-k percentages a comparison reports when none are given.
+DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 
 SCHEMAS: dict[str, tuple[str, ...]] = {
     "publications": ("pub_id", "year", "doc_type", "citations", "total_author_count"),
@@ -218,10 +222,10 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
     not exist give no blocks; existing files must carry exactly the header
     ``SCHEMAS[schema]``.  Blank lines are skipped.  A row with the wrong
     number of fields, a record spanning more than one line (a line break
-    inside a quoted field) and a field over the csv module's size limit
-    are refused.  ``check`` raises :class:`RowFault` for a bad row; the
-    error raised names the first bad line in file order, whichever check
-    found it.
+    inside a quoted field), a field over the csv module's size limit and a
+    byte that is not UTF-8 are refused.  ``check`` raises :class:`RowFault`
+    for a bad row; the error raised names the first bad line in file order,
+    whichever check found it.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -243,6 +247,11 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
                 rows.extend(islice(reader, BLOCK_ROWS))  # keeps the rows read before a csv.Error
             except csv.Error as exc:
                 fault = f"{reader.line_num}: {exc}"
+            except UnicodeDecodeError:
+                reader = _utf8_reader(path, last)  # read the block again, up to the bad line
+                continue
+            except _NotUtf8 as exc:
+                fault = str(exc)
             count = len(rows)
             if fault is None and reader.line_num - last == count and {*map(len, rows)} <= {width}:
                 lines: Sequence[int] = range(last + 1, reader.line_num + 1)
@@ -270,14 +279,52 @@ def _open_csv(path: Path) -> Iterator[tuple[Any, list[str]]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except UnicodeDecodeError:
+                reader = _utf8_reader(path, 0)
+                header = next(reader, None)
         except csv.Error as exc:
             raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
+        except _NotUtf8 as exc:
+            raise ValidationError(f"{name}:{exc}") from None
         if header is None:
             raise ValidationError(f"{name}:1: empty file, header row required")
         if reader.line_num != 1:
             raise ValidationError(f"{name}:1: line break inside a field")
         yield reader, header
+
+
+class _NotUtf8(Exception):
+    """A file's first byte that is not UTF-8, as ``line: message``."""
+
+
+def _utf8_reader(path: Path, skip: int) -> Any:
+    """A csv reader over the lines of ``path`` before its first byte that is not UTF-8, past line ``skip``.
+
+    Once those lines are read, it raises :class:`_NotUtf8` naming the line
+    of the bad byte.  The file's decoder reads ahead in chunks, so its error
+    names no line and loses the good lines decoded with the bad byte; this
+    runs only after that error, and finds the line in the file's bytes.
+    """
+    reader = csv.reader(_utf8_lines(path))
+    while reader.line_num < skip:  # blocks start at record boundaries, so this stops at ``skip``
+        next(reader)
+    return reader
+
+
+def _utf8_lines(path: Path) -> Iterator[str]:
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end as the csv reader sees them: at \n, \r\n or \r.
+        lines = io.StringIO(data[: exc.start].decode("utf-8"), newline="").readlines()
+        if lines and not lines[-1].endswith(("\n", "\r")):
+            lines.pop()  # the start of the line holding the bad byte
+        yield from lines
+        raise _NotUtf8(f"{len(lines) + 1}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
+    raise ValidationError(f"{path.name}: changed while it was read")
 
 
 def _split_at_fault(

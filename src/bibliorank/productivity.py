@@ -14,7 +14,6 @@ ineligible SDSs are excluded from every downstream table.
 
 from __future__ import annotations
 
-import logging
 import statistics
 from dataclasses import dataclass
 from operator import attrgetter
@@ -24,8 +23,6 @@ from typing import Callable, NamedTuple, Sequence
 from .corpus import Column, Corpus, RowFault, StaffEntry, check_unique, float_column, id_column, read_rows, write_csv
 from .errors import ValidationError
 from .scoring import CreditShare, compute_baselines, credit_shares
-
-log = logging.getLogger(__name__)
 
 LEVELS = ("sds", "uda", "macro", "university")
 
@@ -143,10 +140,14 @@ def _aggregate(sds_table: ScoreTable, unit_of: Callable[[str], str | None], leve
         key = (university, unit)
         numerators[key] = numerators.get(key, 0.0) + (entry.P / mean) * entry.RS
         denominators[key] = denominators.get(key, 0.0) + entry.RS
-    for sds in sorted(dropped_zero_mean):
-        log.warning("SDS %s dropped from %s aggregation: national mean productivity is 0", sds, level)
-    for sds in sorted(dropped_unmapped):
-        log.warning("SDS %s dropped from %s aggregation: no unit mapping", sds, level)
+    if dropped_zero_mean or dropped_unmapped:
+        import logging  # only here, so a run that never warns does not load it
+
+        log = logging.getLogger(__name__)
+        for sds in sorted(dropped_zero_mean):
+            log.warning("SDS %s dropped from %s aggregation: national mean productivity is 0", sds, level)
+        for sds in sorted(dropped_unmapped):
+            log.warning("SDS %s dropped from %s aggregation: no unit mapping", sds, level)
     entries = {
         key: ScoreEntry(numerators[key] / denominators[key], denominators[key])
         for key in sorted(numerators)

@@ -35,11 +35,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
-    DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column, read_rows, write_csv,
+    DEFAULT_PERCENTAGES, DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column,
+    read_rows, write_csv,
 )
 from .errors import ValidationError
 
-DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 SIGNIFICANCE_LEVEL = 0.05
 MIN_COMMON_ENTITIES = 4
 

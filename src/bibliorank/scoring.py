@@ -18,7 +18,6 @@ they are cached per ``(n, shared)``; the cached mapping is read-only.
 from __future__ import annotations
 
 import functools
-import logging
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, Taxonomy
-
-log = logging.getLogger(__name__)
 
 BaselineKey = tuple[int, str]  # (year, category_id)
 
@@ -110,7 +107,9 @@ def standardize_citations(
             term = 0.0
         else:
             term = float(pub.citations)
-            log.warning(
+            import logging  # only here, so a run that never warns does not load it
+
+            logging.getLogger(__name__).warning(
                 "publication %s: cell (%d, %s) has zero median and mean; using raw citations",
                 pub.pub_id, pub.year, category,
             )

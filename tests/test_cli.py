@@ -1,4 +1,4 @@
-"""CLI behaviour: start-up imports, collector state, rank labels, input-file and config validation."""
+"""CLI behaviour: process entry, start-up imports, collector state, rank labels, input-file and config validation."""
 
 from __future__ import annotations
 
@@ -14,9 +14,10 @@ import pytest
 
 import bibliorank
 from bibliorank import cli
+from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import SCHEMAS
 
-from conftest import minimal_rows, write_corpus
+from conftest import minimal_rows, write_corpus, write_file
 
 SRC = str(Path(bibliorank.__file__).resolve().parents[1])
 
@@ -45,20 +46,81 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
+def run_module(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m bibliorank`` with a block-buffered standard output, as on any user's pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "bibliorank", *args], env=env, timeout=120, **kwargs)
+
+
 def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_path):
+    outcomes = write_file(tmp_path, "peer_outcomes.csv", [("U1", "UDA1", 1, 0, 0, 0)])
     proc = run_python(
         f"""
         import sys
         import bibliorank, bibliorank.cli
-        heavy = {{"numpy", "scipy"}}
-        assert not heavy & set(sys.modules), "import"
+
+        def refuse(stage, *names):
+            loaded = sorted(name for name in names if name in sys.modules)
+            assert not loaded, f"{{stage}} loaded {{loaded}}"
+
+        refuse("import", "bibliorank.productivity", "bibliorank.scoring", "bibliorank.rankcmp",
+               "bibliorank.peer_rating", "logging", "configparser", "numpy", "scipy")
         out = {str(tmp_path / "out")!r}
+        assert bibliorank.cli.main(["vtr", "--outcomes", {str(outcomes)!r}, "--out-dir", out]) == 0
+        refuse("vtr", "bibliorank.rankcmp", "bibliorank.productivity")
         assert bibliorank.cli.main(["score", "--corpus-dir", {str(minimal_corpus_dir)!r}, "--out-dir", out]) == 0
+        refuse("score", "bibliorank.rankcmp")
         assert bibliorank.cli.main(["rank", "--input", out + "/scores_university.csv", "--out-dir", out]) == 0
-        assert not heavy & set(sys.modules), "score/rank"
+        refuse("score/rank", "numpy", "scipy")
         """
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_process_prints_its_whole_summary_line_and_exits_0(minimal_corpus_dir, tmp_path, stdout):
+    out = tmp_path / "out"
+    argv = ["score", "--corpus-dir", str(minimal_corpus_dir), "--out-dir", str(out)]
+    if stdout == "pipe":
+        proc = run_module(argv, capture_output=True)
+        printed = proc.stdout
+    else:
+        with open(tmp_path / "stdout.txt", "wb") as fh:
+            proc = run_module(argv, stdout=fh, stderr=subprocess.PIPE)
+        printed = (tmp_path / "stdout.txt").read_bytes()
+    assert proc.returncode == 0, proc.stderr
+    summary = f"scored 1 publications (0 rejected), 1 universities, 1/1 SDSs eligible -> {out}\n"
+    assert printed.decode("utf-8") == summary
+    assert (out / "scores_university.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["score", "--corpus-dir", "missing", "--out-dir", "out"], 2, "stderr", "error: taxonomy.csv: missing"),
+        (["bogus"], 2, "stderr", "invalid choice: 'bogus'"),
+        (["--help"], 0, "stdout", "usage: bibliorank"),
+    ],
+    ids=["validation-error", "unknown-subcommand", "help"],
+)
+def test_process_exit_code(tmp_path, argv, code, stream, text):
+    proc = run_module(argv, capture_output=True, text=True, encoding="utf-8", cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert text in getattr(proc, stream)
+    assert not list(tmp_path.iterdir())
+
+
+def test_process_whose_stdout_reader_has_gone_exits_1_without_a_traceback(minimal_corpus_dir, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = ["score", "--corpus-dir", str(minimal_corpus_dir), "--out-dir", str(tmp_path / "out")]
+        proc = run_module(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, encoding="utf-8")
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -292,14 +354,21 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
         ("[io]\nout_dir =\n", "[io] out_dir: directory must not be empty"),
         ("[corpus]\ndir =\n", "[corpus] dir: directory must not be empty"),
         ("[analysis]\npercentages = 10, 20, 10.0\n", "[analysis] percentages: duplicate percentage 10.0"),
+        (b"[synth]\nseed = 1\xff\n", "not UTF-8: byte 0xff (invalid start byte)"),
+        (None, "Is a directory"),
     ],
     ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section", "empty-out-dir",
-         "empty-corpus-dir", "duplicate-percentages"],
+         "empty-corpus-dir", "duplicate-percentages", "not-utf8", "directory"],
 )
 def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, text, message):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.ini"
-    config.write_text(text, encoding="utf-8")
+    if text is None:
+        config.mkdir()
+    elif isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text, encoding="utf-8")
     assert cli.main(["--config", str(config), "synth", "--universities", "3", "--udas", "1", "--sds-per-uda", "1"]) == 2
     assert f"run.ini: {message}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
@@ -398,14 +467,17 @@ def test_empty_input_exits_2_and_writes_nothing(tmp_path, capsys, command, name,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["synth", "score", "vtr", "rank", "compare", "report"])
-def test_no_run_writes_over_an_existing_file(synth_dir, tmp_path, capsys, command):
+WRITING_COMMANDS = ["synth", "score", "vtr", "rank", "compare", "report"]
+
+
+def writing_argv(command: str, synth_dir: Path, tmp_path: Path) -> list[str]:
+    """The arguments, bar ``--out-dir``, of a small successful run of ``command``."""
     corpus, scores = synth_dir / "corpus", synth_dir / "scores"
     rankings = []
     for stem in "ab":
         rankings.append(tmp_path / f"{stem}.csv")
         rankings[-1].write_text(header("ranking") + GOOD_RANKING, encoding="utf-8")
-    argv = {
+    return {
         "synth": ["synth", "--seed", "1", "--universities", "4", "--udas", "1", "--sds-per-uda", "1"],
         "score": ["score", "--corpus-dir", str(corpus)],
         "vtr": ["vtr", "--outcomes", str(corpus / "peer_outcomes.csv")],
@@ -413,6 +485,11 @@ def test_no_run_writes_over_an_existing_file(synth_dir, tmp_path, capsys, comman
         "compare": ["compare", *map(str, rankings)],
         "report": ["report", "--corpus-dir", str(corpus)],
     }[command]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_no_run_writes_over_an_existing_file(synth_dir, tmp_path, capsys, command):
+    argv = writing_argv(command, synth_dir, tmp_path)
     out = tmp_path / "out"
     assert cli.main([*argv, "--out-dir", str(out)]) == 0
     written = sorted(out.iterdir())
@@ -427,3 +504,20 @@ def test_no_run_writes_over_an_existing_file(synth_dir, tmp_path, capsys, comman
     assert [p.name for p in out.iterdir()] == [kept.name]
     assert kept.read_text(encoding="utf-8") == "kept"
 
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_an_out_dir_that_is_a_file_exits_2_before_any_work(synth_dir, tmp_path, monkeypatch, capsys, command, nested):
+    argv = writing_argv(command, synth_dir, tmp_path)
+    blocker = tmp_path / "out"
+    blocker.write_text("kept", encoding="utf-8")
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(corpus_mod, "_open_csv", no_read)
+    out = blocker / "sub" if nested else blocker
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
+    assert f"error: {blocker}: not a directory" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "kept"

@@ -425,3 +425,34 @@ def test_repeated_key_names_its_line_within_and_across_blocks(tmp_path, monkeypa
     path.write_text(",".join(SCHEMAS[path.stem]) + "\n" + body, encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         read_score_csv(path) if name == "scores.csv" else load_corpus(tmp_path, WINDOW)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, corpus_mod.BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "bad_byte_line, faults, message",
+    [
+        (6, {}, "publications.csv:6: not UTF-8: byte 0xff (invalid start byte)"),
+        (1, {}, "publications.csv:1: not UTF-8: byte 0xff (invalid start byte)"),
+        (2900, {}, "publications.csv:2900: not UTF-8: byte 0xff (invalid start byte)"),
+        (6, {4: b"P9999,2001,article,4"}, "publications.csv:4: wrong number of fields"),
+        (2900, {2000: b"P9999,20x1,article,4,1"}, "publications.csv:2000: year must be an integer, got '20x1'"),
+        (2900, {2899: b"P0001,2001,article,4,1"}, "publications.csv:2899: duplicate pub_id 'P0001'"),
+    ],
+    ids=["early", "header", "past-the-first-chunks", "earlier-wrong-width", "earlier-bad-value",
+         "bad-row-just-before"],
+)
+def test_a_byte_that_is_not_utf8_names_its_line_after_the_rows_before_it(
+    tmp_path, monkeypatch, block_rows, bad_byte_line, faults, message
+):
+    rows = minimal_rows()
+    rows["publications"] = [(f"P{i:04d}", 2001, "article", 4, 1) for i in range(3000)]
+    path = write_corpus(tmp_path, **rows) / "publications.csv"
+    # The decoder reads ahead in chunks of several thousand bytes, so line 2900 lies well past the first.
+    lines = path.read_bytes().split(b"\n")
+    for line, text in faults.items():
+        lines[line - 1] = text
+    lines[bad_byte_line - 1] = lines[bad_byte_line - 1][:3] + b"\xff" + lines[bad_byte_line - 1][3:]
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_corpus(tmp_path, WINDOW)
