@@ -42,6 +42,29 @@ and line, with the message of the first check that row fails.  The
 records (:class:`AuthorSlot`, :class:`PublicationRecord`,
 :class:`StaffEntry`) are ``NamedTuple``s.  A loaded :class:`Corpus` is
 immutable and safe for unrestricted concurrent reads.
+
+Each rule on outside input is checked once, where the input is read: by
+the loaders here, ``productivity.read_score_csv``,
+``rankcmp.read_ranking_csv``, ``cli._read_rated_csv`` and the ``cli.parse_*``
+casts.  The scoring, rating and ranking code relies on these invariants
+and does not check them again:
+
+- the window's end year is not before its start year;
+- every citation count is an integer in [0, :data:`MAX_CITATIONS`];
+- every ``total_author_count`` is at least 1, and every listed position
+  lies in 1..``total_author_count`` and is unique within its publication;
+- every listed author slot of a life-science publication has a position;
+- a kept publication has at least one domestic author slot, and every
+  domestic slot's (university, SDS) has a staff entry;
+- the category weights of a publication are in (0, 1] and sum to 1;
+- ``years_on_staff`` lies in (0, window length];
+- every peer outcome has at least one graded output, and each
+  (university, UDA) has one outcome;
+- every indicator has one direction, from :data:`DIRECTIONS`;
+- a score table holds one level, from ``productivity.LEVELS``; a ranking's
+  ranks are the tie-averaged positions of its scores;
+- every top-k percentage lies in (0, 100], and the output format is one of
+  ``cli.FORMATS``.
 """
 
 from __future__ import annotations
@@ -65,6 +88,10 @@ LOWER_IS_BETTER = "lower_is_better"
 DIRECTIONS = (HIGHER_IS_BETTER, LOWER_IS_BETTER)
 
 WEIGHT_SUM_TOL = 1e-9
+
+# Largest citation count read.  Up to 2**53 every count converts to float
+# exactly, and no corpus-sized sum of counts can overflow a float.
+MAX_CITATIONS = 2**53
 
 # Top-k percentages a comparison reports when none are given.
 DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -131,12 +158,7 @@ class Taxonomy:
 
 @dataclass(frozen=True)
 class PeerOutcome:
-    """Peer-review grade counts for one (university, UDA) cell.
-
-    ``T`` is the total of submitted outputs.  :func:`read_peer_outcomes_csv`
-    sets it to the sum of the four grade counts, and
-    :func:`bibliorank.peer_rating.rating_key` rejects a cell where they differ.
-    """
+    """Peer-review grade counts for one (university, UDA) cell."""
 
     university_id: str
     uda_id: str
@@ -144,7 +166,6 @@ class PeerOutcome:
     G: int
     A: int
     L: int
-    T: int
 
 
 @dataclass(frozen=True)
@@ -432,8 +453,8 @@ def choice_column(column: str, choices: tuple[str, ...]) -> Column:
     return Column(parse)
 
 
-def int_column(column: str, minimum: int | None = None, optional: bool = False) -> Column:
-    """Integers of at least ``minimum``; when ``optional``, a blank value reads as ``None``."""
+def int_column(column: str, minimum: int | None = None, maximum: int | None = None, optional: bool = False) -> Column:
+    """Integers in [``minimum``, ``maximum``]; when ``optional``, a blank value reads as ``None``."""
 
     def parse(raw: str) -> int | None:
         if optional:
@@ -446,6 +467,8 @@ def int_column(column: str, minimum: int | None = None, optional: bool = False) 
             raise ValueError(f"{column} must be an integer, got {raw!r}") from None
         if minimum is not None and value < minimum:
             raise ValueError(f"{column} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"{column} must be <= {maximum}, got {value}")
         return value
 
     return Column(parse)
@@ -520,6 +543,8 @@ def load_corpus(paths: CorpusPaths | Path | str, window: tuple[int, int]) -> Cor
     one shared ``str`` object across all files.
     """
     if not isinstance(paths, CorpusPaths):
+        if not Path(paths).is_dir():
+            raise ValidationError(f"{paths}: not a directory")
         paths = CorpusPaths.from_dir(paths)
     start, end = window
     if end < start:
@@ -632,7 +657,8 @@ def _load_publications(
     pub_id_of = id_column(ids, "pub_id")
     heads: dict[str, tuple[int, str, int, int]] = {}  # pub_id -> (year, doc_type, citations, total)
     year_of, doc_type_of = int_column("year"), choice_column("doc_type", DOC_TYPES)
-    citations_of, total_of = int_column("citations", minimum=0), int_column("total_author_count", minimum=1)
+    citations_of = int_column("citations", minimum=0, maximum=MAX_CITATIONS)
+    total_of = int_column("total_author_count", minimum=1)
 
     def publications_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
         raw_pid, raw_year, raw_doc_type, raw_citations, raw_total = columns
@@ -783,7 +809,7 @@ def _byline_order(slot: AuthorSlot) -> tuple:
 
 
 def read_peer_outcomes_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[PeerOutcome, ...]:
-    """Read peer-review grade counts; the total T is the sum of the four grades."""
+    """Read peer-review grade counts, at least one graded output per (university, UDA) cell."""
     ids = {} if ids is None else ids
     outcomes: list[PeerOutcome] = []
     seen: set[tuple[str, str]] = set()
@@ -800,7 +826,7 @@ def read_peer_outcomes_csv(path: Path, ids: dict[str, str] | None = None) -> tup
         keys = list(zip(universities, udas))
         check_unique(keys, seen, lambda key: f"duplicate outcome for {key}")
         seen.update(keys)
-        outcomes.extend(map(PeerOutcome, universities, udas, *counts, totals))
+        outcomes.extend(map(PeerOutcome, universities, udas, *counts))
 
     read_rows(path, "peer_outcomes", outcomes_block, required=False)
     outcomes.sort(key=lambda o: (o.uda_id, o.university_id))

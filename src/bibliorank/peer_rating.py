@@ -33,20 +33,13 @@ class RatedOutcome:
 
 def rating_key(outcome: PeerOutcome) -> Fraction:
     """Exact rational value of the quality rating, used for tie grouping."""
-    if outcome.T < 1:
-        raise ValueError(
-            f"({outcome.university_id}, {outcome.uda_id}): no submitted outputs"
-        )
-    if outcome.E + outcome.G + outcome.A + outcome.L != outcome.T:
-        raise ValueError(
-            f"({outcome.university_id}, {outcome.uda_id}): grade counts do not sum to T={outcome.T}"
-        )
-    # E + 0.8G + 0.6A + 0.2L over T, scaled to integers by 5
-    return Fraction(5 * outcome.E + 4 * outcome.G + 3 * outcome.A + outcome.L, 5 * outcome.T)
+    # E + 0.8G + 0.6A + 0.2L over the output count, scaled to integers by 5
+    total = outcome.E + outcome.G + outcome.A + outcome.L
+    return Fraction(5 * outcome.E + 4 * outcome.G + 3 * outcome.A + outcome.L, 5 * total)
 
 
 def vtr_rating(outcome: PeerOutcome) -> float:
-    """Quality rating in [0.2, 1]: (E + 0.8G + 0.6A + 0.2L) / T."""
+    """Quality rating in [0.2, 1]: (E + 0.8G + 0.6A + 0.2L) / (E + G + A + L)."""
     return float(rating_key(outcome))
 
 
@@ -89,8 +82,6 @@ def rate_outcomes(outcomes: Iterable[PeerOutcome]) -> list[RatedOutcome]:
     rated: list[RatedOutcome] = []
     for uda in sorted(by_uda):
         keys = {o.university_id: rating_key(o) for o in by_uda[uda]}
-        if len(keys) != len(by_uda[uda]):
-            raise ValueError(f"duplicate university outcomes in UDA {uda!r}")
         percentiles = category_percentile(sorted(keys.items()))
         for university in sorted(keys):
             rated.append(
@@ -114,9 +105,7 @@ def pooled_university_ratings(outcomes: Iterable[PeerOutcome]) -> dict[str, floa
         counts[2] += outcome.A
         counts[3] += outcome.L
     return {
-        university: vtr_rating(
-            PeerOutcome(university, "*", counts[0], counts[1], counts[2], counts[3], sum(counts))
-        )
+        university: vtr_rating(PeerOutcome(university, "*", *counts))
         for university, counts in sorted(pooled.items())
     }
 

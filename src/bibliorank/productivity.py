@@ -94,8 +94,6 @@ def sds_productivity(
     mean (productivity is per capita, silent staff count).
     """
     window_len = window[1] - window[0] + 1
-    if window_len <= 0:
-        raise ValueError(f"window {window} has non-positive length")
     rs: dict[tuple[str, str], float] = {}
     # Sorting on the researcher (below, the pub) id alone gives each (university, SDS) key its terms in the order
     # the full (university, SDS, id) key gave them; the sorts are stable, so ties keep input order either way.
@@ -105,8 +103,6 @@ def sds_productivity(
     numerators: dict[tuple[str, str], float] = {}
     for share in sorted(shares, key=attrgetter("pub_id")):
         key = (share.university_id, share.sds_id)
-        if key not in rs:
-            raise ValueError(f"orphan credit: shares for {key} but no staff time equivalent")
         numerators[key] = numerators.get(key, 0.0) + share.standardized_value * share.fraction
     entries: dict[tuple[str, str], ScoreEntry] = {}
     for key in sorted(rs):
@@ -120,8 +116,6 @@ def sds_productivity(
 
 
 def _aggregate(sds_table: ScoreTable, unit_of: Callable[[str], str | None], level: str) -> ScoreTable:
-    if sds_table.level != "sds":
-        raise ValueError(f"aggregation starts from an SDS table, got level {sds_table.level!r}")
     dropped_zero_mean: set[str] = set()
     dropped_unmapped: set[str] = set()
     numerators: dict[tuple[str, str], float] = {}
@@ -131,9 +125,7 @@ def _aggregate(sds_table: ScoreTable, unit_of: Callable[[str], str | None], leve
         if unit is None:
             dropped_unmapped.add(sds)
             continue
-        mean = sds_table.national_means.get(sds)
-        if mean is None:
-            raise ValueError(f"SDS table has no national mean for {sds!r}")
+        mean = sds_table.national_means[sds]
         if mean == 0:
             dropped_zero_mean.add(sds)
             continue

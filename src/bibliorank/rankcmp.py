@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
-    DEFAULT_PERCENTAGES, DIRECTIONS, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column,
-    read_rows, write_csv,
+    DEFAULT_PERCENTAGES, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column, read_rows,
+    write_csv,
 )
 from .errors import ValidationError
 
@@ -114,9 +114,7 @@ def build_ranking(
     direction: str = HIGHER_IS_BETTER,
     label: str = "",
 ) -> RankingList:
-    """Rank entities by score, averaging ranks over exact score ties."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    """Rank entities by score, averaging ranks over exact score ties; ``direction`` is one of ``DIRECTIONS``."""
     if not scores:
         raise ValidationError(f"ranking {label!r}: no entities to rank")
     for entity, score in scores.items():
@@ -181,9 +179,7 @@ def _spearman(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> tuple[float
 
 
 def strength_label(rho: float) -> str:
-    """Conventional strength-of-association label for a correlation coefficient."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [-1, 1], got {rho}")
+    """Conventional strength-of-association label for a correlation coefficient in [-1, 1]."""
     magnitude = abs(rho)
     if magnitude < 0.1:
         return "negligible"
@@ -200,13 +196,10 @@ def correlation_matrix(
     """Pairwise Spearman matrix from the :func:`compare_rankings` reports.
 
     ``reports`` holds one report per pair ``(i, j)`` of ``rankings``, in
-    ``itertools.combinations(range(len(rankings)), 2)`` order.
+    ``itertools.combinations(range(len(rankings)), 2)`` order.  The CLI
+    passes at least two rankings, with distinct labels.
     """
-    if len(rankings) < 2:
-        raise ValueError(f"need at least 2 rankings, got {len(rankings)}")
     labels = [r.label for r in rankings]
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"duplicate ranking labels: {labels}")
     size = len(rankings)
     rho = [[1.0] * size for _ in range(size)]
     p_values = [[0.0] * size for _ in range(size)]
@@ -242,8 +235,6 @@ def quartile_classify(ranking: RankingList) -> dict[str, int]:
     display order (entity id ascending), which the output preserves.
     """
     n = ranking.n
-    if n < MIN_COMMON_ENTITIES:
-        raise ValueError(f"quartile classification needs at least {MIN_COMMON_ENTITIES} entities, got {n}")
     q4_end = n // 4
     q3_end = n // 2
     q2_end = (3 * n) // 4
@@ -263,12 +254,11 @@ def quartile_classify(ranking: RankingList) -> dict[str, int]:
 def shift_distribution(
     quartiles_a: Mapping[str, int], quartiles_b: Mapping[str, int]
 ) -> tuple[dict[int, int], dict[int, float], dict[int, float]]:
-    """Count, relative frequency and cumulative relative frequency of each absolute quartile shift (0..3)."""
-    if set(quartiles_a) != set(quartiles_b):
-        raise ValueError("mismatched entity sets between quartile classifications")
+    """Count, relative frequency and cumulative relative frequency of each absolute quartile shift (0..3).
+
+    Both classifications cover one non-empty entity set.
+    """
     n = len(quartiles_a)
-    if n == 0:
-        raise ValueError("empty quartile classifications")
     counts = {shift: 0 for shift in range(4)}
     for entity in quartiles_a:
         counts[abs(quartiles_a[entity] - quartiles_b[entity])] += 1
@@ -283,8 +273,6 @@ def shift_distribution(
 
 def top_k_size(percentage: float, n: int) -> int:
     """Number of entities in the top ``percentage`` percent: floor(pct * n / 100)."""
-    if not 0 < percentage <= 100:
-        raise ValueError(f"percentage must be in (0, 100], got {percentage}")
     if float(percentage).is_integer():
         return (int(percentage) * n) // 100
     return math.floor(percentage * n / 100)
@@ -293,9 +281,10 @@ def top_k_size(percentage: float, n: int) -> int:
 def topk_overlap(
     reference: RankingList, other: RankingList, percentages: Sequence[float] = DEFAULT_PERCENTAGES
 ) -> list[TopkRow]:
-    """Per top-percentage: how many of the reference's top k the other ranking misses."""
-    if set(reference.entity_ids()) != set(other.entity_ids()):
-        raise ValueError("top-k comparison requires a common entity set; restrict both rankings first")
+    """Per top-percentage: how many of the reference's top k the other ranking misses.
+
+    Both rankings hold one entity set.
+    """
     n = reference.n
     rows: list[TopkRow] = []
     for percentage in percentages:
@@ -448,21 +437,19 @@ def render_matrix(matrix: CorrelationMatrix, fmt: str) -> str:
         return buffer.getvalue()
     if fmt == "json":
         return json.dumps(asdict(matrix), indent=2, sort_keys=True) + "\n"
-    if fmt == "markdown":
-        header = [""] + list(labels)
-        rows = []
-        for i, row_label in enumerate(labels):
-            cells = [row_label]
-            for j in range(len(labels)):
-                if j > i:
-                    cells.append("")
-                elif j == i:
-                    cells.append("1.0000")
-                else:
-                    cells.append(_fmt_rho(matrix.rho[i][j], matrix.significant[i][j]))
-            rows.append(cells)
-        return _md_table(header, rows) + "\n* p-value < 0.05\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    header = [""] + list(labels)
+    rows = []
+    for i, row_label in enumerate(labels):
+        cells = [row_label]
+        for j in range(len(labels)):
+            if j > i:
+                cells.append("")
+            elif j == i:
+                cells.append("1.0000")
+            else:
+                cells.append(_fmt_rho(matrix.rho[i][j], matrix.significant[i][j]))
+        rows.append(cells)
+    return _md_table(header, rows) + "\n* p-value < 0.05\n"
 
 
 def render_comparison(report: ComparisonReport, fmt: str) -> str:
@@ -484,33 +471,31 @@ def render_comparison(report: ComparisonReport, fmt: str) -> str:
             value = "empty" if row.empty else f"{row.variations} out of {row.k}"
             lines.append(f"topk_{row.percentage:g},{value},{row.variation_pct!r}")
         return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        out = [
-            f"## {report.label_a} vs {report.label_b}",
-            "",
-            f"Common entities: {report.n} "
-            f"(dropped {len(report.dropped_a)} from {report.label_a}, "
-            f"{len(report.dropped_b)} from {report.label_b})",
-            f"Spearman rho: {report.rho:.4f} (p = {report.p_value:.4f}, {report.strength})",
-            "",
-            "### Distribution of quartile shifts",
-            "",
+    out = [
+        f"## {report.label_a} vs {report.label_b}",
+        "",
+        f"Common entities: {report.n} "
+        f"(dropped {len(report.dropped_a)} from {report.label_a}, "
+        f"{len(report.dropped_b)} from {report.label_b})",
+        f"Spearman rho: {report.rho:.4f} (p = {report.p_value:.4f}, {report.strength})",
+        "",
+        "### Distribution of quartile shifts",
+        "",
+    ]
+    shift_rows = [[str(shift), f"{100.0 * report.shift_frequencies[shift]:.2f}%"] for shift in range(4)]
+    shift_rows += [
+        [f"<= {shift}", f"{100.0 * report.shift_cumulative[shift]:.2f}%"] for shift in range(4)
+    ]
+    out.append(_md_table(["Changes", "Relative frequency"], shift_rows))
+    out.append("### Top-percentage variation")
+    out.append("")
+    topk_rows = [
+        [
+            f"{row.percentage:g}%",
+            "-" if row.empty else f"{row.variations} out of {row.k}",
+            "-" if row.empty else f"{row.variation_pct:.2f}%",
         ]
-        shift_rows = [[str(shift), f"{100.0 * report.shift_frequencies[shift]:.2f}%"] for shift in range(4)]
-        shift_rows += [
-            [f"<= {shift}", f"{100.0 * report.shift_cumulative[shift]:.2f}%"] for shift in range(4)
-        ]
-        out.append(_md_table(["Changes", "Relative frequency"], shift_rows))
-        out.append("### Top-percentage variation")
-        out.append("")
-        topk_rows = [
-            [
-                f"{row.percentage:g}%",
-                "-" if row.empty else f"{row.variations} out of {row.k}",
-                "-" if row.empty else f"{row.variation_pct:.2f}%",
-            ]
-            for row in report.topk
-        ]
-        out.append(_md_table(["Top universities", "Variations", "Percentage"], topk_rows))
-        return "\n".join(out)
-    raise ValueError(f"unknown format {fmt!r}")
+        for row in report.topk
+    ]
+    out.append(_md_table(["Top universities", "Variations", "Percentage"], topk_rows))
+    return "\n".join(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,39 @@ def minimal_rows() -> dict[str, list[tuple]]:
 @pytest.fixture
 def minimal_corpus_dir(tmp_path: Path) -> Path:
     return write_corpus(tmp_path / "corpus", **minimal_rows())
+
+
+def reference_position_weights(n: int, shared: bool) -> dict[int, Fraction]:
+    """Life-science weight of every byline position, built position by position as the method states it.
+
+    Classes, in units of 1/20: shared first/last university -> 8 first, 8 last,
+    4 spread over the middle; otherwise 6 first, 6 last, 3 second, 3
+    second-to-last, 2 spread over the rest.  A position joins the first class
+    it qualifies for, and the weight of a class with no member is spread
+    proportionally over the others.
+    """
+    if shared:
+        classes = {"first": 8, "last": 8, "middle": 4}
+    else:
+        classes = {"first": 6, "last": 6, "second": 3, "second_last": 3, "rest": 2}
+    members: dict[str, list[int]] = {name: [] for name in classes}
+    for position in range(1, n + 1):
+        if position == 1:
+            name = "first"
+        elif position == n:
+            name = "last"
+        elif shared:
+            name = "middle"
+        elif position == 2:
+            name = "second"
+        elif position == n - 1:
+            name = "second_last"
+        else:
+            name = "rest"
+        members[name].append(position)
+    occupied = sum(Fraction(weight, 20) for name, weight in classes.items() if members[name])
+    return {
+        position: Fraction(classes[name], 20) / occupied / len(positions)
+        for name, positions in members.items()
+        for position in positions
+    }

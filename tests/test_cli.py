@@ -98,11 +98,15 @@ def test_process_prints_its_whole_summary_line_and_exits_0(minimal_corpus_dir, t
 @pytest.mark.parametrize(
     "argv, code, stream, text",
     [
-        (["score", "--corpus-dir", "missing", "--out-dir", "out"], 2, "stderr", "error: taxonomy.csv: missing"),
+        (["score", "--corpus-dir", "missing", "--out-dir", "out"], 2, "stderr", "error: missing: not a directory"),
+        (
+            ["score", "--corpus-dir", ".", "--out-dir", "out"], 2, "stderr",
+            "error: taxonomy.csv: missing required input file",
+        ),
         (["bogus"], 2, "stderr", "invalid choice: 'bogus'"),
         (["--help"], 0, "stdout", "usage: bibliorank"),
     ],
-    ids=["validation-error", "unknown-subcommand", "help"],
+    ids=["validation-error", "missing-corpus-file", "unknown-subcommand", "help"],
 )
 def test_process_exit_code(tmp_path, argv, code, stream, text):
     proc = run_module(argv, capture_output=True, text=True, encoding="utf-8", cwd=tmp_path)
@@ -422,10 +426,14 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
         (["synth", "--peer-noise", "nan"], "synth: peer_noise must be finite and >= 0, got nan"),
         (["synth", "--peer-noise", "inf"], "synth: peer_noise must be finite and >= 0, got inf"),
         (["report", "--percentages", "50,50.0"], "--percentages: duplicate percentage 50.0"),
+        (["report", "--percentages", "0"], "--percentages: percentage must be in (0, 100], got 0"),
+        (["report", "--percentages", "10,101"], "--percentages: percentage must be in (0, 100], got 101"),
+        (["score", "--corpus-dir", ".", "--window", "2003-2001"], "window 2003-2001: end year precedes start year"),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
-         "nan-peer-noise", "inf-peer-noise", "duplicate-percentages"],
+         "nan-peer-noise", "inf-peer-noise", "duplicate-percentages", "zero-percentage", "percentage-over-100",
+         "reversed-window"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -453,16 +461,43 @@ def test_synth_reads_its_config_file_once(tmp_path, monkeypatch):
         ("vtr", "peer_outcomes.csv", header("peer_outcomes"), "peer_outcomes.csv: no peer outcomes"),
         ("rank", "indicators.csv", header("indicators"), "indicators.csv: no rows to rank"),
         ("rank", "vtr_ratings.csv", header("rated"), "vtr_ratings.csv: no rows to rank"),
+        (
+            "vtr", "peer_outcomes.csv", header("peer_outcomes") + "U1,UDA1,1,0,0,0\nU2,UDA1,0,0,0,0\n",
+            "peer_outcomes.csv:3: all grade counts are zero",
+        ),
+        (
+            "report", "publications.csv", header("publications") + "P1,2001,article,4,0\n",
+            "publications.csv:2: total_author_count must be >= 1, got 0",
+        ),
+        (
+            "report", "publications.csv", header("publications") + f"P1,2001,article,{10**309},1\n",
+            f"publications.csv:2: citations must be <= {2**53}, got {10**309}",
+        ),
+        (
+            "report", "publications.csv",
+            header("publications") + f"P1,2001,article,{10**308},1\nP2,2001,article,{10**308},1\n",
+            f"publications.csv:2: citations must be <= {2**53}, got {10**308}",
+        ),
     ],
-    ids=["vtr-missing", "vtr-header-only", "rank-indicators-header-only", "rank-rated-header-only"],
+    ids=["vtr-missing", "vtr-header-only", "rank-indicators-header-only", "rank-rated-header-only",
+         "vtr-all-grades-zero", "report-no-authors", "report-citations-over-float-range",
+         "report-citations-summing-past-float-range"],
 )
-def test_empty_input_exits_2_and_writes_nothing(tmp_path, capsys, command, name, body, message):
-    path = tmp_path / name
+def test_bad_input_file_exits_2_and_writes_nothing(tmp_path, capsys, command, name, body, message):
+    if command == "report":
+        rows = minimal_rows()  # with a second publication, P2, for the body to list
+        rows["pub_categories"].append(("P2", "C1", "1.0"))
+        rows["pub_authors"].append(("P2", 1, "true", "U1", "S1"))
+        directory = write_corpus(tmp_path / "corpus", **rows)
+        argv = [command, "--corpus-dir", str(directory)]
+    else:
+        directory = tmp_path
+        argv = [command, "--outcomes" if command == "vtr" else "--input", str(tmp_path / name)]
+    path = directory / name
     if body is not None:
         path.write_text(body, encoding="utf-8")
     out = tmp_path / "out"
-    flag = "--outcomes" if command == "vtr" else "--input"
-    assert cli.main([command, flag, str(path), "--out-dir", str(out)]) == 2
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -9,6 +9,7 @@ from bibliorank import cli
 from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     SCHEMAS,
+    PeerOutcome,
     emit_corpus,
     load_corpus,
     read_indicators_csv,
@@ -211,12 +212,12 @@ def test_indicators_loaded(tmp_path):
     assert corpus.indicators[0].values == {"U1": 41.5}
 
 
-def test_peer_outcomes_loaded_with_derived_total(tmp_path):
+def test_peer_outcomes_loaded(tmp_path):
     rows = minimal_rows()
     rows["peer_outcomes"] = [("U1", "UDA1", 17, 5, 1, 0)]
     directory = write_corpus(tmp_path, **rows)
     corpus = load_corpus(directory, WINDOW)
-    assert corpus.peer_outcomes[0].T == 23
+    assert corpus.peer_outcomes == (PeerOutcome("U1", "UDA1", 17, 5, 1, 0),)
 
 
 def test_peer_outcomes_all_zero_rejected(tmp_path):

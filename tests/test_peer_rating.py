@@ -28,14 +28,15 @@ CATEGORY_SIZE = 53  # solves 100*(n-3)/(n-1) = 96.15 for the printed third row
 
 
 def outcome(university, t, e, g, a, l, uda="math"):
-    return PeerOutcome(university, uda, e, g, a, l, t)
+    assert e + g + a + l == t  # T, the submitted outputs, as Table 1 prints it
+    return PeerOutcome(university, uda, e, g, a, l)
 
 
 def table_1_category():
     """The ten printed rows plus 43 distinct lower-rated fillers."""
     outcomes = [outcome(u, t, e, g, a, l) for u, t, e, g, a, l, _, _ in TABLE_1]
     fillers = [
-        PeerOutcome(f"Filler{i:02d}", "math", 0, i, 0, 100 - i, 100) for i in range(43)
+        PeerOutcome(f"Filler{i:02d}", "math", 0, i, 0, 100 - i) for i in range(43)
     ]  # ratings 0.2 .. 0.452, all below the printed rows
     return outcomes + fillers
 
@@ -50,16 +51,6 @@ def test_vtr_rating_bari_polytechnic():
 
 def test_vtr_rating_all_limited_floor():
     assert vtr_rating(outcome("X", 1, 0, 0, 0, 1)) == 0.2
-
-
-def test_vtr_rating_no_outputs_error():
-    with pytest.raises(ValueError, match="no submitted outputs"):
-        vtr_rating(PeerOutcome("X", "math", 0, 0, 0, 0, 0))
-
-
-def test_vtr_rating_counts_must_sum():
-    with pytest.raises(ValueError, match="do not sum"):
-        vtr_rating(PeerOutcome("X", "math", 1, 1, 0, 0, 1))
 
 
 def test_rating_invariant_to_count_scaling():
@@ -128,11 +119,6 @@ def test_rate_outcomes_groups_by_uda():
     rated = rate_outcomes(outcomes)
     assert [(r.uda_id, r.R) for r in rated] == [("math", 1.0), ("phys", 0.2)]
     assert all(r.category_percentile == 100.0 for r in rated)  # singleton categories
-
-
-def test_rate_outcomes_rejects_duplicate_university():
-    with pytest.raises(ValueError, match="duplicate"):
-        rate_outcomes([outcome("A", 1, 1, 0, 0, 0), outcome("A", 2, 0, 2, 0, 0)])
 
 
 def test_pooled_university_ratings():

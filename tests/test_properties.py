@@ -27,8 +27,10 @@ from bibliorank.corpus import (
 from bibliorank.errors import ValidationError
 from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, sds_productivity, write_score_csv
 from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
-from bibliorank.scoring import author_fractions, compute_baselines, credit_shares, life_science_position_weights
+from bibliorank.scoring import author_fractions, compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, synthesize
+
+from conftest import reference_position_weights
 
 WINDOW = (2001, 2003)
 # Small synth corpora: a few universities, one life-science UDA of two.
@@ -193,7 +195,7 @@ def test_positional_group_fractions_and_residual_sum_to_one(n, shared, data):
         owners[1], owners[n] = "U1", data.draw(st.sampled_from([None, "U2"]))
     slots = tuple(AuthorSlot(pos, uni, None if uni is None else "S1", uni is not None) for pos, uni in owners.items())
     pub = PublicationRecord("P1", 2001, "article", 1, (("LC", 1.0),), slots, n)
-    weights = life_science_position_weights(n, shared)
+    weights = reference_position_weights(n, shared)
     groups: dict[str, Fraction] = {}
     for position, university in owners.items():
         if university is not None:

@@ -215,8 +215,6 @@ def test_strength_labels():
     assert strength_label(-0.3) == "moderate"
     assert strength_label(0.5) == "strong"
     assert strength_label(-1.0) == "strong"
-    with pytest.raises(ValueError):
-        strength_label(1.01)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +231,6 @@ def test_quartile_sizes_n61():
 def test_quartile_n4_one_each():
     r = ranking_from_order(["A", "B", "C", "D"])
     assert quartile_classify(r) == {"A": 4, "B": 3, "C": 2, "D": 1}
-
-
-def test_quartile_needs_four_entities():
-    with pytest.raises(ValueError, match="at least 4"):
-        quartile_classify(ranking_from_order(["A", "B", "C"]))
 
 
 def test_quartile_boundary_tie_resolved_by_entity_id():
@@ -271,11 +264,6 @@ def test_shift_distribution_symmetric():
     assert shift_distribution(q_a, q_b) == shift_distribution(q_b, q_a)
 
 
-def test_shift_distribution_mismatched_sets():
-    with pytest.raises(ValueError, match="mismatched"):
-        shift_distribution({"a": 1}, {"b": 1})
-
-
 def test_top_k_sizes_match_table_11():
     ks = [top_k_size(pct, 61) for pct in (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)]
     assert ks == [3, 6, 9, 12, 15, 18, 21, 24, 27, 30]
@@ -301,13 +289,6 @@ def test_topk_zero_k_flagged_empty():
     r = ranking_from_order([f"e{i}" for i in range(10)])
     row = topk_overlap(r, r, [5])[0]  # floor(0.5) = 0
     assert row.empty and row.k == 0
-
-
-def test_topk_requires_common_entity_set():
-    a = ranking_from_order(["A", "B", "C", "D"])
-    b = ranking_from_order(["A", "B", "C", "E"])
-    with pytest.raises(ValueError, match="common entity set"):
-        topk_overlap(a, b)
 
 
 def test_topk_variations_bounded_and_nested():
@@ -368,23 +349,11 @@ def test_correlation_matrix_three_rankings_match_pairwise():
         assert m.n_common[i][i] == len(orders[i])
 
 
-def test_correlation_matrix_needs_two_rankings():
-    with pytest.raises(ValueError):
-        correlation_matrix([ranking_from_order(["A", "B", "C", "D"])], [])
-
-
 def test_correlation_matrix_needs_one_report_per_pair():
     rankings = [ranking_from_order(["A", "B", "C", "D"], label=label) for label in "XYZ"]
     reports = [compare_rankings(rankings[0], rankings[1])]
     with pytest.raises(ValueError):
         correlation_matrix(rankings, reports)
-
-
-def test_correlation_matrix_duplicate_labels_rejected():
-    a = ranking_from_order(["A", "B", "C", "D"], label="P")
-    b = ranking_from_order(["D", "C", "B", "A"], label="P")
-    with pytest.raises(ValidationError, match="duplicate"):
-        matrix_of([a, b])
 
 
 def test_compare_rankings_report():
@@ -511,8 +480,6 @@ def test_render_matrix_formats():
     assert csv_text.splitlines()[0] == "row,column,rho,p_value,significant,n_common"
     payload = json.loads(render_matrix(m, "json"))
     assert payload["labels"] == ["P", "NI"]
-    with pytest.raises(ValueError):
-        render_matrix(m, "html")
 
 
 def test_render_comparison_formats():

@@ -6,15 +6,14 @@ import pytest
 
 from bibliorank.corpus import AuthorSlot, PublicationRecord, Taxonomy, load_corpus
 from bibliorank.scoring import (
-    CitationBaseline,
     author_fractions,
     compute_baselines,
     credit_shares,
-    life_science_position_weights,
+    life_science_class_weights,
     standardize_citations,
 )
 
-from conftest import minimal_rows, write_corpus
+from conftest import minimal_rows, reference_position_weights, write_corpus
 
 PLAIN_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset(), frozenset())
 LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}))
@@ -56,78 +55,55 @@ def _corpus_with_citations(tmp_path, citations_by_pub):
 
 def test_baseline_odd_count_median(tmp_path):
     baselines = compute_baselines(_corpus_with_citations(tmp_path, [0, 2, 10]))
-    cell = baselines[(2001, "C1")]
-    assert cell.median == 2
-    assert cell.mean == 4
-    assert cell.count == 3
+    assert baselines == {(2001, "C1"): 2.0}  # the median, not the mean 4
 
 
 def test_baseline_even_count_midpoint(tmp_path):
     baselines = compute_baselines(_corpus_with_citations(tmp_path, [1, 3]))
-    assert baselines[(2001, "C1")].median == 2
+    assert baselines[(2001, "C1")] == 2
 
 
 def test_baseline_singleton(tmp_path):
     baselines = compute_baselines(_corpus_with_citations(tmp_path, [5]))
-    cell = baselines[(2001, "C1")]
-    assert cell.median == 5
-    assert cell.count == 1
+    assert baselines[(2001, "C1")] == 5
 
 
 # ---------------------------------------------------------------------------
 # Standardization
 
 
-def baseline(year, cat, median, mean=None, count=1):
-    return (year, cat), CitationBaseline(year, cat, median, mean if mean is not None else median, count)
-
-
 def test_standardize_single_category():
     pub = make_pub(10, [("C1", 1.0)], [domestic(1, "U1")])
-    baselines = dict([baseline(2001, "C1", 5.0)])
-    assert standardize_citations(pub, baselines) == 2.0
+    assert standardize_citations(pub, {(2001, "C1"): 5.0}) == 2.0
 
 
 def test_standardize_weighted_average():
     pub = make_pub(10, [("C1", 0.5), ("C2", 0.5)], [domestic(1, "U1")])
-    baselines = dict([baseline(2001, "C1", 4.0), baseline(2001, "C2", 5.0)])
+    baselines = {(2001, "C1"): 4.0, (2001, "C2"): 5.0}
     assert standardize_citations(pub, baselines) == pytest.approx(2.25, abs=1e-12)
 
 
 def test_standardize_zero_citations():
     pub = make_pub(0, [("C1", 1.0)], [domestic(1, "U1")])
-    baselines = dict([baseline(2001, "C1", 7.0)])
-    assert standardize_citations(pub, baselines) == 0.0
+    assert standardize_citations(pub, {(2001, "C1"): 7.0}) == 0.0
 
 
-def test_standardize_missing_baseline_is_hard_error():
-    pub = make_pub(1, [("C1", 1.0)], [domestic(1, "U1")])
-    with pytest.raises(LookupError, match="corpus inconsistency"):
-        standardize_citations(pub, {})
+def test_zero_median_falls_back_to_mean(tmp_path):
+    corpus = _corpus_with_citations(tmp_path, [0, 0, 3])
+    baselines = compute_baselines(corpus)
+    assert baselines == {(2001, "C1"): 1.0}
+    assert [standardize_citations(p, baselines) for p in corpus.publications] == [0.0, 0.0, 3.0]
 
 
-def test_zero_median_falls_back_to_mean():
-    pub = make_pub(3, [("C1", 1.0)], [domestic(1, "U1")])
-    baselines = dict([baseline(2001, "C1", 0.0, mean=1.0, count=3)])
-    assert standardize_citations(pub, baselines) == 3.0
-
-
-def test_zero_median_zero_mean_zero_citations():
-    pub = make_pub(0, [("C1", 1.0)], [domestic(1, "U1")])
-    baselines = dict([baseline(2001, "C1", 0.0, mean=0.0)])
-    assert standardize_citations(pub, baselines) == 0.0
-
-
-def test_zero_median_zero_mean_positive_citations_pass_through(caplog):
-    pub = make_pub(4, [("C1", 1.0)], [domestic(1, "U1")])
-    baselines = dict([baseline(2001, "C1", 0.0, mean=0.0)])
-    with caplog.at_level("WARNING"):
-        assert standardize_citations(pub, baselines) == 4.0
-    assert "zero median" in caplog.text
+def test_zero_median_zero_mean_zero_citations(tmp_path):
+    corpus = _corpus_with_citations(tmp_path, [0, 0])
+    baselines = compute_baselines(corpus)
+    assert baselines == {(2001, "C1"): 0.0}
+    assert [standardize_citations(p, baselines) for p in corpus.publications] == [0.0, 0.0]
 
 
 def test_monotone_in_citations():
-    baselines = dict([baseline(2001, "C1", 4.0), baseline(2001, "C2", 5.0)])
+    baselines = {(2001, "C1"): 4.0, (2001, "C2"): 5.0}
     values = [
         standardize_citations(make_pub(c, [("C1", 0.5), ("C2", 0.5)], [domestic(1, "U1")]), baselines)
         for c in range(6)
@@ -182,36 +158,58 @@ def test_life_science_split_first_last():
 
 
 def test_life_science_short_bylines_renormalize():
-    assert life_science_position_weights(2, True) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    assert life_science_position_weights(2, False) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    assert life_science_position_weights(3, False) == {
-        1: Fraction(2, 5),
-        2: Fraction(1, 5),
-        3: Fraction(2, 5),
-    }
-    assert life_science_position_weights(4, False) == {
-        1: Fraction(1, 3),
-        2: Fraction(1, 6),
-        3: Fraction(1, 6),
-        4: Fraction(1, 3),
-    }
+    # (first, last, second, second-to-last, other); a class with no member weighs 0
+    half, zero = Fraction(1, 2), Fraction(0)
+    assert life_science_class_weights(1, True) == life_science_class_weights(1, False) == (1, 0, 0, 0, 0)
+    assert life_science_class_weights(2, True) == (half, half, zero, zero, zero)
+    assert life_science_class_weights(2, False) == (half, half, zero, zero, zero)
+    assert life_science_class_weights(3, False) == (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5), zero, zero)
+    assert life_science_class_weights(4, False) == (
+        Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6), zero
+    )
 
 
 def test_life_science_weights_total_one_without_renormalization():
     for n in range(5, 31):
         for shared in (True, False):
-            assert sum(life_science_position_weights(n, shared).values()) == Fraction(1)
+            first, last, second, second_last, other = life_science_class_weights(n, shared)
+            assert first + last + second + second_last + (n - 4) * other == Fraction(1)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_life_science_weights_match_the_per_position_reference(shared):
+    # Every position listed, each its own university but for a shared first/last one.
+    for n in range(1, 60):
+        owner = {position: f"U{position:02d}" for position in range(1, n + 1)}
+        if shared:
+            owner[n] = owner[1]
+        elif n > 1:
+            owner[n] = "UX"
+        pub = make_pub(1, [("LC", 1.0)], [domestic(position, owner[position]) for position in owner], total=n)
+        expected: dict[tuple[str, str], Fraction] = {}
+        for position, weight in reference_position_weights(n, shared).items():
+            key = (owner[position], "S1")
+            expected[key] = expected.get(key, Fraction(0)) + weight
+        assert sum(expected.values()) == 1
+        assert author_fractions(pub, LIFE_TAXONOMY) == {key: float(value) for key, value in sorted(expected.items())}
 
 
 def test_life_science_weights_are_cached_and_read_only():
-    weights = life_science_position_weights(7, False)
-    assert life_science_position_weights(7, False) is weights
-    assert life_science_position_weights(7, True) is not weights
+    weights = life_science_class_weights(7, False)
+    assert life_science_class_weights(7, False) is weights
+    assert life_science_class_weights(7, True) is not weights
     with pytest.raises(TypeError):
         weights[1] = Fraction(1)  # type: ignore[index]
-    with pytest.raises(AttributeError):
-        weights.pop(1)  # type: ignore[attr-defined]
-    assert sum(weights.values()) == Fraction(1)
+    assert len(weights) == 5
+
+
+def test_life_science_credit_of_a_huge_byline_costs_no_per_position_table():
+    # The class weights hold five Fractions whatever the byline length, so this returns at once.
+    n = 10**12
+    pub = make_pub(1, [("LC", 1.0)], [domestic(1, "UX"), domestic(2, "UY"), domestic(n, "UZ")], total=n)
+    assert author_fractions(pub, LIFE_TAXONOMY) == {
+        ("UX", "S1"): 0.3, ("UY", "S1"): 0.15, ("UZ", "S1"): 0.3
+    }
 
 
 def test_life_science_external_first_author_selects_split_branch():
@@ -221,22 +219,10 @@ def test_life_science_external_first_author_selects_split_branch():
     assert fractions[("UX", "S1")] == pytest.approx(0.10, abs=1e-12)
 
 
-def test_life_science_unknown_positions_error():
-    pub = make_pub(1, [("LC", 1.0)], [domestic(1, "UX"), AuthorSlot(None, "UY", "S1", True)], total=3)
-    with pytest.raises(ValueError, match="positions"):
-        author_fractions(pub, LIFE_TAXONOMY)
-
-
 def test_single_author_gets_full_fraction():
     for taxonomy, category in ((PLAIN_TAXONOMY, "C1"), (LIFE_TAXONOMY, "LC")):
         pub = make_pub(1, [(category, 1.0)], [domestic(1, "UX")])
         assert author_fractions(pub, taxonomy) == {("UX", "S1"): 1.0}
-
-
-def test_no_author_slots_is_an_error():
-    pub = make_pub(1, [("C1", 1.0)], [], total=2)
-    with pytest.raises(ValueError, match="no author slots"):
-        author_fractions(pub, PLAIN_TAXONOMY)
 
 
 def test_fraction_conservation_randomized():
@@ -276,7 +262,7 @@ def _external_residual(pub, life):
         and first.university_id is not None
         and first.university_id == last.university_id
     )
-    weights = life_science_position_weights(n, shared)
+    weights = reference_position_weights(n, shared)
     return float(sum(w for pos, w in weights.items() if pos not in domestic_positions))
 
 
