@@ -9,7 +9,7 @@ import re
 import pytest
 from scipy import stats
 
-from bibliorank import rankcmp
+from bibliorank import cli, rankcmp
 from bibliorank.corpus import HIGHER_IS_BETTER, LOWER_IS_BETTER
 from bibliorank.errors import ValidationError
 from bibliorank.rankcmp import (
@@ -233,6 +233,14 @@ def test_quartile_n4_one_each():
     assert quartile_classify(r) == {"A": 4, "B": 3, "C": 2, "D": 1}
 
 
+def test_quartile_needs_four_entities():
+    # quartile_classify assumes four entities; compare_rankings refuses fewer first
+    a = ranking_from_order(["A", "B", "C"], label="a")
+    b = ranking_from_order(["C", "B", "A"], label="b")
+    with pytest.raises(ValidationError, match="too few common entities between 'a' and 'b': 3 < 4"):
+        compare_rankings(a, b)
+
+
 def test_quartile_boundary_tie_resolved_by_entity_id():
     # B and C tie at the Q4/Q3 boundary of n=4; display order puts B first
     r = build_ranking({"A": 3.0, "B": 2.0, "C": 2.0, "D": 1.0})
@@ -264,6 +272,16 @@ def test_shift_distribution_symmetric():
     assert shift_distribution(q_a, q_b) == shift_distribution(q_b, q_a)
 
 
+def test_shift_distribution_mismatched_sets():
+    # compare_rankings classifies both sides on their common entities only
+    a = ranking_from_order(["X", "A", "B", "C", "D", "E", "F", "G"])
+    b = ranking_from_order(["G", "F", "E", "D", "C", "B", "A", "Y"])
+    report = compare_rankings(a, b)
+    assert report.n == 7
+    assert sum(report.shift_counts.values()) == 7
+    assert report.shift_cumulative[3] == 1.0
+
+
 def test_top_k_sizes_match_table_11():
     ks = [top_k_size(pct, 61) for pct in (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)]
     assert ks == [3, 6, 9, 12, 15, 18, 21, 24, 27, 30]
@@ -289,6 +307,14 @@ def test_topk_zero_k_flagged_empty():
     r = ranking_from_order([f"e{i}" for i in range(10)])
     row = topk_overlap(r, r, [5])[0]  # floor(0.5) = 0
     assert row.empty and row.k == 0
+
+
+def test_topk_requires_common_entity_set():
+    # the uncommon heads X and Y are dropped before the top k are taken
+    a = ranking_from_order(["X", "A", "B", "C", "D"])
+    b = ranking_from_order(["Y", "A", "B", "C", "D"])
+    row = compare_rankings(a, b, [25]).topk[0]
+    assert (row.k, row.variations) == (1, 0)
 
 
 def test_topk_variations_bounded_and_nested():
@@ -347,6 +373,15 @@ def test_correlation_matrix_three_rankings_match_pairwise():
             assert m.significant[i][j] == (p < 0.05)
             assert m.n_common[i][j] == len(common)
         assert m.n_common[i][i] == len(orders[i])
+
+
+def test_correlation_matrix_needs_two_rankings(tmp_path, capsys):
+    # correlation_matrix assumes two rankings; the compare command refuses fewer first
+    path = tmp_path / "a.csv"
+    write_ranking_csv(ranking_from_order(["A", "B", "C", "D"]), path)
+    assert cli.main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "compare needs at least 2 ranking files" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_correlation_matrix_needs_one_report_per_pair():
