@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -68,17 +68,17 @@ def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[s
     affiliations owns at least one credit share; the corpus schema does
     not tie individual publications to researcher ids.
     """
-    active_groups = {(s.university_id, s.sds_id) for s in shares}
+    active_groups = set(map(itemgetter(1, 2), shares))  # (university_id, sds_id)
     researchers: dict[str, set[str]] = {sds: set() for sds in corpus.taxonomy.sds_to_uda}
     active: dict[str, set[str]] = {sds: set() for sds in corpus.taxonomy.sds_to_uda}
-    for entry in corpus.staff:
-        researchers.setdefault(entry.sds_id, set()).add(entry.researcher_id)
-        if (entry.university_id, entry.sds_id) in active_groups:
-            active.setdefault(entry.sds_id, set()).add(entry.researcher_id)
+    for researcher, university, sds, _ in corpus.staff:  # every staff SDS is in the taxonomy
+        researchers[sds].add(researcher)
+        if (university, sds) in active_groups:
+            active[sds].add(researcher)
     report: dict[str, EligibilityEntry] = {}
     for sds in sorted(researchers):
         count = len(researchers[sds])
-        active_count = len(active.get(sds, ()))
+        active_count = len(active[sds])
         fraction = active_count / count if count else 0.0
         report[sds] = EligibilityEntry(count, active_count, fraction, count > 0 and fraction >= 0.5)
     return report
@@ -97,13 +97,13 @@ def sds_productivity(
     rs: dict[tuple[str, str], float] = {}
     # Sorting on the researcher (below, the pub) id alone gives each (university, SDS) key its terms in the order
     # the full (university, SDS, id) key gave them; the sorts are stable, so ties keep input order either way.
-    for entry in sorted(roster, key=attrgetter("researcher_id")):
-        key = (entry.university_id, entry.sds_id)
-        rs[key] = rs.get(key, 0.0) + entry.years_on_staff
+    for _, university, sds, years_on_staff in sorted(roster, key=itemgetter(0)):  # by researcher_id
+        key = (university, sds)
+        rs[key] = rs.get(key, 0.0) + years_on_staff
     numerators: dict[tuple[str, str], float] = {}
-    for share in sorted(shares, key=attrgetter("pub_id")):
-        key = (share.university_id, share.sds_id)
-        numerators[key] = numerators.get(key, 0.0) + share.standardized_value * share.fraction
+    for _, university, sds, fraction, standardized_value in sorted(shares, key=itemgetter(0)):  # by pub_id
+        key = (university, sds)
+        numerators[key] = numerators.get(key, 0.0) + standardized_value * fraction
     entries: dict[tuple[str, str], ScoreEntry] = {}
     for key in sorted(rs):
         staff_equivalent = rs[key] / window_len

@@ -9,23 +9,30 @@ groups: by default every byline slot carries an equal 1/N share, while
 publications in life-science categories use positional weights
 (first/last authors dominate).
 
-Per-slot weights are computed with exact rational arithmetic so that the
-fraction-conservation invariant (group fractions plus the external-author
-residual equal 1) holds to float precision for any byline.  A slot's
-weight depends only on its weight class (first, last, second,
-second-to-last or other position), the byline length and the shared
-first/last branch, so the per-class weights are cached per
-``(n, shared)``: five Fractions, whatever the byline length.
+Positional weights are exact.  A slot's weight depends only on its weight
+class (first, last, second, second-to-last or other position), the byline
+length ``n`` and the shared first/last branch.  Per ``(n, shared)`` the
+five class weights are cached as integer numerators over one common
+denominator: five integers and a denominator, whatever the byline length.
+A group's fraction is the integer sum of its slots' numerators divided by
+that denominator, so group fractions and the external-author residual sum
+to exactly 1 before rounding.  Python's int / int true division is
+correctly rounded, so each fraction is the float nearest the exact
+rational, the same float that ``float()`` of the ``Fraction`` sum gives.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import statistics
+from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .corpus import Corpus, PublicationRecord, Taxonomy
+from .corpus import Corpus
 
 BaselineKey = tuple[int, str]  # (year, category_id)
 
@@ -51,10 +58,10 @@ def compute_baselines(corpus: Corpus) -> dict[BaselineKey, float]:
 
     The mean is 0 too only in a cell of zero-citation publications.
     """
-    cells: dict[BaselineKey, list[int]] = {}
-    for pub in corpus.publications:
-        for category, _ in pub.categories:
-            cells.setdefault((pub.year, category), []).append(pub.citations)
+    cells: defaultdict[BaselineKey, list[int]] = defaultdict(list)
+    for _, year, _, citations, categories, _, _ in corpus.publications:
+        for category, _ in categories:
+            cells[year, category].append(citations)
     divisors: dict[BaselineKey, float] = {}
     for key, citations in sorted(cells.items()):
         median = float(statistics.median(citations))
@@ -62,17 +69,6 @@ def compute_baselines(corpus: Corpus) -> dict[BaselineKey, float]:
     return divisors
 
 
-def standardize_citations(pub: PublicationRecord, baselines: Mapping[BaselineKey, float]) -> float:
-    """Weighted average of the publication's per-category standardized citation values."""
-    total = 0.0
-    for category, weight in pub.categories:
-        divisor = baselines[pub.year, category]
-        if divisor:  # a zero divisor's cell holds only zero-citation publications, whose term is 0
-            total += weight * (pub.citations / divisor)
-    return total
-
-
-@functools.cache
 def life_science_class_weights(n: int, shared_first_last: bool) -> tuple[Fraction, ...]:
     """Exact per-slot weights of the first, last, second, second-to-last and other positions of a byline of ``n``.
 
@@ -94,62 +90,65 @@ def life_science_class_weights(n: int, shared_first_last: bool) -> tuple[Fractio
     return tuple(per_slot)
 
 
-def author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> dict[tuple[str, str], float]:
-    """Fraction of the publication owned by each domestic (university, SDS) group.
-
-    Non-life-science publications give every one of the
-    ``total_author_count`` byline slots an equal share.  Life-science
-    publications (any category flagged life-science) weight slots by
-    byline position; the branch with shared first/last weights applies
-    exactly when the first and last authors belong to the same known
-    university.  Byline positions not listed in the record are implicit
-    external co-authors; their weight goes to the external residual.
-    """
-    n = pub.total_author_count
-    if not taxonomy.is_life_science_publication(pub):
-        counts: dict[tuple[str, str], int] = {}
-        for slot in pub.authors:
-            if slot.is_domestic_academic:
-                key = (slot.university_id, slot.sds_id)
-                counts[key] = counts.get(key, 0) + 1
-        # int / int is correctly rounded, so this is float(Fraction(count, n)) without the Fraction.
-        return {key: count / n for key, count in sorted(counts.items())}
-
-    by_position = {slot.position: slot for slot in pub.authors}
-    first = by_position.get(1)
-    last = by_position.get(n)
-    shared = (
-        first is not None
-        and last is not None
-        and first.university_id is not None
-        and first.university_id == last.university_id
-    )
-    first_weight, last_weight, second_weight, second_last_weight, other_weight = life_science_class_weights(n, shared)
-    fractions: dict[tuple[str, str], Fraction] = {}
-    for position, slot in by_position.items():
-        if not slot.is_domestic_academic:
-            continue  # an external slot's weight stays in the residual
-        if position == 1:
-            weight = first_weight
-        elif position == n:
-            weight = last_weight
-        elif position == 2:
-            weight = second_weight
-        elif position == n - 1:
-            weight = second_last_weight
-        else:
-            weight = other_weight
-        key = (slot.university_id, slot.sds_id)
-        fractions[key] = fractions[key] + weight if key in fractions else weight
-    return {key: float(value) for key, value in sorted(fractions.items())}
+@functools.cache
+def life_science_class_numerators(n: int, shared_first_last: bool) -> tuple[tuple[int, ...], int]:
+    """:func:`life_science_class_weights` as integer numerators over their least common denominator."""
+    weights = life_science_class_weights(n, shared_first_last)
+    denominator = math.lcm(*(weight.denominator for weight in weights))
+    return tuple(weight.numerator * (denominator // weight.denominator) for weight in weights), denominator
 
 
 def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> list[CreditShare]:
-    """Standardize and fractionally attribute every publication in the corpus."""
-    shares: list[CreditShare] = []
-    for pub in corpus.publications:  # already sorted by pub_id
-        value = standardize_citations(pub, baselines)
-        for (university, sds), fraction in author_fractions(pub, corpus.taxonomy).items():
-            shares.append(CreditShare(pub.pub_id, university, sds, fraction, value))
-    return shares
+    """Standardize every publication and split its value over its domestic (university, SDS) groups.
 
+    A publication is life-science when any of its categories is.  Its
+    shared first/last branch applies exactly when the first and last
+    authors belong to the same known university.  Unlisted byline
+    positions are implicit external co-authors, and the weight of every
+    external slot stays in the residual.  Shares come in ``pub_id`` order,
+    then in (university, SDS) order.
+    """
+    life_categories = corpus.taxonomy.life_science_categories
+    shares: list[CreditShare] = []
+    append = shares.append
+    new = tuple.__new__
+    category_of = itemgetter(0)  # of a (category, weight) pair
+    group_of, is_domestic = itemgetter(1, 2), itemgetter(3)  # an AuthorSlot's (university, SDS), its flag
+    for pub_id, year, _, citations, categories, authors, n in corpus.publications:  # sorted by pub_id
+        value = 0.0
+        for category, weight in categories:
+            divisor = baselines[year, category]
+            if divisor:  # a zero divisor's cell holds only zero-citation publications, whose term is 0
+                value += weight * (citations / divisor)
+        if life_categories.isdisjoint(map(category_of, categories)):  # equal shares
+            groups = list(compress(map(group_of, authors), map(is_domestic, authors)))
+            # int / int is correctly rounded, so count / n is float(Fraction(count, n)).
+            for group in sorted(set(groups)):
+                university, sds = group
+                append(new(CreditShare, (pub_id, university, sds, groups.count(group) / n, value)))
+            continue
+        first, last = authors[0], authors[-1]  # slots come in byline order
+        shared = first[0] == 1 and last[0] == n and first[1] is not None and first[1] == last[1]
+        (first_num, last_num, second_num, second_last_num, other_num), denominator = (
+            life_science_class_numerators(n, shared)
+        )
+        numerators: dict[tuple[str, str], int] = {}
+        for position, university, sds, domestic in authors:
+            if not domestic:
+                continue
+            if position == 1:
+                numerator = first_num
+            elif position == n:
+                numerator = last_num
+            elif position == 2:
+                numerator = second_num
+            elif position == n - 1:
+                numerator = second_last_num
+            else:
+                numerator = other_num
+            group = (university, sds)
+            numerators[group] = numerators.get(group, 0) + numerator
+        # int / int is correctly rounded, so the float equals that of the exact Fraction sum.
+        for (university, sds), numerator in sorted(numerators.items()):
+            append(new(CreditShare, (pub_id, university, sds, numerator / denominator, value)))
+    return shares

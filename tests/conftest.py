@@ -1,4 +1,4 @@
-"""Shared fixture helpers: write corpus CSV files from row tuples."""
+"""Shared fixture helpers: corpus CSV files from row tuples, and reference credit one publication at a time."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from bibliorank.corpus import write_csv
+from bibliorank.corpus import Corpus, PublicationRecord, Taxonomy, write_csv
+from bibliorank.scoring import CreditShare, life_science_class_weights
 
 
 def write_file(directory: Path, name: str, rows: list[tuple]) -> Path:
@@ -96,3 +97,65 @@ def reference_position_weights(n: int, shared: bool) -> dict[int, Fraction]:
         for name, positions in members.items()
         for position in positions
     }
+
+
+def reference_author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> dict[tuple[str, str], float]:
+    """Fraction of the publication owned by each domestic (university, SDS) group, one publication at a time.
+
+    Outside the life sciences each of the ``total_author_count`` slots
+    weighs 1/n.  A life-science publication weighs slots by position with
+    the exact class weights; the shared first/last branch applies exactly
+    when the first and last authors belong to the same known university.
+    Unlisted and external slots leave their weight in the residual.
+    """
+    n = pub.total_author_count
+    domestic = [slot for slot in pub.authors if slot.is_domestic_academic]
+    if not taxonomy.is_life_science_publication(pub):
+        weights: dict[tuple[str, str], Fraction] = {}
+        for slot in domestic:
+            key = (slot.university_id, slot.sds_id)
+            weights[key] = weights.get(key, Fraction(0)) + Fraction(1, n)
+        return {key: float(weight) for key, weight in sorted(weights.items())}
+    by_position = {slot.position: slot for slot in pub.authors}
+    first, last = by_position.get(1), by_position.get(n)
+    shared = (
+        first is not None
+        and last is not None
+        and first.university_id is not None
+        and first.university_id == last.university_id
+    )
+    first_weight, last_weight, second_weight, second_last_weight, other_weight = life_science_class_weights(n, shared)
+    weights = {}
+    for slot in domestic:
+        if slot.position == 1:
+            weight = first_weight
+        elif slot.position == n:
+            weight = last_weight
+        elif slot.position == 2:
+            weight = second_weight
+        elif slot.position == n - 1:
+            weight = second_last_weight
+        else:
+            weight = other_weight
+        key = (slot.university_id, slot.sds_id)
+        weights[key] = weights.get(key, Fraction(0)) + weight
+    return {key: float(weight) for key, weight in sorted(weights.items())}
+
+
+def reference_standardized_value(pub: PublicationRecord, baselines: dict[tuple[int, str], float]) -> float:
+    """Weighted average of the per-category standardized citations, summed in the stored category order."""
+    total = 0.0
+    for category, weight in pub.categories:
+        divisor = baselines[pub.year, category]
+        if divisor:  # a zero divisor's cell holds only zero-citation publications, whose term is 0
+            total += weight * (pub.citations / divisor)
+    return total
+
+
+def reference_credit_shares(corpus: Corpus, baselines: dict[tuple[int, str], float]) -> list[CreditShare]:
+    """``scoring.credit_shares`` computed publication by publication with ``Fraction`` weights."""
+    return [
+        CreditShare(pub.pub_id, university, sds, fraction, reference_standardized_value(pub, baselines))
+        for pub in corpus.publications
+        for (university, sds), fraction in reference_author_fractions(pub, corpus.taxonomy).items()
+    ]

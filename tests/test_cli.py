@@ -502,6 +502,24 @@ def test_bad_input_file_exits_2_and_writes_nothing(tmp_path, capsys, command, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rank", "vtr", "compare", "report"])
+def test_an_input_path_that_is_a_directory_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    directory = tmp_path / "d"
+    if command == "report":  # a corpus whose optional indicators.csv is a directory
+        directory = write_corpus(tmp_path / "corpus", **minimal_rows()) / "indicators.csv"
+    directory.mkdir()
+    argv = {
+        "rank": ["rank", "--input", str(directory)],
+        "vtr": ["vtr", "--outcomes", str(directory)],
+        "compare": ["compare", str(directory), str(directory)],
+        "report": ["report", "--corpus-dir", str(directory.parent)],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
+    assert f"error: {directory}: not a regular file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 WRITING_COMMANDS = ["synth", "score", "vtr", "rank", "compare", "report"]
 
 

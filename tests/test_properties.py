@@ -18,6 +18,7 @@ from bibliorank.corpus import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
     AuthorSlot,
+    Corpus,
     CorpusPaths,
     PublicationRecord,
     Taxonomy,
@@ -27,10 +28,10 @@ from bibliorank.corpus import (
 from bibliorank.errors import ValidationError
 from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, sds_productivity, write_score_csv
 from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
-from bibliorank.scoring import author_fractions, compute_baselines, credit_shares
+from bibliorank.scoring import compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, synthesize
 
-from conftest import reference_position_weights
+from conftest import reference_credit_shares, reference_position_weights
 
 WINDOW = (2001, 2003)
 # Small synth corpora: a few universities, one life-science UDA of two.
@@ -193,7 +194,9 @@ def test_positional_group_fractions_and_residual_sum_to_one(n, shared, data):
         owners[1] = owners[n] = "U1"
     elif n > 1:
         owners[1], owners[n] = "U1", data.draw(st.sampled_from([None, "U2"]))
-    slots = tuple(AuthorSlot(pos, uni, None if uni is None else "S1", uni is not None) for pos, uni in owners.items())
+    slots = tuple(  # in byline order, as the loader gives them
+        AuthorSlot(pos, uni, None if uni is None else "S1", uni is not None) for pos, uni in sorted(owners.items())
+    )
     pub = PublicationRecord("P1", 2001, "article", 1, (("LC", 1.0),), slots, n)
     weights = reference_position_weights(n, shared)
     groups: dict[str, Fraction] = {}
@@ -202,7 +205,35 @@ def test_positional_group_fractions_and_residual_sum_to_one(n, shared, data):
             groups[university] = groups.get(university, Fraction(0)) + weights[position]
     residual = sum((w for position, w in weights.items() if owners.get(position) is None), Fraction(0))
     assert sum(groups.values()) + residual == 1
-    assert author_fractions(pub, LIFE_TAXONOMY) == {(u, "S1"): float(f) for u, f in sorted(groups.items())}
+    shares = credit_shares(Corpus(WINDOW, (pub,), (), LIFE_TAXONOMY, (), ()), {(2001, "LC"): 1.0})
+    assert {(s.university_id, s.sds_id): s.fraction for s in shares} == {
+        (u, "S1"): float(f) for u, f in sorted(groups.items())
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    life_science_udas=st.integers(0, 2),
+    cross_university_rate=st.floats(0, 1),
+    max_external_authors=st.integers(0, 60),
+)
+def test_credit_shares_match_the_per_publication_reference(
+    tmp_path_factory, seed, life_science_udas, cross_university_rate, max_external_authors
+):
+    root = tmp_path_factory.mktemp("credit")
+    params = SynthParams(
+        seed=seed, universities=6, udas=2, sds_per_uda=2, life_science_udas=life_science_udas,
+        cross_university_rate=cross_university_rate, max_external_authors=max_external_authors,
+    )
+    synthesize(params, root)
+    corpus = load_corpus(root, WINDOW)
+    baselines = compute_baselines(corpus)
+    shares = credit_shares(corpus, baselines)
+    expected = reference_credit_shares(corpus, baselines)
+    assert shares == expected
+    assert repr(shares) == repr(expected)  # every float bit, signs of zero too
+
 
 # Ids are stripped on reading, so only stripped, non-empty ids round-trip.
 ids = st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8).map(str.strip).filter(bool)

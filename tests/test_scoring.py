@@ -4,14 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bibliorank.corpus import AuthorSlot, PublicationRecord, Taxonomy, load_corpus
-from bibliorank.scoring import (
-    author_fractions,
-    compute_baselines,
-    credit_shares,
-    life_science_class_weights,
-    standardize_citations,
-)
+from bibliorank.corpus import AuthorSlot, Corpus, PublicationRecord, Taxonomy, load_corpus
+from bibliorank.scoring import compute_baselines, credit_shares, life_science_class_numerators, life_science_class_weights
 
 from conftest import minimal_rows, reference_position_weights, write_corpus
 
@@ -37,6 +31,25 @@ def domestic(position, university, sds="S1"):
 
 def external(position=None):
     return AuthorSlot(position, None, None, False)
+
+
+def shares_of(pub, taxonomy, baselines=None):
+    """Credit shares of a one-publication corpus; every cell's divisor is 1 unless ``baselines`` are given."""
+    if baselines is None:
+        baselines = {(pub.year, category): 1.0 for category, _ in pub.categories}
+    return credit_shares(Corpus((2001, 2003), (pub,), (), taxonomy, (), ()), baselines)
+
+
+def fractions_of(pub, taxonomy):
+    return {(share.university_id, share.sds_id): share.fraction for share in shares_of(pub, taxonomy)}
+
+
+def value_of(pub, baselines):
+    return shares_of(pub, PLAIN_TAXONOMY, baselines)[0].standardized_value
+
+
+def standardized_values(corpus, baselines):
+    return [share.standardized_value for share in credit_shares(corpus, baselines)]
 
 
 # ---------------------------------------------------------------------------
@@ -74,38 +87,38 @@ def test_baseline_singleton(tmp_path):
 
 def test_standardize_single_category():
     pub = make_pub(10, [("C1", 1.0)], [domestic(1, "U1")])
-    assert standardize_citations(pub, {(2001, "C1"): 5.0}) == 2.0
+    assert value_of(pub, {(2001, "C1"): 5.0}) == 2.0
 
 
 def test_standardize_weighted_average():
     pub = make_pub(10, [("C1", 0.5), ("C2", 0.5)], [domestic(1, "U1")])
     baselines = {(2001, "C1"): 4.0, (2001, "C2"): 5.0}
-    assert standardize_citations(pub, baselines) == pytest.approx(2.25, abs=1e-12)
+    assert value_of(pub, baselines) == pytest.approx(2.25, abs=1e-12)
 
 
 def test_standardize_zero_citations():
     pub = make_pub(0, [("C1", 1.0)], [domestic(1, "U1")])
-    assert standardize_citations(pub, {(2001, "C1"): 7.0}) == 0.0
+    assert value_of(pub, {(2001, "C1"): 7.0}) == 0.0
 
 
 def test_zero_median_falls_back_to_mean(tmp_path):
     corpus = _corpus_with_citations(tmp_path, [0, 0, 3])
     baselines = compute_baselines(corpus)
     assert baselines == {(2001, "C1"): 1.0}
-    assert [standardize_citations(p, baselines) for p in corpus.publications] == [0.0, 0.0, 3.0]
+    assert standardized_values(corpus, baselines) == [0.0, 0.0, 3.0]
 
 
 def test_zero_median_zero_mean_zero_citations(tmp_path):
     corpus = _corpus_with_citations(tmp_path, [0, 0])
     baselines = compute_baselines(corpus)
     assert baselines == {(2001, "C1"): 0.0}
-    assert [standardize_citations(p, baselines) for p in corpus.publications] == [0.0, 0.0]
+    assert standardized_values(corpus, baselines) == [0.0, 0.0]
 
 
 def test_monotone_in_citations():
     baselines = {(2001, "C1"): 4.0, (2001, "C2"): 5.0}
     values = [
-        standardize_citations(make_pub(c, [("C1", 0.5), ("C2", 0.5)], [domestic(1, "U1")]), baselines)
+        value_of(make_pub(c, [("C1", 0.5), ("C2", 0.5)], [domestic(1, "U1")]), baselines)
         for c in range(6)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -114,11 +127,11 @@ def test_monotone_in_citations():
 def test_scale_invariance_within_cell(tmp_path):
     corpus = _corpus_with_citations(tmp_path, [1, 3, 8])
     baselines = compute_baselines(corpus)
-    values = [standardize_citations(p, baselines) for p in corpus.publications]
+    values = standardized_values(corpus, baselines)
     for k in (2, 10):
         scaled = _corpus_with_citations(tmp_path / f"k{k}", [1 * k, 3 * k, 8 * k])
         scaled_baselines = compute_baselines(scaled)
-        scaled_values = [standardize_citations(p, scaled_baselines) for p in scaled.publications]
+        scaled_values = standardized_values(scaled, scaled_baselines)
         assert scaled_values == pytest.approx(values, abs=1e-12)
 
 
@@ -128,13 +141,13 @@ def test_scale_invariance_within_cell(tmp_path):
 
 def test_uniform_fraction_over_total_authors():
     pub = make_pub(1, [("C1", 1.0)], [domestic(1, "UX"), domestic(2, "UX"), domestic(3, "UY"), domestic(4, "UZ")])
-    fractions = author_fractions(pub, PLAIN_TAXONOMY)
+    fractions = fractions_of(pub, PLAIN_TAXONOMY)
     assert fractions[("UX", "S1")] == 0.5
 
 
 def test_uniform_fraction_counts_unlisted_externals():
     pub = make_pub(1, [("C1", 1.0)], [domestic(1, "UX")], total=4)
-    assert author_fractions(pub, PLAIN_TAXONOMY) == {("UX", "S1"): 0.25}
+    assert fractions_of(pub, PLAIN_TAXONOMY) == {("UX", "S1"): 0.25}
 
 
 def test_life_science_shared_first_last():
@@ -143,7 +156,7 @@ def test_life_science_shared_first_last():
         [("LC", 1.0)],
         [domestic(1, "UX"), domestic(2, "UA"), domestic(3, "UB"), domestic(4, "UC"), domestic(5, "UX")],
     )
-    fractions = author_fractions(pub, LIFE_TAXONOMY)
+    fractions = fractions_of(pub, LIFE_TAXONOMY)
     assert fractions[("UX", "S1")] == pytest.approx(0.8, abs=1e-12)
     for university in ("UA", "UB", "UC"):
         assert fractions[(university, "S1")] == pytest.approx(0.2 / 3, abs=1e-12)
@@ -151,7 +164,7 @@ def test_life_science_shared_first_last():
 
 def test_life_science_split_first_last():
     pub = make_pub(1, [("LC", 1.0)], [domestic(i, f"U{i}") for i in range(1, 7)])
-    fractions = author_fractions(pub, LIFE_TAXONOMY)
+    fractions = fractions_of(pub, LIFE_TAXONOMY)
     expected = {1: 0.30, 2: 0.15, 3: 0.05, 4: 0.05, 5: 0.15, 6: 0.30}
     for position, share in expected.items():
         assert fractions[(f"U{position}", "S1")] == pytest.approx(share, abs=1e-12)
@@ -191,23 +204,35 @@ def test_life_science_weights_match_the_per_position_reference(shared):
             key = (owner[position], "S1")
             expected[key] = expected.get(key, Fraction(0)) + weight
         assert sum(expected.values()) == 1
-        assert author_fractions(pub, LIFE_TAXONOMY) == {key: float(value) for key, value in sorted(expected.items())}
+        assert fractions_of(pub, LIFE_TAXONOMY) == {key: float(value) for key, value in sorted(expected.items())}
 
 
 def test_life_science_weights_are_cached_and_read_only():
-    weights = life_science_class_weights(7, False)
-    assert life_science_class_weights(7, False) is weights
-    assert life_science_class_weights(7, True) is not weights
+    numerators = life_science_class_numerators(7, False)
+    assert life_science_class_numerators(7, False) is numerators
+    assert life_science_class_numerators(7, True) is not numerators
     with pytest.raises(TypeError):
-        weights[1] = Fraction(1)  # type: ignore[index]
-    assert len(weights) == 5
+        numerators[0][1] = 1  # type: ignore[index]
+    assert len(numerators[0]) == len(life_science_class_weights(7, False)) == 5
+
+
+def test_life_science_class_numerators_are_the_class_weights_bit_for_bit():
+    for n in range(1, 3001):
+        # byline positions in each class: first, last, second, second-to-last, other
+        sizes = (1, int(n >= 2), int(n >= 3), int(n >= 4), max(n - 4, 0))
+        for shared in (True, False):
+            numerators, denominator = life_science_class_numerators(n, shared)
+            for numerator, weight in zip(numerators, life_science_class_weights(n, shared), strict=True):
+                assert repr(numerator / denominator) == repr(float(weight))
+            assert sum(numerator * size for numerator, size in zip(numerators, sizes)) == denominator
+            assert life_science_class_numerators(n, shared) is life_science_class_numerators(n, shared)
 
 
 def test_life_science_credit_of_a_huge_byline_costs_no_per_position_table():
-    # The class weights hold five Fractions whatever the byline length, so this returns at once.
+    # The class numerators are five integers whatever the byline length, so this returns at once.
     n = 10**12
     pub = make_pub(1, [("LC", 1.0)], [domestic(1, "UX"), domestic(2, "UY"), domestic(n, "UZ")], total=n)
-    assert author_fractions(pub, LIFE_TAXONOMY) == {
+    assert fractions_of(pub, LIFE_TAXONOMY) == {
         ("UX", "S1"): 0.3, ("UY", "S1"): 0.15, ("UZ", "S1"): 0.3
     }
 
@@ -215,14 +240,14 @@ def test_life_science_credit_of_a_huge_byline_costs_no_per_position_table():
 def test_life_science_external_first_author_selects_split_branch():
     # position 1 is an unlisted external author, so first/last cannot share
     pub = make_pub(1, [("LC", 1.0)], [domestic(3, "UX")], total=5)
-    fractions = author_fractions(pub, LIFE_TAXONOMY)
+    fractions = fractions_of(pub, LIFE_TAXONOMY)
     assert fractions[("UX", "S1")] == pytest.approx(0.10, abs=1e-12)
 
 
 def test_single_author_gets_full_fraction():
     for taxonomy, category in ((PLAIN_TAXONOMY, "C1"), (LIFE_TAXONOMY, "LC")):
         pub = make_pub(1, [(category, 1.0)], [domestic(1, "UX")])
-        assert author_fractions(pub, taxonomy) == {("UX", "S1"): 1.0}
+        assert fractions_of(pub, taxonomy) == {("UX", "S1"): 1.0}
 
 
 def test_fraction_conservation_randomized():
@@ -241,8 +266,9 @@ def test_fraction_conservation_randomized():
                 slots.append(external(position))
         if not any(s.is_domestic_academic for s in slots):
             slots[0] = domestic(slots[0].position, "U1")
-        pub = make_pub(1, [("LC" if life else "C1", 1.0)], slots, total=n)
-        fractions = author_fractions(pub, LIFE_TAXONOMY if life else PLAIN_TAXONOMY)
+        # in byline order, as the loader gives them
+        pub = make_pub(1, [("LC" if life else "C1", 1.0)], sorted(slots), total=n)
+        fractions = fractions_of(pub, LIFE_TAXONOMY if life else PLAIN_TAXONOMY)
         group_total = sum(fractions.values())
         residual = _external_residual(pub, life)
         assert group_total + residual == pytest.approx(1.0, abs=1e-9)
