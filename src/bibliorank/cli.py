@@ -8,7 +8,8 @@ its cast.  That table alone gives each subcommand its setting flags, the
 keys an INI config file (``--config``) may hold, and the layering of
 defaults, then the file, then the flags given, so a flag wins over its key.
 Flag and file values share the cast: a value that does not parse, or an
-unknown key, exits 2 and names the flag or the setting.
+unknown key, exits 2 and names the flag or the setting.  ``--format`` belongs
+to ``compare`` and ``report``, which render comparisons; the rest write CSV.
 
 Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
 Every subcommand computes all its outputs (scores, ratings, rankings and
@@ -58,7 +59,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn
 
 from . import corpus as corpus_mod
 from .errors import ValidationError
@@ -326,11 +327,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
     elif header == corpus_mod.SCHEMAS["indicators"]:
         found = [(None, t.indicator_name, t.values, t.direction) for t in corpus_mod.read_indicators_csv(path)]
     elif header == corpus_mod.SCHEMAS["rated"]:
-        rated = _read_rated_csv(path)
+        from . import peer_rating
+
+        rated = peer_rating.read_rated_csv(path)
         found = [
-            (uda, f"VTR_{uda}", {univ: value for (univ, cell_uda), value in rated.items() if cell_uda == uda},
+            (uda, f"VTR_{uda}", {r.university_id: r.R for r in rated if r.uda_id == uda},
              corpus_mod.HIGHER_IS_BETTER)
-            for uda in sorted({uda for _, uda in rated})
+            for uda in sorted({r.uda_id for r in rated})
         ]
     else:
         raise ValidationError(f"{path.name}: unrecognized header {','.join(header)!r}")
@@ -353,22 +356,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for ranking, out in zip(rankings, outputs):
         print(f"ranked {ranking.n} entities ({ranking.label}) -> {out}")
     return 0
-
-
-def _read_rated_csv(path: Path) -> dict[tuple[str, str], float]:
-    rated: dict[tuple[str, str], float] = {}
-    ids: dict[str, str] = {}  # one str per id across both columns
-    university_of, uda_of = corpus_mod.id_column(ids, "university_id"), corpus_mod.id_column(ids, "uda_id")
-    r_of = corpus_mod.float_column("R")
-
-    def rated_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_university, raw_uda, raw_r, _ = columns
-        keys = list(zip(university_of(raw_university), uda_of(raw_uda)))
-        corpus_mod.check_unique(keys, rated.keys(), lambda key: f"duplicate rating for {key}")
-        rated.update(zip(keys, r_of(raw_r)))
-
-    corpus_mod.read_rows(path, "rated", rated_block)
-    return rated
 
 
 def _write_text(text: str, path: Path) -> None:
@@ -478,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func: Callable[..., int], summary: str, flags: tuple[str, ...]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        for flag in (*flags, "--out-dir", "--format"):
+        for flag in (*flags, "--out-dir"):
             p.add_argument(flag, help=f"overrides {keys[flag]} in the config file")
         p.set_defaults(func=func)
         return p
@@ -490,12 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--input", required=True, help="score table, indicators, or vtr ratings CSV")
     p_rank.add_argument("--unit", help="restrict to one unit id (SDS/UDA/macro)")
     p_rank.add_argument("--label", help="ranking label (single ranking only)")
-    p_cmp = add("compare", cmd_compare, "compare ranking files pairwise", ("--percentages",))
+    p_cmp = add("compare", cmd_compare, "compare ranking files pairwise", ("--percentages", "--format"))
     p_cmp.add_argument("rankings", nargs="+", help="ranking CSV files (entity_id,score,rank)")
     synth_flags = tuple(flag for (section, _), (flag, _) in SETTINGS.items() if section == "synth")
     add("synth", cmd_synth, "generate a seeded synthetic corpus", ("--window", *synth_flags))
     add("report", cmd_report, "full pipeline: score, rate, rank, compare",
-        ("--corpus-dir", "--window", "--percentages"))
+        ("--corpus-dir", "--window", "--percentages", "--format"))
     return parser
 
 

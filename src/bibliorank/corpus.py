@@ -45,9 +45,9 @@ immutable and safe for unrestricted concurrent reads.
 
 Each rule on outside input is checked once, where the input is read: by
 the loaders here, ``productivity.read_score_csv``,
-``rankcmp.read_ranking_csv``, ``cli._read_rated_csv`` and the ``cli.parse_*``
-casts.  The scoring, rating and ranking code relies on these invariants
-and does not check them again:
+``rankcmp.read_ranking_csv``, ``peer_rating.read_rated_csv`` and the
+``cli.parse_*`` casts.  The scoring, rating and ranking code relies on
+these invariants and does not check them again:
 
 - the window's end year is not before its start year;
 - every citation count is an integer in [0, :data:`MAX_CITATIONS`];
@@ -156,7 +156,7 @@ class Taxonomy:
     life_science_categories: frozenset[str]
 
     def is_life_science_publication(self, pub: PublicationRecord) -> bool:
-        return any(cat in self.life_science_categories for cat, _ in pub.categories)
+        return not self.life_science_categories.isdisjoint(map(itemgetter(0), pub.categories))
 
 
 @dataclass(frozen=True)
@@ -542,18 +542,17 @@ def check_unique(
 # Loading
 
 
-def load_corpus(paths: CorpusPaths | Path | str, window: tuple[int, int]) -> Corpus:
-    """Load, cross-validate and index all corpus files.
+def load_corpus(directory: Path | str, window: tuple[int, int]) -> Corpus:
+    """Load, cross-validate and index all corpus files under ``directory``.
 
     Publications dated outside ``window`` and publications without any
     domestic author slot are dropped and counted on the returned corpus;
     every other violation raises :class:`ValidationError`.  Every id is
     one shared ``str`` object across all files.
     """
-    if not isinstance(paths, CorpusPaths):
-        if not Path(paths).is_dir():
-            raise ValidationError(f"{paths}: not a directory")
-        paths = CorpusPaths.from_dir(paths)
+    if not Path(directory).is_dir():
+        raise ValidationError(f"{directory}: not a directory")
+    paths = CorpusPaths.from_dir(directory)
     start, end = window
     if end < start:
         raise ValidationError(f"window {start}-{end}: end year precedes start year")
@@ -772,7 +771,6 @@ def _load_publications(
     position_keys.clear()
 
     cat_name, auth_name = paths.pub_categories.name, paths.pub_authors.name
-    life_categories = taxonomy.life_science_categories
     shared: dict[tuple, tuple] = {}  # equal category tuples share one object
     publications: list[PublicationRecord] = []
     out_of_window = 0
@@ -792,7 +790,13 @@ def _load_publications(
             raise ValidationError(
                 f"{auth_name}: pub {pid!r}: {len(pub_slots)} listed authors exceed total_author_count {total}"
             )
-        if pid in unplaced and any(cat in life_categories for cat, _ in cats):
+        cat_items = tuple(sorted(cats))
+        # Known positions are unique per publication, so they alone give the byline order.
+        pub_slots.sort(key=_byline_order if pid in unplaced else itemgetter(0))
+        pub = PublicationRecord(
+            pid, year, doc_type, citations, shared.setdefault(cat_items, cat_items), tuple(pub_slots), total
+        )
+        if pid in unplaced and taxonomy.is_life_science_publication(pub):
             raise ValidationError(
                 f"{auth_name}: pub {pid!r}: life-science publication with unknown author positions"
             )
@@ -802,12 +806,7 @@ def _load_publications(
         if not any(map(itemgetter(3), pub_slots)):  # no domestic academic
             no_domestic += 1
             continue
-        cat_items = tuple(sorted(cats))
-        # Known positions are unique per publication, so they alone give the byline order.
-        pub_slots.sort(key=_byline_order if pid in unplaced else itemgetter(0))
-        publications.append(PublicationRecord(
-            pid, year, doc_type, citations, shared.setdefault(cat_items, cat_items), tuple(pub_slots), total
-        ))
+        publications.append(pub)
     return tuple(publications), out_of_window, no_domestic
 
 
@@ -902,53 +901,3 @@ def write_csv(path: Path, schema: str, rows: Iterable[tuple]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCHEMAS[schema])
         writer.writerows(rows)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
-    """Write the corpus back to the canonical CSV files under ``out_dir``.
-
-    Emission is deterministic; reloading yields an equal corpus.
-    """
-    taxonomy = corpus.taxonomy
-    categories = sorted(
-        {cat for p in corpus.publications for cat, _ in p.categories} | set(taxonomy.life_science_categories)
-    )
-    tables: dict[str, Iterable[tuple]] = {
-        "publications": (
-            (p.pub_id, p.year, p.doc_type, p.citations, p.total_author_count) for p in corpus.publications
-        ),
-        "pub_categories": ((p.pub_id, cat, _fmt(w)) for p in corpus.publications for cat, w in p.categories),
-        "pub_authors": (
-            (
-                p.pub_id,
-                "" if slot.position is None else slot.position,
-                "true" if slot.is_domestic_academic else "false",
-                slot.university_id or "",
-                slot.sds_id or "",
-            )
-            for p in corpus.publications
-            for slot in p.authors
-        ),
-        "staff": ((e.researcher_id, e.university_id, e.sds_id, _fmt(e.years_on_staff)) for e in corpus.staff),
-        "taxonomy": (
-            (sds, uda, "true" if sds in taxonomy.life_science_sds else "false")
-            for sds, uda in taxonomy.sds_to_uda.items()
-        ),
-        "macro_map": taxonomy.uda_to_macro.items(),
-        "peer_outcomes": ((o.university_id, o.uda_id, o.E, o.G, o.A, o.L) for o in corpus.peer_outcomes),
-        "indicators": (
-            (t.indicator_name, t.direction, university, _fmt(value))
-            for t in corpus.indicators
-            for university, value in t.values.items()
-        ),
-        "categories": (
-            (cat, "true" if cat in taxonomy.life_science_categories else "false") for cat in categories
-        ),
-    }
-    paths = CorpusPaths.from_dir(out_dir)
-    for stem, rows in tables.items():
-        write_csv(getattr(paths, stem), stem, rows)

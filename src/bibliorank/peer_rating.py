@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import PeerOutcome, write_csv
-
-GRADE_WEIGHTS = {"E": 1.0, "G": 0.8, "A": 0.6, "L": 0.2}
+from .corpus import Column, PeerOutcome, check_unique, float_column, id_column, read_rows, write_csv
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,9 @@ def category_percentile(ratings: Sequence[tuple[str, object]]) -> dict[str, floa
 
     Ratings are compared with ``==`` as given, so pass exact values
     (Fractions or identically computed floats) when ties matter.
-    A single entity rates 100 by convention.
+    A single entity, like every member of the top tie block, rates 100.
     """
-    if not ratings:
-        return {}
     n = len(ratings)
-    if n == 1:
-        return {ratings[0][0]: 100.0}
     ordered = sorted(ratings, key=lambda item: item[0])
     ordered.sort(key=lambda item: item[1], reverse=True)
     blocks: list[list[str]] = []
@@ -116,3 +111,30 @@ def write_rated_csv(rated: Iterable[RatedOutcome], path) -> None:
         "rated",
         ((r.university_id, r.uda_id, repr(r.R), repr(r.category_percentile)) for r in rated),
     )
+
+
+def read_rated_csv(path: Path) -> list[RatedOutcome]:
+    """Read ratings written by :func:`write_rated_csv`: one per (university, UDA), each percentile in [0, 100]."""
+    rated: dict[tuple[str, str], RatedOutcome] = {}
+    ids: dict[str, str] = {}  # one str per id across both columns
+    university_of, uda_of = id_column(ids, "university_id"), id_column(ids, "uda_id")
+    r_of, finite_percentile = float_column("R"), float_column("category_percentile").parse
+
+    def parse_percentile(raw: str) -> float:
+        value = finite_percentile(raw)
+        if not 0 <= value <= 100:
+            raise ValueError(f"category_percentile must be in [0, 100], got {value:g}")
+        return value
+
+    percentile_of = Column(parse_percentile)
+
+    def rated_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+        raw_university, raw_uda, raw_r, raw_percentile = columns
+        universities, udas = university_of(raw_university), uda_of(raw_uda)
+        keys = list(zip(universities, udas))
+        check_unique(keys, rated.keys(), lambda key: f"duplicate rating for {key}")
+        outcomes = map(RatedOutcome, universities, udas, r_of(raw_r), percentile_of(raw_percentile))
+        rated.update(zip(keys, outcomes))
+
+    read_rows(path, "rated", rated_block)
+    return list(rated.values())

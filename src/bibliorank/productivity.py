@@ -52,12 +52,12 @@ class ScoreTable:
     entries: dict[tuple[str, str], ScoreEntry]
     national_means: dict[str, float]
 
-    def university_scores(self, unit_id: str | None = None) -> dict[str, float]:
-        """Scores keyed by university, optionally restricted to one unit."""
+    def university_scores(self, unit_id: str) -> dict[str, float]:
+        """Scores of one unit keyed by university; ``unit_id`` is "" at university level."""
         return {
             university: entry.P
             for (university, unit), entry in self.entries.items()
-            if unit_id is None or unit == unit_id
+            if unit == unit_id
         }
 
 
@@ -154,14 +154,7 @@ def uda_productivity(sds_table: ScoreTable, taxonomy) -> ScoreTable:
 
 def macro_uda_productivity(sds_table: ScoreTable, taxonomy) -> ScoreTable:
     """Same roll-up as UDAs, but over the UDA -> macro-UDA merge map."""
-
-    def macro_of(sds: str) -> str | None:
-        uda = taxonomy.sds_to_uda.get(sds)
-        if uda is None:
-            return None
-        return taxonomy.uda_to_macro.get(uda)
-
-    return _aggregate(sds_table, macro_of, "macro")
+    return _aggregate(sds_table, lambda sds: taxonomy.uda_to_macro.get(taxonomy.sds_to_uda.get(sds)), "macro")
 
 
 def university_productivity(sds_table: ScoreTable) -> ScoreTable:
@@ -198,9 +191,8 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
     )
 
 
-def read_score_csv(path) -> ScoreTable:
+def read_score_csv(path: Path) -> ScoreTable:
     """Read a score table written by :func:`write_score_csv`; ``unit_id`` is empty at university level."""
-    path = Path(path)
     entries: dict[tuple[str, str], ScoreEntry] = {}
     level: str | None = None  # the level of the file's first row
 

@@ -32,7 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import combinations, groupby
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     DEFAULT_PERCENTAGES, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column, read_rows,
@@ -139,9 +139,8 @@ def _tie_averaged(ordered: Sequence[RankEntry], key: Callable[[RankEntry], float
     return tuple(entries)
 
 
-def restrict_ranking(ranking: RankingList, keep: Iterable[str]) -> RankingList:
+def restrict_ranking(ranking: RankingList, keep: AbstractSet[str]) -> RankingList:
     """Drop entities outside ``keep`` and re-rank inside the survivors."""
-    keep = set(keep)
     survivors = [e for e in ranking.entries if e.entity_id in keep]
     entries = _tie_averaged(survivors, lambda e: e.rank)
     return RankingList(label=ranking.label, entries=entries)
@@ -273,8 +272,6 @@ def shift_distribution(
 
 def top_k_size(percentage: float, n: int) -> int:
     """Number of entities in the top ``percentage`` percent: floor(pct * n / 100)."""
-    if float(percentage).is_integer():
-        return (int(percentage) * n) // 100
     return math.floor(percentage * n / 100)
 
 
@@ -344,23 +341,22 @@ def compare_rankings(
 # Ranking file round-trip
 
 
-def write_ranking_csv(ranking: RankingList, path: Path | str) -> None:
+def write_ranking_csv(ranking: RankingList, path: Path) -> None:
     write_csv(
-        Path(path),
+        path,
         "ranking",
         ((e.entity_id, repr(e.score), repr(e.rank)) for e in ranking.entries),
     )
 
 
-def read_ranking_csv(path: Path | str, label: str | None = None) -> RankingList:
-    """Read a ranking written by :func:`write_ranking_csv`; label defaults to the file stem.
+def read_ranking_csv(path: Path) -> RankingList:
+    """Read a ranking written by :func:`write_ranking_csv`, labelled with the file stem.
 
     Every rank must be the tie-averaged position that :func:`build_ranking`
     gives it: the average of the display positions its run of equal ranks
     holds.  In rank order the scores must be monotone, and entities with
     equal scores must share one rank.
     """
-    path = Path(path)
     name = path.name
     entries: list[RankEntry] = []
     lines: dict[str, int] = {}
@@ -397,7 +393,7 @@ def read_ranking_csv(path: Path | str, label: str | None = None) -> RankingList:
             )
         order = order or step
     check_ties(lambda e: e.score)
-    return RankingList(label=label if label is not None else path.stem, entries=tuple(entries))
+    return RankingList(label=path.stem, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -101,26 +101,27 @@ def life_science_class_numerators(n: int, shared_first_last: bool) -> tuple[tupl
 def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> list[CreditShare]:
     """Standardize every publication and split its value over its domestic (university, SDS) groups.
 
-    A publication is life-science when any of its categories is.  Its
-    shared first/last branch applies exactly when the first and last
-    authors belong to the same known university.  Unlisted byline
-    positions are implicit external co-authors, and the weight of every
-    external slot stays in the residual.  Shares come in ``pub_id`` order,
-    then in (university, SDS) order.
+    A publication is life-science when any of its categories is
+    (:meth:`Taxonomy.is_life_science_publication`).  Its shared first/last
+    branch applies exactly when the first and last authors belong to the
+    same known university.  Unlisted byline positions are implicit external
+    co-authors, and the weight of every external slot stays in the
+    residual.  Shares come in ``pub_id`` order, then in (university, SDS)
+    order.
     """
-    life_categories = corpus.taxonomy.life_science_categories
+    is_life_science = corpus.taxonomy.is_life_science_publication
     shares: list[CreditShare] = []
     append = shares.append
     new = tuple.__new__
-    category_of = itemgetter(0)  # of a (category, weight) pair
     group_of, is_domestic = itemgetter(1, 2), itemgetter(3)  # an AuthorSlot's (university, SDS), its flag
-    for pub_id, year, _, citations, categories, authors, n in corpus.publications:  # sorted by pub_id
+    for pub in corpus.publications:  # sorted by pub_id
+        pub_id, year, _, citations, categories, authors, n = pub
         value = 0.0
         for category, weight in categories:
             divisor = baselines[year, category]
             if divisor:  # a zero divisor's cell holds only zero-citation publications, whose term is 0
                 value += weight * (citations / divisor)
-        if life_categories.isdisjoint(map(category_of, categories)):  # equal shares
+        if not is_life_science(pub):  # equal shares
             groups = list(compress(map(group_of, authors), map(is_domestic, authors)))
             # int / int is correctly rounded, so count / n is float(Fraction(count, n)).
             for group in sorted(set(groups)):

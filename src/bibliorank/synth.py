@@ -77,10 +77,8 @@ class SynthParams:
 
 @dataclass
 class SynthData:
-    """Generated rows in corpus CSV schemas, plus the latent ground truth."""
+    """Generated rows in corpus CSV schemas; the QUALITY indicator rows carry the latent quality."""
 
-    params: SynthParams
-    quality: dict[str, float]
     publications: list[tuple] = field(default_factory=list)
     pub_categories: list[tuple] = field(default_factory=list)
     pub_authors: list[tuple] = field(default_factory=list)
@@ -133,7 +131,7 @@ def generate(params: SynthParams) -> SynthData:
     udas = [f"UDA{i + 1}" for i in range(params.udas)]
     sds_of_uda: dict[str, list[str]] = {}
     sds_ids: list[str] = []
-    data = SynthData(params=params, quality=quality)
+    data = SynthData()
     for uda_index, uda in enumerate(udas):
         life = uda_index < params.life_science_udas
         members = [f"S{uda_index + 1}{j + 1:02d}" for j in range(params.sds_per_uda)]

@@ -1,13 +1,14 @@
-"""Shared fixture helpers: corpus CSV files from row tuples, and reference credit one publication at a time."""
+"""Shared fixture helpers: corpus CSV files from rows or a loaded corpus, and reference credit per publication."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from bibliorank.corpus import Corpus, PublicationRecord, Taxonomy, write_csv
+from bibliorank.corpus import Corpus, CorpusPaths, PublicationRecord, Taxonomy, write_csv
 from bibliorank.scoring import CreditShare, life_science_class_weights
 
 
@@ -45,6 +46,56 @@ def write_corpus(
     if indicators is not None:
         write_file(directory, "indicators.csv", indicators)
     return directory
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
+    """Write the corpus back to the canonical CSV files under ``out_dir``.
+
+    Emission is deterministic; reloading yields an equal corpus.
+    """
+    taxonomy = corpus.taxonomy
+    categories = sorted(
+        {cat for p in corpus.publications for cat, _ in p.categories} | set(taxonomy.life_science_categories)
+    )
+    tables: dict[str, Iterable[tuple]] = {
+        "publications": (
+            (p.pub_id, p.year, p.doc_type, p.citations, p.total_author_count) for p in corpus.publications
+        ),
+        "pub_categories": ((p.pub_id, cat, _fmt(w)) for p in corpus.publications for cat, w in p.categories),
+        "pub_authors": (
+            (
+                p.pub_id,
+                "" if slot.position is None else slot.position,
+                "true" if slot.is_domestic_academic else "false",
+                slot.university_id or "",
+                slot.sds_id or "",
+            )
+            for p in corpus.publications
+            for slot in p.authors
+        ),
+        "staff": ((e.researcher_id, e.university_id, e.sds_id, _fmt(e.years_on_staff)) for e in corpus.staff),
+        "taxonomy": (
+            (sds, uda, "true" if sds in taxonomy.life_science_sds else "false")
+            for sds, uda in taxonomy.sds_to_uda.items()
+        ),
+        "macro_map": taxonomy.uda_to_macro.items(),
+        "peer_outcomes": ((o.university_id, o.uda_id, o.E, o.G, o.A, o.L) for o in corpus.peer_outcomes),
+        "indicators": (
+            (t.indicator_name, t.direction, university, _fmt(value))
+            for t in corpus.indicators
+            for university, value in t.values.items()
+        ),
+        "categories": (
+            (cat, "true" if cat in taxonomy.life_science_categories else "false") for cat in categories
+        ),
+    }
+    paths = CorpusPaths.from_dir(out_dir)
+    for stem, rows in tables.items():
+        write_csv(getattr(paths, stem), stem, rows)
 
 
 def minimal_rows() -> dict[str, list[tuple]]:

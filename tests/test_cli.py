@@ -170,6 +170,21 @@ def test_rank_label_with_unit_names_the_ranking(synth_dir, tmp_path, name):
 
 
 @pytest.mark.parametrize(
+    "name, unit, message",
+    [
+        ("corpus/indicators.csv", "UDA1", "--unit does not apply to indicator files"),
+        ("scores/scores_uda.csv", "UDA9", "scores_uda.csv: no rows for unit 'UDA9'"),
+        ("scores/vtr_ratings.csv", "UDA9", "vtr_ratings.csv: no rows for unit 'UDA9'"),
+    ],
+)
+def test_rank_unit_not_in_the_file_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, name, unit, message):
+    out = tmp_path / "out"
+    assert cli.main(["rank", "--input", str(synth_dir / name), "--unit", unit, "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "rows, message",
     [
         ("U1,UDA1,0.5,50.0\nU2,UDA1,nan,50.0\n", "vtr_ratings.csv:3: R must be finite"),
@@ -178,6 +193,11 @@ def test_rank_label_with_unit_names_the_ranking(synth_dir, tmp_path, name):
         ("U1,UDA1,0.5,50.0\nU2,,0.7,50.0\n", "vtr_ratings.csv:3: uda_id must not be empty"),
         ("U1,UDA1,0.5,50.0\nU2,UDA1,high,50.0\n", "vtr_ratings.csv:3: R must be a number"),
         ("U1,UDA1,0.5,50.0\nU2,UDA1,0.7\n", "vtr_ratings.csv:3: wrong number of fields"),
+        ("U1,UDA1,0.5,50.0\nU2,UDA1,0.7,abc\n", "vtr_ratings.csv:3: category_percentile must be a number, got 'abc'"),
+        ("U1,UDA1,0.5,50.0\nU2,UDA1,0.7,\n", "vtr_ratings.csv:3: category_percentile must be a number, got ''"),
+        ("U1,UDA1,0.5,50.0\nU2,UDA1,0.7,inf\n", "vtr_ratings.csv:3: category_percentile must be finite"),
+        ("U1,UDA1,0.5,50.0\nU2,UDA1,0.7,100.5\n", "vtr_ratings.csv:3: category_percentile must be in [0, 100], got 100.5"),
+        ("U1,UDA1,0.5,50.0\nU2,UDA1,0.7,-1\n", "vtr_ratings.csv:3: category_percentile must be in [0, 100], got -1"),
     ],
 )
 def test_rated_file_rejects_bad_rows(tmp_path, capsys, rows, message):
@@ -312,9 +332,11 @@ THREE_ENTITIES = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\n"
             "".join(f"GDP,higher_is_better,U{i:03d},1.0\n" for i in range(1, 21)),
             "ranking 'GDP': all 20 entities it shares with 'P' tie",
         ),
+        ("compare", (GOOD_RANKING, ""), "b.csv: empty ranking"),
     ],
     ids=["compare-3-entities", "compare-ranks-not-averaged", "compare-all-tied", "compare-unaveraged-tie",
-         "compare-scores-out-of-order", "report-3-universities", "report-constant-indicator"],
+         "compare-scores-out-of-order", "report-3-universities", "report-constant-indicator",
+         "compare-header-only"],
 )
 def test_failed_comparison_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, command, inputs, message):
     if command == "compare":
@@ -360,9 +382,10 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
         ("[analysis]\npercentages = 10, 20, 10.0\n", "[analysis] percentages: duplicate percentage 10.0"),
         (b"[synth]\nseed = 1\xff\n", "not UTF-8: byte 0xff (invalid start byte)"),
         (None, "Is a directory"),
+        (False, "missing config file"),
     ],
     ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section", "empty-out-dir",
-         "empty-corpus-dir", "duplicate-percentages", "not-utf8", "directory"],
+         "empty-corpus-dir", "duplicate-percentages", "not-utf8", "directory", "missing"],
 )
 def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, text, message):
     monkeypatch.chdir(tmp_path)
@@ -371,11 +394,12 @@ def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsy
         config.mkdir()
     elif isinstance(text, bytes):
         config.write_bytes(text)
-    else:
+    elif text is not False:
         config.write_text(text, encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
     assert cli.main(["--config", str(config), "synth", "--universities", "3", "--udas", "1", "--sds-per-uda", "1"]) == 2
     assert f"run.ini: {message}" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_config_settings_reach_run_and_synth_parameters(tmp_path):
@@ -414,7 +438,10 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
     "argv, message",
     [
         (["synth", "--universities", "abc"], "--universities: invalid literal for int()"),
-        (["synth", "--format", "xml"], "--format: format must be one of ('csv', 'json', 'markdown'), got 'xml'"),
+        (
+            ["compare", "a.csv", "b.csv", "--format", "xml"],
+            "--format: format must be one of ('csv', 'json', 'markdown'), got 'xml'",
+        ),
         (["synth", "--window", "2001"], "--window: window must look like 2001-2003, got '2001'"),
         (["synth", "--out-dir", ""], "--out-dir: directory must not be empty"),
         (["score", "--corpus-dir", ""], "--corpus-dir: directory must not be empty"),
@@ -425,15 +452,35 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
         (["synth", "--citation-sigma", "nan"], "synth: citation_sigma must be finite and > 0, got nan"),
         (["synth", "--peer-noise", "nan"], "synth: peer_noise must be finite and >= 0, got nan"),
         (["synth", "--peer-noise", "inf"], "synth: peer_noise must be finite and >= 0, got inf"),
+        (["synth", "--universities", "1"], "synth: need at least 2 universities"),
+        (["synth", "--udas", "0"], "synth: need at least one UDA and one SDS per UDA"),
+        (["synth", "--sds-per-uda", "0"], "synth: need at least one UDA and one SDS per UDA"),
+        (["synth", "--life-science-udas", "2"], "synth: life_science_udas out of range"),
+        (["synth", "--life-science-udas", "-1"], "synth: life_science_udas out of range"),
+        (["synth", "--window", "2003-2001"], "synth: window end precedes start"),
+        (["synth", "--staff-min", "0"], "synth: staff_min/staff_max out of range"),
+        (["synth", "--staff-min", "7"], "synth: staff_min/staff_max out of range"),
+        (["synth", "--staff-presence", "1.5"], "synth: staff_presence must be in [0, 1], got 1.5"),
+        (["synth", "--multi-category-rate", "-0.1"], "synth: multi_category_rate must be in [0, 1], got -0.1"),
+        (["synth", "--cross-university-rate", "2"], "synth: cross_university_rate must be in [0, 1], got 2.0"),
+        (["synth", "--external-listed-rate", "nan"], "synth: external_listed_rate must be in [0, 1], got nan"),
+        (["synth", "--gradient-strength", "1.01"], "synth: gradient_strength must be in [0, 1], got 1.01"),
         (["report", "--percentages", "50,50.0"], "--percentages: duplicate percentage 50.0"),
         (["report", "--percentages", "0"], "--percentages: percentage must be in (0, 100], got 0"),
         (["report", "--percentages", "10,101"], "--percentages: percentage must be in (0, 100], got 101"),
+        (["report", "--percentages", "x"], "--percentages: bad percentage 'x'"),
+        (["report", "--percentages", ","], "--percentages: empty percentages list"),
         (["score", "--corpus-dir", ".", "--window", "2003-2001"], "window 2003-2001: end year precedes start year"),
+        (["score"], "no corpus directory given (use --corpus-dir or [corpus] dir)"),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
-         "nan-peer-noise", "inf-peer-noise", "duplicate-percentages", "zero-percentage", "percentage-over-100",
-         "reversed-window"],
+         "nan-peer-noise", "inf-peer-noise", "one-university", "no-udas", "no-sds-per-uda",
+         "too-many-life-science-udas", "negative-life-science-udas", "synth-reversed-window", "zero-staff-min",
+         "staff-min-over-max", "staff-presence-over-1", "negative-multi-category-rate",
+         "cross-university-rate-over-1", "nan-external-listed-rate", "gradient-strength-over-1",
+         "duplicate-percentages", "zero-percentage", "percentage-over-100", "non-numeric-percentage",
+         "empty-percentages", "reversed-window", "no-corpus-dir"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -478,10 +525,29 @@ def test_synth_reads_its_config_file_once(tmp_path, monkeypatch):
             header("publications") + f"P1,2001,article,{10**308},1\nP2,2001,article,{10**308},1\n",
             f"publications.csv:2: citations must be <= {2**53}, got {10**308}",
         ),
+        (
+            "report", "publications.csv",
+            header("publications") + "P1,2001,article,4,1\nP2,2001,article,4,1\nP3,2001,article,4,1\n",
+            "pub_categories.csv: pub 'P3': no categories listed",
+        ),
+        (
+            "report", "publications.csv", header("publications") + "P1,2001,article,4,1\nP2,2001,article,4,1\n",
+            "report needs peer outcomes or indicators to compare against P",
+        ),
+        ("rank", "scores_university.csv", None, "scores_university.csv: missing input file"),
+        ("rank", "scores_university.csv", "a,b\n1,2\n", "scores_university.csv: unrecognized header 'a,b'"),
+        ("rank", "scores_university.csv", '"level\nX",b\n', "scores_university.csv:1: line break inside a field"),
+        (
+            "rank", "scores_university.csv", header("scores") + "faculty,U1,,1.0,3.0\n",
+            "scores_university.csv:2: unknown level 'faculty'",
+        ),
+        ("rank", "scores_university.csv", header("scores"), "scores_university.csv: empty score table"),
     ],
     ids=["vtr-missing", "vtr-header-only", "rank-indicators-header-only", "rank-rated-header-only",
          "vtr-all-grades-zero", "report-no-authors", "report-citations-over-float-range",
-         "report-citations-summing-past-float-range"],
+         "report-citations-summing-past-float-range", "report-publication-without-categories",
+         "report-nothing-to-compare", "rank-missing", "rank-unrecognized-header", "rank-line-break-in-header",
+         "rank-unknown-level", "rank-scores-header-only"],
 )
 def test_bad_input_file_exits_2_and_writes_nothing(tmp_path, capsys, command, name, body, message):
     if command == "report":
@@ -521,6 +587,26 @@ def test_an_input_path_that_is_a_directory_exits_2_and_writes_nothing(tmp_path, 
 
 
 WRITING_COMMANDS = ["synth", "score", "vtr", "rank", "compare", "report"]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_format_is_offered_by_compare_and_report_only(tmp_path, capsys, command):
+    argv = {
+        "synth": ["synth"],
+        "score": ["score"],
+        "vtr": ["vtr", "--outcomes", "peer_outcomes.csv"],
+        "rank": ["rank", "--input", "scores_uda.csv"],
+        "compare": ["compare", "a.csv", "b.csv"],
+        "report": ["report"],
+    }[command] + ["--format", "json", "--out-dir", str(tmp_path / "out")]
+    if command in ("compare", "report"):
+        assert cli.build_parser().parse_args(argv).format == "json"
+        return
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def writing_argv(command: str, synth_dir: Path, tmp_path: Path) -> list[str]:

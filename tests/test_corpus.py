@@ -10,14 +10,13 @@ from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     SCHEMAS,
     PeerOutcome,
-    emit_corpus,
     load_corpus,
     read_indicators_csv,
 )
 from bibliorank.errors import ValidationError
 from bibliorank.productivity import read_score_csv
 
-from conftest import minimal_rows, write_corpus, write_file
+from conftest import emit_corpus, minimal_rows, write_corpus, write_file
 
 WINDOW = (2001, 2003)
 

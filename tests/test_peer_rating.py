@@ -8,7 +8,9 @@ from bibliorank.peer_rating import (
     pooled_university_ratings,
     rate_outcomes,
     rating_key,
+    read_rated_csv,
     vtr_rating,
+    write_rated_csv,
 )
 
 # Table 1 layout: (university, T, E, G, A, L, rating, percentile)
@@ -130,3 +132,11 @@ def test_pooled_university_ratings():
     pooled = pooled_university_ratings(outcomes)
     assert pooled["A"] == pytest.approx(0.6)  # (2*1.0 + 2*0.2) / 4
     assert pooled["B"] == pytest.approx(0.8)
+
+
+def test_rated_file_round_trips(tmp_path):
+    rated = rate_outcomes(table_1_category())
+    path = tmp_path / "vtr_ratings.csv"
+    write_rated_csv(rated, path)
+    assert read_rated_csv(path) == rated
+    assert {r.category_percentile for r in rated} >= {0.0, 100.0}

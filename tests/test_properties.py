@@ -22,7 +22,6 @@ from bibliorank.corpus import (
     CorpusPaths,
     PublicationRecord,
     Taxonomy,
-    emit_corpus,
     load_corpus,
 )
 from bibliorank.errors import ValidationError
@@ -31,7 +30,7 @@ from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv
 from bibliorank.scoring import compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, synthesize
 
-from conftest import reference_credit_shares, reference_position_weights
+from conftest import emit_corpus, reference_credit_shares, reference_position_weights
 
 WINDOW = (2001, 2003)
 # Small synth corpora: a few universities, one life-science UDA of two.

@@ -287,6 +287,17 @@ def test_top_k_sizes_match_table_11():
     assert ks == [3, 6, 9, 12, 15, 18, 21, 24, 27, 30]
 
 
+def test_top_k_size_of_an_integer_percentage_is_exact_integer_floor_division():
+    # p * n is an exact float, and a non-integer (p * n) / 100 lies at least 0.01 from an integer, more than
+    # the rounding error of the float quotient for any n < 2**46, so the one float formula needs no integer path.
+    percentages = range(1, 101)
+    floats = [float(p) for p in percentages]
+    for n in (*range(1, 5001), 2**40 - 1):
+        expected = [p * n // 100 for p in percentages]
+        assert [top_k_size(p, n) for p in percentages] == expected, n
+        assert [top_k_size(p, n) for p in floats] == expected, n
+
+
 def test_topk_identical_rankings_have_no_variation():
     r = ranking_from_order([f"e{i:02d}" for i in range(61)])
     rows = topk_overlap(r, r)
