@@ -319,22 +319,18 @@ def cmd_rank(args: argparse.Namespace) -> int:
         from . import productivity
 
         table = productivity.read_score_csv(path)
+        units = _by_unit((unit, university, entry.P) for (university, unit), entry in table.entries.items())
         found = [
-            (unit, f"P_{table.level}_{unit}" if unit else f"P_{table.level}", table.university_scores(unit),
-             corpus_mod.HIGHER_IS_BETTER)
-            for unit in sorted({unit for _, unit in table.entries})
+            (unit, f"P_{table.level}_{unit}" if unit else f"P_{table.level}", scores, corpus_mod.HIGHER_IS_BETTER)
+            for unit, scores in units
         ]
     elif header == corpus_mod.SCHEMAS["indicators"]:
         found = [(None, t.indicator_name, t.values, t.direction) for t in corpus_mod.read_indicators_csv(path)]
     elif header == corpus_mod.SCHEMAS["rated"]:
         from . import peer_rating
 
-        rated = peer_rating.read_rated_csv(path)
-        found = [
-            (uda, f"VTR_{uda}", {r.university_id: r.R for r in rated if r.uda_id == uda},
-             corpus_mod.HIGHER_IS_BETTER)
-            for uda in sorted({r.uda_id for r in rated})
-        ]
+        units = _by_unit((r.uda_id, r.university_id, r.R) for r in peer_rating.read_rated_csv(path))
+        found = [(uda, f"VTR_{uda}", scores, corpus_mod.HIGHER_IS_BETTER) for uda, scores in units]
     else:
         raise ValidationError(f"{path.name}: unrecognized header {','.join(header)!r}")
     if not found:
@@ -356,6 +352,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for ranking, out in zip(rankings, outputs):
         print(f"ranked {ranking.n} entities ({ranking.label}) -> {out}")
     return 0
+
+
+def _by_unit(rows: Iterable[tuple[str, str, float]]) -> list[tuple[str, dict[str, float]]]:
+    """Group (unit, university, score) rows, in one pass, into each unit's scores by university, in unit order."""
+    units: dict[str, dict[str, float]] = {}
+    for unit, university, score in rows:
+        units.setdefault(unit, {})[university] = score
+    return sorted(units.items())
 
 
 def _write_text(text: str, path: Path) -> None:
@@ -428,7 +432,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     corpus = corpus_mod.load_corpus(_require_corpus_dir(config), config.window)
     out = config.out_dir
     bundle = productivity.score_corpus(corpus)
-    rankings = [rankcmp.build_ranking(bundle.university.university_scores(""), corpus_mod.HIGHER_IS_BETTER, "P")]
+    scores = {university: entry.P for (university, _), entry in bundle.university.entries.items()}
+    rankings = [rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, "P")]
     if corpus.peer_outcomes:
         pooled = peer_rating.pooled_university_ratings(corpus.peer_outcomes)
         rankings.append(rankcmp.build_ranking(pooled, corpus_mod.HIGHER_IS_BETTER, "VTR"))

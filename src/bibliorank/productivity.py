@@ -52,14 +52,6 @@ class ScoreTable:
     entries: dict[tuple[str, str], ScoreEntry]
     national_means: dict[str, float]
 
-    def university_scores(self, unit_id: str) -> dict[str, float]:
-        """Scores of one unit keyed by university; ``unit_id`` is "" at university level."""
-        return {
-            university: entry.P
-            for (university, unit), entry in self.entries.items()
-            if unit == unit_id
-        }
-
 
 def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[str, EligibilityEntry]:
     """Per-SDS activity report: eligible iff >= 50% of national staff published.

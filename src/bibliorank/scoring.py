@@ -9,16 +9,19 @@ groups: by default every byline slot carries an equal 1/N share, while
 publications in life-science categories use positional weights
 (first/last authors dominate).
 
-Positional weights are exact.  A slot's weight depends only on its weight
-class (first, last, second, second-to-last or other position), the byline
-length ``n`` and the shared first/last branch.  Per ``(n, shared)`` the
-five class weights are cached as integer numerators over one common
-denominator: five integers and a denominator, whatever the byline length.
-A group's fraction is the integer sum of its slots' numerators divided by
-that denominator, so group fractions and the external-author residual sum
-to exactly 1 before rounding.  Python's int / int true division is
-correctly rounded, so each fraction is the float nearest the exact
-rational, the same float that ``float()`` of the ``Fraction`` sum gives.
+Credit follows one exact rule.  A slot's weight depends only on its class
+(first, last, second, second-to-last or other position), the byline
+length ``n``, whether the publication is life-science and, if it is, the
+shared first/last branch.  Per such key the five class weights are cached
+as integer numerators over one common denominator: ``(1, 1, 1, 1, 1)``
+over ``n`` for an equal split, the positional class weights otherwise.
+A group's fraction is the integer sum of its slots' numerators divided
+once by that denominator, so group fractions and the external-author
+residual sum to exactly 1 before rounding.  Python's int / int true
+division is correctly rounded, so each fraction is the float nearest the
+exact rational, whichever multiple of its least denominator it is
+written over: the same float that ``float()`` of the ``Fraction`` sum
+gives.
 """
 
 from __future__ import annotations
@@ -27,20 +30,16 @@ import functools
 import math
 import statistics
 from collections import defaultdict
-from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .corpus import Corpus
 
 BaselineKey = tuple[int, str]  # (year, category_id)
 
-# Positional weight classes for life-science bylines, in units of 1/20:
-# shared first/last university -> 8 first, 8 last, 4 spread over the middle;
-# otherwise -> 6 first, 6 last, 3 second, 3 second-to-last, 2 spread over the rest.
-_SHARED_WEIGHTS = (Fraction(8, 20), Fraction(8, 20), Fraction(4, 20))
-_SPLIT_WEIGHTS = (Fraction(6, 20), Fraction(6, 20), Fraction(3, 20), Fraction(3, 20), Fraction(2, 20))
+# Life-science class weights, in units of 1/20: shared first/last university -> 8 first, 8 last,
+# 4 spread over the middle; otherwise -> 6 first, 6 last, 3 second, 3 second-to-last, 2 spread over the rest.
+_SHARED_WEIGHTS = (8, 8, 4)
+_SPLIT_WEIGHTS = (6, 6, 3, 3, 2)
 
 
 class CreditShare(NamedTuple):
@@ -69,33 +68,34 @@ def compute_baselines(corpus: Corpus) -> dict[BaselineKey, float]:
     return divisors
 
 
-def life_science_class_weights(n: int, shared_first_last: bool) -> tuple[Fraction, ...]:
-    """Exact per-slot weights of the first, last, second, second-to-last and other positions of a byline of ``n``.
+@functools.cache
+def class_numerators(n: int, life_science: bool, shared_first_last: bool) -> tuple[tuple[int, ...], int]:
+    """Per-slot weights of the first, last, second, second-to-last and other positions of a byline of ``n``.
 
-    A position takes the first of those classes it qualifies for; in the
-    shared first/last branch the second, second-to-last and other positions
-    share the one middle weight.  When a byline is too short for some class
-    to have any member, that class weighs 0 and its weight is redistributed
+    They come as integer numerators over one common denominator.  Outside
+    the life sciences every slot weighs 1/n.  A life-science position takes
+    the first of those classes it qualifies for; in the shared first/last
+    branch the second, second-to-last and other positions share the one
+    middle weight.  When a byline is too short for some class to have any
+    member, that class weighs 0 and its weight is redistributed
     proportionally over the occupied classes, so the weights of the ``n``
     positions always sum to 1.
     """
+    if not life_science:
+        return (1, 1, 1, 1, 1), n
     if shared_first_last:
         weights, sizes = _SHARED_WEIGHTS, (1, min(n - 1, 1), max(n - 2, 0))
     else:
         weights, sizes = _SPLIT_WEIGHTS, (1, min(n - 1, 1), int(n >= 3), int(n >= 4), max(n - 4, 0))
     occupied_total = sum(weight for weight, size in zip(weights, sizes) if size)
-    per_slot = [weight / occupied_total / size if size else Fraction(0) for weight, size in zip(weights, sizes)]
+    # A class of `size` slots gives each weight / (occupied_total * size).
+    denominator = math.lcm(*(occupied_total * size for size in sizes if size))
+    numerators = [
+        weight * denominator // (occupied_total * size) if size else 0 for weight, size in zip(weights, sizes)
+    ]
     if shared_first_last:
-        per_slot += per_slot[2:] * 2  # the middle weight for second, second-to-last and other
-    return tuple(per_slot)
-
-
-@functools.cache
-def life_science_class_numerators(n: int, shared_first_last: bool) -> tuple[tuple[int, ...], int]:
-    """:func:`life_science_class_weights` as integer numerators over their least common denominator."""
-    weights = life_science_class_weights(n, shared_first_last)
-    denominator = math.lcm(*(weight.denominator for weight in weights))
-    return tuple(weight.numerator * (denominator // weight.denominator) for weight in weights), denominator
+        numerators += numerators[2:] * 2  # the middle weight for second, second-to-last and other
+    return tuple(numerators), denominator
 
 
 def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> list[CreditShare]:
@@ -113,7 +113,6 @@ def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> lis
     shares: list[CreditShare] = []
     append = shares.append
     new = tuple.__new__
-    group_of, is_domestic = itemgetter(1, 2), itemgetter(3)  # an AuthorSlot's (university, SDS), its flag
     for pub in corpus.publications:  # sorted by pub_id
         pub_id, year, _, citations, categories, authors, n = pub
         value = 0.0
@@ -121,17 +120,11 @@ def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> lis
             divisor = baselines[year, category]
             if divisor:  # a zero divisor's cell holds only zero-citation publications, whose term is 0
                 value += weight * (citations / divisor)
-        if not is_life_science(pub):  # equal shares
-            groups = list(compress(map(group_of, authors), map(is_domestic, authors)))
-            # int / int is correctly rounded, so count / n is float(Fraction(count, n)).
-            for group in sorted(set(groups)):
-                university, sds = group
-                append(new(CreditShare, (pub_id, university, sds, groups.count(group) / n, value)))
-            continue
+        life_science = is_life_science(pub)
         first, last = authors[0], authors[-1]  # slots come in byline order
-        shared = first[0] == 1 and last[0] == n and first[1] is not None and first[1] == last[1]
+        shared = life_science and first[0] == 1 and last[0] == n and first[1] is not None and first[1] == last[1]
         (first_num, last_num, second_num, second_last_num, other_num), denominator = (
-            life_science_class_numerators(n, shared)
+            class_numerators(n, life_science, shared)
         )
         numerators: dict[tuple[str, str], int] = {}
         for position, university, sds, domestic in authors:

@@ -9,7 +9,7 @@ from typing import Iterable
 import pytest
 
 from bibliorank.corpus import Corpus, CorpusPaths, PublicationRecord, Taxonomy, write_csv
-from bibliorank.scoring import CreditShare, life_science_class_weights
+from bibliorank.scoring import CreditShare
 
 
 def write_file(directory: Path, name: str, rows: list[tuple]) -> Path:
@@ -155,41 +155,29 @@ def reference_author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> di
 
     Outside the life sciences each of the ``total_author_count`` slots
     weighs 1/n.  A life-science publication weighs slots by position with
-    the exact class weights; the shared first/last branch applies exactly
-    when the first and last authors belong to the same known university.
+    :func:`reference_position_weights`; the shared first/last branch
+    applies exactly when the first and last authors belong to the same
+    known university.
     Unlisted and external slots leave their weight in the residual.
     """
     n = pub.total_author_count
-    domestic = [slot for slot in pub.authors if slot.is_domestic_academic]
-    if not taxonomy.is_life_science_publication(pub):
-        weights: dict[tuple[str, str], Fraction] = {}
-        for slot in domestic:
+    life_science = taxonomy.is_life_science_publication(pub)
+    if life_science:
+        by_position = {slot.position: slot for slot in pub.authors}
+        first, last = by_position.get(1), by_position.get(n)
+        shared = (
+            first is not None
+            and last is not None
+            and first.university_id is not None
+            and first.university_id == last.university_id
+        )
+        position_weights = reference_position_weights(n, shared)
+    weights: dict[tuple[str, str], Fraction] = {}
+    for slot in pub.authors:
+        if slot.is_domestic_academic:
             key = (slot.university_id, slot.sds_id)
-            weights[key] = weights.get(key, Fraction(0)) + Fraction(1, n)
-        return {key: float(weight) for key, weight in sorted(weights.items())}
-    by_position = {slot.position: slot for slot in pub.authors}
-    first, last = by_position.get(1), by_position.get(n)
-    shared = (
-        first is not None
-        and last is not None
-        and first.university_id is not None
-        and first.university_id == last.university_id
-    )
-    first_weight, last_weight, second_weight, second_last_weight, other_weight = life_science_class_weights(n, shared)
-    weights = {}
-    for slot in domestic:
-        if slot.position == 1:
-            weight = first_weight
-        elif slot.position == n:
-            weight = last_weight
-        elif slot.position == 2:
-            weight = second_weight
-        elif slot.position == n - 1:
-            weight = second_last_weight
-        else:
-            weight = other_weight
-        key = (slot.university_id, slot.sds_id)
-        weights[key] = weights.get(key, Fraction(0)) + weight
+            weight = position_weights[slot.position] if life_science else Fraction(1, n)
+            weights[key] = weights.get(key, Fraction(0)) + weight
     return {key: float(weight) for key, weight in sorted(weights.items())}
 
 

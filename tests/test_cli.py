@@ -375,6 +375,7 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
         ("[synth]\nuniversities = abc\n", "[synth] universities: invalid literal for int()"),
         ("[synth]\nseed = x\n", "[synth] seed: invalid literal for int()"),
         ("[synth]\nuniversites = 50\n", "unknown setting [synth] universites"),
+        ("seed = 1\n", "File contains no section headers"),
         ("[analysis]\nwindow = 2001\n", "[analysis] window: window must look like 2001-2003"),
         ("[io]\nformat = csv\n[DEFAULT]\nformat = csv\n", "unknown setting [DEFAULT] format"),
         ("[io]\nout_dir =\n", "[io] out_dir: directory must not be empty"),
@@ -384,7 +385,7 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
         (None, "Is a directory"),
         (False, "missing config file"),
     ],
-    ids=["bad-int", "bad-seed", "misspelt-key", "bad-window", "default-section", "empty-out-dir",
+    ids=["bad-int", "bad-seed", "misspelt-key", "no-section", "bad-window", "default-section", "empty-out-dir",
          "empty-corpus-dir", "duplicate-percentages", "not-utf8", "directory", "missing"],
 )
 def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, text, message):

@@ -106,6 +106,7 @@ ROW_FAULTS = [
     ("staff.csv", _set(1, ""), None, "university_id must not be empty"),
     ("publications.csv", _set(1, "2001.5"), None, "year must be an integer"),
     ("pub_authors.csv", _set(1, "first"), None, "position must be an integer"),
+    ("publications.csv", _set(2, " "), None, "doc_type must not be empty"),
     ("publications.csv", _set(3, "-1"), None, "citations must be >= 0"),
     ("pub_categories.csv", _set(2, "1.5"), None, "weight must be in (0, 1]"),
     ("pub_authors.csv", _set(1, "100000"), None, "exceeds total_author_count"),
@@ -185,8 +186,8 @@ LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 40), shared=st.booleans(), data=st.data())
-def test_positional_group_fractions_and_residual_sum_to_one(n, shared, data):
+@given(n=st.integers(1, 40), life_science=st.booleans(), shared=st.booleans(), data=st.data())
+def test_positional_group_fractions_and_residual_sum_to_one(n, life_science, shared, data):
     # position -> university of a domestic author, or None for a listed external one
     owners = data.draw(st.dictionaries(st.integers(1, n), st.sampled_from([None, "U1", "U2", "U3"]), min_size=1))
     if shared:
@@ -196,15 +197,19 @@ def test_positional_group_fractions_and_residual_sum_to_one(n, shared, data):
     slots = tuple(  # in byline order, as the loader gives them
         AuthorSlot(pos, uni, None if uni is None else "S1", uni is not None) for pos, uni in sorted(owners.items())
     )
-    pub = PublicationRecord("P1", 2001, "article", 1, (("LC", 1.0),), slots, n)
-    weights = reference_position_weights(n, shared)
+    category = "LC" if life_science else "C1"
+    pub = PublicationRecord("P1", 2001, "article", 1, ((category, 1.0),), slots, n)
+    if life_science:
+        weights = reference_position_weights(n, shared)
+    else:
+        weights = dict.fromkeys(range(1, n + 1), Fraction(1, n))
     groups: dict[str, Fraction] = {}
     for position, university in owners.items():
         if university is not None:
             groups[university] = groups.get(university, Fraction(0)) + weights[position]
     residual = sum((w for position, w in weights.items() if owners.get(position) is None), Fraction(0))
     assert sum(groups.values()) + residual == 1
-    shares = credit_shares(Corpus(WINDOW, (pub,), (), LIFE_TAXONOMY, (), ()), {(2001, "LC"): 1.0})
+    shares = credit_shares(Corpus(WINDOW, (pub,), (), LIFE_TAXONOMY, (), ()), {(2001, category): 1.0})
     assert {(s.university_id, s.sds_id): s.fraction for s in shares} == {
         (u, "S1"): float(f) for u, f in sorted(groups.items())
     }

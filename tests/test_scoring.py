@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bibliorank.corpus import AuthorSlot, Corpus, PublicationRecord, Taxonomy, load_corpus
-from bibliorank.scoring import compute_baselines, credit_shares, life_science_class_numerators, life_science_class_weights
+from bibliorank.scoring import class_numerators, compute_baselines, credit_shares
 
 from conftest import minimal_rows, reference_position_weights, write_corpus
 
@@ -170,14 +170,20 @@ def test_life_science_split_first_last():
         assert fractions[(f"U{position}", "S1")] == pytest.approx(share, abs=1e-12)
 
 
+def _class_weights(n, shared):
+    """Exact per-slot weights of the first, last, second, second-to-last and other positions."""
+    numerators, denominator = class_numerators(n, True, shared)
+    return tuple(Fraction(numerator, denominator) for numerator in numerators)
+
+
 def test_life_science_short_bylines_renormalize():
     # (first, last, second, second-to-last, other); a class with no member weighs 0
     half, zero = Fraction(1, 2), Fraction(0)
-    assert life_science_class_weights(1, True) == life_science_class_weights(1, False) == (1, 0, 0, 0, 0)
-    assert life_science_class_weights(2, True) == (half, half, zero, zero, zero)
-    assert life_science_class_weights(2, False) == (half, half, zero, zero, zero)
-    assert life_science_class_weights(3, False) == (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5), zero, zero)
-    assert life_science_class_weights(4, False) == (
+    assert _class_weights(1, True) == _class_weights(1, False) == (1, 0, 0, 0, 0)
+    assert _class_weights(2, True) == (half, half, zero, zero, zero)
+    assert _class_weights(2, False) == (half, half, zero, zero, zero)
+    assert _class_weights(3, False) == (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5), zero, zero)
+    assert _class_weights(4, False) == (
         Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6), zero
     )
 
@@ -185,7 +191,7 @@ def test_life_science_short_bylines_renormalize():
 def test_life_science_weights_total_one_without_renormalization():
     for n in range(5, 31):
         for shared in (True, False):
-            first, last, second, second_last, other = life_science_class_weights(n, shared)
+            first, last, second, second_last, other = _class_weights(n, shared)
             assert first + last + second + second_last + (n - 4) * other == Fraction(1)
 
 
@@ -208,24 +214,23 @@ def test_life_science_weights_match_the_per_position_reference(shared):
 
 
 def test_life_science_weights_are_cached_and_read_only():
-    numerators = life_science_class_numerators(7, False)
-    assert life_science_class_numerators(7, False) is numerators
-    assert life_science_class_numerators(7, True) is not numerators
+    numerators = class_numerators(7, True, False)
+    assert class_numerators(7, True, False) is numerators
+    assert class_numerators(7, True, True) is not numerators
     with pytest.raises(TypeError):
         numerators[0][1] = 1  # type: ignore[index]
-    assert len(numerators[0]) == len(life_science_class_weights(7, False)) == 5
+    assert len(numerators[0]) == len(class_numerators(7, False, False)[0]) == 5
 
 
-def test_life_science_class_numerators_are_the_class_weights_bit_for_bit():
+def test_class_numerators_sum_to_their_denominator():
     for n in range(1, 3001):
         # byline positions in each class: first, last, second, second-to-last, other
         sizes = (1, int(n >= 2), int(n >= 3), int(n >= 4), max(n - 4, 0))
+        assert class_numerators(n, False, False) == ((1, 1, 1, 1, 1), n)
         for shared in (True, False):
-            numerators, denominator = life_science_class_numerators(n, shared)
-            for numerator, weight in zip(numerators, life_science_class_weights(n, shared), strict=True):
-                assert repr(numerator / denominator) == repr(float(weight))
-            assert sum(numerator * size for numerator, size in zip(numerators, sizes)) == denominator
-            assert life_science_class_numerators(n, shared) is life_science_class_numerators(n, shared)
+            numerators, denominator = class_numerators(n, True, shared)
+            assert sum(numerator * size for numerator, size in zip(numerators, sizes, strict=True)) == denominator
+            assert class_numerators(n, True, shared) is class_numerators(n, True, shared)
 
 
 def test_life_science_credit_of_a_huge_byline_costs_no_per_position_table():
