@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,21 @@ def run_module(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-m", "bibliorank", *args], env=env, timeout=120, **kwargs)
+
+
+def test_synth_writes_the_same_bytes_under_any_hash_seed(tmp_path):
+    written = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        argv = ["synth", "--seed", "5", "--universities", "6", "--udas", "3", "--sds-per-uda", "2", "--out-dir", str(out)]
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibliorank", *argv], env=env, capture_output=True, timeout=120, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert sorted(written[0]) == sorted(f"{f.name}.csv" for f in fields(corpus_mod.CorpusPaths))
+    assert written[0] == written[1]
 
 
 def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_path):

@@ -9,7 +9,9 @@ from bibliorank import cli
 from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     SCHEMAS,
+    AuthorSlot,
     PeerOutcome,
+    PublicationRecord,
     load_corpus,
     read_indicators_csv,
 )
@@ -296,6 +298,36 @@ def test_loaded_ids_are_shared_objects(tmp_path):
         assert slot.sds_id is sds_of[slot.sds_id]
 
 
+@pytest.mark.parametrize("block_rows", [1, corpus_mod.BLOCK_ROWS])
+def test_equal_records_load_as_one_shared_object(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
+    rows = minimal_rows()
+    rows["publications"] = [("P1", 2001, "article", 4, 2), ("P2", 2001, "article", 4, 2), ("P3", 2002, "review", 0, 2)]
+    rows["pub_categories"] = [
+        ("P1", "C1", "0.5"), ("P1", "C2", "0.5"), ("P2", "C1", "0.5"), ("P2", "C3", "0.5"), ("P3", "C1", "1.0"),
+    ]
+    rows["pub_authors"] = [
+        ("P1", 1, "true", "U1", "S1"), ("P1", 2, "false", "", ""),
+        ("P2", 1, "true", "U1", "S1"), ("P3", 2, "true", "U1", "S1"),
+    ]
+    directory = write_corpus(tmp_path, **rows)
+    corpus = load_corpus(directory, WINDOW)
+    domestic_first, external_second = AuthorSlot(1, "U1", "S1", True), AuthorSlot(2, None, None, False)
+    assert corpus.publications == (
+        PublicationRecord("P1", 2001, "article", 4, (("C1", 0.5), ("C2", 0.5)), (domestic_first, external_second), 2),
+        PublicationRecord("P2", 2001, "article", 4, (("C1", 0.5), ("C3", 0.5)), (domestic_first,), 2),
+        PublicationRecord("P3", 2002, "review", 0, (("C1", 1.0),), (AuthorSlot(2, "U1", "S1", True),), 2),
+    )
+    p1, p2, p3 = corpus.publications
+    assert all(type(slot) is AuthorSlot for pub in corpus.publications for slot in pub.authors)
+    assert p2.authors[0] is p1.authors[0]
+    assert p2.categories[0] is p1.categories[0]
+    assert p3.authors[0] is not p1.authors[0]  # another position
+    assert p3.categories[0] is not p1.categories[0]  # another weight
+    # Records are shared within one load only: nothing outlives it.
+    assert load_corpus(directory, WINDOW).publications[0].authors[0] is not p1.authors[0]
+
+
 def test_loading_is_deterministic(tmp_path):
     directory = _rich_corpus_dir(tmp_path)
     assert load_corpus(directory, WINDOW) == load_corpus(directory, WINDOW)
@@ -414,6 +446,10 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
         (
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,higher_is_better,U1,2.0\n",
             "indicators.csv:3: duplicate university_id 'U1' for 'LAT'",
+        ),
+        (
+            "indicators.csv", "LAT,higher_is_better,U1,1.0\nRES,higher_is_better,U1,2.0\nLAT,higher_is_better,U1,3.0\n",
+            "indicators.csv:4: duplicate university_id 'U1' for 'LAT'",
         ),
         ("scores.csv", "uda,U1,X,1.0,3.0\nsds,U1,S1,1.0,3.0\n", "scores.csv:3: mixed levels 'uda' and 'sds'"),
         ("scores.csv", "uda,U1,X,1.0,3.0\nuda,U1, X,2.0,3.0\n", "scores.csv:3: duplicate entry ('U1', 'X')"),
