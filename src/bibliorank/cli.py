@@ -7,9 +7,11 @@ Every setting is one row of ``SETTINGS``: its config-file key, its flag and
 its cast.  That table alone gives each subcommand its setting flags, the
 keys an INI config file (``--config``) may hold, and the layering of
 defaults, then the file, then the flags given, so a flag wins over its key.
-Flag and file values share the cast: a value that does not parse, or an
-unknown key, exits 2 and names the flag or the setting.  ``--format`` belongs
-to ``compare`` and ``report``, which render comparisons; the rest write CSV.
+A config file holds only keys whose flags the running subcommand offers.
+Flag and file values share the cast: a value that does not parse, an
+unknown key, or a key of a flag the subcommand lacks exits 2 and names the
+flag or the setting.  ``--format`` belongs to ``compare`` and ``report``,
+which render comparisons; the rest write CSV.
 
 Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
 Every subcommand computes all its outputs (scores, ratings, rankings and
@@ -48,6 +50,8 @@ ranking objects hold no reference cycles, so the collector's passes over
 the growing row lists free nothing, yet they took about a quarter of a
 ``report`` on a 200-university corpus.  The cyclic garbage a run leaves
 instead is bounded: under a thousand objects for such a ``report``.
+``report`` runs one collection, after it frees the corpus and before it
+compares rankings, to lower its peak memory (see :func:`cmd_report`).
 """
 
 from __future__ import annotations
@@ -165,8 +169,8 @@ def _cast(where: str, cast: Callable[[str], Any], text: str) -> Any:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _read_ini(path: Path) -> dict[str, Any]:
-    """Read a config file into cast values keyed by flag dest, refusing unknown and malformed settings."""
+def _read_ini(path: Path) -> dict[tuple[str, str], Any]:
+    """Read a config file into cast values keyed by (section, key), refusing unknown and malformed settings."""
     import configparser
 
     if not path.exists():
@@ -184,18 +188,24 @@ def _read_ini(path: Path) -> dict[str, Any]:
         raise ValidationError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
-    values: dict[str, Any] = {}
+    values: dict[tuple[str, str], Any] = {}
     for (section, key), text in raw.items():
         if (section, key) not in SETTINGS:
             raise ValidationError(f"{path}: unknown setting [{section}] {key}")
-        flag, cast = SETTINGS[section, key]
-        values[_dest(flag)] = _cast(f"{path}: [{section}] {key}", cast, text)
+        values[section, key] = _cast(f"{path}: [{section}] {key}", SETTINGS[section, key][1], text)
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, then the config file, then the flags given."""
-    values = _read_ini(Path(args.config)) if args.config else {}
+    """Layer defaults, then the config file, then the flags given, refusing a key whose flag the subcommand lacks."""
+    values: dict[str, Any] = {}
+    if args.config:
+        path = Path(args.config)
+        for (section, key), value in _read_ini(path).items():
+            flag = SETTINGS[section, key][0]
+            if flag not in args.setting_flags:
+                raise ValidationError(f"{path}: [{section}] {key}: not a setting of {args.command}")
+            values[_dest(flag)] = value
     for flag, cast in SETTINGS.values():
         text = getattr(args, _dest(flag), None)
         if text is not None:
@@ -434,16 +444,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     bundle = productivity.score_corpus(corpus)
     scores = {university: entry.P for (university, _), entry in bundle.university.entries.items()}
     rankings = [rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, "P")]
+    rated = peer_rating.rate_outcomes(corpus.peer_outcomes) if corpus.peer_outcomes else None
     if corpus.peer_outcomes:
         pooled = peer_rating.pooled_university_ratings(corpus.peer_outcomes)
         rankings.append(rankcmp.build_ranking(pooled, corpus_mod.HIGHER_IS_BETTER, "VTR"))
     for table in corpus.indicators:
         rankings.append(rankcmp.build_ranking(table.values, table.direction, table.indicator_name))
+    # The comparisons read only the rankings, so the corpus goes before they import numpy and scipy.  The
+    # collection empties the interpreter's free lists: without it the freed corpus still held 7 MB of
+    # memory at national size, and that set the run's peak.
+    del corpus
+    gc.collect()
     if len(rankings) < 2:
         raise ValidationError("report needs peer outcomes or indicators to compare against P")
     _check_labels(rankings)
     reports, matrix = _compare_all(rankings, config)
-    rated = peer_rating.rate_outcomes(corpus.peer_outcomes) if corpus.peer_outcomes else None
 
     outputs = _score_outputs(bundle, out)
     if rated is not None:
@@ -470,9 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func: Callable[..., int], summary: str, flags: tuple[str, ...]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        for flag in (*flags, "--out-dir"):
+        setting_flags = (*flags, "--out-dir")
+        for flag in setting_flags:
             p.add_argument(flag, help=f"overrides {keys[flag]} in the config file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, setting_flags=setting_flags)
         return p
 
     add("score", cmd_score, "compute productivity score tables from a corpus", ("--corpus-dir", "--window"))

@@ -58,21 +58,28 @@ def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[s
 
     A researcher counts as publishing when any of their (university, SDS)
     affiliations owns at least one credit share; the corpus schema does
-    not tie individual publications to researcher ids.
+    not tie individual publications to researcher ids.  A researcher with
+    several affiliations in one SDS counts there once.
     """
     active_groups = set(map(itemgetter(1, 2), shares))  # (university_id, sds_id)
-    researchers: dict[str, set[str]] = {sds: set() for sds in corpus.taxonomy.sds_to_uda}
-    active: dict[str, set[str]] = {sds: set() for sds in corpus.taxonomy.sds_to_uda}
+    sds_ids = corpus.taxonomy.sds_to_uda
+    staff_count, active_count = dict.fromkeys(sds_ids, 0), dict.fromkeys(sds_ids, 0)
+    # The last researcher counted in each SDS.  Staff is sorted by researcher id first, so a researcher's
+    # affiliations are adjacent and a researcher met again in an SDS is that SDS's last one counted.
+    counted: dict[str, str | None] = dict.fromkeys(sds_ids)
+    counted_active: dict[str, str | None] = dict.fromkeys(sds_ids)
     for researcher, university, sds, _ in corpus.staff:  # every staff SDS is in the taxonomy
-        researchers[sds].add(researcher)
-        if (university, sds) in active_groups:
-            active[sds].add(researcher)
+        if counted[sds] != researcher:
+            counted[sds] = researcher
+            staff_count[sds] += 1
+        if counted_active[sds] != researcher and (university, sds) in active_groups:
+            counted_active[sds] = researcher
+            active_count[sds] += 1
     report: dict[str, EligibilityEntry] = {}
-    for sds in sorted(researchers):
-        count = len(researchers[sds])
-        active_count = len(active[sds])
-        fraction = active_count / count if count else 0.0
-        report[sds] = EligibilityEntry(count, active_count, fraction, count > 0 and fraction >= 0.5)
+    for sds in sorted(sds_ids):
+        count = staff_count[sds]
+        fraction = active_count[sds] / count if count else 0.0
+        report[sds] = EligibilityEntry(count, active_count[sds], fraction, count > 0 and fraction >= 0.5)
     return report
 
 

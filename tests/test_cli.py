@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -168,6 +169,26 @@ def test_report_leaves_little_cyclic_garbage(synth_dir, tmp_path):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_report_frees_the_corpus_before_the_comparisons(synth_dir, tmp_path, monkeypatch):
+    load_corpus, compare_all = corpus_mod.load_corpus, cli._compare_all
+    loaded: list[weakref.ref] = []
+    alive_at_compare: list[bool] = []
+
+    def load(*args):
+        corpus = load_corpus(*args)
+        loaded.append(weakref.ref(corpus))
+        return corpus
+
+    def compare(*args):
+        alive_at_compare.append(loaded[0]() is not None)
+        return compare_all(*args)
+
+    monkeypatch.setattr(corpus_mod, "load_corpus", load)
+    monkeypatch.setattr(cli, "_compare_all", compare)
+    assert cli.main(["report", "--corpus-dir", str(synth_dir / "corpus"), "--out-dir", str(tmp_path)]) == 0
+    assert alive_at_compare == [False]
 
 
 @pytest.mark.parametrize("name", ["scores_uda.csv", "vtr_ratings.csv"])
@@ -385,26 +406,39 @@ def test_report_rejects_line_break_in_an_indicator_name(synth_dir, tmp_path, cap
     assert not out.exists()
 
 
+SMALL_SYNTH = ["synth", "--universities", "3", "--udas", "1", "--sds-per-uda", "1"]
+
+
 @pytest.mark.parametrize(
-    "text, message",
+    "argv, text, message",
     [
-        ("[synth]\nuniversities = abc\n", "[synth] universities: invalid literal for int()"),
-        ("[synth]\nseed = x\n", "[synth] seed: invalid literal for int()"),
-        ("[synth]\nuniversites = 50\n", "unknown setting [synth] universites"),
-        ("seed = 1\n", "File contains no section headers"),
-        ("[analysis]\nwindow = 2001\n", "[analysis] window: window must look like 2001-2003"),
-        ("[io]\nformat = csv\n[DEFAULT]\nformat = csv\n", "unknown setting [DEFAULT] format"),
-        ("[io]\nout_dir =\n", "[io] out_dir: directory must not be empty"),
-        ("[corpus]\ndir =\n", "[corpus] dir: directory must not be empty"),
-        ("[analysis]\npercentages = 10, 20, 10.0\n", "[analysis] percentages: duplicate percentage 10.0"),
-        (b"[synth]\nseed = 1\xff\n", "not UTF-8: byte 0xff (invalid start byte)"),
-        (None, "Is a directory"),
-        (False, "missing config file"),
+        (SMALL_SYNTH, "[synth]\nuniversities = abc\n", "[synth] universities: invalid literal for int()"),
+        (SMALL_SYNTH, "[synth]\nseed = x\n", "[synth] seed: invalid literal for int()"),
+        (SMALL_SYNTH, "[synth]\nuniversites = 50\n", "unknown setting [synth] universites"),
+        (SMALL_SYNTH, "seed = 1\n", "File contains no section headers"),
+        (SMALL_SYNTH, "[analysis]\nwindow = 2001\n", "[analysis] window: window must look like 2001-2003"),
+        (SMALL_SYNTH, "[io]\nformat = csv\n[DEFAULT]\nformat = csv\n", "unknown setting [DEFAULT] format"),
+        (SMALL_SYNTH, "[io]\nout_dir =\n", "[io] out_dir: directory must not be empty"),
+        (["score"], "[corpus]\ndir =\n", "[corpus] dir: directory must not be empty"),
+        (["report"], "[analysis]\npercentages = 10, 20, 10.0\n", "[analysis] percentages: duplicate percentage 10.0"),
+        (SMALL_SYNTH, b"[synth]\nseed = 1\xff\n", "not UTF-8: byte 0xff (invalid start byte)"),
+        (SMALL_SYNTH, None, "Is a directory"),
+        (SMALL_SYNTH, False, "missing config file"),
+        (["score", "--corpus-dir", "c"], "[io]\nformat = json\n", "[io] format: not a setting of score"),
+        (["score"], "[analysis]\npercentages = 10\n", "[analysis] percentages: not a setting of score"),
+        (SMALL_SYNTH, "[io]\nformat = json\n", "[io] format: not a setting of synth"),
+        (SMALL_SYNTH, "[corpus]\ndir = c\n", "[corpus] dir: not a setting of synth"),
+        (["vtr", "--outcomes", "o"], "[analysis]\nwindow = 2001-2003\n", "[analysis] window: not a setting of vtr"),
+        (["rank", "--input", "i.csv"], "[corpus]\ndir = c\n", "[corpus] dir: not a setting of rank"),
+        (["compare", "a.csv", "b.csv"], "[synth]\nudas = 5\n", "[synth] udas: not a setting of compare"),
+        (["report", "--corpus-dir", "c"], "[synth]\nseed = 1\n", "[synth] seed: not a setting of report"),
     ],
     ids=["bad-int", "bad-seed", "misspelt-key", "no-section", "bad-window", "default-section", "empty-out-dir",
-         "empty-corpus-dir", "duplicate-percentages", "not-utf8", "directory", "missing"],
+         "empty-corpus-dir", "duplicate-percentages", "not-utf8", "directory", "missing", "score-format",
+         "score-percentages", "synth-format", "synth-corpus-dir", "vtr-window", "rank-corpus-dir",
+         "compare-synth-key", "report-synth-key"],
 )
-def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, text, message):
+def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsys, argv, text, message):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.ini"
     if text is None:
@@ -414,7 +448,7 @@ def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsy
     elif text is not False:
         config.write_text(text, encoding="utf-8")
     before = sorted(tmp_path.iterdir())
-    assert cli.main(["--config", str(config), "synth", "--universities", "3", "--udas", "1", "--sds-per-uda", "1"]) == 2
+    assert cli.main(["--config", str(config), *argv]) == 2
     assert f"run.ini: {message}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
 
@@ -422,7 +456,7 @@ def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsy
 def test_config_settings_reach_run_and_synth_parameters(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(
-        "[io]\nformat = json\n[analysis]\nwindow = 2002-2004\npercentages = 10, 20\n"
+        "[analysis]\nwindow = 2002-2004\n"
         "[synth]\nseed = 7\nuniversities = 5\nlife_science_udas = 2\n"
         "max_external_authors = 40\ncross_university_rate = 0.6\n",
         encoding="utf-8",
@@ -430,9 +464,16 @@ def test_config_settings_reach_run_and_synth_parameters(tmp_path):
     args = cli.build_parser().parse_args(["--config", str(config), "synth", "--universities", "6"])
     run = cli.build_config(args)
     params = cli.build_synth_params(run)
-    assert (run.format, run.window, run.percentages, run.seed) == ("json", (2002, 2004), (10.0, 20.0), 7)
+    assert (run.window, run.seed) == ((2002, 2004), 7)
     assert (params.seed, params.window, params.universities) == (7, (2002, 2004), 6)
     assert (params.life_science_udas, params.max_external_authors, params.cross_university_rate) == (2, 40, 0.6)
+    config.write_text(
+        "[io]\nformat = json\n[corpus]\ndir = c\n[analysis]\nwindow = 2002-2004\npercentages = 10, 20\n",
+        encoding="utf-8",
+    )
+    run = cli.build_config(cli.build_parser().parse_args(["--config", str(config), "report"]))
+    assert (run.format, run.corpus_dir, run.window, run.percentages) == ("json", Path("c"), (2002, 2004), (10.0, 20.0))
+    assert run.synth == {}
 
 
 @pytest.mark.parametrize("key", [key for section, key in cli.SETTINGS if section == "synth"])

@@ -85,6 +85,19 @@ def test_eligibility_no_staff(tmp_path):
     assert not report["S_EMPTY"].eligible
 
 
+def test_researcher_with_two_affiliations_in_an_sds_counts_once(tmp_path):
+    rows = minimal_rows()
+    rows["taxonomy"].append(("S2", "UDA1", "false"))
+    # R1 is in S1 at U1, which does not publish, and at U2, which does; an S2 affiliation sorts between the two.
+    rows["staff"] = [("R1", "U2", "S1", "3.0"), ("R2", "U3", "S1", "3.0"), ("R1", "U1", "S2", "3.0"),
+                     ("R1", "U1", "S1", "3.0")]
+    rows["pub_authors"] = [("P1", 1, "true", "U2", "S1")]
+    corpus = load_corpus(write_corpus(tmp_path, **rows), WINDOW)
+    report = filter_eligible_sds(corpus, [share(university="U2")])
+    assert report["S1"] == (2, 1, 0.5, True)
+    assert report["S2"] == (1, 0, 0.0, False)
+
+
 # ---------------------------------------------------------------------------
 # SDS productivity
 

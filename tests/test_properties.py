@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibliorank import cli
@@ -180,6 +180,35 @@ def test_sds_productivity_bits_do_not_depend_on_share_or_roster_order(tmp_path_f
     table = sds_productivity(shares, roster, WINDOW)
     assert repr(table.entries) == repr(expected.entries)
     assert repr(table.national_means) == repr(expected.national_means)
+
+
+ARRANGEMENTS = ("sorted", "partly sorted", "reversed", "as drawn")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.text("PQR", min_size=1, max_size=3), min_size=1, max_size=8, unique=True).map(sorted),
+    picks=st.lists(st.integers(0, 7), max_size=30),
+    arrangement=st.sampled_from(ARRANGEMENTS),
+)
+@example(ids=["P1", "P2"], picks=[0, 1, 1], arrangement="sorted")  # the path without a sort
+@example(ids=["P1", "P2"], picks=[0, 1, 1], arrangement="reversed")  # the argsort path
+def test_runs_group_items_by_id_in_their_order(ids, picks, arrangement):
+    keys = [ids[pick % len(ids)] for pick in picks]  # ids repeat, and some have no items
+    if arrangement == "sorted":
+        keys.sort()
+    elif arrangement == "reversed":
+        keys.sort(reverse=True)
+    elif arrangement == "partly sorted":
+        keys[: len(keys) // 2] = sorted(keys[: len(keys) // 2])
+    items = [(key, index) for index, key in enumerate(keys)]
+    expected: dict[str, list] = {pid: [] for pid in ids}
+    for key, item in zip(keys, items):
+        expected[key].append(item)
+    with mock.patch.object(corpus_mod, "sorted", create=True, wraps=sorted) as sort:
+        runs = list(corpus_mod._runs(ids, keys, items))
+    assert runs == [expected[pid] for pid in ids]
+    assert sort.called == (keys != sorted(keys))  # keys in order take the path without a sort
 
 
 LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}))
