@@ -35,13 +35,16 @@ each distinct raw value once and gives every row holding it the one
 resulting object, and membership and uniqueness are set operations.  So
 each university, SDS, category, researcher and publication id is one
 shared ``str`` across all files, and the scoring dicts keyed on ids hash
-and compare them cheaply.  Only when a check fails does per-row code run:
-it finds the first bad row of the block.  Loading is fail-fast: the first
-violation in file order raises :class:`ValidationError` naming the file
-and line, with the message of the first check that row fails.  The
-records (:class:`AuthorSlot`, :class:`PublicationRecord`,
-:class:`StaffEntry`) are ``NamedTuple``s.  A loaded :class:`Corpus` is
-immutable and safe for unrestricted concurrent reads.
+and compare them cheaply.  A byte that is not UTF-8 is one more bad value:
+files are decoded with ``surrogateescape``, and a :class:`Column` refuses a
+new raw value that is not ASCII unless it re-encodes to valid UTF-8.  Only
+when a check fails does per-row code run: it finds the first bad row of the
+block.  Loading is fail-fast: the first violation in file order raises
+:class:`ValidationError` naming the file and line, with the message of the
+first check that row fails.  The records (:class:`AuthorSlot`,
+:class:`PublicationRecord`, :class:`StaffEntry`) are ``NamedTuple``s.  A
+loaded :class:`Corpus` is immutable and safe for unrestricted concurrent
+reads.
 
 Records are immutable, so equal ones can be one object, as equal field
 values are.  The publication loader keeps one object per distinct
@@ -89,7 +92,6 @@ these invariants and does not check them again:
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -266,10 +268,11 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
     not exist give no blocks; existing files must carry exactly the header
     ``SCHEMAS[schema]``.  Blank lines are skipped.  A row with the wrong
     number of fields, a record spanning more than one line (a line break
-    inside a quoted field), a field over the csv module's size limit and a
-    byte that is not UTF-8 are refused.  ``check`` raises :class:`RowFault`
-    for a bad row; the error raised names the first bad line in file order,
-    whichever check found it.
+    inside a quoted field) and a field over the csv module's size limit are
+    refused.  A byte that is not UTF-8 reads as a lone surrogate, which the
+    :class:`Column` parsing its field refuses as a bad value.  ``check``
+    raises :class:`RowFault` for a bad row; the error raised names the first
+    bad line in file order, whichever check found it.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -291,11 +294,6 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
                 rows.extend(islice(reader, BLOCK_ROWS))  # keeps the rows read before a csv.Error
             except csv.Error as exc:
                 fault = f"{reader.line_num}: {exc}"
-            except UnicodeDecodeError:
-                reader = _utf8_reader(path, last)  # read the block again, up to the bad line
-                continue
-            except _NotUtf8 as exc:
-                fault = str(exc)
             count = len(rows)
             if fault is None and reader.line_num - last == count and {*map(len, rows)} <= {width}:
                 lines: Sequence[int] = range(last + 1, reader.line_num + 1)
@@ -320,60 +318,40 @@ def read_header(path: Path) -> tuple[str, ...]:
 def _open_csv(path: Path) -> Iterator[tuple[Any, list[str]]]:
     """Open ``path`` and read its header.
 
-    A path that is not a regular file, an empty file and a bad header record are refused.
+    A path that is not a regular file, an empty file and a bad header record, one with a byte
+    that is not UTF-8 included, are refused.  Such a byte reads as a lone surrogate.
     """
     if not path.is_file():
         raise ValidationError(f"{path}: not a regular file")
     name = path.name
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            try:
-                header = next(reader, None)
-            except UnicodeDecodeError:
-                reader = _utf8_reader(path, 0)
-                header = next(reader, None)
+            header = next(reader, None)
         except csv.Error as exc:
             raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
-        except _NotUtf8 as exc:
-            raise ValidationError(f"{name}:{exc}") from None
         if header is None:
             raise ValidationError(f"{name}:1: empty file, header row required")
         if reader.line_num != 1:
             raise ValidationError(f"{name}:1: line break inside a field")
+        try:
+            _check_utf8(",".join(header))
+        except ValueError as exc:
+            raise ValidationError(f"{name}:1: {exc}") from None
         yield reader, header
 
 
-class _NotUtf8(Exception):
-    """A file's first byte that is not UTF-8, as ``line: message``."""
+def _check_utf8(raw: str) -> None:
+    """Refuse a value that holds a byte that is not UTF-8, naming the byte as a strict decoder does.
 
-
-def _utf8_reader(path: Path, skip: int) -> Any:
-    """A csv reader over the lines of ``path`` before its first byte that is not UTF-8, past line ``skip``.
-
-    Once those lines are read, it raises :class:`_NotUtf8` naming the line
-    of the bad byte.  The file's decoder reads ahead in chunks, so its error
-    names no line and loses the good lines decoded with the bad byte; this
-    runs only after that error, and finds the line in the file's bytes.
+    The byte after a value in its file is a comma, a quote or a line end, so
+    the value is checked with a line end after it: a cut-off sequence then
+    reads as an invalid continuation, wherever in the file it lies.
     """
-    reader = csv.reader(_utf8_lines(path))
-    while reader.line_num < skip:  # blocks start at record boundaries, so this stops at ``skip``
-        next(reader)
-    return reader
-
-
-def _utf8_lines(path: Path) -> Iterator[str]:
-    data = path.read_bytes()
     try:
-        data.decode("utf-8")
+        (raw + "\n").encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Lines end as the csv reader sees them: at \n, \r\n or \r.
-        lines = io.StringIO(data[: exc.start].decode("utf-8"), newline="").readlines()
-        if lines and not lines[-1].endswith(("\n", "\r")):
-            lines.pop()  # the start of the line holding the bad byte
-        yield from lines
-        raise _NotUtf8(f"{len(lines) + 1}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
-    raise ValidationError(f"{path.name}: changed while it was read")
+        raise ValueError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
 def _split_at_fault(
@@ -425,7 +403,8 @@ class Column:
     """Parses the raw values of one column, each distinct raw value once.
 
     Rows with equal raw values get the one resulting object.  ``parse``
-    raises ``ValueError`` with the message for a bad value; the first row
+    raises ``ValueError`` with the message for a bad value; a value holding
+    a byte that is not UTF-8 is bad before ``parse`` sees it.  The first row
     holding a bad value faults.
     """
 
@@ -442,6 +421,8 @@ class Column:
         failed: dict = {}
         for raw in set(raw_values).difference(memo):
             try:
+                if not raw.isascii():
+                    _check_utf8(raw)
                 memo[raw] = self.parse(raw)
             except ValueError as exc:
                 failed[raw] = str(exc)
@@ -607,9 +588,10 @@ def _release_freed_heap() -> None:
     """Return the heap pages that the load's freed temporaries held to the OS (glibc only).
 
     glibc returns heap memory only from the top of its heap, and which
-    block ends up there depends on earlier allocation addresses: without
-    this, the same 200-university ``report`` peaked at about 130 or 144 MB
-    depending on the length of the corpus path.
+    block ends up there depends on earlier allocation addresses.  Over 15
+    lengths of the corpus path, a 200-university ``report`` peaked at
+    90.6-91.6 MB with this, and without it at about 91 MB for 3 lengths and
+    105.4-108.0 MB for the other 12.
     """
     import ctypes
 

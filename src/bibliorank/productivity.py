@@ -20,7 +20,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import Column, Corpus, RowFault, StaffEntry, check_unique, float_column, id_column, read_rows, write_csv
+from .corpus import (
+    Column, Corpus, RowFault, StaffEntry, check_known, check_unique, float_column, id_column, read_rows, write_csv,
+)
 from .errors import ValidationError
 from .scoring import CreditShare, compute_baselines, credit_shares
 
@@ -191,7 +193,7 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
 
 
 def read_score_csv(path: Path) -> ScoreTable:
-    """Read a score table written by :func:`write_score_csv`; ``unit_id`` is empty at university level."""
+    """Read a score table written by :func:`write_score_csv`; ``unit_id`` is empty exactly at university level."""
     entries: dict[tuple[str, str], ScoreEntry] = {}
     level: str | None = None  # the level of the file's first row
 
@@ -212,7 +214,12 @@ def read_score_csv(path: Path) -> ScoreTable:
         if levels.count(file_level) != len(levels):
             index = next(i for i, row_level in enumerate(levels) if row_level != file_level)
             raise RowFault(index, f"mixed levels {file_level!r} and {levels[index]!r}")
-        keys = list(zip(university_of(raw_university), unit_of(raw_unit)))
+        units = unit_of(raw_unit)
+        if file_level == "university":
+            check_known(units, {""}, lambda unit: f"unit_id must be empty at level 'university', got {unit!r}")
+        elif "" in units:
+            raise RowFault(units.index(""), f"unit_id must not be empty at level {file_level!r}")
+        keys = list(zip(university_of(raw_university), units))
         check_unique(keys, entries.keys(), lambda key: f"duplicate entry {key}")
         entries.update(zip(keys, map(ScoreEntry, p_of(raw_p), rs_of(raw_rs))))
         level = file_level

@@ -4,8 +4,12 @@ Universities get a latent quality factor that drives publication rates,
 citation levels and peer-review outcomes.  A configurable share of the
 latitude signal tracks quality (``gradient_strength`` 0 = independent,
 1 = fully quality-driven), and ``peer_noise`` perturbs the peer-review
-target rating before grade counts are realized, so the noiseless limit
-rates universities in exact latent-quality order.
+target rating before grade counts are realized.  A realized rating is a
+multiple of 1/(5 x outputs), so cells with different output counts round
+differently, and even the noiseless limit does not rate in exact
+latent-quality order.  What holds at ``peer_noise`` 0 is a weak order among
+cells with equal output counts: the cell of a higher-quality university
+never rates lower.
 
 Citations are drawn from a floored lognormal, a discrete heavy-tailed
 family that leaves some (year, category) cells with median 0 and thereby

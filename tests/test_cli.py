@@ -298,6 +298,38 @@ def test_rank_rejects_an_oversized_header_field_with_file_and_line(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        (
+            "indicators.csv", b"indicator_name,direction,university_\xe9d,value\nLAT,higher_is_better,U1,1.0\n",
+            "indicators.csv:1: not UTF-8: byte 0xe9 (invalid continuation byte)",
+        ),
+        (
+            "indicators.csv",
+            header("indicators").encode() + b"LAT,higher_is_better,U1,1.0\nLAT,higher_is_better,U\xe9,2.0\n",
+            "indicators.csv:3: not UTF-8: byte 0xe9 (invalid continuation byte)",
+        ),
+        (
+            "scores_uda.csv", header("scores").encode() + b"uda,U1,UDA1,1.0,3.0\nuda,U2,,2.0,3.0\n",
+            "scores_uda.csv:3: unit_id must not be empty at level 'uda'",
+        ),
+        (
+            "scores_university.csv", header("scores").encode() + b"university,U1,,1.0,3.0\nuniversity,U2,X,2.0,3.0\n",
+            "scores_university.csv:3: unit_id must be empty at level 'university', got 'X'",
+        ),
+    ],
+    ids=["latin1-header", "latin1-university", "uda-without-unit", "university-with-unit"],
+)
+def test_rank_refuses_a_bad_value_with_file_and_line(tmp_path, capsys, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert cli.main(["rank", "--input", str(path), "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("names", [("X Y", "X_Y"), ("P",)])
 def test_report_rejects_colliding_labels_before_writing(tmp_path, capsys, names):
     rows = minimal_rows()

@@ -16,7 +16,7 @@ from bibliorank.corpus import (
     read_indicators_csv,
 )
 from bibliorank.errors import ValidationError
-from bibliorank.productivity import read_score_csv
+from bibliorank.productivity import read_score_csv, score_corpus, write_score_csv
 
 from conftest import emit_corpus, minimal_rows, write_corpus, write_file
 
@@ -492,3 +492,64 @@ def test_a_byte_that_is_not_utf8_names_its_line_after_the_rows_before_it(
     monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load_corpus(tmp_path, WINDOW)
+
+
+@pytest.mark.parametrize("block_rows", [1, corpus_mod.BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        # A byte that is not UTF-8 is one more bad value, so a row reports the first check it fails.
+        (
+            "publications.csv", b"P1,2001,article,4,1\nP1,2001,arti\xe9cle,4,1\n",
+            "publications.csv:3: duplicate pub_id 'P1'",
+        ),
+        (
+            "publications.csv", b"P1,2001,article,4,1\nP2,20\xff01,article,4\n",
+            "publications.csv:3: wrong number of fields",
+        ),
+        (
+            "indicators.csv", b'LAT,higher_is_better,U1,41.5\n"GDP\nX\xe9",higher_is_better,U1,2.0\n',
+            "indicators.csv:3: line break inside a field",
+        ),
+        (
+            "indicators.csv", b"LAT,higher_is_better,U1,41.5\nLAT,higher_is_better,U2,1.5\xe2\x82",
+            "indicators.csv:3: not UTF-8: byte 0xe2 (invalid continuation byte)",
+        ),
+        (
+            "indicators.csv",
+            b"LAT,higher_is_better,U1,41.5\nLAT,higher_is_better,Universit\xe9,2.0\nLAT,higher_is_better,U3,1.0\n",
+            "indicators.csv:3: not UTF-8: byte 0xe9 (invalid continuation byte)",
+        ),
+        (
+            "indicators.csv", b"LAT,higher_is_better,U1,41.5\nLAT,higher_is_better, \xe9 ,2.0\n",
+            "indicators.csv:3: not UTF-8: byte 0xe9 (invalid continuation byte)",
+        ),
+    ],
+    ids=["bad-byte-after-duplicate", "bad-byte-in-short-row", "bad-byte-in-multiline-record",
+         "sequence-cut-off-by-end-of-file", "latin1-mid-file", "bad-byte-in-padded-id"],
+)
+def test_a_byte_that_is_not_utf8_is_a_bad_value_of_its_row(tmp_path, monkeypatch, block_rows, name, data, message):
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
+    path = write_corpus(tmp_path, **minimal_rows()) / name
+    path.write_bytes(",".join(SCHEMAS[path.stem]).encode() + b"\n" + data)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_corpus(tmp_path, WINDOW)
+
+
+def test_non_ascii_ids_load_and_round_trip(tmp_path):
+    university, sds = "Università", "Società"
+    rows = minimal_rows()
+    rows["staff"] = [("R1", university, sds, "3.0")]
+    rows["taxonomy"] = [(sds, "UDA1", "false")]
+    rows["pub_authors"] = [("P1", 1, "true", university, sds)]
+    rows["indicators"] = [("LATITUDINE", "higher_is_better", university, "41.5")]
+    corpus = load_corpus(write_corpus(tmp_path / "corpus", **rows), WINDOW)
+    assert corpus.universities() == [university]
+    assert corpus.publications[0].authors[0].sds_id == sds
+    assert corpus.indicators[0].values == {university: 41.5}
+    emit_corpus(corpus, tmp_path / "emitted")
+    assert load_corpus(tmp_path / "emitted", WINDOW) == corpus
+    table = score_corpus(corpus).university
+    path = tmp_path / "scores_university.csv"
+    write_score_csv(table, path)
+    assert read_score_csv(path).entries == table.entries == {(university, ""): table.entries[university, ""]}

@@ -1,9 +1,12 @@
 import logging
 import random
+import re
 
 import pytest
 
-from bibliorank.corpus import StaffEntry, Taxonomy, load_corpus
+from bibliorank import corpus as corpus_mod
+from bibliorank.corpus import SCHEMAS, StaffEntry, Taxonomy, load_corpus
+from bibliorank.errors import ValidationError
 from bibliorank.productivity import (
     ScoreEntry,
     ScoreTable,
@@ -323,3 +326,24 @@ def test_score_csv_round_trip(tmp_path):
     loaded = read_score_csv(path)
     assert loaded.level == "sds"
     assert loaded.entries == table.entries
+
+
+@pytest.mark.parametrize("block_rows", [1, corpus_mod.BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("sds,U1,S1,1.0,3.0\nsds,U2,,1.0,3.0\n", "scores.csv:3: unit_id must not be empty at level 'sds'"),
+        ("uda,U1,UDA1,1.0,3.0\nuda,U2, ,1.0,3.0\n", "scores.csv:3: unit_id must not be empty at level 'uda'"),
+        ("macro,U1,,1.0,3.0\n", "scores.csv:2: unit_id must not be empty at level 'macro'"),
+        (
+            "university,U1,,1.0,3.0\nuniversity,U2,UDA1,1.0,3.0\n",
+            "scores.csv:3: unit_id must be empty at level 'university', got 'UDA1'",
+        ),
+    ],
+)
+def test_score_csv_unit_id_is_empty_exactly_at_university_level(tmp_path, monkeypatch, block_rows, body, message):
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
+    path = tmp_path / "scores.csv"
+    path.write_text(",".join(SCHEMAS["scores"]) + "\n" + body, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_score_csv(path)

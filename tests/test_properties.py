@@ -20,15 +20,17 @@ from bibliorank.corpus import (
     AuthorSlot,
     Corpus,
     CorpusPaths,
+    PeerOutcome,
     PublicationRecord,
     Taxonomy,
     load_corpus,
 )
 from bibliorank.errors import ValidationError
+from bibliorank.peer_rating import rating_key
 from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, sds_productivity, write_score_csv
 from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
 from bibliorank.scoring import compute_baselines, credit_shares
-from bibliorank.synth import SynthParams, synthesize
+from bibliorank.synth import SynthParams, generate, synthesize
 
 from conftest import emit_corpus, reference_credit_shares, reference_position_weights
 
@@ -122,6 +124,10 @@ ROW_FAULTS = [
     ("pub_categories.csv", _copy(0, 1), _not_first, "duplicate category"),
     ("pub_authors.csv", _copy(0, 1), _not_first, "duplicate position"),
     ("staff.csv", _copy(0, 1, 2), _not_first, "duplicate staff entry"),
+    # Written with surrogateescape, a lone surrogate U+DC80..U+DCFF is the byte 0x80..0xff.
+    ("publications.csv", _set(2, "arti\udce9cle"), None, "not UTF-8: byte 0xe9 (invalid continuation byte)"),
+    ("pub_authors.csv", _set(3, "Universit\udce0"), None, "not UTF-8: byte 0xe0 (invalid continuation byte)"),
+    ("staff.csv", _set(0, "R\udcff"), None, "not UTF-8: byte 0xff (invalid start byte)"),
     *((name, lambda fields, earlier: [*fields, "x"], None, "wrong number of fields") for name in _LARGE_FILES),
     *((name, _set(1, "9" * 140_000), None, "field larger than field limit") for name in _LARGE_FILES),  # a csv.Error
     *(
@@ -158,7 +164,7 @@ def test_load_reports_the_first_bad_row_in_file_order_across_blocks(tmp_path_fac
     if second is not None:
         faults = [f for f in ROW_FAULTS if f[0] == name and (f[2] is None or f[2](fields[second], second))]
         spoil(second, data.draw(st.sampled_from(faults))[1])
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", errors="surrogateescape")
     with mock.patch.object(corpus_mod, "BLOCK_ROWS", block_rows), pytest.raises(ValidationError) as raised:
         load_corpus(root, WINDOW)
     assert str(raised.value).startswith(f"{name}:{first + 2}: ")  # line 1 is the header
@@ -277,11 +283,10 @@ score_maps = st.dictionaries(ids, scores, min_size=1, max_size=30)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    level=st.sampled_from(LEVELS),
-    entries=st.dictionaries(st.tuples(ids, st.one_of(st.just(""), ids)), st.tuples(scores, finite), min_size=1),
-)
-def test_score_csv_round_trip(tmp_path_factory, level, entries):
+@given(level=st.sampled_from(LEVELS), data=st.data())
+def test_score_csv_round_trip(tmp_path_factory, level, data):
+    units = st.just("") if level == "university" else ids  # unit_id is empty exactly at university level
+    entries = data.draw(st.dictionaries(st.tuples(ids, units), st.tuples(scores, finite), min_size=1))
     table = ScoreTable(level, {key: ScoreEntry(p, rs) for key, (p, rs) in entries.items()}, {})
     path = tmp_path_factory.mktemp("scores") / "scores.csv"
     write_score_csv(table, path)
@@ -357,6 +362,20 @@ def test_compare_rankings_is_symmetric(a, b, direction):
     assert (forward.dropped_a, forward.dropped_b) == (backward.dropped_b, backward.dropped_a)
     for field in ("n", "shift_counts", "shift_frequencies", "shift_cumulative"):
         assert getattr(forward, field) == getattr(backward, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), universities=st.integers(2, 40))
+def test_noiseless_peer_ratings_keep_quality_order_among_cells_of_equal_size(seed, universities):
+    data = generate(SynthParams(seed=seed, universities=universities, peer_noise=0.0))
+    quality = {university: float(value) for name, _, university, value in data.indicators if name == "QUALITY"}
+    # (graded outputs, latent quality, exact rating) of each cell; cells of equal size then run in quality order.
+    cells = sorted(
+        (sum(counts), quality[university], rating_key(PeerOutcome(university, uda, *counts)))
+        for university, uda, *counts in data.peer_outcomes
+    )
+    for (size, _, rating), (next_size, _, next_rating) in zip(cells, cells[1:]):
+        assert size != next_size or rating <= next_rating
 
 
 FAILING_PROPERTY = """
