@@ -178,7 +178,7 @@ def _read_ini(path: Path) -> dict[tuple[str, str], Any]:
     parser = configparser.ConfigParser()
     try:
         # read_file, unlike read, fails on a file it cannot open or decode.
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
         # [DEFAULT] comes first, so a key set there is refused under its own name, not a section's.
         raw = {(section, key): text for section in parser for key, text in parser[section].items()}
@@ -342,7 +342,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         units = _by_unit((r.uda_id, r.university_id, r.R) for r in peer_rating.read_rated_csv(path))
         found = [(uda, f"VTR_{uda}", scores, corpus_mod.HIGHER_IS_BETTER) for uda, scores in units]
     else:
-        raise ValidationError(f"{path.name}: unrecognized header {','.join(header)!r}")
+        raise ValidationError(f"{path.name}:1: unrecognized header {','.join(header)!r}")
     if not found:
         raise ValidationError(f"{path.name}: no rows to rank")
     if args.unit is not None:

@@ -9,7 +9,7 @@ files are:
     pub_categories    subject categories of each publication, with weights
     pub_authors       listed byline slots
     staff             researcher-university-SDS affiliations
-    taxonomy          SDS -> UDA map with a life-science flag
+    taxonomy          SDS -> UDA map; its life-science flag is checked, not used
     macro_map         UDA -> macro-UDA map
     peer_outcomes     peer-review grade counts per (university, UDA)
     indicators        external indicator values per university
@@ -38,10 +38,10 @@ shared ``str`` across all files, and the scoring dicts keyed on ids hash
 and compare them cheaply.  A byte that is not UTF-8 is one more bad value:
 files are decoded with ``surrogateescape``, and a :class:`Column` refuses a
 new raw value that is not ASCII unless it re-encodes to valid UTF-8.  Only
-when a check fails does per-row code run: it finds the first bad row of the
-block.  Loading is fail-fast: the first violation in file order raises
-:class:`ValidationError` naming the file and line, with the message of the
-first check that row fails.  The records (:class:`AuthorSlot`,
+when a block fails its checks are its rows checked again, one at a time, to
+find the first bad row.  Loading is fail-fast: the first violation in file
+order raises :class:`ValidationError` naming the file and line, with the
+message of the first check that row fails.  The records (:class:`AuthorSlot`,
 :class:`PublicationRecord`, :class:`StaffEntry`) are ``NamedTuple``s.  A
 loaded :class:`Corpus` is immutable and safe for unrestricted concurrent
 reads.
@@ -59,8 +59,8 @@ the rows of the two per-publication files by pub id; synth writes both in
 pub-id order, and rows already in that order are grouped as they are,
 without the sort index and reordered copy that any other order needs.
 With that, and with ``report`` freeing the corpus before it compares
-rankings, the same ``report`` peaks at about 91 MB instead of 108 MB, and
-its load and its scoring peak within about half a megabyte of each other.
+rankings, the same ``report`` peaks at about 91 MB, and its load and its
+scoring peak within about half a megabyte of each other.
 
 Each rule on outside input is checked once, where the input is read: by
 the loaders here, ``productivity.read_score_csv``,
@@ -166,11 +166,10 @@ class StaffEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """SDS -> UDA -> macro-UDA hierarchy plus life-science flags."""
+    """SDS -> UDA -> macro-UDA hierarchy plus the life-science subject categories."""
 
     sds_to_uda: dict[str, str]
     uda_to_macro: dict[str, str]
-    life_science_sds: frozenset[str]
     life_science_categories: frozenset[str]
 
     def is_life_science_publication(self, pub: PublicationRecord) -> bool:
@@ -250,11 +249,11 @@ BLOCK_ROWS = 4096
 
 
 class RowFault(Exception):
-    """A failed check at row ``index`` of a block; :func:`read_rows` raises it as ``file:line: message``."""
+    """A failed block check.
 
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
+    :func:`read_rows` reports only the fault of a one-row block, as
+    ``file:line: message``, so a check words its message for its one row.
+    """
 
 
 # check(lines, columns): validate and keep one block; lines[i] is the file line of row i.
@@ -271,8 +270,9 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
     inside a quoted field) and a field over the csv module's size limit are
     refused.  A byte that is not UTF-8 reads as a lone surrogate, which the
     :class:`Column` parsing its field refuses as a bad value.  ``check``
-    raises :class:`RowFault` for a bad row; the error raised names the first
-    bad line in file order, whichever check found it.
+    raises :class:`RowFault` for a block with a bad row, and commits what it
+    keeps only once every test has passed.  The error raised names the first
+    bad line in file order, with the first test that line fails.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -316,7 +316,7 @@ def read_header(path: Path) -> tuple[str, ...]:
 
 @contextmanager
 def _open_csv(path: Path) -> Iterator[tuple[Any, list[str]]]:
-    """Open ``path`` and read its header.
+    """Open ``path`` and read its header; a leading byte-order mark is skipped.
 
     A path that is not a regular file, an empty file and a bad header record, one with a byte
     that is not UTF-8 included, are refused.  Such a byte reads as a lone surrogate.
@@ -324,7 +324,7 @@ def _open_csv(path: Path) -> Iterator[tuple[Any, list[str]]]:
     if not path.is_file():
         raise ValidationError(f"{path}: not a regular file")
     name = path.name
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -378,25 +378,20 @@ def _split_at_fault(
 
 
 def _check_block(name: str, check: BlockCheck, lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-    """Run ``check`` on a block; after a fault, run it again on the rows before the faulty one.
+    """Run ``check`` on a block; if it faults, run it on each row in turn and raise the first row's fault.
 
-    Each check is a column-wide test, so the first fault ``check`` meets is
-    the first row failing its first failing test, not yet the first bad row.
-    A rerun on the rows before that one passes every test up to the failed
-    one, so it can only find a fault in a later test and an earlier row.
-    The last fault found is the first bad row, with the first test it fails,
-    as a row-by-row check would report it.
+    A one-row block faults at its row's first failing test, and a check
+    commits what it keeps only after its last test, so the fault raised is
+    the one a row-by-row check would report.
     """
-    failure = None
-    while lines:
-        try:
-            check(lines, columns)
-            break
-        except RowFault as fault:
-            failure = f"{name}:{lines[fault.index]}: {fault}"
-            lines, columns = lines[: fault.index], [column[: fault.index] for column in columns]
-    if failure is not None:
-        raise ValidationError(failure)
+    try:
+        check(lines, columns)
+    except RowFault:
+        for i, line in enumerate(lines):
+            try:
+                check(lines[i : i + 1], [column[i : i + 1] for column in columns])
+            except RowFault as fault:
+                raise ValidationError(f"{name}:{line}: {fault}") from None
 
 
 class Column:
@@ -404,8 +399,8 @@ class Column:
 
     Rows with equal raw values get the one resulting object.  ``parse``
     raises ``ValueError`` with the message for a bad value; a value holding
-    a byte that is not UTF-8 is bad before ``parse`` sees it.  The first row
-    holding a bad value faults.
+    a byte that is not UTF-8 is bad before ``parse`` sees it.  The first bad
+    value met faults.
     """
 
     def __init__(self, parse: Callable[[str], Any], memo: dict | None = None) -> None:
@@ -418,17 +413,13 @@ class Column:
             return list(map(memo.__getitem__, raw_values))
         except KeyError:
             pass  # some values are new
-        failed: dict = {}
         for raw in set(raw_values).difference(memo):
             try:
                 if not raw.isascii():
                     _check_utf8(raw)
                 memo[raw] = self.parse(raw)
             except ValueError as exc:
-                failed[raw] = str(exc)
-        if failed:
-            index = _first_in(raw_values, failed)
-            raise RowFault(index, failed[raw_values[index]])
+                raise RowFault(str(exc)) from None
         return list(map(memo.__getitem__, raw_values))
 
 
@@ -512,31 +503,17 @@ def bool_column(column: str) -> Column:
     return Column(parse)
 
 
-def _first_in(values: Sequence, bad: Collection) -> int:
-    return next(index for index, value in enumerate(values) if value in bad)
-
-
-def check_known(
-    values: Sequence, known: Collection, message: Callable[[Any], str], rows: Sequence[int] | None = None
-) -> None:
-    """Fault at the first of ``values`` missing from ``known``; ``rows[i]`` is the block row of ``values[i]``."""
+def check_known(values: Sequence, known: Collection, message: Callable[[Any], str]) -> None:
+    """Fault, naming a value, if any of ``values`` is missing from ``known``."""
     missing = set(values).difference(known)
     if missing:
-        index = _first_in(values, missing)
-        raise RowFault(index if rows is None else rows[index], message(values[index]))
+        raise RowFault(message(missing.pop()))
 
 
-def check_unique(
-    values: Sequence, seen: AbstractSet, message: Callable[[Any], str], rows: Sequence[int] | None = None
-) -> None:
-    """Fault at the first of ``values`` met before, in ``seen`` or earlier in the block."""
-    if len(set(values)) == len(values) and seen.isdisjoint(values):
-        return
-    met: set = set()
-    for index, value in enumerate(values):
-        if value in seen or value in met:
-            raise RowFault(index if rows is None else rows[index], message(value))
-        met.add(value)
+def check_unique(values: Sequence, seen: AbstractSet, message: Callable[[Any], str]) -> None:
+    """Fault if any of ``values`` is in ``seen`` or repeats within ``values``; the message names the first value."""
+    if len(set(values)) != len(values) or not seen.isdisjoint(values):
+        raise RowFault(message(values[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +581,14 @@ def _release_freed_heap() -> None:
 
 def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str]) -> Taxonomy:
     sds_to_uda: dict[str, str] = {}
-    life_sds: set[str] = set()
     sds_of, uda_of, life_of = id_column(ids, "sds_id"), id_column(ids, "uda_id"), bool_column("is_life_science")
 
     def taxonomy_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
         raw_sds, raw_uda, raw_life = columns
         sds, udas = sds_of(raw_sds), uda_of(raw_uda)
         check_unique(sds, sds_to_uda.keys(), lambda value: f"duplicate sds_id {value!r}")
-        life = life_of(raw_life)
+        life_of(raw_life)  # checked, not kept
         sds_to_uda.update(zip(sds, udas))
-        life_sds.update(compress(sds, life))
 
     read_rows(paths.taxonomy, "taxonomy", taxonomy_block)
 
@@ -645,7 +620,6 @@ def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str]) -> Taxonomy:
     return Taxonomy(
         sds_to_uda={k: sds_to_uda[k] for k in sorted(sds_to_uda)},
         uda_to_macro={k: uda_to_macro[k] for k in sorted(uda_to_macro)},
-        life_science_sds=frozenset(life_sds),
         life_science_categories=frozenset(life_categories),
     )
 
@@ -739,33 +713,27 @@ def _load_publications(
         pids = pub_id_of(raw_pid)
         check_known(pids, heads, unknown_pub)
         positions = position_of(raw_position)
-        placed = list(compress(range(len(pids)), positions))  # rows with a known position
         placed_pids = list(compress(pids, positions))
         placed_positions = list(compress(positions, positions))
         totals = list(map(itemgetter(3), map(heads.__getitem__, placed_pids)))
         if not all(map(le, placed_positions, totals)):
-            index = next(i for i, (position, total) in enumerate(zip(placed_positions, totals)) if position > total)
-            raise RowFault(
-                placed[index], f"position {placed_positions[index]} exceeds total_author_count {totals[index]}"
-            )
+            raise RowFault(f"position {placed_positions[0]} exceeds total_author_count {totals[0]}")
         keys = list(zip(placed_pids, placed_positions))
-        check_unique(keys, position_keys, lambda key: f"duplicate position {key[1]} for pub {key[0]!r}", placed)
+        check_unique(keys, position_keys, lambda key: f"duplicate position {key[1]} for pub {key[0]!r}")
         domestic = domestic_of(raw_domestic)
         universities_, sds = university_of(raw_university), sds_of(raw_sds)
-        rows = list(compress(range(len(pids)), domestic))
         domestic_universities = list(compress(universities_, domestic))
         domestic_sds = list(compress(sds, domestic))
         if None in domestic_universities or None in domestic_sds:
-            index = next(i for i, key in enumerate(zip(domestic_universities, domestic_sds)) if None in key)
-            raise RowFault(rows[index], "domestic author requires university_id and sds_id")
+            raise RowFault("domestic author requires university_id and sds_id")
         check_known(
             domestic_universities, universities,
-            lambda university: f"university {university!r} absent from staff roster", rows,
+            lambda university: f"university {university!r} absent from staff roster",
         )
-        check_known(domestic_sds, taxonomy.sds_to_uda, lambda value: f"sds {value!r} has no UDA in taxonomy.csv", rows)
+        check_known(domestic_sds, taxonomy.sds_to_uda, lambda value: f"sds {value!r} has no UDA in taxonomy.csv")
         check_known(
             list(zip(domestic_universities, domestic_sds)), pairs,
-            lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})", rows,
+            lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})",
         )
         position_keys.update(keys)
         unplaced.update(compress(pids, map(is_, positions, repeat(None))))
@@ -864,7 +832,7 @@ def read_peer_outcomes_csv(path: Path, ids: dict[str, str] | None = None) -> tup
         counts = [parse(raw) for parse, raw in zip(count_of, raw_counts)]
         totals = list(map(sum, zip(*counts)))
         if 0 in totals:
-            raise RowFault(totals.index(0), "all grade counts are zero")
+            raise RowFault("all grade counts are zero")
         keys = list(zip(universities, udas))
         check_unique(keys, seen, lambda key: f"duplicate outcome for {key}")
         seen.update(keys)

@@ -212,13 +212,12 @@ def read_score_csv(path: Path) -> ScoreTable:
         levels = level_of(raw_level)
         file_level = level or levels[0]
         if levels.count(file_level) != len(levels):
-            index = next(i for i, row_level in enumerate(levels) if row_level != file_level)
-            raise RowFault(index, f"mixed levels {file_level!r} and {levels[index]!r}")
+            raise RowFault(f"mixed levels {file_level!r} and {levels[0]!r}")
         units = unit_of(raw_unit)
         if file_level == "university":
             check_known(units, {""}, lambda unit: f"unit_id must be empty at level 'university', got {unit!r}")
         elif "" in units:
-            raise RowFault(units.index(""), f"unit_id must not be empty at level {file_level!r}")
+            raise RowFault(f"unit_id must not be empty at level {file_level!r}")
         keys = list(zip(university_of(raw_university), units))
         check_unique(keys, entries.keys(), lambda key: f"duplicate entry {key}")
         entries.update(zip(keys, map(ScoreEntry, p_of(raw_p), rs_of(raw_rs))))

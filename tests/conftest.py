@@ -78,10 +78,7 @@ def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
             for slot in p.authors
         ),
         "staff": ((e.researcher_id, e.university_id, e.sds_id, _fmt(e.years_on_staff)) for e in corpus.staff),
-        "taxonomy": (
-            (sds, uda, "true" if sds in taxonomy.life_science_sds else "false")
-            for sds, uda in taxonomy.sds_to_uda.items()
-        ),
+        "taxonomy": ((sds, uda, "false") for sds, uda in taxonomy.sds_to_uda.items()),
         "macro_map": taxonomy.uda_to_macro.items(),
         "peer_outcomes": ((o.university_id, o.uda_id, o.E, o.G, o.A, o.L) for o in corpus.peer_outcomes),
         "indicators": (

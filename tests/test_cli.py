@@ -330,6 +330,19 @@ def test_rank_refuses_a_bad_value_with_file_and_line(tmp_path, capsys, name, dat
     assert not out.exists()
 
 
+def test_rank_reads_an_input_with_a_byte_order_mark_as_without_it(synth_dir, tmp_path):
+    plain = synth_dir / "corpus" / "indicators.csv"
+    marked = tmp_path / "input" / "indicators.csv"
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path, out in [(plain, "plain"), (marked, "marked")]:
+        assert cli.main(["rank", "--input", str(path), "--out-dir", str(tmp_path / out)]) == 0
+    written = sorted(path.name for path in (tmp_path / "plain").iterdir())
+    assert written and sorted(path.name for path in (tmp_path / "marked").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 @pytest.mark.parametrize("names", [("X Y", "X_Y"), ("P",)])
 def test_report_rejects_colliding_labels_before_writing(tmp_path, capsys, names):
     rows = minimal_rows()
@@ -508,6 +521,12 @@ def test_config_settings_reach_run_and_synth_parameters(tmp_path):
     assert run.synth == {}
 
 
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("\ufeff[analysis]\nwindow = 2002-2004\n", encoding="utf-8")
+    assert cli.build_config(cli.build_parser().parse_args(["--config", str(config), "report"])).window == (2002, 2004)
+
+
 @pytest.mark.parametrize("key", [key for section, key in cli.SETTINGS if section == "synth"])
 def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
     flag, cast = cli.SETTINGS["synth", key]
@@ -625,7 +644,7 @@ def test_synth_reads_its_config_file_once(tmp_path, monkeypatch):
             "report needs peer outcomes or indicators to compare against P",
         ),
         ("rank", "scores_university.csv", None, "scores_university.csv: missing input file"),
-        ("rank", "scores_university.csv", "a,b\n1,2\n", "scores_university.csv: unrecognized header 'a,b'"),
+        ("rank", "scores_university.csv", "a,b\n1,2\n", "scores_university.csv:1: unrecognized header 'a,b'"),
         ("rank", "scores_university.csv", '"level\nX",b\n', "scores_university.csv:1: line break inside a field"),
         (
             "rank", "scores_university.csv", header("scores") + "faculty,U1,,1.0,3.0\n",

@@ -343,6 +343,25 @@ def test_emission_is_byte_deterministic(tmp_path):
         assert path.read_bytes() == (out_b / path.name).read_bytes()
 
 
+def test_a_corpus_whose_files_start_with_a_byte_order_mark_loads_the_same(tmp_path):
+    directory = _rich_corpus_dir(tmp_path)
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in directory.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_corpus(marked, WINDOW) == load_corpus(directory, WINDOW)
+
+
+def test_a_valid_file_is_checked_once_per_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", 4)
+    path = tmp_path / "macro_map.csv"
+    rows = "".join(f"UDA{i},M1\n" for i in range(10))
+    path.write_text(",".join(SCHEMAS["macro_map"]) + "\n" + rows, encoding="utf-8")
+    calls = []
+    corpus_mod.read_rows(path, "macro_map", lambda lines, columns: calls.append((list(lines), [*map(len, columns)])))
+    assert calls == [([2, 3, 4, 5], [4, 4]), ([6, 7, 8, 9], [4, 4]), ([10, 11], [2, 2])]
+
+
 def test_read_indicators_csv_standalone(tmp_path):
     path = write_file(tmp_path, "indicators.csv", [("NI", "higher_is_better", "U1", "1.2")])
     tables = read_indicators_csv(path)

@@ -144,7 +144,6 @@ TAXONOMY = Taxonomy(
     {"S1": "UDA1", "S2": "UDA1", "S3": "UDA2"},
     {"UDA1": "M1", "UDA2": "M1"},
     frozenset(),
-    frozenset(),
 )
 
 
@@ -195,7 +194,7 @@ def test_university_level_sums_across_udas():
 
 
 def test_macro_singleton_merge_matches_uda():
-    taxonomy = Taxonomy({"S1": "UDA1"}, {"UDA1": "M_ONLY"}, frozenset(), frozenset())
+    taxonomy = Taxonomy({"S1": "UDA1"}, {"UDA1": "M_ONLY"}, frozenset())
     table = _sds_table(
         {("U1", "S1"): ScoreEntry(2.0, 1.0), ("U2", "S1"): ScoreEntry(1.0, 2.0)},
         {"S1": 1.5},
@@ -216,7 +215,7 @@ def test_macro_merges_multiple_udas():
 
 
 def test_macro_skips_unmapped_uda(caplog):
-    taxonomy = Taxonomy({"S1": "UDA1", "S3": "UDA2"}, {"UDA1": "M1"}, frozenset(), frozenset())
+    taxonomy = Taxonomy({"S1": "UDA1", "S3": "UDA2"}, {"UDA1": "M1"}, frozenset())
     table = _sds_table(
         {("U1", "S1"): ScoreEntry(2.0, 1.0), ("U2", "S3"): ScoreEntry(1.0, 1.0)},
         {"S1": 1.0, "S3": 1.0},
@@ -247,7 +246,7 @@ def test_weighted_mean_bounds_randomized():
             p = rng.uniform(0.0, 4.0)
             entries[("U1", sds)] = ScoreEntry(p, rng.uniform(0.1, 5.0))
             ratios.append(p / means[sds])
-        taxonomy = Taxonomy({f"S{i}": "UDA1" for i in range(n_sds)}, {}, frozenset(), frozenset())
+        taxonomy = Taxonomy({f"S{i}": "UDA1" for i in range(n_sds)}, {}, frozenset())
         result = uda_productivity(_sds_table(entries, means), taxonomy)
         value = result.entries[("U1", "UDA1")].P
         assert min(ratios) - 1e-12 <= value <= max(ratios) + 1e-12
@@ -266,7 +265,7 @@ def test_normalization_identity_randomized():
             means[sds] = level
             for u in range(n_universities):
                 entries[(f"U{u}", sds)] = ScoreEntry(level, rng.uniform(0.5, 4.0))
-        taxonomy = Taxonomy({f"S{i}": "UDA1" for i in range(n_sds)}, {}, frozenset(), frozenset())
+        taxonomy = Taxonomy({f"S{i}": "UDA1" for i in range(n_sds)}, {}, frozenset())
         table = _sds_table(entries, means)
         for result, unit in ((uda_productivity(table, taxonomy), "UDA1"), (university_productivity(table), "")):
             for u in range(n_universities):

@@ -217,7 +217,7 @@ def test_runs_group_items_by_id_in_their_order(ids, picks, arrangement):
     assert sort.called == (keys != sorted(keys))  # keys in order take the path without a sort
 
 
-LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}))
+LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"LC"}))
 
 
 @settings(max_examples=200, deadline=None)

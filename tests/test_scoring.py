@@ -9,8 +9,8 @@ from bibliorank.scoring import class_numerators, compute_baselines, credit_share
 
 from conftest import minimal_rows, reference_position_weights, write_corpus
 
-PLAIN_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset(), frozenset())
-LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"S1"}), frozenset({"LC"}))
+PLAIN_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset())
+LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"LC"}))
 
 
 def make_pub(citations, categories, slots, total=None, pub_id="P1", year=2001):
