@@ -28,10 +28,15 @@ own function, and ``configparser`` is imported only for ``--config``.  So
 ``vtr`` loads neither ``productivity`` nor ``rankcmp``, ``score`` does not
 load ``rankcmp``, ``score``, ``vtr`` and ``rank`` load neither numpy nor
 scipy, and ``compare`` and ``report`` load only ``scipy.special`` (see
-``rankcmp``).  On a 2-vCPU machine a bare interpreter starts in 55-60 ms;
-importing every module, ``logging`` and ``configparser`` adds about 50 ms,
-more than the work of most subcommands, and importing this module alone
-about 25 ms (medians of 25 fresh processes).
+``rankcmp``).  No module but ``synth`` defines a dataclass (the records
+are ``NamedTuple``s), and ``rankcmp`` imports ``json`` only to render JSON,
+so ``score``, ``vtr`` and ``rank`` load neither the dataclass machinery
+(with ``inspect`` and ``ast`` behind it) nor ``json``; ``scipy.special``
+loads both for ``compare`` and ``report``.  On a 2-vCPU machine, pinned to
+one CPU, a bare interpreter starts in 45-65 ms; importing every module but
+``synth`` (which loads numpy), with ``logging`` and ``configparser``, adds
+25-35 ms, and importing this module alone 7-10 ms (medians of 25 fresh
+processes, in two sets).
 
 A process started as ``python -m bibliorank``, ``python -m bibliorank.cli``
 or the ``bibliorank`` script runs :func:`run`.  It calls :func:`main`,
@@ -60,10 +65,10 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, NoReturn
 
 from . import corpus as corpus_mod
 from .errors import ValidationError
@@ -77,8 +82,7 @@ FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved settings: fields named after their flags, and ``synth`` with the other ``[synth]`` values given."""
 
     window: tuple[int, int] = DEFAULT_WINDOW
@@ -87,7 +91,7 @@ class RunConfig:
     format: str = "csv"
     seed: int = 0
     percentages: tuple[float, ...] = corpus_mod.DEFAULT_PERCENTAGES
-    synth: dict[str, Any] = field(default_factory=dict)
+    synth: Mapping[str, Any] = MappingProxyType({})
 
 
 def parse_dir(raw: str) -> Path:
@@ -210,10 +214,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         text = getattr(args, _dest(flag), None)
         if text is not None:
             values[_dest(flag)] = _cast(flag, cast, text)
-    run_fields = {f.name for f in fields(RunConfig)}
     config = RunConfig(
-        **{name: value for name, value in values.items() if name in run_fields},
-        synth={name: value for name, value in values.items() if name not in run_fields},
+        **{name: value for name, value in values.items() if name in RunConfig._fields},
+        synth={name: value for name, value in values.items() if name not in RunConfig._fields},
     )
     for path in (config.out_dir, *config.out_dir.parents):  # refuse a file, or a path under one, before any work
         if path.is_dir():
@@ -319,6 +322,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     from . import rankcmp
 
     config = build_config(args)
+    if args.label is not None and not args.label.strip():
+        raise ValidationError("--label must not be empty")
     path = Path(args.input)
     if not path.exists():
         raise ValidationError(f"{path}: missing input file")
@@ -351,7 +356,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         found = [ranking for ranking in found if ranking[0] == args.unit]
         if not found:
             raise ValidationError(f"{path.name}: no rows for unit {args.unit!r}")
-    if args.label and len(found) > 1:
+    if args.label is not None and len(found) > 1:
         raise ValidationError(f"--label requires a single ranking; {path.name} holds {len(found)}")
     rankings = [
         rankcmp.build_ranking(scores, direction, args.label or label) for _, label, scores, direction in found

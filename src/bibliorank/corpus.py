@@ -42,9 +42,11 @@ when a block fails its checks are its rows checked again, one at a time, to
 find the first bad row.  Loading is fail-fast: the first violation in file
 order raises :class:`ValidationError` naming the file and line, with the
 message of the first check that row fails.  The records (:class:`AuthorSlot`,
-:class:`PublicationRecord`, :class:`StaffEntry`) are ``NamedTuple``s.  A
-loaded :class:`Corpus` is immutable and safe for unrestricted concurrent
-reads.
+:class:`PublicationRecord`, :class:`StaffEntry`, :class:`PeerOutcome`,
+:class:`IndicatorTable`) and :class:`Taxonomy` are ``NamedTuple``s, cheap
+to define when a process starts.  A loaded :class:`Corpus` is read-only:
+setting one of its attributes raises ``AttributeError``.  It is safe for
+unrestricted concurrent reads.
 
 Records are immutable, so equal ones can be one object, as equal field
 values are.  The publication loader keeps one object per distinct
@@ -95,7 +97,6 @@ import csv
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from itertools import compress, islice, repeat
 from operator import is_, itemgetter, le
 from pathlib import Path
@@ -164,8 +165,7 @@ class StaffEntry(NamedTuple):
     years_on_staff: float
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(NamedTuple):
     """SDS -> UDA -> macro-UDA hierarchy plus the life-science subject categories."""
 
     sds_to_uda: dict[str, str]
@@ -176,8 +176,7 @@ class Taxonomy:
         return not self.life_science_categories.isdisjoint(map(itemgetter(0), pub.categories))
 
 
-@dataclass(frozen=True)
-class PeerOutcome:
+class PeerOutcome(NamedTuple):
     """Peer-review grade counts for one (university, UDA) cell."""
 
     university_id: str
@@ -188,8 +187,7 @@ class PeerOutcome:
     L: int
 
 
-@dataclass(frozen=True)
-class IndicatorTable:
+class IndicatorTable(NamedTuple):
     """One externally sourced indicator with its ranking direction."""
 
     indicator_name: str
@@ -197,22 +195,49 @@ class IndicatorTable:
     values: dict[str, float]  # university_id -> value
 
 
-@dataclass(frozen=True)
 class Corpus:
     """Cross-validated, immutable snapshot of all inputs for one window.
 
     ``staff`` is sorted by (researcher_id, university_id, sds_id), so each
     researcher's affiliations are adjacent; eligibility counting relies on it.
+    Setting an attribute raises ``AttributeError``, and ``==`` compares every
+    attribute but the two rejection counts.  A corpus is not a tuple, so that
+    it can be weakly referenced.
     """
 
-    window: tuple[int, int]
-    publications: tuple[PublicationRecord, ...]
-    staff: tuple[StaffEntry, ...]
-    taxonomy: Taxonomy
-    peer_outcomes: tuple[PeerOutcome, ...]
-    indicators: tuple[IndicatorTable, ...]
-    rejected_out_of_window: int = field(default=0, compare=False)
-    rejected_no_domestic: int = field(default=0, compare=False)
+    __slots__ = (
+        "window", "publications", "staff", "taxonomy", "peer_outcomes", "indicators",
+        "rejected_out_of_window", "rejected_no_domestic", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        window: tuple[int, int],
+        publications: tuple[PublicationRecord, ...],
+        staff: tuple[StaffEntry, ...],
+        taxonomy: Taxonomy,
+        peer_outcomes: tuple[PeerOutcome, ...],
+        indicators: tuple[IndicatorTable, ...],
+        rejected_out_of_window: int = 0,
+        rejected_no_domestic: int = 0,
+    ) -> None:
+        values = (
+            window, publications, staff, taxonomy, peer_outcomes, indicators,
+            rejected_out_of_window, rejected_no_domestic,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a corpus is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = self.__slots__[:6]  # all but the rejection counts and __weakref__
+        return all(getattr(self, name) == getattr(other, name) for name in compared)
 
     @property
     def rejected_count(self) -> int:
@@ -222,8 +247,9 @@ class Corpus:
         return sorted({e.university_id for e in self.staff})
 
 
-@dataclass(frozen=True)
 class CorpusPaths:
+    """The path of each corpus file under one directory: one attribute per file stem, in ``SCHEMAS`` order."""
+
     publications: Path
     pub_categories: Path
     pub_authors: Path
@@ -235,9 +261,12 @@ class CorpusPaths:
     categories: Path
 
     @classmethod
-    def from_dir(cls, root: Path | str) -> "CorpusPaths":
+    def from_dir(cls, root: Path | str) -> CorpusPaths:
         root = Path(root)
-        return cls(**{f.name: root / f"{f.name}.csv" for f in fields(cls)})
+        paths = cls()
+        for stem in cls.__annotations__:
+            setattr(paths, stem, root / f"{stem}.csv")
+        return paths
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,14 @@ report the block's worst position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Column, PeerOutcome, check_unique, float_column, id_column, read_rows, write_csv
 
 
-@dataclass(frozen=True)
-class RatedOutcome:
+class RatedOutcome(NamedTuple):
     university_id: str
     uda_id: str
     R: float

@@ -15,7 +15,6 @@ ineligible SDSs are excluded from every downstream table.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -41,8 +40,7 @@ class EligibilityEntry(NamedTuple):
     eligible: bool
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(NamedTuple):
     """Productivity scores at one aggregation level.
 
     ``entries`` maps (university_id, unit_id) to (P, RS); ``unit_id`` is
@@ -163,8 +161,7 @@ def university_productivity(sds_table: ScoreTable) -> ScoreTable:
     return _aggregate(sds_table, lambda sds: "", "university")
 
 
-@dataclass(frozen=True)
-class ScoreBundle:
+class ScoreBundle(NamedTuple):
     """Everything the scoring pipeline produces for one corpus."""
 
     eligibility: dict[str, EligibilityEntry]

@@ -12,8 +12,10 @@ percentages.  The correlation matrix is built from those pairwise
 reports, so each pair is aligned and correlated once.
 
 Reports render as CSV, JSON, or aligned-column markdown tables.  The
-JSON of a ``ComparisonReport`` or ``CorrelationMatrix`` is its dataclass
-fields, key for key, so the report types are the JSON schema.
+JSON of a ``ComparisonReport`` or ``CorrelationMatrix`` is its NamedTuple
+fields, key for key (each top-k row an object of its own fields), so the
+report types are the JSON schema.  ``json`` is imported only to render
+JSON.
 
 numpy and scipy are imported inside the functions that use them, never at
 module level: importing them costs a fresh CLI process more time than
@@ -27,9 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import asdict, dataclass
 from itertools import combinations, groupby
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -50,8 +50,7 @@ class RankEntry(NamedTuple):
     rank: float
 
 
-@dataclass(frozen=True)
-class RankingList:
+class RankingList(NamedTuple):
     """Scored entities in display order (rank ascending, entity id as tie-break)."""
 
     label: str
@@ -71,8 +70,7 @@ class RankingList:
         return {e.entity_id for e in self.entries[:k]}
 
 
-@dataclass(frozen=True)
-class TopkRow:
+class TopkRow(NamedTuple):
     percentage: float
     k: int
     variations: int
@@ -80,8 +78,7 @@ class TopkRow:
     empty: bool = False
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     label_a: str
     label_b: str
     n: int
@@ -96,8 +93,7 @@ class ComparisonReport:
     topk: tuple[TopkRow, ...]
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     labels: tuple[str, ...]
     rho: tuple[tuple[float, ...], ...]
     p_values: tuple[tuple[float, ...], ...]
@@ -432,7 +428,9 @@ def render_matrix(matrix: CorrelationMatrix, fmt: str) -> str:
                 ))
         return buffer.getvalue()
     if fmt == "json":
-        return json.dumps(asdict(matrix), indent=2, sort_keys=True) + "\n"
+        import json
+
+        return json.dumps(matrix._asdict(), indent=2, sort_keys=True) + "\n"
     header = [""] + list(labels)
     rows = []
     for i, row_label in enumerate(labels):
@@ -451,7 +449,10 @@ def render_matrix(matrix: CorrelationMatrix, fmt: str) -> str:
 def render_comparison(report: ComparisonReport, fmt: str) -> str:
     """Render one pairwise comparison (header, shifts, top-k) as csv, json, or markdown."""
     if fmt == "json":
-        return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+        import json
+
+        fields = {**report._asdict(), "topk": [row._asdict() for row in report.topk]}
+        return json.dumps(fields, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         lines = [
             f"# comparison {report.label_a} vs {report.label_b}: n={report.n} "

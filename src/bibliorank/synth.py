@@ -22,7 +22,7 @@ truth.  A fixed seed reproduces the corpus byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -270,9 +270,8 @@ def generate(params: SynthParams) -> SynthData:
 
 def write_synth(data: SynthData, out_dir: Path | str) -> None:
     """Write all generated rows as corpus CSV files under ``out_dir``."""
-    paths = CorpusPaths.from_dir(Path(out_dir))
-    for f in fields(CorpusPaths):
-        write_csv(getattr(paths, f.name), f.name, getattr(data, f.name))
+    for stem, path in vars(CorpusPaths.from_dir(out_dir)).items():
+        write_csv(path, stem, getattr(data, stem))
 
 
 def synthesize(params: SynthParams, out_dir: Path | str) -> SynthData:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import textwrap
 import weakref
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -66,15 +65,29 @@ def test_synth_writes_the_same_bytes_under_any_hash_seed(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-    assert sorted(written[0]) == sorted(f"{f.name}.csv" for f in fields(corpus_mod.CorpusPaths))
+    assert sorted(written[0]) == sorted(path.name for path in vars(corpus_mod.CorpusPaths.from_dir(out)).values())
     assert written[0] == written[1]
 
 
 def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_path):
     outcomes = write_file(tmp_path, "peer_outcomes.csv", [("U1", "UDA1", 1, 0, 0, 0)])
+    rows = [(name, direction, f"U{i}", i) for name, direction in (("X", "higher_is_better"), ("Y", "lower_is_better"))
+            for i in range(1, 5)]
+    indicators = write_file(tmp_path, "indicators.csv", rows)
     proc = run_python(
         f"""
-        import sys
+        import builtins, sys
+
+        # Every module name an import statement in a bibliorank module asks for, even one already loaded.
+        asked = set()
+        real_import = builtins.__import__
+
+        def watch(name, globals=None, *args, **kwargs):
+            if (globals or {{}}).get("__name__", "").startswith("bibliorank"):
+                asked.add(name)
+            return real_import(name, globals, *args, **kwargs)
+
+        builtins.__import__ = watch
         import bibliorank, bibliorank.cli
 
         def refuse(stage, *names):
@@ -82,14 +95,19 @@ def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_p
             assert not loaded, f"{{stage}} loaded {{loaded}}"
 
         refuse("import", "bibliorank.productivity", "bibliorank.scoring", "bibliorank.rankcmp",
-               "bibliorank.peer_rating", "logging", "configparser", "numpy", "scipy")
+               "bibliorank.peer_rating", "logging", "configparser", "numpy", "scipy", "dataclasses", "json")
         out = {str(tmp_path / "out")!r}
         assert bibliorank.cli.main(["vtr", "--outcomes", {str(outcomes)!r}, "--out-dir", out]) == 0
-        refuse("vtr", "bibliorank.rankcmp", "bibliorank.productivity")
+        refuse("vtr", "bibliorank.rankcmp", "bibliorank.productivity", "dataclasses", "json")
         assert bibliorank.cli.main(["score", "--corpus-dir", {str(minimal_corpus_dir)!r}, "--out-dir", out]) == 0
-        refuse("score", "bibliorank.rankcmp")
+        refuse("score", "bibliorank.rankcmp", "dataclasses", "json")
         assert bibliorank.cli.main(["rank", "--input", out + "/scores_university.csv", "--out-dir", out]) == 0
-        refuse("score/rank", "numpy", "scipy")
+        assert bibliorank.cli.main(["rank", "--input", {str(indicators)!r}, "--out-dir", out]) == 0
+        refuse("score/rank", "numpy", "scipy", "dataclasses", "json")
+        argv = ["compare", out + "/ranking_X.csv", out + "/ranking_Y.csv", "--format", "markdown", "--out-dir", out]
+        assert bibliorank.cli.main(argv) == 0
+        # scipy.special loads both modules itself, so compare refuses only bibliorank's own imports of them.
+        assert not asked & {{"dataclasses", "json"}}, sorted(asked)
         """
     )
     assert proc.returncode == 0, proc.stderr
@@ -581,6 +599,8 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
         (["report", "--percentages", ","], "--percentages: empty percentages list"),
         (["score", "--corpus-dir", ".", "--window", "2003-2001"], "window 2003-2001: end year precedes start year"),
         (["score"], "no corpus directory given (use --corpus-dir or [corpus] dir)"),
+        (["rank", "--input", "indicators.csv", "--label", ""], "--label must not be empty"),
+        (["rank", "--input", "indicators.csv", "--label", " "], "--label must not be empty"),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
@@ -589,7 +609,7 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
          "staff-min-over-max", "staff-presence-over-1", "negative-multi-category-rate",
          "cross-university-rate-over-1", "nan-external-listed-rate", "gradient-strength-over-1",
          "duplicate-percentages", "zero-percentage", "percentage-over-100", "non-numeric-percentage",
-         "empty-percentages", "reversed-window", "no-corpus-dir"],
+         "empty-percentages", "reversed-window", "no-corpus-dir", "empty-label", "blank-label"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

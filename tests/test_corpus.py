@@ -10,6 +10,8 @@ from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     SCHEMAS,
     AuthorSlot,
+    Corpus,
+    CorpusPaths,
     PeerOutcome,
     PublicationRecord,
     load_corpus,
@@ -30,6 +32,46 @@ def test_minimal_corpus_loads(minimal_corpus_dir):
     assert corpus.rejected_count == 0
     assert corpus.universities() == ["U1"]
     assert corpus.window == WINDOW
+
+
+CORPUS_FIELDS = (
+    "window", "publications", "staff", "taxonomy", "peer_outcomes", "indicators",
+    "rejected_out_of_window", "rejected_no_domestic",
+)
+
+
+@pytest.mark.parametrize("name", ["window", "publications", "rejected_no_domestic", "not_a_field"])
+def test_a_corpus_is_read_only(minimal_corpus_dir, name):
+    corpus = load_corpus(minimal_corpus_dir, WINDOW)
+    before = {field: getattr(corpus, field) for field in CORPUS_FIELDS}
+    with pytest.raises(AttributeError):
+        setattr(corpus, name, None)
+    with pytest.raises(AttributeError):
+        delattr(corpus, name)
+    assert {field: getattr(corpus, field) for field in CORPUS_FIELDS} == before
+
+
+@pytest.mark.parametrize(
+    "changes, equal",
+    [
+        ({"rejected_out_of_window": 3}, True),
+        ({"rejected_no_domestic": 2}, True),
+        ({"rejected_out_of_window": 1, "rejected_no_domestic": 1}, True),
+        ({"window": (2001, 2004)}, False),
+        ({"publications": ()}, False),
+        ({"peer_outcomes": (PeerOutcome("U1", "UDA1", 1, 0, 0, 0),)}, False),
+    ],
+    ids=["out-of-window", "no-domestic", "both-counts", "window", "publications", "peer-outcomes"],
+)
+def test_corpora_that_differ_only_in_their_rejection_counts_are_equal(minimal_corpus_dir, changes, equal):
+    corpus = load_corpus(minimal_corpus_dir, WINDOW)
+    other = Corpus(**{**{field: getattr(corpus, field) for field in CORPUS_FIELDS}, **changes})
+    assert (other == corpus, corpus == other, other != corpus) == (equal, equal, not equal)
+
+
+def test_corpus_paths_name_the_nine_corpus_files_in_schema_order(tmp_path):
+    stems = list(SCHEMAS)[:9]  # the corpus files come first; the derived ones follow
+    assert list(vars(CorpusPaths.from_dir(tmp_path)).items()) == [(stem, tmp_path / f"{stem}.csv") for stem in stems]
 
 
 def test_category_weights_must_sum_to_one(tmp_path):

@@ -28,7 +28,10 @@ from bibliorank.corpus import (
 from bibliorank.errors import ValidationError
 from bibliorank.peer_rating import rating_key
 from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, sds_productivity, write_score_csv
-from bibliorank.rankcmp import build_ranking, compare_rankings, read_ranking_csv, write_ranking_csv
+from bibliorank.rankcmp import (
+    build_ranking, compare_rankings, correlation_matrix, read_ranking_csv, render_comparison, render_matrix,
+    write_ranking_csv,
+)
 from bibliorank.scoring import compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, generate, synthesize
 
@@ -362,6 +365,28 @@ def test_compare_rankings_is_symmetric(a, b, direction):
     assert (forward.dropped_a, forward.dropped_b) == (backward.dropped_b, backward.dropped_a)
     for field in ("n", "shift_counts", "shift_frequencies", "shift_cumulative"):
         assert getattr(forward, field) == getattr(backward, field)
+
+
+FLIPPED = {HIGHER_IS_BETTER: LOWER_IS_BETTER, LOWER_IS_BETTER: HIGHER_IS_BETTER}
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=compared, b=compared, direction=st.sampled_from(list(FLIPPED)))
+@example(a={"e00": 0.0, "e01": -0.0, "e02": 1.0, "e03": 2.5}, b={"e00": -0.0, "e01": 0.0, "e02": 0.0, "e03": 1.0},
+         direction=HIGHER_IS_BETTER)  # signed zeros tie, in both rankings
+def test_negating_an_indicator_and_flipping_its_direction_changes_no_comparison_byte(a, b, direction):
+    reference = build_ranking(a, HIGHER_IS_BETTER, "a")
+
+    def rendered(values: dict[str, float], direction: str) -> list[str]:
+        other = build_ranking(values, direction, "b")
+        try:
+            report = compare_rankings(reference, other)
+        except ValidationError as exc:
+            return [str(exc)]
+        renders = [(render_comparison, report), (render_matrix, correlation_matrix([reference, other], [report]))]
+        return [render(what, fmt) for render, what in renders for fmt in cli.FORMATS]
+
+    assert rendered({entity: -value for entity, value in b.items()}, FLIPPED[direction]) == rendered(b, direction)
 
 
 @settings(max_examples=30, deadline=None)
