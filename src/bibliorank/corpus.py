@@ -1,9 +1,10 @@
 """Input corpus: publications, staff roster, taxonomy, peer outcomes, indicators.
 
 All inputs and outputs are comma-delimited UTF-8 CSV files with a header
-row.  :data:`SCHEMAS`, keyed by file stem, is the single list of those
-headers; every reader and writer looks its header up there.  The corpus
-files are:
+row.  :data:`SCHEMAS`, keyed by file stem, is the one table of their
+columns: the name, kind, bounds, reference and key part of each column
+(:class:`ColumnSpec`).  Every reader and writer looks its file up there.
+The corpus files are:
 
     publications      indexed outputs with their citations and byline length
     pub_categories    subject categories of each publication, with weights
@@ -27,21 +28,28 @@ and unit at one level), ``eligibility`` (active staff share per SDS),
 ``rated`` (peer rating and category percentile per cell) and ``ranking``
 (tie-averaged ranks of one indicator).
 
-Every file goes through one reader, :func:`read_rows`.  It reads blocks of
-:data:`BLOCK_ROWS` rows and hands each block to its loader as columns in
-``SCHEMAS`` order, so a read holds one block of raw rows, never a whole
-file.  Loaders check a block column by column: a :class:`Column` parses
-each distinct raw value once and gives every row holding it the one
-resulting object, and membership and uniqueness are set operations.  So
-each university, SDS, category, researcher and publication id is one
-shared ``str`` across all files, and the scoring dicts keyed on ids hash
-and compare them cheaply.  A byte that is not UTF-8 is one more bad value:
-files are decoded with ``surrogateescape``, and a :class:`Column` refuses a
-new raw value that is not ASCII unless it re-encodes to valid UTF-8.  Only
-when a block fails its checks are its rows checked again, one at a time, to
-find the first bad row.  Loading is fail-fast: the first violation in file
-order raises :class:`ValidationError` naming the file and line, with the
-message of the first check that row fails.  The records (:class:`AuthorSlot`,
+Every file goes through one reader, :func:`read_rows`, which checks it
+against its table entry.  It reads blocks of :data:`BLOCK_ROWS` rows, so a
+read holds one block of raw rows, never a whole file, and checks a block
+column by column in schema order.  A :class:`Column` parses each distinct
+raw value once and gives every row holding it the one resulting object.
+The column's values are then looked up in the column they reference, when
+the caller has read that one, and once the last key column is parsed the
+file's key is checked; both are set operations.  Only then does the loader
+get the parsed columns, to check its row rules (positions within the
+byline, a domestic slot's staff entry) and keep what it needs.  A bad value
+gets its kind's message, such as ``citations must be >= 0, got -1``; an
+unknown reference reads ``unknown {column} {value!r}`` and a repeated key
+``duplicate {key columns} {key!r}``.  Each university, SDS, category,
+researcher and publication id is one shared ``str`` across all files, so
+the scoring dicts keyed on ids hash and compare them cheaply.  A byte that
+is not UTF-8 is one more bad value: files are decoded with
+``surrogateescape``, and a :class:`Column` refuses a new raw value that is
+not ASCII unless it re-encodes to valid UTF-8.  Only when a block fails its
+checks are its rows checked again, one at a time, to find the first bad
+row.  Loading is fail-fast: the first violation in file order raises
+:class:`ValidationError` naming the file and line, with the message of the
+first check that row fails.  The records (:class:`AuthorSlot`,
 :class:`PublicationRecord`, :class:`StaffEntry`, :class:`PeerOutcome`,
 :class:`IndicatorTable`) and :class:`Taxonomy` are ``NamedTuple``s, cheap
 to define when a process starts.  A loaded :class:`Corpus` is read-only:
@@ -71,8 +79,8 @@ the loaders here, ``productivity.read_score_csv``,
 these invariants and does not check them again:
 
 - the window's end year is not before its start year;
-- every citation count is an integer in [0, :data:`MAX_CITATIONS`];
-- every ``total_author_count`` is at least 1, and every listed position
+- every citation count is an integer in [0, :data:`MAX_COUNT`];
+- every ``total_author_count`` lies in [1, :data:`MAX_COUNT`], and every listed position
   lies in 1..``total_author_count`` and is unique within its publication;
 - every listed author slot of a life-science publication has a position;
 - a publication's listed slots are in byline order: known positions
@@ -80,12 +88,14 @@ these invariants and does not check them again:
 - a kept publication has at least one domestic author slot, and every
   domestic slot's (university, SDS) has a staff entry;
 - every staff entry's SDS has a UDA in the taxonomy;
-- the category weights of a publication are in (0, 1] and sum to 1;
+- every category of a publication is listed in ``categories.csv``, when
+  that file exists, and its weights are in (0, 1] and sum to 1;
 - ``years_on_staff`` lies in (0, window length];
 - every peer outcome has at least one graded output, and each
-  (university, UDA) has one outcome;
+  (university, UDA) has one outcome; loaded with the corpus, its UDA is in
+  the taxonomy;
 - every indicator has one direction, from :data:`DIRECTIONS`;
-- a score table holds one level, from ``productivity.LEVELS``; a ranking's
+- a score table holds one level, from :data:`LEVELS`; a ranking's
   ranks are the tie-averaged positions of its scores;
 - every top-k percentage lies in (0, 100], and the output format is one of
   ``cli.FORMATS``.
@@ -98,9 +108,9 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
-from operator import is_, itemgetter, le
+from operator import is_, is_not, itemgetter, le
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -108,30 +118,87 @@ DOC_TYPES = ("article", "review", "proceedings")
 HIGHER_IS_BETTER = "higher_is_better"
 LOWER_IS_BETTER = "lower_is_better"
 DIRECTIONS = (HIGHER_IS_BETTER, LOWER_IS_BETTER)
+LEVELS = ("sds", "uda", "macro", "university")
 
 WEIGHT_SUM_TOL = 1e-9
 
-# Largest citation count read.  Up to 2**53 every count converts to float
+# Largest citation count and byline length read.  Up to 2**53 every count converts to float
 # exactly, and no corpus-sized sum of counts can overflow a float.
-MAX_CITATIONS = 2**53
+MAX_COUNT = 2**53
 
 # Top-k percentages a comparison reports when none are given.
 DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 
-SCHEMAS: dict[str, tuple[str, ...]] = {
-    "publications": ("pub_id", "year", "doc_type", "citations", "total_author_count"),
-    "pub_categories": ("pub_id", "category_id", "weight"),
-    "pub_authors": ("pub_id", "position", "is_domestic_academic", "university_id", "sds_id"),
-    "staff": ("researcher_id", "university_id", "sds_id", "years_on_staff"),
-    "taxonomy": ("sds_id", "uda_id", "is_life_science"),
-    "macro_map": ("uda_id", "macro_id"),
-    "peer_outcomes": ("university_id", "uda_id", "E", "G", "A", "L"),
-    "indicators": ("indicator_name", "direction", "university_id", "value"),
-    "categories": ("category_id", "is_life_science"),
-    "scores": ("level", "university_id", "unit_id", "P", "RS"),
-    "eligibility": ("sds_id", "staff_count", "active_count", "active_fraction", "eligible"),
-    "rated": ("university_id", "uda_id", "R", "category_percentile"),
-    "ranking": ("entity_id", "score", "rank"),
+
+class ColumnSpec(str):
+    """One column of a CSV file: a ``str``, the column's header name, that carries the rules on its values.
+
+    ``kind`` is ``"id"`` (stripped, not empty), ``"text"`` (stripped),
+    ``"int"``, ``"float"`` (finite), ``"bool"`` or a tuple of choices.  An
+    int's ``bounds`` are (minimum, maximum), ``None`` for no bound; a float's
+    are its interval as the message writes it, ``"window"`` standing for the
+    window length.  An ``optional`` column reads a blank value as ``None``.
+    Every value of a column with a ``ref`` must be one of the values of that
+    ``file.column``, when the reader is given them.  The ``key`` columns of a
+    file together hold no value twice.
+    """
+
+    def __new__(
+        cls, name: str, kind: str | tuple[str, ...], bounds: Any = None, optional: bool = False,
+        ref: str | None = None, key: bool = False,
+    ) -> ColumnSpec:
+        spec = super().__new__(cls, name)
+        spec.kind, spec.bounds, spec.optional, spec.ref, spec.key = kind, bounds, optional, ref, key
+        return spec
+
+
+_C = ColumnSpec
+SCHEMAS: dict[str, tuple[ColumnSpec, ...]] = {
+    "publications": (
+        _C("pub_id", "id", key=True), _C("year", "int"), _C("doc_type", DOC_TYPES),
+        _C("citations", "int", (0, MAX_COUNT)), _C("total_author_count", "int", (1, MAX_COUNT)),
+    ),
+    "pub_categories": (
+        _C("pub_id", "id", ref="publications.pub_id", key=True),
+        _C("category_id", "id", ref="categories.category_id", key=True),
+        _C("weight", "float", "(0, 1]"),
+    ),
+    "pub_authors": (
+        _C("pub_id", "id", ref="publications.pub_id", key=True),
+        _C("position", "int", (1, None), optional=True, key=True),
+        _C("is_domestic_academic", "bool"),
+        # A domestic slot's university and SDS must be in the corpus, an external slot's need not: a row rule.
+        _C("university_id", "id", optional=True),
+        _C("sds_id", "id", optional=True),
+    ),
+    "staff": (
+        _C("researcher_id", "id", key=True), _C("university_id", "id", key=True),
+        _C("sds_id", "id", ref="taxonomy.sds_id", key=True), _C("years_on_staff", "float", "(0, window]"),
+    ),
+    "taxonomy": (_C("sds_id", "id", key=True), _C("uda_id", "id"), _C("is_life_science", "bool")),
+    "macro_map": (_C("uda_id", "id", key=True), _C("macro_id", "id")),
+    "peer_outcomes": (
+        _C("university_id", "id", key=True), _C("uda_id", "id", ref="taxonomy.uda_id", key=True),
+        *(_C(grade, "int", (0, None)) for grade in ("E", "G", "A", "L")),
+    ),
+    "indicators": (
+        _C("indicator_name", "id", key=True), _C("direction", DIRECTIONS),
+        _C("university_id", "id", key=True), _C("value", "float"),
+    ),
+    "categories": (_C("category_id", "id", key=True), _C("is_life_science", "bool")),
+    "scores": (
+        _C("level", LEVELS), _C("university_id", "id", key=True), _C("unit_id", "text", key=True),
+        _C("P", "float"), _C("RS", "float"),
+    ),
+    "eligibility": (
+        _C("sds_id", "id", key=True), _C("staff_count", "int"), _C("active_count", "int"),
+        _C("active_fraction", "float"), _C("eligible", "bool"),
+    ),
+    "rated": (
+        _C("university_id", "id", key=True), _C("uda_id", "id", key=True), _C("R", "float"),
+        _C("category_percentile", "float", "[0, 100]"),
+    ),
+    "ranking": (_C("entity_id", "id", key=True), _C("score", "float"), _C("rank", "float")),
 }
 
 
@@ -285,23 +352,31 @@ class RowFault(Exception):
     """
 
 
-# check(lines, columns): validate and keep one block; lines[i] is the file line of row i.
-BlockCheck = Callable[[Sequence[int], list[tuple[str, ...]]], None]
+# check(lines, columns): apply the row rules to one block and keep it; lines[i] is the file line of row i.
+BlockCheck = Callable[[Sequence[int], list[list]], None]
 
 
-def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True) -> None:
-    """Pass the data rows of ``path`` to ``check`` in blocks of up to :data:`BLOCK_ROWS` rows, as columns.
+def read_rows(
+    path: Path, schema: str, check: BlockCheck, required: bool = True, ids: dict[str, str] | None = None,
+    known: Mapping[str, Collection] = {}, window_len: int | None = None,
+) -> None:
+    """Check the data rows of ``path`` against ``SCHEMAS[schema]`` and pass them to ``check``, a block at a time.
 
-    The columns come in ``SCHEMAS[schema]`` order.  Optional files that do
-    not exist give no blocks; existing files must carry exactly the header
-    ``SCHEMAS[schema]``.  Blank lines are skipped.  A row with the wrong
-    number of fields, a record spanning more than one line (a line break
-    inside a quoted field) and a field over the csv module's size limit are
-    refused.  A byte that is not UTF-8 reads as a lone surrogate, which the
-    :class:`Column` parsing its field refuses as a bad value.  ``check``
-    raises :class:`RowFault` for a block with a bad row, and commits what it
-    keeps only once every test has passed.  The error raised names the first
-    bad line in file order, with the first test that line fails.
+    Optional files that do not exist give no blocks; existing files must
+    carry exactly the header ``SCHEMAS[schema]``.  Blank lines are skipped.
+    A row with the wrong number of fields, a record spanning more than one
+    line (a line break inside a quoted field) and a field over the csv
+    module's size limit are refused.  A byte that is not UTF-8 reads as a
+    lone surrogate, which the :class:`Column` parsing its field refuses as a
+    bad value.  Each block of up to :data:`BLOCK_ROWS` rows is checked column
+    by column in schema order: each column is parsed, then its values are
+    looked up in ``known[spec.ref]`` when the caller gave that, and once the
+    last key column is parsed the file's key is checked.  Ids are shared
+    through ``ids``, and a ``"window"`` bound is ``window_len``.  ``check``
+    then gets the parsed columns, in schema order.  It raises
+    :class:`RowFault` for a block with a bad row, and commits what it keeps
+    only once every rule has passed.  The error raised names the first bad
+    line in file order, with the first test that line fails.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -310,6 +385,30 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
             raise ValidationError(f"{name}: missing required input file")
         return
     width = len(columns)
+    parsers = [_column(spec, {} if ids is None else ids, window_len) for spec in columns]
+    key_index = [i for i, spec in enumerate(columns) if spec.key]
+    optional_keys = [j for j, i in enumerate(key_index) if columns[i].optional]
+    key_name = columns[key_index[0]] if len(key_index) == 1 else f"({', '.join(columns[i] for i in key_index)})"
+    seen: set = set()  # the keys of the rows kept so far
+
+    def check_block(lines: Sequence[int], raw_columns: list[tuple[str, ...]]) -> None:
+        parsed: list[list] = []
+        for spec, parse, raw in zip(columns, parsers, raw_columns):
+            values = parse(raw)
+            if spec.ref in known:
+                check_known(values, known[spec.ref], lambda value: f"unknown {spec} {value!r}")
+            parsed.append(values)
+            if len(parsed) == key_index[-1] + 1:
+                keys = [parsed[i] for i in key_index]
+                for j in optional_keys:  # a row whose optional key column is blank has no key
+                    present = list(map(is_not, keys[j], repeat(None)))
+                    keys = [list(compress(values, present)) for values in keys]
+                keys = keys[0] if len(keys) == 1 else list(zip(*keys))  # a one-column key is its value
+                if len(set(keys)) != len(keys) or not seen.isdisjoint(keys):
+                    raise RowFault(f"duplicate {key_name} {keys[0]!r}")
+        check(lines, parsed)
+        seen.update(keys)
+
     with _open_csv(path) as (reader, header):
         if tuple(header) != columns:
             raise ValidationError(
@@ -329,7 +428,7 @@ def read_rows(path: Path, schema: str, check: BlockCheck, required: bool = True)
             else:
                 rows, lines, fault = _split_at_fault(rows, last, width, fault)
             if rows:
-                _check_block(name, check, lines, list(zip(*rows)))
+                _check_block(name, check_block, lines, list(zip(*rows)))
             if fault is not None:
                 raise ValidationError(f"{name}:{fault}")
             if count < BLOCK_ROWS:
@@ -452,82 +551,79 @@ class Column:
         return list(map(memo.__getitem__, raw_values))
 
 
-def id_column(ids: dict[str, str], column: str, optional: bool = False) -> Column:
-    """Stripped ids, one shared ``str`` per id across every column built on ``ids``.
+def _column(spec: ColumnSpec, ids: dict[str, str], window_len: int | None) -> Column:
+    """The :class:`Column` that parses the values of ``spec`` by its kind and checks its bounds.
 
-    An empty id is refused, or read as ``None`` when ``optional``.
+    An id is one shared ``str`` per id across every column built on ``ids``.
     """
+    kind, bounds, optional = spec.kind, spec.bounds, spec.optional
+    if kind == "id":
 
-    def parse(raw: str) -> str | None:
-        value = raw.strip()
-        if not value:
+        def parse(raw: str) -> Any:
+            value = raw.strip()
+            if not value:
+                if optional:
+                    return None
+                raise ValueError(f"{spec} must not be empty")
+            return ids.setdefault(value, value)
+
+        # A required id maps each raw value straight to the shared str, so all such columns share one memo.
+        return Column(parse, None if optional else ids)
+    if kind == "text":
+        return Column(str.strip)
+    if kind == "int":
+        minimum, maximum = bounds or (None, None)
+
+        def parse(raw: str) -> Any:
             if optional:
-                return None
-            raise ValueError(f"{column} must not be empty")
-        return ids.setdefault(value, value)
+                raw = raw.strip()
+                if not raw:
+                    return None
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ValueError(f"{spec} must be an integer, got {raw!r}") from None
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{spec} must be >= {minimum}, got {value}")
+            if maximum is not None and value > maximum:
+                raise ValueError(f"{spec} must be <= {maximum}, got {value}")
+            return value
 
-    # A required id maps each raw value straight to the shared str, so all such columns share one memo.
-    return Column(parse, None if optional else ids)
+    elif kind == "float":
+        # The interval "(low, high]" or "[low, high]".
+        interval = bounds and bounds.replace("window", str(window_len))
+        low, high = map(float, interval[1:-1].split(", ")) if interval else (-math.inf, math.inf)
 
+        def parse(raw: str) -> Any:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ValueError(f"{spec} must be a number, got {raw!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{spec} must be finite, got {raw!r}")
+            if not (low < value <= high or value == low and interval[0] == "["):
+                raise ValueError(f"{spec} must be in {interval}, got {value:g}")
+            return value
 
-def choice_column(column: str, choices: tuple[str, ...]) -> Column:
-    def parse(raw: str) -> str:
-        value = raw.strip()
-        if not value:
-            raise ValueError(f"{column} must not be empty")
-        if value not in choices:
-            raise ValueError(f"{column} must be one of {choices}, got {value!r}")
-        return value
+    elif kind == "bool":
 
-    return Column(parse)
+        def parse(raw: str) -> Any:
+            lowered = raw.strip().lower()
+            if lowered in ("true", "1", "yes"):
+                return True
+            if lowered in ("false", "0", "no"):
+                return False
+            raise ValueError(f"{spec} must be true/false, got {raw!r}")
 
+    else:
 
-def int_column(column: str, minimum: int | None = None, maximum: int | None = None, optional: bool = False) -> Column:
-    """Integers in [``minimum``, ``maximum``]; when ``optional``, a blank value reads as ``None``."""
-
-    def parse(raw: str) -> int | None:
-        if optional:
-            raw = raw.strip()
-            if not raw:
-                return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{column} must be an integer, got {raw!r}") from None
-        if minimum is not None and value < minimum:
-            raise ValueError(f"{column} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValueError(f"{column} must be <= {maximum}, got {value}")
-        return value
-
-    return Column(parse)
-
-
-def float_column(column: str, upper: float | None = None) -> Column:
-    """Finite numbers, in (0, ``upper``] when ``upper`` is given."""
-
-    def parse(raw: str) -> float:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"{column} must be a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{column} must be finite, got {raw!r}")
-        if upper is not None and not 0 < value <= upper:
-            raise ValueError(f"{column} must be in (0, {upper}], got {value:g}")
-        return value
-
-    return Column(parse)
-
-
-def bool_column(column: str) -> Column:
-    def parse(raw: str) -> bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{column} must be true/false, got {raw!r}")
+        def parse(raw: str) -> Any:
+            value = raw.strip()
+            if not value:
+                raise ValueError(f"{spec} must not be empty")
+            if value not in kind:
+                raise ValueError(f"{spec} must be one of {kind}, got {value!r}")
+            return value
 
     return Column(parse)
 
@@ -537,12 +633,6 @@ def check_known(values: Sequence, known: Collection, message: Callable[[Any], st
     missing = set(values).difference(known)
     if missing:
         raise RowFault(message(missing.pop()))
-
-
-def check_unique(values: Sequence, seen: AbstractSet, message: Callable[[Any], str]) -> None:
-    """Fault if any of ``values`` is in ``seen`` or repeats within ``values``; the message names the first value."""
-    if len(set(values)) != len(values) or not seen.isdisjoint(values):
-        raise RowFault(message(values[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +656,16 @@ def load_corpus(directory: Path | str, window: tuple[int, int]) -> Corpus:
     window_len = end - start + 1
 
     ids: dict[str, str] = {}
-    taxonomy = _load_taxonomy(paths, ids)
-    staff = _load_staff(paths.staff, taxonomy, window_len, ids)
+    known: dict[str, Collection] = {}  # "file.column" -> the values read from it that a ``ref`` may name
+    taxonomy = _load_taxonomy(paths, ids, known)
+    staff = _load_staff(paths.staff, window_len, ids, known)
     universities = {e.university_id for e in staff}
     pairs = {(e.university_id, e.sds_id) for e in staff}
 
     publications, out_of_window, no_domestic = _load_publications(
-        paths, taxonomy, universities, pairs, window, ids
+        paths, taxonomy, universities, pairs, window, ids, known
     )
-    peer_outcomes = read_peer_outcomes_csv(paths.peer_outcomes, ids)
+    peer_outcomes = read_peer_outcomes_csv(paths.peer_outcomes, ids, known)
     indicators = read_indicators_csv(paths.indicators, ids)
     _release_freed_heap()
 
@@ -608,44 +699,36 @@ def _release_freed_heap() -> None:
     trim(0)
 
 
-def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str]) -> Taxonomy:
+def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str], known: dict[str, Collection]) -> Taxonomy:
     sds_to_uda: dict[str, str] = {}
-    sds_of, uda_of, life_of = id_column(ids, "sds_id"), id_column(ids, "uda_id"), bool_column("is_life_science")
 
-    def taxonomy_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_sds, raw_uda, raw_life = columns
-        sds, udas = sds_of(raw_sds), uda_of(raw_uda)
-        check_unique(sds, sds_to_uda.keys(), lambda value: f"duplicate sds_id {value!r}")
-        life_of(raw_life)  # checked, not kept
+    def taxonomy_block(lines: Sequence[int], columns: list[list]) -> None:
+        sds, udas, _ = columns  # is_life_science is checked, not kept
         sds_to_uda.update(zip(sds, udas))
 
-    read_rows(paths.taxonomy, "taxonomy", taxonomy_block)
+    read_rows(paths.taxonomy, "taxonomy", taxonomy_block, ids=ids)
 
     uda_to_macro: dict[str, str] = {}
-    macro_of = id_column(ids, "macro_id")
 
-    def macro_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_uda, raw_macro = columns
-        udas, macros = uda_of(raw_uda), macro_of(raw_macro)
-        check_unique(udas, uda_to_macro.keys(), lambda value: f"duplicate uda_id {value!r}")
-        uda_to_macro.update(zip(udas, macros))
+    def macro_block(lines: Sequence[int], columns: list[list]) -> None:
+        uda_to_macro.update(zip(*columns))
 
-    read_rows(paths.macro_map, "macro_map", macro_block, required=False)
+    read_rows(paths.macro_map, "macro_map", macro_block, required=False, ids=ids)
 
-    seen_cats: set[str] = set()
+    categories: set[str] = set()
     life_categories: set[str] = set()
-    category_of = id_column(ids, "category_id")
 
-    def categories_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_cat, raw_life = columns
-        cats = category_of(raw_cat)
-        check_unique(cats, seen_cats, lambda value: f"duplicate category_id {value!r}")
-        life = life_of(raw_life)
-        seen_cats.update(cats)
+    def categories_block(lines: Sequence[int], columns: list[list]) -> None:
+        cats, life = columns
+        categories.update(cats)
         life_categories.update(compress(cats, life))
 
-    read_rows(paths.categories, "categories", categories_block, required=False)
+    read_rows(paths.categories, "categories", categories_block, required=False, ids=ids)
 
+    known["taxonomy.sds_id"] = sds_to_uda
+    known["taxonomy.uda_id"] = set(sds_to_uda.values())
+    if paths.categories.exists():
+        known["categories.category_id"] = categories
     return Taxonomy(
         sds_to_uda={k: sds_to_uda[k] for k in sorted(sds_to_uda)},
         uda_to_macro={k: uda_to_macro[k] for k in sorted(uda_to_macro)},
@@ -653,25 +736,15 @@ def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str]) -> Taxonomy:
     )
 
 
-def _load_staff(path: Path, taxonomy: Taxonomy, window_len: int, ids: dict[str, str]) -> tuple[StaffEntry, ...]:
+def _load_staff(
+    path: Path, window_len: int, ids: dict[str, str], known: dict[str, Collection]
+) -> tuple[StaffEntry, ...]:
     entries: list[StaffEntry] = []
-    seen: set[tuple[str, str, str]] = set()
-    researcher_of, university_of, sds_of = (
-        id_column(ids, "researcher_id"), id_column(ids, "university_id"), id_column(ids, "sds_id")
-    )
-    years_of = float_column("years_on_staff", upper=window_len)
 
-    def staff_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_researcher, raw_university, raw_sds, raw_years = columns
-        researchers, universities, sds = researcher_of(raw_researcher), university_of(raw_university), sds_of(raw_sds)
-        years = years_of(raw_years)
-        check_known(sds, taxonomy.sds_to_uda, lambda value: f"sds {value!r} has no UDA in taxonomy.csv")
-        keys = list(zip(researchers, universities, sds))
-        check_unique(keys, seen, lambda key: f"duplicate staff entry {key}")
-        seen.update(keys)
-        entries.extend(_records(StaffEntry, researchers, universities, sds, years))
+    def staff_block(lines: Sequence[int], columns: list[list]) -> None:
+        entries.extend(_records(StaffEntry, *columns))
 
-    read_rows(path, "staff", staff_block)
+    read_rows(path, "staff", staff_block, ids=ids, known=known, window_len=window_len)
     entries.sort(key=itemgetter(0, 1, 2))  # (researcher_id, university_id, sds_id)
     return tuple(entries)
 
@@ -683,78 +756,47 @@ def _load_publications(
     pairs: set[tuple[str, str]],
     window: tuple[int, int],
     ids: dict[str, str],
+    known: dict[str, Collection],
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
-    pub_id_of = id_column(ids, "pub_id")
     heads: dict[str, tuple[int, str, int, int]] = {}  # pub_id -> (year, doc_type, citations, total)
     head_memo: dict[tuple, tuple] = {}  # equal heads share one tuple (see the module docstring)
-    year_of, doc_type_of = int_column("year"), choice_column("doc_type", DOC_TYPES)
-    citations_of = int_column("citations", minimum=0, maximum=MAX_CITATIONS)
-    total_of = int_column("total_author_count", minimum=1)
 
-    def publications_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_pid, raw_year, raw_doc_type, raw_citations, raw_total = columns
-        pids = pub_id_of(raw_pid)
-        check_unique(pids, heads.keys(), lambda pid: f"duplicate pub_id {pid!r}")
-        years, doc_types = year_of(raw_year), doc_type_of(raw_doc_type)
-        citations, totals = citations_of(raw_citations), total_of(raw_total)
-        heads.update(zip(pids, _interned(head_memo, zip(years, doc_types, citations, totals))))
+    def publications_block(lines: Sequence[int], columns: list[list]) -> None:
+        pids, *head = columns
+        heads.update(zip(pids, _interned(head_memo, zip(*head))))
 
-    read_rows(paths.publications, "publications", publications_block)
-
-    def unknown_pub(pid: str) -> str:
-        return f"unknown pub_id {pid!r}"
+    read_rows(paths.publications, "publications", publications_block, ids=ids)
+    known = {**known, "publications.pub_id": heads}  # a copy: heads goes on return, before the heap is trimmed
 
     # Rows of the two per-publication files, kept flat: the pub_id of each row and its
-    # (category_id, weight) or AuthorSlot.  (pub_id, category_id) and (pub_id, position) keys
-    # catch duplicates.
+    # (category_id, weight) or AuthorSlot.
     category_pids: list[str] = []
     category_items: list[tuple[str, float]] = []
-    category_keys: set[tuple[str, str]] = set()
     item_memo: dict[tuple, tuple] = {}
-    category_of, weight_of = id_column(ids, "category_id"), float_column("weight", upper=1)
 
-    def categories_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_pid, raw_cat, raw_weight = columns
-        pids = pub_id_of(raw_pid)
-        check_known(pids, heads, unknown_pub)
-        cats, weights = category_of(raw_cat), weight_of(raw_weight)
-        keys = list(zip(pids, cats))
-        check_unique(keys, category_keys, lambda key: f"duplicate category {key[1]!r} for pub {key[0]!r}")
-        category_keys.update(keys)
+    def categories_block(lines: Sequence[int], columns: list[list]) -> None:
+        pids, cats, weights = columns
         category_pids.extend(pids)
         category_items.extend(_interned(item_memo, zip(cats, weights)))
 
-    read_rows(paths.pub_categories, "pub_categories", categories_block)
-    category_keys.clear()
+    read_rows(paths.pub_categories, "pub_categories", categories_block, ids=ids, known=known)
 
     slot_pids: list[str] = []
     slots: list[AuthorSlot] = []
-    position_keys: set[tuple[str, int]] = set()
     unplaced: set[str] = set()  # publications with a slot of unknown position
     slot_memo: dict[tuple, tuple] = {}
-    position_of = int_column("position", minimum=1, optional=True)
-    domestic_of = bool_column("is_domestic_academic")
-    university_of = id_column(ids, "university_id", optional=True)
-    sds_of = id_column(ids, "sds_id", optional=True)
 
-    def authors_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_pid, raw_position, raw_domestic, raw_university, raw_sds = columns
-        pids = pub_id_of(raw_pid)
-        check_known(pids, heads, unknown_pub)
-        positions = position_of(raw_position)
-        placed_pids = list(compress(pids, positions))
+    def authors_block(lines: Sequence[int], columns: list[list]) -> None:
+        pids, positions, domestic, slot_universities, sds = columns
         placed_positions = list(compress(positions, positions))
-        totals = list(map(itemgetter(3), map(heads.__getitem__, placed_pids)))
+        totals = list(map(itemgetter(3), map(heads.__getitem__, compress(pids, positions))))
         if not all(map(le, placed_positions, totals)):
             raise RowFault(f"position {placed_positions[0]} exceeds total_author_count {totals[0]}")
-        keys = list(zip(placed_pids, placed_positions))
-        check_unique(keys, position_keys, lambda key: f"duplicate position {key[1]} for pub {key[0]!r}")
-        domestic = domestic_of(raw_domestic)
-        universities_, sds = university_of(raw_university), sds_of(raw_sds)
-        domestic_universities = list(compress(universities_, domestic))
+        domestic_universities = list(compress(slot_universities, domestic))
         domestic_sds = list(compress(sds, domestic))
         if None in domestic_universities or None in domestic_sds:
             raise RowFault("domestic author requires university_id and sds_id")
+        # An external slot's university and SDS may lie outside the corpus; a domestic slot's may not.
         check_known(
             domestic_universities, universities,
             lambda university: f"university {university!r} absent from staff roster",
@@ -764,13 +806,11 @@ def _load_publications(
             list(zip(domestic_universities, domestic_sds)), pairs,
             lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})",
         )
-        position_keys.update(keys)
         unplaced.update(compress(pids, map(is_, positions, repeat(None))))
         slot_pids.extend(pids)
-        slots.extend(_interned(slot_memo, _records(AuthorSlot, positions, universities_, sds, domestic)))
+        slots.extend(_interned(slot_memo, _records(AuthorSlot, positions, slot_universities, sds, domestic)))
 
-    read_rows(paths.pub_authors, "pub_authors", authors_block)
-    position_keys.clear()
+    read_rows(paths.pub_authors, "pub_authors", authors_block, ids=ids, known=known)
 
     cat_name, auth_name = paths.pub_categories.name, paths.pub_authors.name
     shared: dict[tuple, tuple] = {}  # equal category tuples share one object
@@ -847,58 +887,40 @@ def _byline_order(slot: AuthorSlot) -> tuple:
     return (position is None, position or 0, slot.university_id or "", slot.sds_id or "", slot.is_domestic_academic)
 
 
-def read_peer_outcomes_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[PeerOutcome, ...]:
+def read_peer_outcomes_csv(
+    path: Path, ids: dict[str, str] | None = None, known: Mapping[str, Collection] = {}
+) -> tuple[PeerOutcome, ...]:
     """Read peer-review grade counts, at least one graded output per (university, UDA) cell."""
-    ids = {} if ids is None else ids
     outcomes: list[PeerOutcome] = []
-    seen: set[tuple[str, str]] = set()
-    university_of, uda_of = id_column(ids, "university_id"), id_column(ids, "uda_id")
-    count_of = [int_column(grade, minimum=0) for grade in ("E", "G", "A", "L")]
 
-    def outcomes_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_university, raw_uda, *raw_counts = columns
-        universities, udas = university_of(raw_university), uda_of(raw_uda)
-        counts = [parse(raw) for parse, raw in zip(count_of, raw_counts)]
-        totals = list(map(sum, zip(*counts)))
-        if 0 in totals:
+    def outcomes_block(lines: Sequence[int], columns: list[list]) -> None:
+        if 0 in map(sum, zip(*columns[2:])):
             raise RowFault("all grade counts are zero")
-        keys = list(zip(universities, udas))
-        check_unique(keys, seen, lambda key: f"duplicate outcome for {key}")
-        seen.update(keys)
-        outcomes.extend(map(PeerOutcome, universities, udas, *counts))
+        outcomes.extend(map(PeerOutcome, *columns))
 
-    read_rows(path, "peer_outcomes", outcomes_block, required=False)
+    read_rows(path, "peer_outcomes", outcomes_block, required=False, ids=ids, known=known)
     outcomes.sort(key=lambda o: (o.uda_id, o.university_id))
     return tuple(outcomes)
 
 
 def read_indicators_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[IndicatorTable, ...]:
     """Read external indicator values, one table per indicator name."""
-    ids = {} if ids is None else ids
     directions: dict[str, str] = {}
     values: dict[str, dict[str, float]] = {}
-    seen: set[tuple[str, str]] = set()
-    indicator_of, university_of = id_column(ids, "indicator_name"), id_column(ids, "university_id")
-    direction_of, value_of = choice_column("direction", DIRECTIONS), float_column("value")
 
-    def indicators_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_indicator, raw_direction, raw_university, raw_value = columns
-        indicators, block_directions = indicator_of(raw_indicator), direction_of(raw_direction)
-        universities, block_values = university_of(raw_university), value_of(raw_value)
+    def indicators_block(lines: Sequence[int], columns: list[list]) -> None:
+        indicators, block_directions, universities, block_values = columns
         first = dict(zip(reversed(indicators), reversed(block_directions)))  # each indicator's first direction
         first.update((indicator, directions[indicator]) for indicator in first.keys() & directions.keys())
         check_known(
             list(zip(indicators, block_directions)), first.items(),
             lambda pair: f"conflicting direction for indicator {pair[0]!r}",
         )
-        keys = list(zip(indicators, universities))
-        check_unique(keys, seen, lambda key: f"duplicate university_id {key[1]!r} for {key[0]!r}")
-        seen.update(keys)
         directions.update(first)
-        for (indicator, university), value in zip(keys, block_values):
+        for indicator, university, value in zip(indicators, universities, block_values):
             values.setdefault(indicator, {})[university] = value
 
-    read_rows(path, "indicators", indicators_block, required=False)
+    read_rows(path, "indicators", indicators_block, required=False, ids=ids)
     return tuple(
         IndicatorTable(indicator, directions[indicator], {k: values[indicator][k] for k in sorted(values[indicator])})
         for indicator in sorted(values)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Column, PeerOutcome, check_unique, float_column, id_column, read_rows, write_csv
+from .corpus import PeerOutcome, read_rows, write_csv
 
 
 class RatedOutcome(NamedTuple):
@@ -113,26 +113,10 @@ def write_rated_csv(rated: Iterable[RatedOutcome], path) -> None:
 
 def read_rated_csv(path: Path) -> list[RatedOutcome]:
     """Read ratings written by :func:`write_rated_csv`: one per (university, UDA), each percentile in [0, 100]."""
-    rated: dict[tuple[str, str], RatedOutcome] = {}
-    ids: dict[str, str] = {}  # one str per id across both columns
-    university_of, uda_of = id_column(ids, "university_id"), id_column(ids, "uda_id")
-    r_of, finite_percentile = float_column("R"), float_column("category_percentile").parse
+    rated: list[RatedOutcome] = []
 
-    def parse_percentile(raw: str) -> float:
-        value = finite_percentile(raw)
-        if not 0 <= value <= 100:
-            raise ValueError(f"category_percentile must be in [0, 100], got {value:g}")
-        return value
-
-    percentile_of = Column(parse_percentile)
-
-    def rated_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_university, raw_uda, raw_r, raw_percentile = columns
-        universities, udas = university_of(raw_university), uda_of(raw_uda)
-        keys = list(zip(universities, udas))
-        check_unique(keys, rated.keys(), lambda key: f"duplicate rating for {key}")
-        outcomes = map(RatedOutcome, universities, udas, r_of(raw_r), percentile_of(raw_percentile))
-        rated.update(zip(keys, outcomes))
+    def rated_block(lines: Sequence[int], columns: list[list]) -> None:
+        rated.extend(map(RatedOutcome, *columns))
 
     read_rows(path, "rated", rated_block)
-    return list(rated.values())
+    return rated

@@ -14,19 +14,14 @@ ineligible SDSs are excluded from every downstream table.
 
 from __future__ import annotations
 
-import statistics
+import math
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import (
-    Column, Corpus, RowFault, StaffEntry, check_known, check_unique, float_column, id_column, read_rows, write_csv,
-)
+from .corpus import LEVELS, Corpus, RowFault, StaffEntry, check_known, read_rows, write_csv
 from .errors import ValidationError
 from .scoring import CreditShare, compute_baselines, credit_shares
-
-LEVELS = ("sds", "uda", "macro", "university")
-
 
 class ScoreEntry(NamedTuple):
     P: float
@@ -110,7 +105,7 @@ def sds_productivity(
     by_sds: dict[str, list[float]] = {}
     for (university, sds), entry in entries.items():
         by_sds.setdefault(sds, []).append(entry.P)
-    national_means = {sds: statistics.fmean(values) for sds, values in sorted(by_sds.items())}
+    national_means = {sds: math.fsum(values) / len(values) for sds, values in sorted(by_sds.items())}
     return ScoreTable(level="sds", entries=entries, national_means=national_means)
 
 
@@ -194,30 +189,17 @@ def read_score_csv(path: Path) -> ScoreTable:
     entries: dict[tuple[str, str], ScoreEntry] = {}
     level: str | None = None  # the level of the file's first row
 
-    def parse_level(raw: str) -> str:
-        row_level = raw.strip()
-        if row_level not in LEVELS:
-            raise ValueError(f"unknown level {row_level!r}")
-        return row_level
-
-    level_of, university_of, unit_of = Column(parse_level), id_column({}, "university_id"), Column(str.strip)
-    p_of, rs_of = float_column("P"), float_column("RS")
-
-    def scores_block(lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
+    def scores_block(lines: Sequence[int], columns: list[list]) -> None:
         nonlocal level
-        raw_level, raw_university, raw_unit, raw_p, raw_rs = columns
-        levels = level_of(raw_level)
+        levels, universities, units, p, rs = columns
         file_level = level or levels[0]
         if levels.count(file_level) != len(levels):
             raise RowFault(f"mixed levels {file_level!r} and {levels[0]!r}")
-        units = unit_of(raw_unit)
         if file_level == "university":
             check_known(units, {""}, lambda unit: f"unit_id must be empty at level 'university', got {unit!r}")
         elif "" in units:
             raise RowFault(f"unit_id must not be empty at level {file_level!r}")
-        keys = list(zip(university_of(raw_university), units))
-        check_unique(keys, entries.keys(), lambda key: f"duplicate entry {key}")
-        entries.update(zip(keys, map(ScoreEntry, p_of(raw_p), rs_of(raw_rs))))
+        entries.update(zip(zip(universities, units), map(ScoreEntry, p, rs)))
         level = file_level
 
     read_rows(path, "scores", scores_block)

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
-    DEFAULT_PERCENTAGES, HIGHER_IS_BETTER, LOWER_IS_BETTER, check_unique, float_column, id_column, read_rows,
+    DEFAULT_PERCENTAGES, HIGHER_IS_BETTER, LOWER_IS_BETTER, read_rows,
     write_csv,
 )
 from .errors import ValidationError
@@ -356,14 +356,10 @@ def read_ranking_csv(path: Path) -> RankingList:
     name = path.name
     entries: list[RankEntry] = []
     lines: dict[str, int] = {}
-    entity_of, score_of, rank_of = id_column({}, "entity_id"), float_column("score"), float_column("rank")
 
-    def ranking_block(block_lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-        raw_entity, raw_score, raw_rank = columns
-        entities = entity_of(raw_entity)
-        check_unique(entities, lines.keys(), lambda entity: f"duplicate entity {entity!r}")
-        entries.extend(map(RankEntry, entities, score_of(raw_score), rank_of(raw_rank)))
-        lines.update(zip(entities, block_lines))
+    def ranking_block(block_lines: Sequence[int], columns: list[list]) -> None:
+        entries.extend(map(RankEntry, *columns))
+        lines.update(zip(columns[0], block_lines))
 
     read_rows(path, "ranking", ranking_block)
     if not entries:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from collections import defaultdict
 from typing import Mapping, NamedTuple
 
@@ -63,8 +62,10 @@ def compute_baselines(corpus: Corpus) -> dict[BaselineKey, float]:
             cells[year, category].append(citations)
     divisors: dict[BaselineKey, float] = {}
     for key, citations in sorted(cells.items()):
-        median = float(statistics.median(citations))
-        divisors[key] = median if median > 0 else statistics.fmean(citations)
+        ordered = sorted(citations)
+        middle = len(ordered) // 2
+        median = float(ordered[middle]) if len(ordered) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+        divisors[key] = median if median > 0 else math.fsum(citations) / len(citations)
     return divisors
 
 

@@ -1,14 +1,15 @@
-"""Shared fixture helpers: corpus CSV files from rows or a loaded corpus, and reference credit per publication."""
+"""Shared fixture helpers: corpus CSV files from rows or a loaded corpus, input faults from the column table, and
+reference credit per publication."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import pytest
 
-from bibliorank.corpus import Corpus, CorpusPaths, PublicationRecord, Taxonomy, write_csv
+from bibliorank.corpus import SCHEMAS, Corpus, CorpusPaths, PublicationRecord, Taxonomy, write_csv
 from bibliorank.scoring import CreditShare
 
 
@@ -109,6 +110,77 @@ def minimal_rows() -> dict[str, list[tuple]]:
 @pytest.fixture
 def minimal_corpus_dir(tmp_path: Path) -> Path:
     return write_corpus(tmp_path / "corpus", **minimal_rows())
+
+
+class Fault(NamedTuple):
+    """A bad value for one column of a file, and the message that a row holding it must fail with."""
+
+    stem: str
+    column: str
+    label: str
+    value: str | None  # None: the row repeats the key of an earlier row
+    message: str  # for a repeated key, the message up to the key, which follows it
+
+
+def column_faults(stem: str, window_len: int) -> list[Fault]:
+    """Every fault that the ``SCHEMAS`` row of each column of ``stem`` implies, in schema order.
+
+    Each kind has its bad values (empty, of the wrong type, not finite), each
+    bound a value just outside it, each reference an unknown value, and the
+    file's last key column a repeated key.  Every column refuses a byte that
+    is not UTF-8.
+    """
+    columns = SCHEMAS[stem]
+    key = [spec for spec in columns if spec.key]
+    key_name = key[0] if len(key) == 1 else f"({', '.join(key)})"
+    faults: list[Fault] = []
+    for spec in columns:
+        kind, name = spec.kind, str(spec)
+        found = [("not UTF-8", "x\udce9", "not UTF-8: byte 0xe9 (invalid continuation byte)")]
+        if kind == "id" and not spec.optional or isinstance(kind, tuple):
+            found.append(("empty", "", f"{name} must not be empty"))
+        if isinstance(kind, tuple):
+            found.append(("not a choice", "x", f"{name} must be one of {kind}, got 'x'"))
+        elif kind == "bool":
+            wrong = [("empty", ""), ("not a bool", "maybe")]
+            found += [(label, raw, f"{name} must be true/false, got {raw!r}") for label, raw in wrong]
+        elif kind == "int":
+            wrong = [("not an integer", "1.5")] if spec.optional else [("empty", ""), ("not an integer", "1.5")]
+            found += [(label, raw, f"{name} must be an integer, got {raw!r}") for label, raw in wrong]
+            low, high = spec.bounds or (None, None)
+            if low is not None:
+                found.append(("below the minimum", str(low - 1), f"{name} must be >= {low}, got {low - 1}"))
+            if high is not None:
+                found.append(("above the maximum", str(high + 1), f"{name} must be <= {high}, got {high + 1}"))
+        elif kind == "float":
+            wrong = [("empty", ""), ("not a number", "x")]
+            found += [(label, raw, f"{name} must be a number, got {raw!r}") for label, raw in wrong]
+            found += [(raw, raw, f"{name} must be finite, got {raw!r}") for raw in ("inf", "nan")]
+            if spec.bounds:
+                interval = spec.bounds.replace("window", str(window_len))
+                low, high = map(float, interval[1:-1].split(", "))
+                outside = [low - 1, *([low] if interval[0] == "(" else []), high + 1]
+                found += [
+                    (f"{value:g} outside {interval}", f"{value:g}", f"{name} must be in {interval}, got {value:g}")
+                    for value in outside
+                ]
+        if spec.ref:
+            found.append(("unknown reference", "ZZ_UNKNOWN", f"unknown {name} 'ZZ_UNKNOWN'"))
+        if spec is key[-1]:
+            found.append(("repeated key", None, f"duplicate {key_name} "))
+        faults += [Fault(stem, name, label, raw, message) for label, raw, message in found]
+    return faults
+
+
+def spoil(fault: Fault, fields: list[str], earlier: list[str]) -> tuple[list[str], str]:
+    """The row ``fields`` with ``fault`` in it, and its whole message; a repeated key is copied from ``earlier``."""
+    columns = SCHEMAS[fault.stem]
+    if fault.value is not None:
+        index = columns.index(fault.column)
+        return [*fields[:index], fault.value, *fields[index + 1:]], fault.message
+    fields = [old if spec.key else new for spec, old, new in zip(columns, earlier, fields)]
+    key = tuple(int(raw) if spec.kind == "int" else raw.strip() for spec, raw in zip(columns, fields) if spec.key)
+    return fields, fault.message + repr(key[0] if len(key) == 1 else key)
 
 
 def reference_position_weights(n: int, shared: bool) -> dict[int, Fraction]:

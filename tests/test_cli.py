@@ -111,6 +111,20 @@ def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_p
         """
     )
     assert proc.returncode == 0, proc.stderr
+    # score and rank, run before vtr (whose exact ratings need fractions), load no statistics module.
+    proc = run_python(
+        f"""
+        import sys
+        import bibliorank.cli
+
+        out = {str(tmp_path / "scores")!r}
+        assert bibliorank.cli.main(["score", "--corpus-dir", {str(minimal_corpus_dir)!r}, "--out-dir", out]) == 0
+        assert bibliorank.cli.main(["rank", "--input", out + "/scores_university.csv", "--out-dir", out]) == 0
+        loaded = sorted(name for name in ("statistics", "fractions", "decimal") if name in sys.modules)
+        assert not loaded, f"score/rank loaded {{loaded}}"
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("stdout", ["pipe", "file"])
@@ -243,7 +257,7 @@ def test_rank_unit_not_in_the_file_exits_2_and_writes_nothing(synth_dir, tmp_pat
     "rows, message",
     [
         ("U1,UDA1,0.5,50.0\nU2,UDA1,nan,50.0\n", "vtr_ratings.csv:3: R must be finite"),
-        ("U1,UDA1,0.5,50.0\nU1,UDA1,0.7,50.0\n", "vtr_ratings.csv:3: duplicate rating"),
+        ("U1,UDA1,0.5,50.0\nU1,UDA1,0.7,50.0\n", "vtr_ratings.csv:3: duplicate (university_id, uda_id) ('U1', 'UDA1')"),
         ("U1,UDA1,0.5,50.0\n ,UDA1,0.7,50.0\n", "vtr_ratings.csv:3: university_id must not be empty"),
         ("U1,UDA1,0.5,50.0\nU2,,0.7,50.0\n", "vtr_ratings.csv:3: uda_id must not be empty"),
         ("U1,UDA1,0.5,50.0\nU2,UDA1,high,50.0\n", "vtr_ratings.csv:3: R must be a number"),
@@ -668,7 +682,7 @@ def test_synth_reads_its_config_file_once(tmp_path, monkeypatch):
         ("rank", "scores_university.csv", '"level\nX",b\n', "scores_university.csv:1: line break inside a field"),
         (
             "rank", "scores_university.csv", header("scores") + "faculty,U1,,1.0,3.0\n",
-            "scores_university.csv:2: unknown level 'faculty'",
+            "scores_university.csv:2: level must be one of ('sds', 'uda', 'macro', 'university'), got 'faculty'",
         ),
         ("rank", "scores_university.csv", header("scores"), "scores_university.csv: empty score table"),
     ],

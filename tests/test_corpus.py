@@ -121,7 +121,7 @@ def test_staff_sds_must_resolve_to_uda(tmp_path):
     rows = minimal_rows()
     rows["staff"] = [("R1", "U1", "S_UNKNOWN", "3.0")]
     directory = write_corpus(tmp_path, **rows)
-    with pytest.raises(ValidationError, match="no UDA"):
+    with pytest.raises(ValidationError, match=r"^staff\.csv:2: unknown sds_id 'S_UNKNOWN'$"):
         load_corpus(directory, WINDOW)
 
 
@@ -156,7 +156,7 @@ def test_duplicate_byline_position_rejected(tmp_path):
     rows["publications"] = [("P1", 2001, "article", 4, 2)]
     rows["pub_authors"] = [("P1", 1, "true", "U1", "S1"), ("P1", 1, "false", "", "")]
     directory = write_corpus(tmp_path, **rows)
-    with pytest.raises(ValidationError, match="duplicate position"):
+    with pytest.raises(ValidationError, match=r"^pub_authors\.csv:3: duplicate \(pub_id, position\) \('P1', 1\)$"):
         load_corpus(directory, WINDOW)
 
 
@@ -239,7 +239,8 @@ def test_indicator_duplicate_university_rejected(tmp_path):
         ("LAT", "higher_is_better", "U1", "42.0"),
     ]
     directory = write_corpus(tmp_path, **rows)
-    with pytest.raises(ValidationError, match="duplicate university_id"):
+    message = r"^indicators\.csv:3: duplicate \(indicator_name, university_id\) \('LAT', 'U1'\)$"
+    with pytest.raises(ValidationError, match=message):
         load_corpus(directory, WINDOW)
 
 
@@ -469,7 +470,7 @@ def test_csv_error_after_an_earlier_fault_in_its_block_reports_the_earlier_fault
     rows["staff"] = [("R1", "U1", "S1", "3.0"), ("R2", "U1", "S_NONE", "3.0"), ("R" * 200_000, "U1", "S1", "3.0")]
     directory = write_corpus(tmp_path, **rows)
     monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
-    with pytest.raises(ValidationError, match=r"^staff\.csv:3: sds 'S_NONE' has no UDA in taxonomy\.csv$"):
+    with pytest.raises(ValidationError, match=r"^staff\.csv:3: unknown sds_id 'S_NONE'$"):
         load_corpus(directory, WINDOW)
 
 
@@ -498,7 +499,7 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
         ("categories.csv", "C1,false\nC1,true\n", "categories.csv:3: duplicate category_id 'C1'"),
         (
             "peer_outcomes.csv", "U1,UDA1,1,0,0,0\nU1,UDA1,0,1,0,0\n",
-            "peer_outcomes.csv:3: duplicate outcome for ('U1', 'UDA1')",
+            "peer_outcomes.csv:3: duplicate (university_id, uda_id) ('U1', 'UDA1')",
         ),
         (
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,lower_is_better,U2,2.0\n",
@@ -506,14 +507,17 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
         ),
         (
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,higher_is_better,U1,2.0\n",
-            "indicators.csv:3: duplicate university_id 'U1' for 'LAT'",
+            "indicators.csv:3: duplicate (indicator_name, university_id) ('LAT', 'U1')",
         ),
         (
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nRES,higher_is_better,U1,2.0\nLAT,higher_is_better,U1,3.0\n",
-            "indicators.csv:4: duplicate university_id 'U1' for 'LAT'",
+            "indicators.csv:4: duplicate (indicator_name, university_id) ('LAT', 'U1')",
         ),
         ("scores.csv", "uda,U1,X,1.0,3.0\nsds,U1,S1,1.0,3.0\n", "scores.csv:3: mixed levels 'uda' and 'sds'"),
-        ("scores.csv", "uda,U1,X,1.0,3.0\nuda,U1, X,2.0,3.0\n", "scores.csv:3: duplicate entry ('U1', 'X')"),
+        (
+            "scores.csv", "uda,U1,X,1.0,3.0\nuda,U1, X,2.0,3.0\n",
+            "scores.csv:3: duplicate (university_id, unit_id) ('U1', 'X')",
+        ),
     ],
 )
 def test_repeated_key_names_its_line_within_and_across_blocks(tmp_path, monkeypatch, block_rows, name, body, message):

@@ -35,9 +35,10 @@ from bibliorank.rankcmp import (
 from bibliorank.scoring import compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, generate, synthesize
 
-from conftest import emit_corpus, reference_credit_shares, reference_position_weights
+from conftest import column_faults, emit_corpus, reference_credit_shares, reference_position_weights, spoil
 
 WINDOW = (2001, 2003)
+WINDOW_LEN = WINDOW[1] - WINDOW[0] + 1
 # Small synth corpora: a few universities, one life-science UDA of two.
 synth_params = st.builds(
     SynthParams,
@@ -85,13 +86,8 @@ def test_row_order_changes_neither_corpus_nor_report(tmp_path_factory, params, d
     assert _file_bytes(root / "shuffled-out") == _file_bytes(root / "corpus-out")
 
 
-def _set(index: int, value: str):
-    return lambda fields, earlier: [*fields[:index], value, *fields[index + 1:]]
-
-
-def _copy(*indexes: int):
-    """Make the row a duplicate: copy the key fields of an earlier row."""
-    return lambda fields, earlier: [earlier[i] if i in indexes else value for i, value in enumerate(fields)]
+def _set(index: int, value: str, message: str):
+    return lambda fields, earlier: ([*fields[:index], value, *fields[index + 1:]], message)
 
 
 def _domestic(fields: list[str], index: int) -> bool:
@@ -102,39 +98,23 @@ def _not_first(fields: list[str], index: int) -> bool:
     return index > 0
 
 
+def _column_fault(fault):
+    """A ``ROW_FAULTS`` entry for one fault that the column table implies; a repeated key needs an earlier row."""
+    applies = _not_first if fault.value is None else None
+    return fault.stem + ".csv", lambda fields, earlier: spoil(fault, fields, earlier), applies
+
+
 _LARGE_FILES = ("publications.csv", "pub_categories.csv", "pub_authors.csv", "staff.csv")
-# One bad row: (file, change(fields, an earlier row's fields), which rows it applies to, message part).
+# One bad row: (file, change(fields, an earlier row's fields) -> (fields, message part), which rows it applies to).
 ROW_FAULTS = [
-    ("publications.csv", _set(0, " "), None, "pub_id must not be empty"),
-    ("pub_authors.csv", _set(0, ""), None, "pub_id must not be empty"),
-    ("pub_categories.csv", _set(1, ""), None, "category_id must not be empty"),
-    ("staff.csv", _set(1, ""), None, "university_id must not be empty"),
-    ("publications.csv", _set(1, "2001.5"), None, "year must be an integer"),
-    ("pub_authors.csv", _set(1, "first"), None, "position must be an integer"),
-    ("publications.csv", _set(2, " "), None, "doc_type must not be empty"),
-    ("publications.csv", _set(3, "-1"), None, "citations must be >= 0"),
-    ("pub_categories.csv", _set(2, "1.5"), None, "weight must be in (0, 1]"),
-    ("pub_authors.csv", _set(1, "100000"), None, "exceeds total_author_count"),
-    ("staff.csv", _set(3, "0.0"), None, "years_on_staff must be in (0, 3]"),
-    ("pub_categories.csv", _set(0, "P_NONE"), None, "unknown pub_id 'P_NONE'"),
-    ("pub_authors.csv", _set(0, "P_NONE"), None, "unknown pub_id 'P_NONE'"),
-    ("pub_authors.csv", _set(3, "U_NONE"), _domestic, "'U_NONE' absent from staff roster"),
-    ("pub_authors.csv", _set(4, "S_NONE"), _domestic, "'S_NONE' has no UDA"),
-    ("staff.csv", _set(2, "S_NONE"), None, "'S_NONE' has no UDA"),
-    ("pub_authors.csv", _set(2, "maybe"), None, "is_domestic_academic must be true/false"),
-    ("taxonomy.csv", _set(2, "maybe"), None, "is_life_science must be true/false"),
-    ("publications.csv", _copy(0), _not_first, "duplicate pub_id"),
-    ("pub_categories.csv", _copy(0, 1), _not_first, "duplicate category"),
-    ("pub_authors.csv", _copy(0, 1), _not_first, "duplicate position"),
-    ("staff.csv", _copy(0, 1, 2), _not_first, "duplicate staff entry"),
-    # Written with surrogateescape, a lone surrogate U+DC80..U+DCFF is the byte 0x80..0xff.
-    ("publications.csv", _set(2, "arti\udce9cle"), None, "not UTF-8: byte 0xe9 (invalid continuation byte)"),
-    ("pub_authors.csv", _set(3, "Universit\udce0"), None, "not UTF-8: byte 0xe0 (invalid continuation byte)"),
-    ("staff.csv", _set(0, "R\udcff"), None, "not UTF-8: byte 0xff (invalid start byte)"),
-    *((name, lambda fields, earlier: [*fields, "x"], None, "wrong number of fields") for name in _LARGE_FILES),
-    *((name, _set(1, "9" * 140_000), None, "field larger than field limit") for name in _LARGE_FILES),  # a csv.Error
+    *(_column_fault(fault) for stem in CorpusPaths.__annotations__ for fault in column_faults(stem, WINDOW_LEN)),
+    ("pub_authors.csv", _set(1, "100000", "exceeds total_author_count"), None),
+    ("pub_authors.csv", _set(3, "U_NONE", "'U_NONE' absent from staff roster"), _domestic),
+    ("pub_authors.csv", _set(4, "S_NONE", "'S_NONE' has no UDA"), _domestic),
+    *((name, lambda fields, earlier: ([*fields, "x"], "wrong number of fields"), None) for name in _LARGE_FILES),
+    *((name, _set(1, "9" * 140_000, "field larger than field limit"), None) for name in _LARGE_FILES),  # a csv.Error
     *(
-        (name, lambda fields, earlier: [f'"{fields[0]}\nx"', *fields[1:]], None, "line break inside a field")
+        (name, lambda fields, earlier: ([f'"{fields[0]}\nx"', *fields[1:]], "line break inside a field"), None)
         for name in _LARGE_FILES
     ),
 ]
@@ -150,23 +130,25 @@ ROW_FAULTS = [
 def test_load_reports_the_first_bad_row_in_file_order_across_blocks(tmp_path_factory, params, block_rows, data):
     root = tmp_path_factory.mktemp("faults")
     synthesize(params, root)
-    name, change, applies, message = data.draw(st.sampled_from(ROW_FAULTS))
+    name, change, applies = data.draw(st.sampled_from(ROW_FAULTS))
     path = root / name
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     fields = [row.split(",") for row in rows]
 
-    def spoil(index: int, change) -> None:
+    def spoil_row(index: int, change) -> str:
         earlier = fields[data.draw(st.integers(0, index - 1))] if index else None
-        rows[index] = ",".join(change(fields[index], earlier))
+        spoiled, message = change(fields[index], earlier)
+        rows[index] = ",".join(spoiled)
+        return message
 
     first = data.draw(st.sampled_from([i for i, row in enumerate(fields) if applies is None or applies(row, i)]))
-    spoil(first, change)
+    message = spoil_row(first, change)
     # A second fault in a later row of the same or the next block must not hide the first.
     later = range(first + 1, min(len(rows), (first // block_rows + 2) * block_rows))
     second = data.draw(st.none() | st.sampled_from(later)) if later else None
     if second is not None:
         faults = [f for f in ROW_FAULTS if f[0] == name and (f[2] is None or f[2](fields[second], second))]
-        spoil(second, data.draw(st.sampled_from(faults))[1])
+        spoil_row(second, data.draw(st.sampled_from(faults))[1])
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", errors="surrogateescape")
     with mock.patch.object(corpus_mod, "BLOCK_ROWS", block_rows), pytest.raises(ValidationError) as raised:
         load_corpus(root, WINDOW)
