@@ -3,7 +3,9 @@
 All inputs and outputs are comma-delimited UTF-8 CSV files with a header
 row.  :data:`SCHEMAS`, keyed by file stem, is the one table of their
 columns: the name, kind, bounds, reference and key part of each column
-(:class:`ColumnSpec`).  Every reader and writer looks its file up there.
+(:class:`ColumnSpec`).  Every reader and writer looks its file up there:
+:func:`write_csv` writes each value as its column's kind says, and writers
+pass it their records.
 The corpus files are:
 
     publications      indexed outputs with their citations and byline length
@@ -17,11 +19,11 @@ The corpus files are:
     categories        life-science flag per subject category
 
 The first five files are required; the rest are optional and default to
-empty.  In ``pub_authors.csv`` the university/sds fields are empty for
-external (non-domestic) co-authors and ``position`` may be empty when
-byline order is unknown.  Author slots not listed at all are implicit
-anonymous external co-authors; ``total_author_count`` is always the full
-byline length.
+empty.  In ``pub_authors.csv`` the university/sds fields are set exactly
+on domestic slots, empty for external (non-domestic) co-authors, and
+``position`` may be empty when byline order is unknown.  Author slots not
+listed at all are implicit anonymous external co-authors;
+``total_author_count`` is always the full byline length.
 
 The pipeline derives four more: ``scores`` (productivity per university
 and unit at one level), ``eligibility`` (active staff share per SDS),
@@ -37,9 +39,10 @@ The column's values are then looked up in the column they reference, when
 the caller has read that one, and once the last key column is parsed the
 file's key is checked; both are set operations.  Only then does the loader
 get the parsed columns, to check its row rules (positions within the
-byline, a domestic slot's staff entry) and keep what it needs.  A bad value
-gets its kind's message, such as ``citations must be >= 0, got -1``; an
-unknown reference reads ``unknown {column} {value!r}`` and a repeated key
+byline, which slots carry a university and SDS, a domestic slot's staff
+entry) and keep what it needs.  A bad value gets its kind's message, such
+as ``citations must be >= 0, got -1``; an unknown reference reads
+``unknown {column} {value!r}`` and a repeated key
 ``duplicate {key columns} {key!r}``.  Each university, SDS, category,
 researcher and publication id is one shared ``str`` across all files, so
 the scoring dicts keyed on ids hash and compare them cheaply.  A byte that
@@ -87,7 +90,9 @@ these invariants and does not check them again:
   ascending, then any slots of unknown position;
 - a kept publication has at least one domestic author slot, and every
   domestic slot's (university, SDS) has a staff entry;
-- every staff entry's SDS has a UDA in the taxonomy;
+- an external author slot carries no university or SDS;
+- every staff entry's SDS has a UDA in the taxonomy, and every macro-map
+  UDA is in the taxonomy;
 - every category of a publication is listed in ``categories.csv``, when
   that file exists, and its weights are in (0, 1] and sum to 1;
 - ``years_on_staff`` lies in (0, window length];
@@ -138,9 +143,12 @@ class ColumnSpec(str):
     int's ``bounds`` are (minimum, maximum), ``None`` for no bound; a float's
     are its interval as the message writes it, ``"window"`` standing for the
     window length.  An ``optional`` column reads a blank value as ``None``.
-    Every value of a column with a ``ref`` must be one of the values of that
-    ``file.column``, when the reader is given them.  The ``key`` columns of a
-    file together hold no value twice.
+    Every value of a column with a ``ref``, but a blank optional one, must be
+    one of the values of that ``file.column``, when the reader is given them.
+    The ``key`` columns of a file together hold no value twice.
+    :func:`write_csv` writes a bool as ``true``/``false``, ``None`` as an
+    empty field and any other value with ``str``, so a float as its shortest
+    repr, which reads back bit for bit.
     """
 
     def __new__(
@@ -167,16 +175,15 @@ SCHEMAS: dict[str, tuple[ColumnSpec, ...]] = {
         _C("pub_id", "id", ref="publications.pub_id", key=True),
         _C("position", "int", (1, None), optional=True, key=True),
         _C("is_domestic_academic", "bool"),
-        # A domestic slot's university and SDS must be in the corpus, an external slot's need not: a row rule.
-        _C("university_id", "id", optional=True),
-        _C("sds_id", "id", optional=True),
+        _C("university_id", "id", optional=True, ref="staff.university_id"),
+        _C("sds_id", "id", optional=True, ref="taxonomy.sds_id"),
     ),
     "staff": (
         _C("researcher_id", "id", key=True), _C("university_id", "id", key=True),
         _C("sds_id", "id", ref="taxonomy.sds_id", key=True), _C("years_on_staff", "float", "(0, window]"),
     ),
     "taxonomy": (_C("sds_id", "id", key=True), _C("uda_id", "id"), _C("is_life_science", "bool")),
-    "macro_map": (_C("uda_id", "id", key=True), _C("macro_id", "id")),
+    "macro_map": (_C("uda_id", "id", ref="taxonomy.uda_id", key=True), _C("macro_id", "id")),
     "peer_outcomes": (
         _C("university_id", "id", key=True), _C("uda_id", "id", ref="taxonomy.uda_id", key=True),
         *(_C(grade, "int", (0, None)) for grade in ("E", "G", "A", "L")),
@@ -369,13 +376,13 @@ def read_rows(
     module's size limit are refused.  A byte that is not UTF-8 reads as a
     lone surrogate, which the :class:`Column` parsing its field refuses as a
     bad value.  Each block of up to :data:`BLOCK_ROWS` rows is checked column
-    by column in schema order: each column is parsed, then its values are
-    looked up in ``known[spec.ref]`` when the caller gave that, and once the
-    last key column is parsed the file's key is checked.  Ids are shared
-    through ``ids``, and a ``"window"`` bound is ``window_len``.  ``check``
-    then gets the parsed columns, in schema order.  It raises
-    :class:`RowFault` for a block with a bad row, and commits what it keeps
-    only once every rule has passed.  The error raised names the first bad
+    by column in schema order: each column is parsed, then its values but
+    the blank optional ones are looked up in ``known[spec.ref]`` when the
+    caller gave that, and once the last key column is parsed the file's key
+    is checked.  Ids are shared through ``ids``, and a ``"window"`` bound is
+    ``window_len``.  ``check`` then gets the parsed columns, in schema
+    order.  It raises :class:`RowFault` for a block with a bad row, and
+    commits what it keeps only once every rule has passed.  The error raised names the first bad
     line in file order, with the first test that line fails.
     """
     columns = SCHEMAS[schema]
@@ -395,8 +402,8 @@ def read_rows(
         parsed: list[list] = []
         for spec, parse, raw in zip(columns, parsers, raw_columns):
             values = parse(raw)
-            if spec.ref in known:
-                check_known(values, known[spec.ref], lambda value: f"unknown {spec} {value!r}")
+            if spec.ref in known:  # a blank optional id reads as None and refers to nothing
+                check_known(filter(None, values), known[spec.ref], lambda value: f"unknown {spec} {value!r}")
             parsed.append(values)
             if len(parsed) == key_index[-1] + 1:
                 keys = [parsed[i] for i in key_index]
@@ -659,12 +666,10 @@ def load_corpus(directory: Path | str, window: tuple[int, int]) -> Corpus:
     known: dict[str, Collection] = {}  # "file.column" -> the values read from it that a ``ref`` may name
     taxonomy = _load_taxonomy(paths, ids, known)
     staff = _load_staff(paths.staff, window_len, ids, known)
-    universities = {e.university_id for e in staff}
+    known["staff.university_id"] = {e.university_id for e in staff}
     pairs = {(e.university_id, e.sds_id) for e in staff}
 
-    publications, out_of_window, no_domestic = _load_publications(
-        paths, taxonomy, universities, pairs, window, ids, known
-    )
+    publications, out_of_window, no_domestic = _load_publications(paths, taxonomy, pairs, window, ids, known)
     peer_outcomes = read_peer_outcomes_csv(paths.peer_outcomes, ids, known)
     indicators = read_indicators_csv(paths.indicators, ids)
     _release_freed_heap()
@@ -707,13 +712,15 @@ def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str], known: dict[str, Col
         sds_to_uda.update(zip(sds, udas))
 
     read_rows(paths.taxonomy, "taxonomy", taxonomy_block, ids=ids)
+    known["taxonomy.sds_id"] = sds_to_uda
+    known["taxonomy.uda_id"] = set(sds_to_uda.values())
 
     uda_to_macro: dict[str, str] = {}
 
     def macro_block(lines: Sequence[int], columns: list[list]) -> None:
         uda_to_macro.update(zip(*columns))
 
-    read_rows(paths.macro_map, "macro_map", macro_block, required=False, ids=ids)
+    read_rows(paths.macro_map, "macro_map", macro_block, required=False, ids=ids, known=known)
 
     categories: set[str] = set()
     life_categories: set[str] = set()
@@ -724,9 +731,6 @@ def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str], known: dict[str, Col
         life_categories.update(compress(cats, life))
 
     read_rows(paths.categories, "categories", categories_block, required=False, ids=ids)
-
-    known["taxonomy.sds_id"] = sds_to_uda
-    known["taxonomy.uda_id"] = set(sds_to_uda.values())
     if paths.categories.exists():
         known["categories.category_id"] = categories
     return Taxonomy(
@@ -752,7 +756,6 @@ def _load_staff(
 def _load_publications(
     paths: CorpusPaths,
     taxonomy: Taxonomy,
-    universities: set[str],
     pairs: set[tuple[str, str]],
     window: tuple[int, int],
     ids: dict[str, str],
@@ -792,18 +795,14 @@ def _load_publications(
         totals = list(map(itemgetter(3), map(heads.__getitem__, compress(pids, positions))))
         if not all(map(le, placed_positions, totals)):
             raise RowFault(f"position {placed_positions[0]} exceeds total_author_count {totals[0]}")
-        domestic_universities = list(compress(slot_universities, domestic))
-        domestic_sds = list(compress(sds, domestic))
-        if None in domestic_universities or None in domestic_sds:
-            raise RowFault("domestic author requires university_id and sds_id")
-        # An external slot's university and SDS may lie outside the corpus; a domestic slot's may not.
+        # A domestic slot has its university and SDS; an external slot has neither.
+        if not domestic == [*map(is_not, slot_universities, repeat(None))] == [*map(is_not, sds, repeat(None))]:
+            raise RowFault(
+                "domestic author requires university_id and sds_id" if domestic[0]
+                else "external author must have empty university_id and sds_id"
+            )
         check_known(
-            domestic_universities, universities,
-            lambda university: f"university {university!r} absent from staff roster",
-        )
-        check_known(domestic_sds, taxonomy.sds_to_uda, lambda value: f"sds {value!r} has no UDA in taxonomy.csv")
-        check_known(
-            list(zip(domestic_universities, domestic_sds)), pairs,
+            list(zip(compress(slot_universities, domestic), compress(sds, domestic))), pairs,
             lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})",
         )
         unplaced.update(compress(pids, map(is_, positions, repeat(None))))
@@ -931,10 +930,23 @@ def read_indicators_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[
 # Emission
 
 
-def write_csv(path: Path, schema: str, rows: Iterable[tuple]) -> None:
-    """Write rows under the header ``SCHEMAS[schema]`` as UTF-8 CSV with a fixed newline, so output is byte-stable."""
+def write_csv(path: Path, schema: str, rows: Iterable[Sequence]) -> None:
+    """Write rows under the header ``SCHEMAS[schema]`` as UTF-8 CSV with a fixed newline, so output is byte-stable.
+
+    Each value is written as its :class:`ColumnSpec` says; a string is written as it is.
+    """
+    columns = SCHEMAS[schema]
+    bools = [i for i, spec in enumerate(columns) if spec.kind == "bool"]
+
+    def spelled(row: Sequence) -> list:
+        row = list(row)
+        for i in bools:
+            if row[i] is True or row[i] is False:
+                row[i] = "true" if row[i] else "false"
+        return row
+
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCHEMAS[schema])
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(map(spelled, rows) if bools else rows)

@@ -104,11 +104,7 @@ def pooled_university_ratings(outcomes: Iterable[PeerOutcome]) -> dict[str, floa
 
 
 def write_rated_csv(rated: Iterable[RatedOutcome], path) -> None:
-    write_csv(
-        path,
-        "rated",
-        ((r.university_id, r.uda_id, repr(r.R), repr(r.category_percentile)) for r in rated),
-    )
+    write_csv(path, "rated", rated)
 
 
 def read_rated_csv(path: Path) -> list[RatedOutcome]:

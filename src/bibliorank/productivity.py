@@ -209,22 +209,8 @@ def read_score_csv(path: Path) -> ScoreTable:
 
 
 def write_score_csv(table: ScoreTable, path) -> None:
-    write_csv(
-        path,
-        "scores",
-        (
-            (table.level, university, unit, repr(entry.P), repr(entry.RS))
-            for (university, unit), entry in sorted(table.entries.items())
-        ),
-    )
+    write_csv(path, "scores", ((table.level, *key, *entry) for key, entry in sorted(table.entries.items())))
 
 
 def write_eligibility_csv(report: dict[str, EligibilityEntry], path) -> None:
-    write_csv(
-        path,
-        "eligibility",
-        (
-            (sds, e.staff_count, e.active_count, repr(e.active_fraction), "true" if e.eligible else "false")
-            for sds, e in sorted(report.items())
-        ),
-    )
+    write_csv(path, "eligibility", ((sds, *entry) for sds, entry in sorted(report.items())))

@@ -116,10 +116,14 @@ def build_ranking(
     for entity, score in scores.items():
         if math.isnan(score):
             raise ValidationError(f"ranking {label!r}: NaN score for entity {entity!r}")
+    return RankingList(label=label, entries=_ranked(scores, direction))
+
+
+def _ranked(scores: Mapping[str, float], direction: str) -> tuple[RankEntry, ...]:
+    """The entities in display order, best first by ``direction`` and ties by id, with tie-averaged ranks."""
     sign = 1.0 if direction == LOWER_IS_BETTER else -1.0
     ordered = sorted(scores.items(), key=lambda item: (sign * item[1], item[0]))
-    entries = _tie_averaged([RankEntry(entity, score, 0.0) for entity, score in ordered], lambda e: e.score)
-    return RankingList(label=label, entries=entries)
+    return _tie_averaged([RankEntry(entity, score, 0.0) for entity, score in ordered], lambda e: e.score)
 
 
 def _tie_averaged(ordered: Sequence[RankEntry], key: Callable[[RankEntry], float]) -> tuple[RankEntry, ...]:
@@ -338,20 +342,16 @@ def compare_rankings(
 
 
 def write_ranking_csv(ranking: RankingList, path: Path) -> None:
-    write_csv(
-        path,
-        "ranking",
-        ((e.entity_id, repr(e.score), repr(e.rank)) for e in ranking.entries),
-    )
+    write_csv(path, "ranking", ranking.entries)
 
 
 def read_ranking_csv(path: Path) -> RankingList:
     """Read a ranking written by :func:`write_ranking_csv`, labelled with the file stem.
 
-    Every rank must be the tie-averaged position that :func:`build_ranking`
-    gives it: the average of the display positions its run of equal ranks
-    holds.  In rank order the scores must be monotone, and entities with
-    equal scores must share one rank.
+    The file is accepted exactly when re-ranking its scores gives back every
+    rank: in (rank, entity id) order its scores run from the first to the
+    last, and each rank is the one :func:`build_ranking` gives its score in
+    that direction.  The first row in that order whose rank differs is reported.
     """
     name = path.name
     entries: list[RankEntry] = []
@@ -365,26 +365,14 @@ def read_ranking_csv(path: Path) -> RankingList:
     if not entries:
         raise ValidationError(f"{name}: empty ranking")
     entries.sort(key=lambda e: (e.rank, e.entity_id))
-
-    def check_ties(key: Callable[[RankEntry], float]) -> None:
-        for entry, expected in zip(entries, _tie_averaged(entries, key)):
-            if entry.rank != expected.rank:
-                raise ValidationError(
-                    f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has rank {entry.rank!r}, "
-                    f"expected the tie-averaged position {expected.rank!r}"
-                )
-
-    check_ties(lambda e: e.rank)
-    order = 0  # +1 once scores rise with rank, -1 once they fall
-    for previous, entry in zip(entries, entries[1:]):
-        step = (entry.score > previous.score) - (entry.score < previous.score)
-        if step and order and step != order:
+    direction = LOWER_IS_BETTER if entries[0].score < entries[-1].score else HIGHER_IS_BETTER
+    expected = {e.entity_id: e.rank for e in _ranked({e.entity_id: e.score for e in entries}, direction)}
+    for entry in entries:
+        if entry.rank != expected[entry.entity_id]:
             raise ValidationError(
-                f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has score {entry.score!r}, "
-                f"out of order after {previous.entity_id!r} with {previous.score!r}"
+                f"{name}:{lines[entry.entity_id]}: entity {entry.entity_id!r} has rank {entry.rank!r}, "
+                f"expected the tie-averaged position {expected[entry.entity_id]!r}"
             )
-        order = order or step
-    check_ties(lambda e: e.score)
     return RankingList(label=path.stem, entries=tuple(entries))
 
 

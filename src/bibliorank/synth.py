@@ -142,8 +142,8 @@ def generate(params: SynthParams) -> SynthData:
         sds_of_uda[uda] = members
         for sds in members:
             sds_ids.append(sds)
-            data.taxonomy.append((sds, uda, "true" if life else "false"))
-            data.categories.append((f"C{sds[1:]}", "true" if life else "false"))
+            data.taxonomy.append((sds, uda, life))
+            data.categories.append((f"C{sds[1:]}", life))
         data.macro_map.append((uda, f"M{1 + uda_index // 2}"))
     home_category = {sds: f"C{sds[1:]}" for sds in sds_ids}
     category_base = {home_category[sds]: float(rng.uniform(0.2, 5.0)) for sds in sds_ids}
@@ -167,7 +167,7 @@ def generate(params: SynthParams) -> SynthData:
                 researcher_serial += 1
                 researcher = f"R{researcher_serial:05d}"
                 years = round(window_len * year_fractions[int(rng.integers(0, len(year_fractions)))], 6)
-                data.staff.append((researcher, university, sds, repr(years)))
+                data.staff.append((researcher, university, sds, years))
                 members.append(researcher)
                 years_total += years
             staff_of_pair[(university, sds)] = members
@@ -225,11 +225,9 @@ def generate(params: SynthParams) -> SynthData:
 
                 data.publications.append((pub_id, year, doc_type, citations, total))
                 for cat, weight in cats:
-                    data.pub_categories.append((pub_id, cat, repr(weight)))
+                    data.pub_categories.append((pub_id, cat, weight))
                 for position, author_university, author_sds, domestic in sorted(slots):
-                    data.pub_authors.append(
-                        (pub_id, position, "true" if domestic else "false", author_university, author_sds)
-                    )
+                    data.pub_authors.append((pub_id, position, domestic, author_university, author_sds))
 
     # Peer outcomes per (university, UDA) with staff.
     q_values = [quality[u] for u in universities]
@@ -258,13 +256,13 @@ def generate(params: SynthParams) -> SynthData:
     expenditure = 120.0 + 18.0 * (latitude - 41.5) + rng.normal(0.0, 25.0, len(universities))
     gdp = 24000.0 + 900.0 * (latitude - 41.5) + rng.normal(0.0, 2600.0, len(universities))
     for index, university in enumerate(universities):
-        data.indicators.append(("LAT", HIGHER_IS_BETTER, university, repr(round(float(latitude[index]), 4))))
+        data.indicators.append(("LAT", HIGHER_IS_BETTER, university, round(float(latitude[index]), 4)))
     for index, university in enumerate(universities):
-        data.indicators.append(("EXP", HIGHER_IS_BETTER, university, repr(round(float(expenditure[index]), 2))))
+        data.indicators.append(("EXP", HIGHER_IS_BETTER, university, round(float(expenditure[index]), 2)))
     for index, university in enumerate(universities):
-        data.indicators.append(("GDP", HIGHER_IS_BETTER, university, repr(round(float(gdp[index]), 2))))
+        data.indicators.append(("GDP", HIGHER_IS_BETTER, university, round(float(gdp[index]), 2)))
     for university in universities:
-        data.indicators.append(("QUALITY", HIGHER_IS_BETTER, university, repr(round(quality[university], 6))))
+        data.indicators.append(("QUALITY", HIGHER_IS_BETTER, university, round(quality[university], 6)))
     return data
 
 

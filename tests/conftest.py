@@ -49,10 +49,6 @@ def write_corpus(
     return directory
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
     """Write the corpus back to the canonical CSV files under ``out_dir``.
 
@@ -66,30 +62,20 @@ def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
         "publications": (
             (p.pub_id, p.year, p.doc_type, p.citations, p.total_author_count) for p in corpus.publications
         ),
-        "pub_categories": ((p.pub_id, cat, _fmt(w)) for p in corpus.publications for cat, w in p.categories),
+        "pub_categories": ((p.pub_id, *item) for p in corpus.publications for item in p.categories),
         "pub_authors": (
-            (
-                p.pub_id,
-                "" if slot.position is None else slot.position,
-                "true" if slot.is_domestic_academic else "false",
-                slot.university_id or "",
-                slot.sds_id or "",
-            )
+            (p.pub_id, slot.position, slot.is_domestic_academic, slot.university_id, slot.sds_id)
             for p in corpus.publications
             for slot in p.authors
         ),
-        "staff": ((e.researcher_id, e.university_id, e.sds_id, _fmt(e.years_on_staff)) for e in corpus.staff),
-        "taxonomy": ((sds, uda, "false") for sds, uda in taxonomy.sds_to_uda.items()),
+        "staff": corpus.staff,
+        "taxonomy": ((sds, uda, False) for sds, uda in taxonomy.sds_to_uda.items()),
         "macro_map": taxonomy.uda_to_macro.items(),
-        "peer_outcomes": ((o.university_id, o.uda_id, o.E, o.G, o.A, o.L) for o in corpus.peer_outcomes),
+        "peer_outcomes": corpus.peer_outcomes,
         "indicators": (
-            (t.indicator_name, t.direction, university, _fmt(value))
-            for t in corpus.indicators
-            for university, value in t.values.items()
+            (t.indicator_name, t.direction, *item) for t in corpus.indicators for item in t.values.items()
         ),
-        "categories": (
-            (cat, "true" if cat in taxonomy.life_science_categories else "false") for cat in categories
-        ),
+        "categories": ((cat, cat in taxonomy.life_science_categories) for cat in categories),
     }
     paths = CorpusPaths.from_dir(out_dir)
     for stem, rows in tables.items():

