@@ -28,15 +28,16 @@ own function, and ``configparser`` is imported only for ``--config``.  So
 ``vtr`` loads neither ``productivity`` nor ``rankcmp``, ``score`` does not
 load ``rankcmp``, ``score``, ``vtr`` and ``rank`` load neither numpy nor
 scipy, and ``compare`` and ``report`` load only ``scipy.special`` (see
-``rankcmp``).  No module but ``synth`` defines a dataclass (the records
-are ``NamedTuple``s), and ``rankcmp`` imports ``json`` only to render JSON,
-so ``score``, ``vtr`` and ``rank`` load neither the dataclass machinery
-(with ``inspect`` and ``ast`` behind it) nor ``json``; ``scipy.special``
-loads both for ``compare`` and ``report``.  On a 2-vCPU machine, pinned to
-one CPU, a bare interpreter starts in 45-65 ms; importing every module but
-``synth`` (which loads numpy), with ``logging`` and ``configparser``, adds
-25-35 ms, and importing this module alone 7-10 ms (medians of 25 fresh
-processes, in two sets).
+``rankcmp``).  No module defines a dataclass (every record is a
+``NamedTuple``), and ``rankcmp`` imports ``json`` only to render JSON, so
+``score``, ``vtr`` and ``rank`` load neither the dataclass machinery (with
+``inspect`` and ``ast`` behind it) nor ``json``, ``synth`` loads neither
+``dataclasses`` nor ``json`` (numpy loads ``inspect`` and ``ast``), and
+``scipy.special`` loads both for ``compare`` and ``report``.  On a 2-vCPU
+machine, pinned to one CPU, a bare interpreter starts in 45-65 ms;
+importing every module but ``synth`` (which loads numpy), with ``logging``
+and ``configparser``, adds 25-35 ms, and importing this module alone
+7-10 ms (medians of 25 fresh processes, in two sets).
 
 A process started as ``python -m bibliorank``, ``python -m bibliorank.cli``
 or the ``bibliorank`` script runs :func:`run`.  It calls :func:`main`,

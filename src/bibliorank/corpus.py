@@ -54,10 +54,10 @@ row.  Loading is fail-fast: the first violation in file order raises
 :class:`ValidationError` naming the file and line, with the message of the
 first check that row fails.  The records (:class:`AuthorSlot`,
 :class:`PublicationRecord`, :class:`StaffEntry`, :class:`PeerOutcome`,
-:class:`IndicatorTable`) and :class:`Taxonomy` are ``NamedTuple``s, cheap
-to define when a process starts.  A loaded :class:`Corpus` is read-only:
-setting one of its attributes raises ``AttributeError``.  It is safe for
-unrestricted concurrent reads.
+:class:`IndicatorTable`), :class:`Taxonomy` and :class:`Corpus` are
+``NamedTuple``s, cheap to define when a process starts.  A loaded corpus
+is read-only: setting one of its attributes raises ``AttributeError``.  It
+is safe for unrestricted concurrent reads.
 
 Records are immutable, so equal ones can be one object, as equal field
 values are.  The publication loader keeps one object per distinct
@@ -97,8 +97,8 @@ these invariants and does not check them again:
   that file exists, and its weights are in (0, 1] and sum to 1;
 - ``years_on_staff`` lies in (0, window length];
 - every peer outcome has at least one graded output, and each
-  (university, UDA) has one outcome; loaded with the corpus, its UDA is in
-  the taxonomy;
+  (university, UDA) has one outcome; loaded with the corpus, its university
+  is on the staff roster and its UDA is in the taxonomy;
 - every indicator has one direction, from :data:`DIRECTIONS`;
 - a score table holds one level, from :data:`LEVELS`; a ranking's
   ranks are the tie-averaged positions of its scores;
@@ -185,7 +185,8 @@ SCHEMAS: dict[str, tuple[ColumnSpec, ...]] = {
     "taxonomy": (_C("sds_id", "id", key=True), _C("uda_id", "id"), _C("is_life_science", "bool")),
     "macro_map": (_C("uda_id", "id", ref="taxonomy.uda_id", key=True), _C("macro_id", "id")),
     "peer_outcomes": (
-        _C("university_id", "id", key=True), _C("uda_id", "id", ref="taxonomy.uda_id", key=True),
+        _C("university_id", "id", ref="staff.university_id", key=True),
+        _C("uda_id", "id", ref="taxonomy.uda_id", key=True),
         *(_C(grade, "int", (0, None)) for grade in ("E", "G", "A", "L")),
     ),
     "indicators": (
@@ -269,49 +270,21 @@ class IndicatorTable(NamedTuple):
     values: dict[str, float]  # university_id -> value
 
 
-class Corpus:
+class Corpus(NamedTuple):
     """Cross-validated, immutable snapshot of all inputs for one window.
 
     ``staff`` is sorted by (researcher_id, university_id, sds_id), so each
     researcher's affiliations are adjacent; eligibility counting relies on it.
-    Setting an attribute raises ``AttributeError``, and ``==`` compares every
-    attribute but the two rejection counts.  A corpus is not a tuple, so that
-    it can be weakly referenced.
     """
 
-    __slots__ = (
-        "window", "publications", "staff", "taxonomy", "peer_outcomes", "indicators",
-        "rejected_out_of_window", "rejected_no_domestic", "__weakref__",
-    )
-
-    def __init__(
-        self,
-        window: tuple[int, int],
-        publications: tuple[PublicationRecord, ...],
-        staff: tuple[StaffEntry, ...],
-        taxonomy: Taxonomy,
-        peer_outcomes: tuple[PeerOutcome, ...],
-        indicators: tuple[IndicatorTable, ...],
-        rejected_out_of_window: int = 0,
-        rejected_no_domestic: int = 0,
-    ) -> None:
-        values = (
-            window, publications, staff, taxonomy, peer_outcomes, indicators,
-            rejected_out_of_window, rejected_no_domestic,
-        )
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, *value: Any) -> None:
-        raise AttributeError(f"cannot set or delete {name!r}: a corpus is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        compared = self.__slots__[:6]  # all but the rejection counts and __weakref__
-        return all(getattr(self, name) == getattr(other, name) for name in compared)
+    window: tuple[int, int]
+    publications: tuple[PublicationRecord, ...]
+    staff: tuple[StaffEntry, ...]
+    taxonomy: Taxonomy
+    peer_outcomes: tuple[PeerOutcome, ...]
+    indicators: tuple[IndicatorTable, ...]
+    rejected_out_of_window: int = 0
+    rejected_no_domestic: int = 0
 
     @property
     def rejected_count(self) -> int:

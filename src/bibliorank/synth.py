@@ -22,8 +22,8 @@ truth.  A fixed seed reproduces the corpus byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .corpus import HIGHER_IS_BETTER, CorpusPaths, write_csv
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(NamedTuple):
     seed: int
     universities: int = 20
     udas: int = 3
@@ -79,19 +78,18 @@ class SynthParams:
             raise ValidationError(f"synth: citation_sigma must be finite and > 0, got {self.citation_sigma}")
 
 
-@dataclass
-class SynthData:
+class SynthData(NamedTuple):
     """Generated rows in corpus CSV schemas; the QUALITY indicator rows carry the latent quality."""
 
-    publications: list[tuple] = field(default_factory=list)
-    pub_categories: list[tuple] = field(default_factory=list)
-    pub_authors: list[tuple] = field(default_factory=list)
-    staff: list[tuple] = field(default_factory=list)
-    taxonomy: list[tuple] = field(default_factory=list)
-    macro_map: list[tuple] = field(default_factory=list)
-    categories: list[tuple] = field(default_factory=list)
-    peer_outcomes: list[tuple] = field(default_factory=list)
-    indicators: list[tuple] = field(default_factory=list)
+    publications: list[tuple]
+    pub_categories: list[tuple]
+    pub_authors: list[tuple]
+    staff: list[tuple]
+    taxonomy: list[tuple]
+    macro_map: list[tuple]
+    categories: list[tuple]
+    peer_outcomes: list[tuple]
+    indicators: list[tuple]
 
 
 def _grade_counts(target_rating: float, total: int) -> tuple[int, int, int, int]:
@@ -135,7 +133,7 @@ def generate(params: SynthParams) -> SynthData:
     udas = [f"UDA{i + 1}" for i in range(params.udas)]
     sds_of_uda: dict[str, list[str]] = {}
     sds_ids: list[str] = []
-    data = SynthData()
+    data = SynthData(*([] for _ in SynthData._fields))
     for uda_index, uda in enumerate(udas):
         life = uda_index < params.life_science_udas
         members = [f"S{uda_index + 1}{j + 1:02d}" for j in range(params.sds_per_uda)]

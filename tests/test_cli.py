@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import textwrap
-import weakref
 from pathlib import Path
 
 import pytest
@@ -127,6 +126,20 @@ def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_p
     assert proc.returncode == 0, proc.stderr
 
 
+def test_synth_loads_neither_dataclasses_nor_json(tmp_path):
+    proc = run_python(
+        f"""
+        import sys
+        import bibliorank.cli
+
+        assert bibliorank.cli.main(["synth", "--seed", "3", "--universities", "4", "--out-dir", {str(tmp_path)!r}]) == 0
+        loaded = sorted(name for name in ("dataclasses", "json") if name in sys.modules)
+        assert not loaded, f"synth loaded {{loaded}}"
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("stdout", ["pipe", "file"])
 def test_process_prints_its_whole_summary_line_and_exits_0(minimal_corpus_dir, tmp_path, stdout):
     out = tmp_path / "out"
@@ -205,16 +218,16 @@ def test_report_leaves_little_cyclic_garbage(synth_dir, tmp_path):
 
 def test_report_frees_the_corpus_before_the_comparisons(synth_dir, tmp_path, monkeypatch):
     load_corpus, compare_all = corpus_mod.load_corpus, cli._compare_all
-    loaded: list[weakref.ref] = []
+    loaded: list[int] = []
     alive_at_compare: list[bool] = []
 
     def load(*args):
         corpus = load_corpus(*args)
-        loaded.append(weakref.ref(corpus))
+        loaded.append(id(corpus))
         return corpus
 
     def compare(*args):
-        alive_at_compare.append(loaded[0]() is not None)
+        alive_at_compare.append(any(type(o) is corpus_mod.Corpus and id(o) in loaded for o in gc.get_objects()))
         return compare_all(*args)
 
     monkeypatch.setattr(corpus_mod, "load_corpus", load)

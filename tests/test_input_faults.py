@@ -82,3 +82,12 @@ def test_vtr_reads_peer_outcomes_without_the_taxonomy(inputs, tmp_path):
     path.write_text(text.replace(",UDA1,", ",UDAX,", 1), encoding="utf-8")
     assert cli.main(["vtr", "--outcomes", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     assert ",UDAX," in (tmp_path / "out" / "vtr_ratings.csv").read_text(encoding="utf-8")
+
+
+def test_vtr_reads_peer_outcomes_without_the_staff_roster(inputs, tmp_path):
+    # vtr has no staff roster, so a university that report refuses as unknown is rated.
+    path = tmp_path / "peer_outcomes.csv"
+    text = (inputs / "corpus" / "peer_outcomes.csv").read_text(encoding="utf-8")
+    path.write_text(text.replace("\nU001,", "\nUX01,", 1), encoding="utf-8")
+    assert cli.main(["vtr", "--outcomes", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "\nUX01," in (tmp_path / "out" / "vtr_ratings.csv").read_text(encoding="utf-8")
