@@ -33,31 +33,26 @@ scipy, and ``compare`` and ``report`` load only ``scipy.special`` (see
 ``score``, ``vtr`` and ``rank`` load neither the dataclass machinery (with
 ``inspect`` and ``ast`` behind it) nor ``json``, ``synth`` loads neither
 ``dataclasses`` nor ``json`` (numpy loads ``inspect`` and ``ast``), and
-``scipy.special`` loads both for ``compare`` and ``report``.  On a 2-vCPU
-machine, pinned to one CPU, a bare interpreter starts in 45-65 ms;
-importing every module but ``synth`` (which loads numpy), with ``logging``
-and ``configparser``, adds 25-35 ms, and importing this module alone
-7-10 ms (medians of 25 fresh processes, in two sets).
+``scipy.special`` loads both for ``compare`` and ``report``.
 
 A process started as ``python -m bibliorank``, ``python -m bibliorank.cli``
 or the ``bibliorank`` script runs :func:`run`.  It calls :func:`main`,
 flushes standard output and error, and ends with ``os._exit``, skipping
-interpreter teardown, which cost 10-25 ms per process, and 80-120 ms once
-scipy is loaded, on the same machine.  The skip relies on one condition:
-every output file is written and closed inside ``main``, so only the
-standard streams can still hold unwritten bytes, and ``run`` flushes them.
-When the reader of standard output has gone, that flush fails and the
-process exits 1 without a traceback.  Callers of ``main`` in a running
-interpreter, such as tests, are unaffected.
+interpreter teardown.  The skip relies on one condition: every output file
+is written and closed inside ``main``, so only the standard streams can
+still hold unwritten bytes, and ``run`` flushes them.  When the reader of
+standard output has gone, that flush fails and the process exits 1
+without a traceback.  Callers of ``main`` in a running interpreter, such
+as tests, are unaffected.
 
 ``main`` also switches the cyclic garbage collector off while a subcommand
 runs and restores its previous state afterwards.  The corpus, score and
 ranking objects hold no reference cycles, so the collector's passes over
-the growing row lists free nothing, yet they took about a quarter of a
-``report`` on a 200-university corpus.  The cyclic garbage a run leaves
-instead is bounded: under a thousand objects for such a ``report``.
-``report`` runs one collection, after it frees the corpus and before it
-compares rankings, to lower its peak memory (see :func:`cmd_report`).
+the growing row lists would free nothing.  The cyclic garbage a run
+leaves instead is bounded: under a thousand objects for a ``report`` on a
+200-university corpus.  ``report`` runs one collection, after it frees the
+corpus and before it compares rankings, to lower its peak memory (see
+:func:`cmd_report`).
 """
 
 from __future__ import annotations
@@ -78,15 +73,14 @@ if TYPE_CHECKING:
     from . import productivity, rankcmp
     from .synth import SynthParams
 
-DEFAULT_WINDOW = (2001, 2003)
-FORMATS = ("csv", "json", "markdown")
-_EXT = {"csv": "csv", "json": "json", "markdown": "md"}
+_EXT = {"csv": "csv", "json": "json", "markdown": "md"}  # output format -> file extension
+FORMATS = tuple(_EXT)
 
 
 class RunConfig(NamedTuple):
     """Resolved settings: fields named after their flags, and ``synth`` with the other ``[synth]`` values given."""
 
-    window: tuple[int, int] = DEFAULT_WINDOW
+    window: tuple[int, int] = corpus_mod.DEFAULT_WINDOW
     corpus_dir: Path | None = None
     out_dir: Path = Path("out")
     format: str = "csv"

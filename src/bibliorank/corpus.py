@@ -21,9 +21,12 @@ The corpus files are:
 The first five files are required; the rest are optional and default to
 empty.  In ``pub_authors.csv`` the university/sds fields are set exactly
 on domestic slots, empty for external (non-domestic) co-authors, and
-``position`` may be empty when byline order is unknown.  Author slots not
-listed at all are implicit anonymous external co-authors;
-``total_author_count`` is always the full byline length.
+``position`` may be empty when byline order is unknown.  The loader checks
+``is_domestic_academic`` against them but does not keep it: a loaded slot
+is domestic exactly when it has a university.  Likewise a publication's
+``doc_type`` is checked but not kept.  Author slots not listed at all are
+implicit anonymous external co-authors; ``total_author_count`` is always
+the full byline length.
 
 The pipeline derives four more: ``scores`` (productivity per university
 and unit at one level), ``eligibility`` (active staff share per SDS),
@@ -61,18 +64,18 @@ is safe for unrestricted concurrent reads.
 
 Records are immutable, so equal ones can be one object, as equal field
 values are.  The publication loader keeps one object per distinct
-:class:`AuthorSlot`, per distinct (year, doc_type, citations, total) head
+:class:`AuthorSlot`, per distinct (year, citations, total) head
 and per distinct (category_id, weight) item, through memo dicts that live
 for one load and see only rows that passed their block's checks.  Records
 repeat far more than the rows do: a 200-university corpus has 256k author
-slot rows but 86k distinct slots, 95k heads but 2.8k distinct ones, and
+slot rows but 86k distinct slots, 95k heads but 1.4k distinct ones, and
 119k category items but 420 distinct ones.  Sharing them takes about a
 sixth off the peak memory of a ``report`` on it.  The loader then groups
 the rows of the two per-publication files by pub id; synth writes both in
 pub-id order, and rows already in that order are grouped as they are,
 without the sort index and reordered copy that any other order needs.
 With that, and with ``report`` freeing the corpus before it compares
-rankings, the same ``report`` peaks at about 91 MB, and its load and its
+rankings, the same ``report`` peaks at about 89 MB, and its load and its
 scoring peak within about half a megabyte of each other.
 
 Each rule on outside input is checked once, where the input is read: by
@@ -131,7 +134,8 @@ WEIGHT_SUM_TOL = 1e-9
 # exactly, and no corpus-sized sum of counts can overflow a float.
 MAX_COUNT = 2**53
 
-# Top-k percentages a comparison reports when none are given.
+# Observation window (first and last year) and top-k percentages a run uses when none are given.
+DEFAULT_WINDOW = (2001, 2003)
 DEFAULT_PERCENTAGES = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 
 
@@ -211,20 +215,18 @@ SCHEMAS: dict[str, tuple[ColumnSpec, ...]] = {
 
 
 class AuthorSlot(NamedTuple):
-    """One byline slot.  External co-authors carry no university/SDS."""
+    """One byline slot.  It is domestic exactly when it has a university; an external one has no university or SDS."""
 
     position: int | None
     university_id: str | None
     sds_id: str | None
-    is_domestic_academic: bool
 
 
 class PublicationRecord(NamedTuple):
-    """One indexed output with its citation count and byline."""
+    """One indexed output with its citation count and byline.  Its ``doc_type`` is checked, not kept."""
 
     pub_id: str
     year: int
-    doc_type: str
     citations: int
     categories: tuple[tuple[str, float], ...]  # (category_id, weight), weights sum to 1
     authors: tuple[AuthorSlot, ...]            # listed slots only, may omit externals
@@ -734,12 +736,12 @@ def _load_publications(
     ids: dict[str, str],
     known: dict[str, Collection],
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
-    heads: dict[str, tuple[int, str, int, int]] = {}  # pub_id -> (year, doc_type, citations, total)
+    heads: dict[str, tuple[int, int, int]] = {}  # pub_id -> (year, citations, total)
     head_memo: dict[tuple, tuple] = {}  # equal heads share one tuple (see the module docstring)
 
     def publications_block(lines: Sequence[int], columns: list[list]) -> None:
-        pids, *head = columns
-        heads.update(zip(pids, _interned(head_memo, zip(*head))))
+        pids, years, _, *head = columns  # doc_type is checked, not kept
+        heads.update(zip(pids, _interned(head_memo, zip(years, *head))))
 
     read_rows(paths.publications, "publications", publications_block, ids=ids)
     known = {**known, "publications.pub_id": heads}  # a copy: heads goes on return, before the heap is trimmed
@@ -765,7 +767,7 @@ def _load_publications(
     def authors_block(lines: Sequence[int], columns: list[list]) -> None:
         pids, positions, domestic, slot_universities, sds = columns
         placed_positions = list(compress(positions, positions))
-        totals = list(map(itemgetter(3), map(heads.__getitem__, compress(pids, positions))))
+        totals = list(map(itemgetter(2), map(heads.__getitem__, compress(pids, positions))))
         if not all(map(le, placed_positions, totals)):
             raise RowFault(f"position {placed_positions[0]} exceeds total_author_count {totals[0]}")
         # A domestic slot has its university and SDS; an external slot has neither.
@@ -780,7 +782,7 @@ def _load_publications(
         )
         unplaced.update(compress(pids, map(is_, positions, repeat(None))))
         slot_pids.extend(pids)
-        slots.extend(_interned(slot_memo, _records(AuthorSlot, positions, slot_universities, sds, domestic)))
+        slots.extend(_interned(slot_memo, _records(AuthorSlot, positions, slot_universities, sds)))
 
     read_rows(paths.pub_authors, "pub_authors", authors_block, ids=ids, known=known)
 
@@ -794,7 +796,7 @@ def _load_publications(
     for pid, cats, pub_slots in zip(
         order, _runs(order, category_pids, category_items), _runs(order, slot_pids, slots)
     ):
-        year, doc_type, citations, total = heads[pid]
+        year, citations, total = heads[pid]
         if not cats:
             raise ValidationError(f"{cat_name}: pub {pid!r}: no categories listed")
         weight_sum = sum(map(itemgetter(1), cats))  # in file order, so the sum is stable
@@ -808,7 +810,7 @@ def _load_publications(
         # Known positions are unique per publication, so they alone give the byline order.
         pub_slots.sort(key=_byline_order if pid in unplaced else itemgetter(0))
         pub = PublicationRecord(
-            pid, year, doc_type, citations, shared.setdefault(cat_items, cat_items), tuple(pub_slots), total
+            pid, year, citations, shared.setdefault(cat_items, cat_items), tuple(pub_slots), total
         )
         if pid in unplaced and taxonomy.is_life_science_publication(pub):
             raise ValidationError(
@@ -817,7 +819,7 @@ def _load_publications(
         if not start <= year <= end:
             out_of_window += 1
             continue
-        if not any(map(itemgetter(3), pub_slots)):  # no domestic academic
+        if not any(map(itemgetter(1), pub_slots)):  # no domestic academic: no slot has a university
             no_domestic += 1
             continue
         publications.append(pub)
@@ -856,7 +858,7 @@ def _records(cls: type[tuple], *columns: Iterable) -> Iterator:
 def _byline_order(slot: AuthorSlot) -> tuple:
     """Known positions first, then every field, so that any row order gives the same byline."""
     position = slot.position
-    return (position is None, position or 0, slot.university_id or "", slot.sds_id or "", slot.is_domestic_academic)
+    return (position is None, position or 0, slot.university_id or "", slot.sds_id or "")
 
 
 def read_peer_outcomes_csv(

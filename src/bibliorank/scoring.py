@@ -57,7 +57,7 @@ def compute_baselines(corpus: Corpus) -> dict[BaselineKey, float]:
     The mean is 0 too only in a cell of zero-citation publications.
     """
     cells: defaultdict[BaselineKey, list[int]] = defaultdict(list)
-    for _, year, _, citations, categories, _, _ in corpus.publications:
+    for _, year, citations, categories, _, _ in corpus.publications:
         for category, _ in categories:
             cells[year, category].append(citations)
     divisors: dict[BaselineKey, float] = {}
@@ -115,7 +115,7 @@ def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> lis
     append = shares.append
     new = tuple.__new__
     for pub in corpus.publications:  # sorted by pub_id
-        pub_id, year, _, citations, categories, authors, n = pub
+        pub_id, year, citations, categories, authors, n = pub
         value = 0.0
         for category, weight in categories:
             divisor = baselines[year, category]
@@ -128,8 +128,8 @@ def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> lis
             class_numerators(n, life_science, shared)
         )
         numerators: dict[tuple[str, str], int] = {}
-        for position, university, sds, domestic in authors:
-            if not domestic:
+        for position, university, sds in authors:
+            if university is None:  # an external slot
                 continue
             if position == 1:
                 numerator = first_num

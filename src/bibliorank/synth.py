@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import HIGHER_IS_BETTER, CorpusPaths, write_csv
+from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, CorpusPaths, write_csv
 from .errors import ValidationError
 
 
@@ -37,7 +37,7 @@ class SynthParams(NamedTuple):
     udas: int = 3
     sds_per_uda: int = 3
     life_science_udas: int = 1
-    window: tuple[int, int] = (2001, 2003)
+    window: tuple[int, int] = DEFAULT_WINDOW
     staff_presence: float = 0.7
     staff_min: int = 2
     staff_max: int = 6
@@ -57,6 +57,8 @@ class SynthParams(NamedTuple):
             raise ValidationError("synth: need at least 2 universities")
         if self.udas < 1 or self.sds_per_uda < 1:
             raise ValidationError("synth: need at least one UDA and one SDS per UDA")
+        if self.udas > 10 and self.sds_per_uda > 100:  # UDA 1's SDS 101 and UDA 11's SDS 1 would both be S1101
+            raise ValidationError("synth: more than 10 UDAs with more than 100 SDSs per UDA repeat SDS ids")
         if not 0 <= self.life_science_udas <= self.udas:
             raise ValidationError("synth: life_science_udas out of range")
         if self.window[1] < self.window[0]:

@@ -60,11 +60,11 @@ def emit_corpus(corpus: Corpus, out_dir: Path | str) -> None:
     )
     tables: dict[str, Iterable[tuple]] = {
         "publications": (
-            (p.pub_id, p.year, p.doc_type, p.citations, p.total_author_count) for p in corpus.publications
+            (p.pub_id, p.year, "article", p.citations, p.total_author_count) for p in corpus.publications
         ),
         "pub_categories": ((p.pub_id, *item) for p in corpus.publications for item in p.categories),
         "pub_authors": (
-            (p.pub_id, slot.position, slot.is_domestic_academic, slot.university_id, slot.sds_id)
+            (p.pub_id, slot.position, slot.university_id is not None, slot.university_id, slot.sds_id)
             for p in corpus.publications
             for slot in p.authors
         ),
@@ -229,7 +229,7 @@ def reference_author_fractions(pub: PublicationRecord, taxonomy: Taxonomy) -> di
         position_weights = reference_position_weights(n, shared)
     weights: dict[tuple[str, str], Fraction] = {}
     for slot in pub.authors:
-        if slot.is_domestic_academic:
+        if slot.university_id is not None:
             key = (slot.university_id, slot.sds_id)
             weight = position_weights[slot.position] if life_science else Fraction(1, n)
             weights[key] = weights.get(key, Fraction(0)) + weight

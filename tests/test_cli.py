@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -16,6 +17,7 @@ import bibliorank
 from bibliorank import cli
 from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import SCHEMAS
+from bibliorank.synth import SynthParams, generate
 
 from conftest import minimal_rows, write_corpus, write_file
 
@@ -588,6 +590,21 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
     assert value(["--config", str(config)], [flag, on_line]) == cast(on_line)
 
 
+def test_synth_settings_restate_the_synth_parameters():
+    # SETTINGS restates the fields so that cli need not import synth (and numpy) at start-up.
+    types = get_type_hints(SynthParams)
+    casts = {key: cast for (section, key), (_, cast) in cli.SETTINGS.items() if section == "synth"}
+    assert casts == {field: types[field] for field in SynthParams._fields if field != "window"}
+
+
+@pytest.mark.parametrize("udas, sds_per_uda", [(10, 101), (11, 100)])
+def test_synth_ids_are_unique_up_to_the_refused_sizes(udas, sds_per_uda):
+    data = generate(SynthParams(seed=1, universities=2, udas=udas, sds_per_uda=sds_per_uda, pubs_per_fte=0.0))
+    sds_ids = {sds for sds, _, _ in data.taxonomy}
+    categories = {category for category, _ in data.categories}
+    assert len(sds_ids) == len(categories) == udas * sds_per_uda
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -609,6 +626,10 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
         (["synth", "--universities", "1"], "synth: need at least 2 universities"),
         (["synth", "--udas", "0"], "synth: need at least one UDA and one SDS per UDA"),
         (["synth", "--sds-per-uda", "0"], "synth: need at least one UDA and one SDS per UDA"),
+        (
+            ["synth", "--udas", "11", "--sds-per-uda", "101"],
+            "synth: more than 10 UDAs with more than 100 SDSs per UDA repeat SDS ids",
+        ),
         (["synth", "--life-science-udas", "2"], "synth: life_science_udas out of range"),
         (["synth", "--life-science-udas", "-1"], "synth: life_science_udas out of range"),
         (["synth", "--window", "2003-2001"], "synth: window end precedes start"),
@@ -631,7 +652,7 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
-         "nan-peer-noise", "inf-peer-noise", "one-university", "no-udas", "no-sds-per-uda",
+         "nan-peer-noise", "inf-peer-noise", "one-university", "no-udas", "no-sds-per-uda", "repeated-sds-ids",
          "too-many-life-science-udas", "negative-life-science-udas", "synth-reversed-window", "zero-staff-min",
          "staff-min-over-max", "staff-presence-over-1", "negative-multi-category-rate",
          "cross-university-rate-over-1", "nan-external-listed-rate", "gradient-strength-over-1",

@@ -346,7 +346,7 @@ def test_loaded_ids_are_shared_objects(tmp_path):
     university_of = {e.university_id: e.university_id for e in corpus.staff}
     sds_of = {sds: sds for sds in corpus.taxonomy.sds_to_uda}
     assert len({id(e.university_id) for e in corpus.staff}) == len(university_of)
-    slots = [slot for pub in corpus.publications for slot in pub.authors if slot.is_domestic_academic]
+    slots = [slot for pub in corpus.publications for slot in pub.authors if slot.university_id is not None]
     assert len(slots) == 5
     for slot in slots:
         assert slot.university_id is university_of[slot.university_id]
@@ -367,11 +367,11 @@ def test_equal_records_load_as_one_shared_object(tmp_path, monkeypatch, block_ro
     ]
     directory = write_corpus(tmp_path, **rows)
     corpus = load_corpus(directory, WINDOW)
-    domestic_first, external_second = AuthorSlot(1, "U1", "S1", True), AuthorSlot(2, None, None, False)
+    domestic_first, external_second = AuthorSlot(1, "U1", "S1"), AuthorSlot(2, None, None)
     assert corpus.publications == (
-        PublicationRecord("P1", 2001, "article", 4, (("C1", 0.5), ("C2", 0.5)), (domestic_first, external_second), 2),
-        PublicationRecord("P2", 2001, "article", 4, (("C1", 0.5), ("C3", 0.5)), (domestic_first,), 2),
-        PublicationRecord("P3", 2002, "review", 0, (("C1", 1.0),), (AuthorSlot(2, "U1", "S1", True),), 2),
+        PublicationRecord("P1", 2001, 4, (("C1", 0.5), ("C2", 0.5)), (domestic_first, external_second), 2),
+        PublicationRecord("P2", 2001, 4, (("C1", 0.5), ("C3", 0.5)), (domestic_first,), 2),
+        PublicationRecord("P3", 2002, 0, (("C1", 1.0),), (AuthorSlot(2, "U1", "S1"),), 2),
     )
     p1, p2, p3 = corpus.publications
     assert all(type(slot) is AuthorSlot for pub in corpus.publications for slot in pub.authors)

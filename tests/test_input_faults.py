@@ -15,12 +15,12 @@ from pathlib import Path
 import pytest
 
 from bibliorank import cli
-from bibliorank.corpus import SCHEMAS, CorpusPaths
+from bibliorank.corpus import DEFAULT_WINDOW, SCHEMAS, CorpusPaths
 from bibliorank.synth import SynthParams, synthesize
 
 from conftest import column_faults, spoil
 
-WINDOW_LEN = cli.DEFAULT_WINDOW[1] - cli.DEFAULT_WINDOW[0] + 1
+WINDOW_LEN = DEFAULT_WINDOW[1] - DEFAULT_WINDOW[0] + 1
 CORPUS_FILES = tuple(CorpusPaths.__annotations__)
 # The directory and file each read schema's faults go into; the eligibility file is written, never read.
 INPUTS = {

@@ -1,0 +1,38 @@
+"""Loading and scoring cost the same number of Python calls per publication whatever the corpus size.
+
+Call counts under ``cProfile`` do not depend on the host's speed or load.  A
+per-publication scan over every university that makes a call per item (a
+generator, a lambda, a method) shows here as a count per publication that
+grows with the corpus.  ``cProfile`` counts neither the iterations of one
+comprehension nor a call from C code to a C function (``map(str, ...)``),
+so scans of those kinds are left to the benchmark's wall time.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+from pathlib import Path
+
+from bibliorank import scoring
+from bibliorank.corpus import DEFAULT_WINDOW, load_corpus
+from bibliorank.productivity import score_corpus
+from bibliorank.synth import SynthParams, synthesize
+
+
+def calls_per_publication(directory: Path) -> float:
+    scoring.class_numerators.cache_clear()  # each size pays for its own credit weights
+    profiler = cProfile.Profile()
+    profiler.enable()
+    corpus = load_corpus(directory, DEFAULT_WINDOW)
+    score_corpus(corpus)
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls / len(corpus.publications)
+
+
+def test_load_and_score_make_no_more_calls_per_publication_on_a_larger_corpus(tmp_path):
+    for universities in (20, 40):
+        synthesize(SynthParams(seed=6, universities=universities), tmp_path / str(universities))
+    score_corpus(load_corpus(tmp_path / "20", DEFAULT_WINDOW))  # first-use imports are not a per-publication cost
+    small, large = (calls_per_publication(tmp_path / str(universities)) for universities in (20, 40))
+    assert large <= small, f"{large:.1f} calls per publication at 40 universities, {small:.1f} at 20"

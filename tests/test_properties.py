@@ -214,10 +214,10 @@ def test_positional_group_fractions_and_residual_sum_to_one(n, life_science, sha
     elif n > 1:
         owners[1], owners[n] = "U1", data.draw(st.sampled_from([None, "U2"]))
     slots = tuple(  # in byline order, as the loader gives them
-        AuthorSlot(pos, uni, None if uni is None else "S1", uni is not None) for pos, uni in sorted(owners.items())
+        AuthorSlot(pos, uni, None if uni is None else "S1") for pos, uni in sorted(owners.items())
     )
     category = "LC" if life_science else "C1"
-    pub = PublicationRecord("P1", 2001, "article", 1, ((category, 1.0),), slots, n)
+    pub = PublicationRecord("P1", 2001, 1, ((category, 1.0),), slots, n)
     if life_science:
         weights = reference_position_weights(n, shared)
     else:

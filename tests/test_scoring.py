@@ -17,7 +17,6 @@ def make_pub(citations, categories, slots, total=None, pub_id="P1", year=2001):
     return PublicationRecord(
         pub_id=pub_id,
         year=year,
-        doc_type="article",
         citations=citations,
         categories=tuple(categories),
         authors=tuple(slots),
@@ -26,11 +25,11 @@ def make_pub(citations, categories, slots, total=None, pub_id="P1", year=2001):
 
 
 def domestic(position, university, sds="S1"):
-    return AuthorSlot(position, university, sds, True)
+    return AuthorSlot(position, university, sds)
 
 
 def external(position=None):
-    return AuthorSlot(position, None, None, False)
+    return AuthorSlot(position, None, None)
 
 
 def shares_of(pub, taxonomy, baselines=None):
@@ -269,7 +268,7 @@ def test_fraction_conservation_randomized():
                 slots.append(domestic(position, f"U{rng.randint(1, 4)}"))
             else:
                 slots.append(external(position))
-        if not any(s.is_domestic_academic for s in slots):
+        if not any(s.university_id is not None for s in slots):
             slots[0] = domestic(slots[0].position, "U1")
         # in byline order, as the loader gives them
         pub = make_pub(1, [("LC" if life else "C1", 1.0)], sorted(slots), total=n)
@@ -282,7 +281,7 @@ def test_fraction_conservation_randomized():
 def _external_residual(pub, life):
     """Independent residual: weight carried by external or unlisted slots."""
     n = pub.total_author_count
-    domestic_positions = {s.position for s in pub.authors if s.is_domestic_academic}
+    domestic_positions = {s.position for s in pub.authors if s.university_id is not None}
     if not life:
         return (n - len(domestic_positions)) / n
     by_position = {s.position: s for s in pub.authors}
