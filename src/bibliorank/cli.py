@@ -22,13 +22,15 @@ rerun into an old ``--out-dir`` cannot leave stale files beside new ones.
 
 Each run pays only for the machinery it uses.  This module imports at
 module level only what every subcommand needs: argparse, ``corpus``,
-``errors`` and the settings table.  Each subcommand imports the modules it
-calls (``productivity``, ``peer_rating``, ``rankcmp``, ``synth``) inside its
-own function, and ``configparser`` is imported only for ``--config``.  So
-``vtr`` loads neither ``productivity`` nor ``rankcmp``, ``score`` does not
-load ``rankcmp``, ``score``, ``vtr`` and ``rank`` load neither numpy nor
-scipy, and ``compare`` and ``report`` load only ``scipy.special`` (see
-``rankcmp``).  No module defines a dataclass (every record is a
+``errors``, and ``synth``, whose ``SynthParams`` fields give the settings
+table its ``[synth]`` rows; ``synth`` imports numpy only inside
+``generate``.  Each subcommand imports the other modules it calls
+(``productivity``, ``peer_rating``, ``rankcmp``) inside its own function,
+and ``configparser`` is imported only for ``--config``.  So ``vtr`` loads
+neither ``productivity`` nor ``rankcmp``, ``score`` does not load
+``rankcmp``, ``score``, ``vtr`` and ``rank`` load neither numpy nor scipy,
+and ``compare`` and ``report`` load only ``scipy.special``, which loads
+numpy (see ``rankcmp``).  No module defines a dataclass (every record is a
 ``NamedTuple``), and ``rankcmp`` imports ``json`` only to render JSON, so
 ``score``, ``vtr`` and ``rank`` load neither the dataclass machinery (with
 ``inspect`` and ``ast`` behind it) nor ``json``, ``synth`` loads neither
@@ -64,14 +66,14 @@ import sys
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, get_type_hints
 
 from . import corpus as corpus_mod
 from .errors import ValidationError
+from .synth import SynthParams, synthesize
 
 if TYPE_CHECKING:
     from . import productivity, rankcmp
-    from .synth import SynthParams
 
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}  # output format -> file extension
 FORMATS = tuple(_EXT)
@@ -131,7 +133,8 @@ def parse_percentages(raw: str) -> tuple[float, ...]:
 
 # Flag and cast of every setting, keyed by its (section, key) in a config file.
 # A flag's argparse dest names the RunConfig field, or the SynthParams field
-# for the [synth] keys other than seed.
+# for the [synth] keys other than seed.  Those keys are the SynthParams fields
+# that RunConfig lacks, in field order, each cast by its annotated type.
 SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str], Any]]] = {
     ("io", "out_dir"): ("--out-dir", parse_dir),
     ("io", "format"): ("--format", parse_format),
@@ -139,21 +142,11 @@ SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str], Any]]] = {
     ("analysis", "window"): ("--window", parse_window),
     ("analysis", "percentages"): ("--percentages", parse_percentages),
     ("synth", "seed"): ("--seed", int),
-    ("synth", "universities"): ("--universities", int),
-    ("synth", "udas"): ("--udas", int),
-    ("synth", "sds_per_uda"): ("--sds-per-uda", int),
-    ("synth", "life_science_udas"): ("--life-science-udas", int),
-    ("synth", "staff_presence"): ("--staff-presence", float),
-    ("synth", "staff_min"): ("--staff-min", int),
-    ("synth", "staff_max"): ("--staff-max", int),
-    ("synth", "pubs_per_fte"): ("--pubs-per-fte", float),
-    ("synth", "multi_category_rate"): ("--multi-category-rate", float),
-    ("synth", "cross_university_rate"): ("--cross-university-rate", float),
-    ("synth", "external_listed_rate"): ("--external-listed-rate", float),
-    ("synth", "max_external_authors"): ("--max-external-authors", int),
-    ("synth", "citation_sigma"): ("--citation-sigma", float),
-    ("synth", "gradient_strength"): ("--gradient-strength", float),
-    ("synth", "peer_noise"): ("--peer-noise", float),
+    **{
+        ("synth", field): ("--" + field.replace("_", "-"), cast)
+        for field, cast in get_type_hints(SynthParams).items()
+        if field not in RunConfig._fields
+    },
 }
 
 
@@ -222,8 +215,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_synth_params(config: RunConfig) -> SynthParams:
-    from .synth import SynthParams
-
     return SynthParams(seed=config.seed, window=config.window, **config.synth)
 
 
@@ -425,8 +416,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = build_config(args)
     params = build_synth_params(config)
     _refuse_existing(vars(corpus_mod.CorpusPaths.from_dir(config.out_dir)).values())
-    from .synth import synthesize
-
     data = synthesize(params, config.out_dir)
     print(
         f"synthesized {len(data.publications)} publications, {len(data.staff)} staff, "
@@ -450,7 +439,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         rankings.append(rankcmp.build_ranking(pooled, corpus_mod.HIGHER_IS_BETTER, "VTR"))
     for table in corpus.indicators:
         rankings.append(rankcmp.build_ranking(table.values, table.direction, table.indicator_name))
-    # The comparisons read only the rankings, so the corpus goes before they import numpy and scipy.  The
+    # The comparisons read only the rankings, so the corpus goes before they import scipy and numpy.  The
     # collection empties the interpreter's free lists: without it the freed corpus still held 7 MB of
     # memory at national size, and that set the run's peak.
     del corpus

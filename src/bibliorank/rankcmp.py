@@ -17,12 +17,12 @@ fields, key for key (each top-k row an object of its own fields), so the
 report types are the JSON schema.  ``json`` is imported only to render
 JSON.
 
-numpy and scipy are imported inside the functions that use them, never at
-module level: importing them costs a fresh CLI process more time than
-``score``, ``vtr`` or ``rank`` spend on their work, and ``scipy.stats``
-alone costs more than the whole of a small ``compare``.  The p-value calls
-``scipy.special.stdtr``, the ufunc that ``scipy.stats.t.sf`` evaluates,
-so the narrow import returns the same bits.
+rho is summed in exact integers, so this module asks for no numpy.  scipy is
+imported only inside :func:`_spearman`, for the p-value: importing it (and
+numpy with it) costs a fresh CLI process more time than ``score``, ``vtr``
+or ``rank`` spend on their work, and ``scipy.stats`` alone more than a small
+``compare``.  The p-value calls ``scipy.special.stdtr``, the ufunc that
+``scipy.stats.t.sf`` evaluates, so the narrow import returns the same bits.
 """
 
 from __future__ import annotations
@@ -156,19 +156,19 @@ def _spearman(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> tuple[float
     rho is the Pearson correlation of the tie-averaged ranks.  The
     p-value uses the t-approximation with n-2 degrees of freedom (0 at
     rho = +/-1).  Its one caller, :func:`compare_rankings`, passes equal-length
-    vectors over at least ``MIN_COMMON_ENTITIES`` entities, neither constant.
+    vectors of tie-averaged ranks of 1..n, n at least ``MIN_COMMON_ENTITIES``,
+    neither constant.  Such ranks are multiples of 1/2 with mean (n + 1)/2, so
+    each doubled centred rank ``2r - (n + 1)`` is an integer and every sum is
+    exact.  The sums are the centred ones times 4, a power of two, so rho has
+    the bits of a float evaluation of the centred sums.
     """
-    n = len(ranks_a)
-    import numpy as np
     from scipy.special import stdtr
 
-    a = np.asarray(ranks_a, dtype=float)
-    b = np.asarray(ranks_b, dtype=float)
-    da = a - a.mean()
-    db = b - b.mean()
-    var_a = float(da @ da)
-    var_b = float(db @ db)
-    rho = float(da @ db) / math.sqrt(var_a * var_b)
+    n = len(ranks_a)
+    da = [int(2 * r) - (n + 1) for r in ranks_a]
+    db = [int(2 * r) - (n + 1) for r in ranks_b]
+    cov = sum(x * y for x, y in zip(da, db))
+    rho = cov / math.sqrt(sum(x * x for x in da) * sum(y * y for y in db))
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         return rho, 0.0

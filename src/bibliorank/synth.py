@@ -25,9 +25,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, CorpusPaths, write_csv
+from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, MAX_COUNT, CorpusPaths, write_csv
 from .errors import ValidationError
 
 
@@ -123,6 +121,8 @@ def _grade_counts(target_rating: float, total: int) -> tuple[int, int, int, int]
 
 def generate(params: SynthParams) -> SynthData:
     """Generate a full synthetic corpus; deterministic for a fixed seed."""
+    import numpy as np  # here, its one user, so that importing SynthParams (as cli does) loads no numpy
+
     params.validate()
     rng = np.random.default_rng(params.seed)
     start_year, end_year = params.window
@@ -189,7 +189,10 @@ def generate(params: SynthParams) -> SynthData:
             peers = staffed_in[sds]
             home = peers.index(university)
             expected = params.pubs_per_fte * quality[university] * pair_fte[(university, sds)]
-            n_pubs = int(rng.poisson(expected))
+            try:
+                n_pubs = int(rng.poisson(expected))
+            except ValueError:  # numpy refuses a mean near or above 2**63
+                raise ValidationError(f"synth: pubs_per_fte {params.pubs_per_fte} is too large") from None
             for _ in range(n_pubs):
                 pub_serial += 1
                 pub_id = f"P{pub_serial:06d}"
@@ -221,7 +224,12 @@ def generate(params: SynthParams) -> SynthData:
                     slots.append((int(order[n_home + len(cross)]), "", "", False))
 
                 mu = sum(w * category_base[c] for c, w in cats) * (0.35 + 0.65 * quality[university])
-                citations = int(rng.lognormal(math.log(mu), params.citation_sigma))
+                draw = rng.lognormal(math.log(mu), params.citation_sigma)
+                if draw > MAX_COUNT:  # more than a corpus may hold
+                    raise ValidationError(
+                        f"synth: citation_sigma {params.citation_sigma} is too large: it drew {draw:g} citations"
+                    )
+                citations = int(draw)
 
                 data.publications.append((pub_id, year, doc_type, citations, total))
                 for cat, weight in cats:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import os
 import shutil
@@ -107,8 +108,8 @@ def test_import_and_score_load_neither_numpy_nor_scipy(minimal_corpus_dir, tmp_p
         refuse("score/rank", "numpy", "scipy", "dataclasses", "json")
         argv = ["compare", out + "/ranking_X.csv", out + "/ranking_Y.csv", "--format", "markdown", "--out-dir", out]
         assert bibliorank.cli.main(argv) == 0
-        # scipy.special loads both modules itself, so compare refuses only bibliorank's own imports of them.
-        assert not asked & {{"dataclasses", "json"}}, sorted(asked)
+        # scipy.special loads all three modules itself, so compare refuses only bibliorank's own imports of them.
+        assert not asked & {{"dataclasses", "json", "numpy"}}, sorted(asked)
         """
     )
     assert proc.returncode == 0, proc.stderr
@@ -545,6 +546,36 @@ def test_config_error_exits_2_and_names_the_setting(tmp_path, monkeypatch, capsy
     assert sorted(tmp_path.iterdir()) == before
 
 
+# What each subcommand requires besides its settings.
+REQUIRED_ARGS = {"vtr": ["--outcomes", "o.csv"], "rank": ["--input", "i.csv"], "compare": ["a.csv", "b.csv"]}
+
+
+def setting_cases() -> list:
+    """(subcommand, flag, section, key) of each setting flag that each subcommand offers, from ``cli.SETTINGS``."""
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {flag: section_key for section_key, (flag, _) in cli.SETTINGS.items()}
+    return [
+        pytest.param(command, flag, *keys[flag], id=f"{command}-{flag[2:]}")
+        for command, parser in subparsers.choices.items()
+        for flag in parser.get_default("setting_flags")
+    ]
+
+
+@pytest.mark.parametrize("command, flag, section, key", setting_cases())
+def test_an_empty_setting_exits_2_and_names_its_flag_or_key(tmp_path, monkeypatch, capsys, command, flag, section,
+                                                             key):
+    # No cast in SETTINGS accepts an empty string, so every setting flag of every subcommand gets this case.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *REQUIRED_ARGS.get(command, []), *([] if flag == "--out-dir" else ["--out-dir", "out"])]
+    assert cli.main([*argv, flag, ""]) == 2
+    assert f"error: {flag}: " in capsys.readouterr().err
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} =\n", encoding="utf-8")
+    assert cli.main(["--config", str(config), *argv]) == 2
+    assert f"error: {config}: [{section}] {key}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_config_settings_reach_run_and_synth_parameters(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(
@@ -591,7 +622,8 @@ def test_synth_setting_reaches_parameters_from_flag_and_key(tmp_path, key):
 
 
 def test_synth_settings_restate_the_synth_parameters():
-    # SETTINGS restates the fields so that cli need not import synth (and numpy) at start-up.
+    # SETTINGS derives the [synth] rows from the fields; each cast must be the field's annotated type, so a
+    # float field with an int default still parses "0.5".
     types = get_type_hints(SynthParams)
     casts = {key: cast for (section, key), (_, cast) in cli.SETTINGS.items() if section == "synth"}
     assert casts == {field: types[field] for field in SynthParams._fields if field != "window"}
@@ -649,6 +681,18 @@ def test_synth_ids_are_unique_up_to_the_refused_sizes(udas, sds_per_uda):
         (["score"], "no corpus directory given (use --corpus-dir or [corpus] dir)"),
         (["rank", "--input", "indicators.csv", "--label", ""], "--label must not be empty"),
         (["rank", "--input", "indicators.csv", "--label", " "], "--label must not be empty"),
+        (
+            ["synth", "--seed", "1", "--citation-sigma", "40"],
+            "synth: citation_sigma 40.0 is too large: it drew 2.97035e+32 citations",
+        ),
+        (
+            ["synth", "--seed", "2", "--citation-sigma", "800"],
+            "synth: citation_sigma 800.0 is too large: it drew inf citations",
+        ),
+        (
+            ["synth", "--seed", "1", "--pubs-per-fte", "1e308"],
+            "synth: pubs_per_fte 1e+308 is too large",
+        ),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
@@ -657,7 +701,8 @@ def test_synth_ids_are_unique_up_to_the_refused_sizes(udas, sds_per_uda):
          "staff-min-over-max", "staff-presence-over-1", "negative-multi-category-rate",
          "cross-university-rate-over-1", "nan-external-listed-rate", "gradient-strength-over-1",
          "duplicate-percentages", "zero-percentage", "percentage-over-100", "non-numeric-percentage",
-         "empty-percentages", "reversed-window", "no-corpus-dir", "empty-label", "blank-label"],
+         "empty-percentages", "reversed-window", "no-corpus-dir", "empty-label", "blank-label",
+         "citation-overflow", "infinite-citations", "publication-count-overflow"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,10 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bibliorank import cli, rankcmp
@@ -205,6 +208,34 @@ def test_spearman_p_value_matches_scipy():
         assert rho == pytest.approx(expected_rho, abs=1e-12)
         if abs(rho) < 1.0:
             assert p == pytest.approx(expected_p, abs=1e-9)
+
+
+def numpy_rho(ranks_a, ranks_b):
+    """rho as the float evaluation of the centred sums in numpy: the reference for ``_spearman``'s integer sums."""
+    a = np.asarray(ranks_a, dtype=float)
+    b = np.asarray(ranks_b, dtype=float)
+    da = a - a.mean()
+    db = b - b.mean()
+    rho = float(da @ db) / math.sqrt(float(da @ da) * float(db @ db))
+    return max(-1.0, min(1.0, rho))
+
+
+def tie_averaged_ranks(scores):
+    """Tie-averaged ranks of 1..n in entity order, as ``compare_rankings`` passes them."""
+    ranks = build_ranking({f"e{i:03d}": score for i, score in enumerate(scores)}).ranks()
+    return [ranks[f"e{i:03d}"] for i in range(len(scores))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 400), top=st.integers(1, 12), seed=st.integers(0, 2**32))
+def test_spearman_rho_is_bitwise_the_numpy_float_evaluation(n, top, seed):
+    # Scores from 0..top, few distinct values, give long tie runs and so half-integer ranks.
+    rng = random.Random(seed)
+    ranks_a = tie_averaged_ranks([rng.randint(0, top) for _ in range(n)])
+    ranks_b = tie_averaged_ranks([rng.randint(0, top) for _ in range(n)])
+    assume(len(set(ranks_a)) > 1 and len(set(ranks_b)) > 1)
+    rho, _ = _spearman(ranks_a, ranks_b)
+    assert rho.hex() == numpy_rho(ranks_a, ranks_b).hex()
 
 
 def test_strength_labels():
