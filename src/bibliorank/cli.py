@@ -392,8 +392,17 @@ def _comparison_outputs(
 
     ext = _EXT[config.format]
     outputs: Outputs = {out / f"correlation_matrix.{ext}": (_write_text, rankcmp.render_matrix(matrix, config.format))}
+    # A label may hold "_vs_", so two pairs can name one file: A with B_vs_C, and A_vs_B with C.
+    named: dict[str, rankcmp.ComparisonReport] = {}
     for report in reports:
         name = f"comparison_{_safe_label(report.label_a)}_vs_{_safe_label(report.label_b)}.{ext}"
+        if name in named:
+            first = named[name]
+            raise ValidationError(
+                f"comparisons {first.label_a!r} vs {first.label_b!r} and {report.label_a!r} vs {report.label_b!r} "
+                f"name the same output file ({name!r})"
+            )
+        named[name] = report
         outputs[out / name] = (_write_text, rankcmp.render_comparison(report, config.format))
     return outputs
 

@@ -57,8 +57,11 @@ row.  Loading is fail-fast: the first violation in file order raises
 :class:`ValidationError` naming the file and line, with the message of the
 first check that row fails.  The records (:class:`AuthorSlot`,
 :class:`PublicationRecord`, :class:`StaffEntry`, :class:`PeerOutcome`,
-:class:`IndicatorTable`), :class:`Taxonomy` and :class:`Corpus` are
-``NamedTuple``s, cheap to define when a process starts.  A loaded corpus
+:class:`IndicatorTable`), :class:`Taxonomy` and :class:`Corpus` are named
+tuples, cheap to define when a process starts.  A record whose fields are
+exactly a file's columns is built from that file's ``SCHEMAS`` row, so its
+layout is declared once: :class:`StaffEntry` and :class:`PeerOutcome` here,
+``peer_rating.RatedOutcome`` and ``rankcmp.RankEntry``.  A loaded corpus
 is read-only: setting one of its attributes raises ``AttributeError``.  It
 is safe for unrestricted concurrent reads.
 
@@ -113,7 +116,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
 from operator import is_, is_not, itemgetter, le
@@ -233,13 +236,7 @@ class PublicationRecord(NamedTuple):
     total_author_count: int
 
 
-class StaffEntry(NamedTuple):
-    """One researcher-university-SDS affiliation over the observation window."""
-
-    researcher_id: str
-    university_id: str
-    sds_id: str
-    years_on_staff: float
+StaffEntry = namedtuple("StaffEntry", SCHEMAS["staff"])  # one researcher-university-SDS affiliation over the window
 
 
 class Taxonomy(NamedTuple):
@@ -253,15 +250,7 @@ class Taxonomy(NamedTuple):
         return not self.life_science_categories.isdisjoint(map(itemgetter(0), pub.categories))
 
 
-class PeerOutcome(NamedTuple):
-    """Peer-review grade counts for one (university, UDA) cell."""
-
-    university_id: str
-    uda_id: str
-    E: int
-    G: int
-    A: int
-    L: int
+PeerOutcome = namedtuple("PeerOutcome", SCHEMAS["peer_outcomes"])  # grade counts of one (university, UDA) cell
 
 
 class IndicatorTable(NamedTuple):

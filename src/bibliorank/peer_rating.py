@@ -14,18 +14,15 @@ report the block's worst position.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .corpus import PeerOutcome, read_rows, write_csv
+from .corpus import SCHEMAS, PeerOutcome, read_rows, write_csv
 
 
-class RatedOutcome(NamedTuple):
-    university_id: str
-    uda_id: str
-    R: float
-    category_percentile: float
+RatedOutcome = namedtuple("RatedOutcome", SCHEMAS["rated"])  # the rating and category percentile of one cell
 
 
 def rating_key(outcome: PeerOutcome) -> Fraction:

@@ -30,24 +30,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from itertools import combinations, groupby
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import (
-    DEFAULT_PERCENTAGES, HIGHER_IS_BETTER, LOWER_IS_BETTER, read_rows,
-    write_csv,
-)
+from .corpus import DEFAULT_PERCENTAGES, HIGHER_IS_BETTER, LOWER_IS_BETTER, SCHEMAS, read_rows, write_csv
 from .errors import ValidationError
 
 SIGNIFICANCE_LEVEL = 0.05
 MIN_COMMON_ENTITIES = 4
 
 
-class RankEntry(NamedTuple):
-    entity_id: str
-    score: float
-    rank: float
+RankEntry = namedtuple("RankEntry", SCHEMAS["ranking"])  # one scored entity with its tie-averaged rank
 
 
 class RankingList(NamedTuple):

@@ -22,6 +22,7 @@ truth.  A fixed seed reproduces the corpus byte for byte.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,18 +79,8 @@ class SynthParams(NamedTuple):
             raise ValidationError(f"synth: citation_sigma must be finite and > 0, got {self.citation_sigma}")
 
 
-class SynthData(NamedTuple):
-    """Generated rows in corpus CSV schemas; the QUALITY indicator rows carry the latent quality."""
-
-    publications: list[tuple]
-    pub_categories: list[tuple]
-    pub_authors: list[tuple]
-    staff: list[tuple]
-    taxonomy: list[tuple]
-    macro_map: list[tuple]
-    categories: list[tuple]
-    peer_outcomes: list[tuple]
-    indicators: list[tuple]
+# The generated rows of each corpus file, a list per stem; the QUALITY indicator rows carry the latent quality.
+SynthData = namedtuple("SynthData", CorpusPaths.__annotations__)
 
 
 def _grade_counts(target_rating: float, total: int) -> tuple[int, int, int, int]:
@@ -157,9 +148,7 @@ def generate(params: SynthParams) -> SynthData:
         present = [sds for sds in sds_ids if rng.random() < params.staff_presence]
         if not present:
             present = [sds_ids[int(rng.integers(0, len(sds_ids)))]]
-        for sds in sds_ids:
-            if sds not in present:
-                continue
+        for sds in present:
             count = int(rng.integers(params.staff_min, params.staff_max + 1))
             members = []
             years_total = 0.0
@@ -263,12 +252,9 @@ def generate(params: SynthParams) -> SynthData:
     latitude = 41.5 + 3.0 * mix
     expenditure = 120.0 + 18.0 * (latitude - 41.5) + rng.normal(0.0, 25.0, len(universities))
     gdp = 24000.0 + 900.0 * (latitude - 41.5) + rng.normal(0.0, 2600.0, len(universities))
-    for index, university in enumerate(universities):
-        data.indicators.append(("LAT", HIGHER_IS_BETTER, university, round(float(latitude[index]), 4)))
-    for index, university in enumerate(universities):
-        data.indicators.append(("EXP", HIGHER_IS_BETTER, university, round(float(expenditure[index]), 2)))
-    for index, university in enumerate(universities):
-        data.indicators.append(("GDP", HIGHER_IS_BETTER, university, round(float(gdp[index]), 2)))
+    for name, values, digits in (("LAT", latitude, 4), ("EXP", expenditure, 2), ("GDP", gdp, 2)):
+        for university, value in zip(universities, values):
+            data.indicators.append((name, HIGHER_IS_BETTER, university, round(float(value), digits)))
     for university in universities:
         data.indicators.append(("QUALITY", HIGHER_IS_BETTER, university, round(quality[university], 6)))
     return data

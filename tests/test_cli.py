@@ -391,14 +391,37 @@ def test_rank_reads_an_input_with_a_byte_order_mark_as_without_it(synth_dir, tmp
         assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-@pytest.mark.parametrize("names", [("X Y", "X_Y"), ("P",)])
-def test_report_rejects_colliding_labels_before_writing(tmp_path, capsys, names):
-    rows = minimal_rows()
-    rows["indicators"] = [(name, "higher_is_better", "U1", "1.0") for name in names]
-    corpus = write_corpus(tmp_path / "corpus", **rows)
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("X Y", "X_Y"), "ranking labels 'X Y' and 'X_Y' name the same output files ('X_Y')"),
+        (("P",), "ranking labels 'P' and 'P' name the same output files ('P')"),
+        # The seed-3 corpus with LAT, EXP and GDP renamed: 15 pairs, but two of them name one file.
+        (
+            {"LAT": "P_vs_VTR", "EXP": "VTR_vs_Z", "GDP": "Z"},
+            "comparisons 'P' vs 'VTR_vs_Z' and 'P_vs_VTR' vs 'Z' name the same output file "
+            "('comparison_P_vs_VTR_vs_Z.csv')",
+        ),
+    ],
+    ids=["sanitised", "P", "seed3-vs-labels"],
+)
+def test_report_rejects_colliding_labels_before_writing(synth_dir, tmp_path, capsys, names, message):
+    corpus = tmp_path / "corpus"
+    if isinstance(names, dict):
+        shutil.copytree(synth_dir / "corpus", corpus)
+        indicators = corpus / "indicators.csv"
+        text = indicators.read_text(encoding="utf-8")
+        for old, new in names.items():
+            assert f"\n{old}," in text
+            text = text.replace(f"\n{old},", f"\n{new},")
+        indicators.write_text(text, encoding="utf-8")
+    else:
+        rows = minimal_rows()
+        rows["indicators"] = [(name, "higher_is_better", "U1", "1.0") for name in names]
+        write_corpus(corpus, **rows)
     out = tmp_path / "out"
     assert cli.main(["report", "--corpus-dir", str(corpus), "--out-dir", str(out)]) == 2
-    assert "name the same output files" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -411,8 +434,19 @@ def test_rank_rejects_units_colliding_once_sanitised(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stems", [("X Y", "X_Y", "Z"), ("X", "X")])
-def test_compare_rejects_colliding_labels(tmp_path, capsys, stems):
+@pytest.mark.parametrize(
+    "stems, message",
+    [
+        (("X Y", "X_Y", "Z"), "ranking labels 'X Y' and 'X_Y' name the same output files ('X_Y')"),
+        (("X", "X"), "ranking labels 'X' and 'X' name the same output files ('X')"),
+        (
+            ("A", "B_vs_C", "A_vs_B", "C"),
+            "comparisons 'A' vs 'B_vs_C' and 'A_vs_B' vs 'C' name the same output file ('comparison_A_vs_B_vs_C.csv')",
+        ),
+    ],
+    ids=["sanitised", "equal", "vs-labels"],
+)
+def test_compare_rejects_colliding_labels(tmp_path, capsys, stems, message):
     paths = []
     for index, stem in enumerate(stems):
         path = tmp_path / str(index) / f"{stem}.csv"
@@ -421,7 +455,7 @@ def test_compare_rejects_colliding_labels(tmp_path, capsys, stems):
         paths.append(str(path))
     out = tmp_path / "out"
     assert cli.main(["compare", *paths, "--out-dir", str(out)]) == 2
-    assert "name the same output files ('X" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -463,10 +497,11 @@ THREE_ENTITIES = "A,3.0,1.0\nB,2.0,2.0\nC,1.0,3.0\n"
             "ranking 'GDP': all 20 entities it shares with 'P' tie",
         ),
         ("compare", (GOOD_RANKING, ""), "b.csv: empty ranking"),
+        ("compare", (GOOD_RANKING,), "compare needs at least 2 ranking files"),
     ],
     ids=["compare-3-entities", "compare-ranks-not-averaged", "compare-all-tied", "compare-unaveraged-tie",
          "compare-scores-out-of-order", "report-3-universities", "report-constant-indicator",
-         "compare-header-only"],
+         "compare-header-only", "compare-one-file"],
 )
 def test_failed_comparison_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, command, inputs, message):
     if command == "compare":
@@ -635,6 +670,19 @@ def test_synth_ids_are_unique_up_to_the_refused_sizes(udas, sds_per_uda):
     sds_ids = {sds for sds, _, _ in data.taxonomy}
     categories = {category for category, _ in data.categories}
     assert len(sds_ids) == len(categories) == udas * sds_per_uda
+
+
+def test_synth_without_staff_presence_staffs_one_sds_per_university(tmp_path):
+    # Every presence draw fails, so each university is staffed in one drawn SDS, and rated in that SDS's UDA alone.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--seed", "3", "--staff-presence", "0", "--out-dir", str(corpus)]) == 0
+    assert cli.main(["score", "--corpus-dir", str(corpus), "--out-dir", str(tmp_path / "scores")]) == 0
+    loaded = corpus_mod.load_corpus(corpus, corpus_mod.DEFAULT_WINDOW)
+    staffed: dict[str, set[str]] = {}
+    for entry in loaded.staff:
+        staffed.setdefault(entry.university_id, set()).add(entry.sds_id)
+    assert len(staffed) == 20 and all(len(sds_ids) == 1 for sds_ids in staffed.values())
+    assert len(loaded.peer_outcomes) == 20
 
 
 @pytest.mark.parametrize(

@@ -76,10 +76,10 @@ def test_default_corpus_reports_match_golden_hashes(tmp_path):
     assert hashes == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def compare_outputs(root: Path) -> dict[str, str]:
-    """Run ``compare`` on ``RANKINGS`` in every format under ``root``; map each output to its text."""
+def compare_outputs(root: Path, rankings: dict[str, str] = RANKINGS) -> dict[str, str]:
+    """Run ``compare`` on ``rankings`` in every format under ``root``; map each output to its text."""
     paths = []
-    for label, rows in RANKINGS.items():
+    for label, rows in rankings.items():
         path = root / "rankings" / f"{label}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("entity_id,score,rank\n" + rows, encoding="utf-8", newline="\n")
@@ -96,4 +96,8 @@ def compare_outputs(root: Path) -> dict[str, str]:
 
 
 def test_compare_outputs_match_golden_bytes(tmp_path):
-    assert compare_outputs(tmp_path) == json.loads(GOLDEN_COMPARE.read_text(encoding="utf-8"))
+    golden = json.loads(GOLDEN_COMPARE.read_text(encoding="utf-8"))
+    assert compare_outputs(tmp_path / "as_written") == golden
+    # A ranking file's row order is not part of the ranking.
+    reversed_rows = {label: "".join(reversed(rows.splitlines(keepends=True))) for label, rows in RANKINGS.items()}
+    assert compare_outputs(tmp_path / "reversed", reversed_rows) == golden

@@ -99,6 +99,9 @@ def test_researcher_with_two_affiliations_in_an_sds_counts_once(tmp_path):
     report = filter_eligible_sds(corpus, [share(university="U2")])
     assert report["S1"] == (2, 1, 0.5, True)
     assert report["S2"] == (1, 0, 0.0, False)
+    # With U1 publishing too, both of R1's S1 affiliations are active, and R1 is still one active researcher.
+    report = filter_eligible_sds(corpus, [share(university="U1"), share(university="U2")])
+    assert report["S1"] == (2, 1, 0.5, True)
 
 
 # ---------------------------------------------------------------------------

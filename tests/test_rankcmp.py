@@ -170,14 +170,20 @@ def closed_form_rho(ranks_a, ranks_b):
     return 1 - 6 * d2 / (n * (n * n - 1))
 
 
+# At n = 384,902 the quotient cov / sqrt(va * vb) of untied ranks rounds past +/-1 (1.0000000000000002).
+SPEARMAN_SIZES = (4, 384_902)
+
+
 def test_spearman_identity():
-    rho, p = _spearman([1, 2, 3, 4], [1, 2, 3, 4])
-    assert rho == 1.0 and p == 0.0
+    for n in SPEARMAN_SIZES:
+        ranks = list(range(1, n + 1))
+        assert _spearman(ranks, ranks) == (1.0, 0.0)
 
 
 def test_spearman_reversal():
-    rho, p = _spearman([1, 2, 3, 4], [4, 3, 2, 1])
-    assert rho == -1.0 and p == 0.0
+    for n in SPEARMAN_SIZES:
+        ranks = list(range(1, n + 1))
+        assert _spearman(ranks, ranks[::-1]) == (-1.0, 0.0)
 
 
 def test_spearman_hand_example():
