@@ -16,7 +16,12 @@ family that leaves some (year, category) cells with median 0 and thereby
 exercises the zero-median divisor fallback.  All emitted files follow the
 corpus CSV schemas; the latent quality itself is emitted as the QUALITY
 indicator so experiments can correlate computed scores against ground
-truth.  A fixed seed reproduces the corpus byte for byte.
+truth.
+
+A fixed seed reproduces the corpus byte for byte under one numpy version.
+numpy's ``Generator`` streams may change between releases (NEP 19), and
+the package asks only for ``numpy>=1.24``.  The order and number of the
+draws are part of the output: a draw added, dropped or moved changes it.
 """
 
 from __future__ import annotations
@@ -137,30 +142,26 @@ def generate(params: SynthParams) -> SynthData:
             data.categories.append((f"C{sds[1:]}", life))
         data.macro_map.append((uda, f"M{1 + uda_index // 2}"))
     home_category = {sds: f"C{sds[1:]}" for sds in sds_ids}
-    category_base = {home_category[sds]: float(rng.uniform(0.2, 5.0)) for sds in sds_ids}
+    category_base = {sds: float(rng.uniform(0.2, 5.0)) for sds in sds_ids}  # of each SDS's home category
 
     # Staff roster: each university is present in a random subset of SDSs.
-    year_fractions = (1.0, 1.0, 1.0, 1.0, 2.0 / 3.0, 1.0 / 3.0)
+    year_options = [round(window_len * fraction, 6) for fraction in (1.0, 1.0, 1.0, 1.0, 2.0 / 3.0, 1.0 / 3.0)]
     staff_of_pair: dict[tuple[str, str], list[str]] = {}
     pair_fte: dict[tuple[str, str], float] = {}
     researcher_serial = 0
     for university in universities:
-        present = [sds for sds in sds_ids if rng.random() < params.staff_presence]
+        draws = rng.random(len(sds_ids)).tolist()  # the doubles of one scalar draw per SDS, in order
+        present = [sds for sds, draw in zip(sds_ids, draws) if draw < params.staff_presence]
         if not present:
             present = [sds_ids[int(rng.integers(0, len(sds_ids)))]]
         for sds in present:
             count = int(rng.integers(params.staff_min, params.staff_max + 1))
-            members = []
-            years_total = 0.0
-            for _ in range(count):
-                researcher_serial += 1
-                researcher = f"R{researcher_serial:05d}"
-                years = round(window_len * year_fractions[int(rng.integers(0, len(year_fractions)))], 6)
-                data.staff.append((researcher, university, sds, years))
-                members.append(researcher)
-                years_total += years
+            years = [year_options[int(rng.integers(0, len(year_options)))] for _ in range(count)]
+            members = [f"R{researcher_serial + k:05d}" for k in range(1, count + 1)]
+            researcher_serial += count
+            data.staff.extend([(researcher, university, sds, y) for researcher, y in zip(members, years)])
             staff_of_pair[(university, sds)] = members
-            pair_fte[(university, sds)] = years_total / window_len
+            pair_fte[(university, sds)] = sum(years) / window_len
 
     # Publications with citations; authors drawn from the staffed pair.
     # A cross-university partner is drawn uniformly from the other
@@ -171,6 +172,7 @@ def generate(params: SynthParams) -> SynthData:
     doc_types = ("article", "article", "article", "review", "proceedings")
     pub_serial = 0
     for university in universities:
+        citation_scale = 0.35 + 0.65 * quality[university]
         for sds in sds_ids:
             members = staff_of_pair.get((university, sds))
             if not members:
@@ -188,43 +190,40 @@ def generate(params: SynthParams) -> SynthData:
                 year = int(rng.integers(start_year, end_year + 1))
                 doc_type = doc_types[int(rng.integers(0, len(doc_types)))]
 
-                cats: list[tuple[str, float]] = [(home_category[sds], 1.0)]
+                cats = [(pub_id, home_category[sds], 1.0)]
+                citation_base = category_base[sds]
                 if len(sds_ids) > 1 and rng.random() < params.multi_category_rate:
                     other = sds_ids[int(rng.integers(0, len(sds_ids)))]
                     if other != sds:
-                        cats = [(home_category[sds], 0.6), (home_category[other], 0.4)]
+                        cats = [(pub_id, home_category[sds], 0.6), (pub_id, home_category[other], 0.4)]
+                        citation_base = 0.6 * category_base[sds] + 0.4 * category_base[other]
 
                 n_home = 1 + min(int(rng.poisson(1.2)), len(members) - 1)
-                cross: list[tuple[str, str]] = []
+                n_cross = 0
                 if rng.random() < params.cross_university_rate and len(peers) > 1:
                     pick = int(rng.integers(0, len(peers) - 1))
                     partner = peers[pick + (pick >= home)]  # skip the home university
-                    cross = [(partner, sds)] * (1 + int(rng.integers(0, 2)))
+                    n_cross = 1 + int(rng.integers(0, 2))
                 n_external = int(rng.binomial(params.max_external_authors, 0.15))
-                total = n_home + len(cross) + n_external
+                total = n_home + n_cross + n_external
 
-                order = rng.permutation(total) + 1  # byline positions
-                slots: list[tuple[int, str, str, bool]] = []
-                for index in range(n_home):
-                    slots.append((int(order[index]), university, sds, True))
-                for index, (partner, partner_sds) in enumerate(cross):
-                    slots.append((int(order[n_home + index]), partner, partner_sds, True))
+                order = list(range(1, total + 1))
+                rng.shuffle(order)  # byline positions; draws exactly as rng.permutation(total) does
+                authors = [(pub_id, position, True, university, sds) for position in order[:n_home]]
+                if n_cross:
+                    authors += [(pub_id, position, True, partner, sds) for position in order[n_home:n_home + n_cross]]
                 if n_external and rng.random() < params.external_listed_rate:
-                    slots.append((int(order[n_home + len(cross)]), "", "", False))
+                    authors.append((pub_id, order[n_home + n_cross], False, "", ""))
 
-                mu = sum(w * category_base[c] for c, w in cats) * (0.35 + 0.65 * quality[university])
-                draw = rng.lognormal(math.log(mu), params.citation_sigma)
+                draw = rng.lognormal(math.log(citation_base * citation_scale), params.citation_sigma)
                 if draw > MAX_COUNT:  # more than a corpus may hold
                     raise ValidationError(
                         f"synth: citation_sigma {params.citation_sigma} is too large: it drew {draw:g} citations"
                     )
-                citations = int(draw)
-
-                data.publications.append((pub_id, year, doc_type, citations, total))
-                for cat, weight in cats:
-                    data.pub_categories.append((pub_id, cat, weight))
-                for position, author_university, author_sds, domestic in sorted(slots):
-                    data.pub_authors.append((pub_id, position, domestic, author_university, author_sds))
+                data.publications.append((pub_id, year, doc_type, int(draw), total))
+                data.pub_categories.extend(cats)
+                authors.sort()
+                data.pub_authors.extend(authors)
 
     # Peer outcomes per (university, UDA) with staff.
     q_values = [quality[u] for u in universities]

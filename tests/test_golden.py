@@ -2,6 +2,12 @@
 
 ``golden_seed3.json`` maps every file that ``synth --seed 3`` and
 ``report`` in csv, json and markdown format write to its sha256.
+``golden_synth.json`` maps each of six small ``synth`` settings to the
+sha256 of the nine files it writes.  Each setting takes a draw path that
+the seed-3 corpus never takes (the one-SDS staff fallback, a one-year
+window, a lone SDS, no external authors, a single peer university, long
+bylines that always list the external author), so a change to the order
+or number of draws on that path shows in its bytes.
 ``golden_compare.json`` holds the exact text of every file ``compare``
 writes in each format for ``RANKINGS``: entities dropped on both sides of
 every pair, tied scores, a ranking whose scores rise with rank, and top
@@ -15,9 +21,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from bibliorank import cli
 
 GOLDEN = Path(__file__).with_name("golden_seed3.json")
+GOLDEN_SYNTH = json.loads(Path(__file__).with_name("golden_synth.json").read_text(encoding="utf-8"))
 GOLDEN_COMPARE = Path(__file__).with_name("golden_compare.json")
 
 RANKINGS = {
@@ -74,6 +83,13 @@ def test_default_corpus_reports_match_golden_hashes(tmp_path):
         if path.is_file()
     }
     assert hashes == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("settings", GOLDEN_SYNTH)
+def test_synth_settings_match_golden_hashes(tmp_path, settings):
+    assert cli.main(["synth", *settings.split(), "--out-dir", str(tmp_path)]) == 0
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+    assert hashes == GOLDEN_SYNTH[settings]
 
 
 def compare_outputs(root: Path, rankings: dict[str, str] = RANKINGS) -> dict[str, str]:

@@ -1,11 +1,12 @@
-"""Loading and scoring cost the same number of Python calls per publication whatever the corpus size.
+"""Synthesis, loading and scoring cost the same number of Python calls per publication whatever the corpus size.
 
 Call counts under ``cProfile`` do not depend on the host's speed or load.  A
 per-publication scan over every university that makes a call per item (a
 generator, a lambda, a method) shows here as a count per publication that
 grows with the corpus.  ``cProfile`` counts neither the iterations of one
 comprehension nor a call from C code to a C function (``map(str, ...)``),
-so scans of those kinds are left to the benchmark's wall time.
+so scans of those kinds are left to the benchmark's wall time.  Nor does
+it count numpy's draws, so the synth count is of the Python around them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from bibliorank import scoring
 from bibliorank.corpus import DEFAULT_WINDOW, load_corpus
 from bibliorank.productivity import score_corpus
-from bibliorank.synth import SynthParams, synthesize
+from bibliorank.synth import SynthParams, generate, synthesize
 
 
 def calls_per_publication(directory: Path) -> float:
@@ -36,3 +37,15 @@ def test_load_and_score_make_no_more_calls_per_publication_on_a_larger_corpus(tm
     score_corpus(load_corpus(tmp_path / "20", DEFAULT_WINDOW))  # first-use imports are not a per-publication cost
     small, large = (calls_per_publication(tmp_path / str(universities)) for universities in (20, 40))
     assert large <= small, f"{large:.1f} calls per publication at 40 universities, {small:.1f} at 20"
+
+
+def test_synth_makes_no_more_calls_per_publication_on_a_larger_corpus():
+    generate(SynthParams(seed=6))  # first-use imports are not a per-publication cost
+    counts = {}
+    for universities in (20, 40):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        data = generate(SynthParams(seed=6, universities=universities))
+        profiler.disable()
+        counts[universities] = pstats.Stats(profiler).total_calls / len(data.publications)
+    assert counts[40] <= counts[20], f"{counts[40]:.1f} calls per publication at 40 universities, {counts[20]:.1f} at 20"
