@@ -18,6 +18,19 @@ corpus CSV schemas; the latent quality itself is emitted as the QUALITY
 indicator so experiments can correlate computed scores against ground
 truth.
 
+Seven module constants fix the rest of the corpus's shape.  A university is
+staffed in each SDS with chance ``STAFF_PRESENCE`` (one that draws none is
+staffed in one drawn SDS), with ``STAFF_MIN`` to ``STAFF_MAX`` researchers
+per staffed SDS.  A staffed SDS's publication count is Poisson with mean
+``PUBS_PER_FTE`` x quality x its full-time equivalents.  A publication
+draws a second category with chance ``MULTI_CATEGORY_RATE``, a byline
+with external authors lists one of them with chance
+``EXTERNAL_LISTED_RATE``, and ``CITATION_SIGMA`` is the citation
+lognormal's shape.  So a Poisson mean is at most 9 x a university's
+quality, a Gamma(6, 1/6) draw, and citation medians stay under 5 x
+(0.35 + 0.65 x quality): far below numpy's Poisson limit (about 9.2e18)
+and the corpus's ``MAX_COUNT`` (2**53), so no draw is checked against them.
+
 A fixed seed reproduces the corpus byte for byte under one numpy version.
 numpy's ``Generator`` streams may change between releases (NEP 19), and
 the package asks only for ``numpy>=1.24``.  The order and number of the
@@ -31,8 +44,18 @@ from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, MAX_COUNT, CorpusPaths, write_csv
+from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, CorpusPaths, write_csv
 from .errors import ValidationError
+
+STAFF_PRESENCE = 0.7
+STAFF_MIN, STAFF_MAX = 2, 6
+PUBS_PER_FTE = 1.5
+MULTI_CATEGORY_RATE = 0.25
+EXTERNAL_LISTED_RATE = 0.2
+CITATION_SIGMA = 1.0
+# The most external authors a byline may draw from: above the longest real bylines (about 5,000 names), and
+# small enough that numpy's binomial takes it and a byline's position list stays small.
+EXTERNAL_AUTHORS_LIMIT = 10_000
 
 
 class SynthParams(NamedTuple):
@@ -42,15 +65,8 @@ class SynthParams(NamedTuple):
     sds_per_uda: int = 3
     life_science_udas: int = 1
     window: tuple[int, int] = DEFAULT_WINDOW
-    staff_presence: float = 0.7
-    staff_min: int = 2
-    staff_max: int = 6
-    pubs_per_fte: float = 1.5
-    multi_category_rate: float = 0.25
     cross_university_rate: float = 0.3
-    external_listed_rate: float = 0.2
     max_external_authors: int = 6
-    citation_sigma: float = 1.0
     gradient_strength: float = 0.6
     peer_noise: float = 0.1
 
@@ -67,21 +83,16 @@ class SynthParams(NamedTuple):
             raise ValidationError("synth: life_science_udas out of range")
         if self.window[1] < self.window[0]:
             raise ValidationError("synth: window end precedes start")
-        if not 0 < self.staff_min <= self.staff_max:
-            raise ValidationError("synth: staff_min/staff_max out of range")
-        if self.max_external_authors < 0:
-            raise ValidationError(f"synth: max_external_authors must be >= 0, got {self.max_external_authors}")
-        for name in ("staff_presence", "multi_category_rate", "cross_university_rate",
-                     "external_listed_rate", "gradient_strength"):
+        if not 0 <= self.max_external_authors <= EXTERNAL_AUTHORS_LIMIT:
+            raise ValidationError(
+                f"synth: max_external_authors must be in [0, {EXTERNAL_AUTHORS_LIMIT}], got {self.max_external_authors}"
+            )
+        for name in ("cross_university_rate", "gradient_strength"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ValidationError(f"synth: {name} must be in [0, 1], got {value}")
-        for name in ("pubs_per_fte", "peer_noise"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"synth: {name} must be finite and >= 0, got {value}")
-        if not 0 < self.citation_sigma < math.inf:
-            raise ValidationError(f"synth: citation_sigma must be finite and > 0, got {self.citation_sigma}")
+        if not 0 <= self.peer_noise < math.inf:
+            raise ValidationError(f"synth: peer_noise must be finite and >= 0, got {self.peer_noise}")
 
 
 # The generated rows of each corpus file, a list per stem; the QUALITY indicator rows carry the latent quality.
@@ -151,11 +162,11 @@ def generate(params: SynthParams) -> SynthData:
     researcher_serial = 0
     for university in universities:
         draws = rng.random(len(sds_ids)).tolist()  # the doubles of one scalar draw per SDS, in order
-        present = [sds for sds, draw in zip(sds_ids, draws) if draw < params.staff_presence]
+        present = [sds for sds, draw in zip(sds_ids, draws) if draw < STAFF_PRESENCE]
         if not present:
             present = [sds_ids[int(rng.integers(0, len(sds_ids)))]]
         for sds in present:
-            count = int(rng.integers(params.staff_min, params.staff_max + 1))
+            count = int(rng.integers(STAFF_MIN, STAFF_MAX + 1))
             years = [year_options[int(rng.integers(0, len(year_options)))] for _ in range(count)]
             members = [f"R{researcher_serial + k:05d}" for k in range(1, count + 1)]
             researcher_serial += count
@@ -179,11 +190,7 @@ def generate(params: SynthParams) -> SynthData:
                 continue
             peers = staffed_in[sds]
             home = peers.index(university)
-            expected = params.pubs_per_fte * quality[university] * pair_fte[(university, sds)]
-            try:
-                n_pubs = int(rng.poisson(expected))
-            except ValueError:  # numpy refuses a mean near or above 2**63
-                raise ValidationError(f"synth: pubs_per_fte {params.pubs_per_fte} is too large") from None
+            n_pubs = int(rng.poisson(PUBS_PER_FTE * quality[university] * pair_fte[(university, sds)]))
             for _ in range(n_pubs):
                 pub_serial += 1
                 pub_id = f"P{pub_serial:06d}"
@@ -192,7 +199,7 @@ def generate(params: SynthParams) -> SynthData:
 
                 cats = [(pub_id, home_category[sds], 1.0)]
                 citation_base = category_base[sds]
-                if len(sds_ids) > 1 and rng.random() < params.multi_category_rate:
+                if len(sds_ids) > 1 and rng.random() < MULTI_CATEGORY_RATE:
                     other = sds_ids[int(rng.integers(0, len(sds_ids)))]
                     if other != sds:
                         cats = [(pub_id, home_category[sds], 0.6), (pub_id, home_category[other], 0.4)]
@@ -212,15 +219,11 @@ def generate(params: SynthParams) -> SynthData:
                 authors = [(pub_id, position, True, university, sds) for position in order[:n_home]]
                 if n_cross:
                     authors += [(pub_id, position, True, partner, sds) for position in order[n_home:n_home + n_cross]]
-                if n_external and rng.random() < params.external_listed_rate:
+                if n_external and rng.random() < EXTERNAL_LISTED_RATE:
                     authors.append((pub_id, order[n_home + n_cross], False, "", ""))
 
-                draw = rng.lognormal(math.log(citation_base * citation_scale), params.citation_sigma)
-                if draw > MAX_COUNT:  # more than a corpus may hold
-                    raise ValidationError(
-                        f"synth: citation_sigma {params.citation_sigma} is too large: it drew {draw:g} citations"
-                    )
-                data.publications.append((pub_id, year, doc_type, int(draw), total))
+                citations = int(rng.lognormal(math.log(citation_base * citation_scale), CITATION_SIGMA))
+                data.publications.append((pub_id, year, doc_type, citations, total))
                 data.pub_categories.extend(cats)
                 authors.sort()
                 data.pub_authors.extend(authors)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import shutil
@@ -17,6 +18,7 @@ import pytest
 import bibliorank
 from bibliorank import cli
 from bibliorank import corpus as corpus_mod
+from bibliorank import synth as synth_mod
 from bibliorank.corpus import SCHEMAS
 from bibliorank.synth import SynthParams, generate
 
@@ -666,23 +668,86 @@ def test_synth_settings_restate_the_synth_parameters():
 
 @pytest.mark.parametrize("udas, sds_per_uda", [(10, 101), (11, 100)])
 def test_synth_ids_are_unique_up_to_the_refused_sizes(udas, sds_per_uda):
-    data = generate(SynthParams(seed=1, universities=2, udas=udas, sds_per_uda=sds_per_uda, pubs_per_fte=0.0))
+    data = generate(SynthParams(seed=1, universities=2, udas=udas, sds_per_uda=sds_per_uda))
     sds_ids = {sds for sds, _, _ in data.taxonomy}
     categories = {category for category, _ in data.categories}
     assert len(sds_ids) == len(categories) == udas * sds_per_uda
 
 
-def test_synth_without_staff_presence_staffs_one_sds_per_university(tmp_path):
-    # Every presence draw fails, so each university is staffed in one drawn SDS, and rated in that SDS's UDA alone.
+def test_synth_draws_bylines_at_the_external_authors_limit():
+    limit = synth_mod.EXTERNAL_AUTHORS_LIMIT
+    data = generate(SynthParams(seed=1, universities=2, udas=1, sds_per_uda=1, max_external_authors=limit))
+    totals = [total for *_, total in data.publications]
+    # A byline has at most STAFF_MAX home and 2 cross-university authors besides its externals.
+    assert totals and all(total <= synth_mod.STAFF_MAX + 2 + limit for total in totals)
+    assert min(totals) > limit // 10  # Binomial(limit, 0.15) has mean 1,500 and sd under 36
+    positions: dict[str, list[int]] = {}
+    for pub_id, position, *_ in data.pub_authors:
+        positions.setdefault(pub_id, []).append(position)
+    assert all(1 <= p <= total for (pub_id, *_, total) in data.publications for p in positions[pub_id])
+
+
+def test_synth_without_staff_presence_staffs_one_sds_per_university(tmp_path, monkeypatch):
+    # A university whose presence draws all fail is staffed in one drawn SDS.  With one UDA of two SDSs, seed 4
+    # takes that fallback for 2 of its 20 universities; the recorder below reads which from the drawn doubles.
+    import numpy as np
+
+    default_rng = np.random.default_rng
+    presence: list[list[float]] = []  # each university's presence draws, one per SDS, in university order
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, *size):
+            drawn = self.rng.random(*size)
+            if size:
+                presence.append(drawn.tolist())
+            return drawn
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
     corpus = tmp_path / "corpus"
-    assert cli.main(["synth", "--seed", "3", "--staff-presence", "0", "--out-dir", str(corpus)]) == 0
+    assert cli.main(["synth", "--seed", "4", "--udas", "1", "--sds-per-uda", "2", "--out-dir", str(corpus)]) == 0
+    monkeypatch.undo()
+    fallback = {f"U{i + 1:03d}" for i, draws in enumerate(presence) if min(draws) >= synth_mod.STAFF_PRESENCE}
+    assert len(presence) == 20 and fallback == {"U019", "U020"}
     assert cli.main(["score", "--corpus-dir", str(corpus), "--out-dir", str(tmp_path / "scores")]) == 0
     loaded = corpus_mod.load_corpus(corpus, corpus_mod.DEFAULT_WINDOW)
     staffed: dict[str, set[str]] = {}
     for entry in loaded.staff:
         staffed.setdefault(entry.university_id, set()).add(entry.sds_id)
-    assert len(staffed) == 20 and all(len(sds_ids) == 1 for sds_ids in staffed.values())
-    assert len(loaded.peer_outcomes) == 20
+    assert len(staffed) == 20 and all(len(staffed[university]) == 1 for university in fallback)
+    assert len(loaded.peer_outcomes) == 20  # every university rated in the one UDA
+
+
+REMOVED_SYNTH_SETTINGS = ["staff_presence", "staff_min", "staff_max", "pubs_per_fte", "multi_category_rate",
+                          "external_listed_rate", "citation_sigma"]
+
+
+@pytest.mark.parametrize("key", REMOVED_SYNTH_SETTINGS)
+def test_a_removed_synth_setting_exits_2_as_a_flag(tmp_path, monkeypatch, capsys, key):
+    # Each is now a synth module constant, so its flag is no option of synth.
+    assert key.upper() in vars(synth_mod)
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*SMALL_SYNTH, "--out-dir", "out", flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", REMOVED_SYNTH_SETTINGS)
+def test_a_removed_synth_setting_exits_2_as_a_config_key(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[synth]\n{key} = 1\n", encoding="utf-8")
+    assert cli.main(["--config", str(config), *SMALL_SYNTH, "--out-dir", "out"]) == 2
+    assert f"error: {config}: unknown setting [synth] {key}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize(
@@ -697,10 +762,15 @@ def test_synth_without_staff_presence_staffs_one_sds_per_university(tmp_path):
         (["synth", "--out-dir", ""], "--out-dir: directory must not be empty"),
         (["score", "--corpus-dir", ""], "--corpus-dir: directory must not be empty"),
         (["synth", "--seed", "-1"], "synth: seed must be >= 0, got -1"),
-        (["synth", "--max-external-authors", "-1"], "synth: max_external_authors must be >= 0, got -1"),
-        (["synth", "--pubs-per-fte", "nan"], "synth: pubs_per_fte must be finite and >= 0, got nan"),
-        (["synth", "--pubs-per-fte", "inf"], "synth: pubs_per_fte must be finite and >= 0, got inf"),
-        (["synth", "--citation-sigma", "nan"], "synth: citation_sigma must be finite and > 0, got nan"),
+        (["synth", "--max-external-authors", "-1"], "synth: max_external_authors must be in [0, 10000], got -1"),
+        (
+            ["synth", "--max-external-authors", "10001"],
+            "synth: max_external_authors must be in [0, 10000], got 10001",
+        ),
+        (
+            ["synth", "--max-external-authors", str(10**20)],
+            f"synth: max_external_authors must be in [0, 10000], got {10**20}",
+        ),
         (["synth", "--peer-noise", "nan"], "synth: peer_noise must be finite and >= 0, got nan"),
         (["synth", "--peer-noise", "inf"], "synth: peer_noise must be finite and >= 0, got inf"),
         (["synth", "--universities", "1"], "synth: need at least 2 universities"),
@@ -713,12 +783,7 @@ def test_synth_without_staff_presence_staffs_one_sds_per_university(tmp_path):
         (["synth", "--life-science-udas", "2"], "synth: life_science_udas out of range"),
         (["synth", "--life-science-udas", "-1"], "synth: life_science_udas out of range"),
         (["synth", "--window", "2003-2001"], "synth: window end precedes start"),
-        (["synth", "--staff-min", "0"], "synth: staff_min/staff_max out of range"),
-        (["synth", "--staff-min", "7"], "synth: staff_min/staff_max out of range"),
-        (["synth", "--staff-presence", "1.5"], "synth: staff_presence must be in [0, 1], got 1.5"),
-        (["synth", "--multi-category-rate", "-0.1"], "synth: multi_category_rate must be in [0, 1], got -0.1"),
         (["synth", "--cross-university-rate", "2"], "synth: cross_university_rate must be in [0, 1], got 2.0"),
-        (["synth", "--external-listed-rate", "nan"], "synth: external_listed_rate must be in [0, 1], got nan"),
         (["synth", "--gradient-strength", "1.01"], "synth: gradient_strength must be in [0, 1], got 1.01"),
         (["report", "--percentages", "50,50.0"], "--percentages: duplicate percentage 50.0"),
         (["report", "--percentages", "0"], "--percentages: percentage must be in (0, 100], got 0"),
@@ -729,28 +794,14 @@ def test_synth_without_staff_presence_staffs_one_sds_per_university(tmp_path):
         (["score"], "no corpus directory given (use --corpus-dir or [corpus] dir)"),
         (["rank", "--input", "indicators.csv", "--label", ""], "--label must not be empty"),
         (["rank", "--input", "indicators.csv", "--label", " "], "--label must not be empty"),
-        (
-            ["synth", "--seed", "1", "--citation-sigma", "40"],
-            "synth: citation_sigma 40.0 is too large: it drew 2.97035e+32 citations",
-        ),
-        (
-            ["synth", "--seed", "2", "--citation-sigma", "800"],
-            "synth: citation_sigma 800.0 is too large: it drew inf citations",
-        ),
-        (
-            ["synth", "--seed", "1", "--pubs-per-fte", "1e308"],
-            "synth: pubs_per_fte 1e+308 is too large",
-        ),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
-         "negative-external-authors", "nan-pubs-per-fte", "inf-pubs-per-fte", "nan-citation-sigma",
-         "nan-peer-noise", "inf-peer-noise", "one-university", "no-udas", "no-sds-per-uda", "repeated-sds-ids",
-         "too-many-life-science-udas", "negative-life-science-udas", "synth-reversed-window", "zero-staff-min",
-         "staff-min-over-max", "staff-presence-over-1", "negative-multi-category-rate",
-         "cross-university-rate-over-1", "nan-external-listed-rate", "gradient-strength-over-1",
+         "negative-external-authors", "external-authors-over-limit", "external-authors-over-int64",
+         "nan-peer-noise", "inf-peer-noise", "one-university", "no-udas",
+         "no-sds-per-uda", "repeated-sds-ids", "too-many-life-science-udas", "negative-life-science-udas",
+         "synth-reversed-window", "cross-university-rate-over-1", "gradient-strength-over-1",
          "duplicate-percentages", "zero-percentage", "percentage-over-100", "non-numeric-percentage",
-         "empty-percentages", "reversed-window", "no-corpus-dir", "empty-label", "blank-label",
-         "citation-overflow", "infinite-citations", "publication-count-overflow"],
+         "empty-percentages", "reversed-window", "no-corpus-dir", "empty-label", "blank-label"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -930,3 +981,75 @@ def test_an_out_dir_that_is_a_file_exits_2_before_any_work(synth_dir, tmp_path, 
     assert cli.main([*argv, "--out-dir", str(out)]) == 2
     assert f"error: {blocker}: not a directory" in capsys.readouterr().err
     assert blocker.read_text(encoding="utf-8") == "kept"
+
+
+def test_every_subcommand_exits_0_on_the_seed3_chain(tmp_path, capsys):
+    # Each run reads what the runs before it wrote, as in a user's session; each prints one summary line.
+    corpus = tmp_path / "synth"
+    chain = [
+        ["synth", "--seed", "3"],
+        ["score", "--corpus-dir", str(corpus)],
+        ["vtr", "--outcomes", str(corpus / "peer_outcomes.csv")],
+        ["rank", "--input", str(corpus / "indicators.csv")],
+        ["compare", str(tmp_path / "rank" / "ranking_LAT.csv"), str(tmp_path / "rank" / "ranking_QUALITY.csv")],
+        ["report", "--corpus-dir", str(corpus)],
+    ]
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argv[0] for argv in chain) == sorted(subparsers.choices)
+    for argv in chain:
+        assert cli.main([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert len(printed.out.splitlines()) == (4 if argv[0] == "rank" else 1)  # rank: one line per ranking
+
+
+# The writer that each subcommand calls first.
+FIRST_WRITER = {
+    "synth": "bibliorank.synth.write_csv",
+    "score": "bibliorank.productivity.write_csv",
+    "vtr": "bibliorank.peer_rating.write_csv",
+    "rank": "bibliorank.rankcmp.write_csv",
+    "compare": "bibliorank.cli._write_text",
+    "report": "bibliorank.productivity.write_csv",
+}
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_a_failed_write_exits_1_with_one_error_line(synth_dir, tmp_path, monkeypatch, capsys, command):
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(FIRST_WRITER[command], full_disk)
+    out = tmp_path / "out"
+    assert cli.main([*writing_argv(command, synth_dir, tmp_path), "--out-dir", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"  # no traceback
+    assert printed.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [command for command in WRITING_COMMANDS if command != "vtr"])  # vtr writes one file
+def test_a_write_failing_after_the_first_file_exits_1_with_one_error_line(
+    synth_dir, tmp_path, monkeypatch, capsys, command
+):
+    # The first file is written whole; the run stops at the next, keeps what it wrote and prints one line.
+    target = FIRST_WRITER[command]
+    module_name, name = target.rsplit(".", 1)
+    write = getattr(__import__(module_name, fromlist=[name]), name)
+    calls = []
+
+    def disk_full_after_one(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write(*args)
+
+    monkeypatch.setattr(target, disk_full_after_one)
+    out = tmp_path / "out"
+    assert cli.main([*writing_argv(command, synth_dir, tmp_path), "--out-dir", str(out)]) == 1
+    assert len(calls) == 2
+    printed = capsys.readouterr()
+    assert printed.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"  # no traceback
+    assert printed.out == ""
+    (written,) = out.iterdir()
+    assert written.read_bytes().endswith(b"\n")

@@ -2,12 +2,12 @@
 
 ``golden_seed3.json`` maps every file that ``synth --seed 3`` and
 ``report`` in csv, json and markdown format write to its sha256.
-``golden_synth.json`` maps each of six small ``synth`` settings to the
+``golden_synth.json`` maps each of five small ``synth`` settings to the
 sha256 of the nine files it writes.  Each setting takes a draw path that
-the seed-3 corpus never takes (the one-SDS staff fallback, a one-year
-window, a lone SDS, no external authors, a single peer university, long
-bylines that always list the external author), so a change to the order
-or number of draws on that path shows in its bytes.
+the seed-3 corpus never takes (a one-year window; a lone SDS, where 6 of
+the 20 universities take the one-SDS staff fallback; no external authors;
+a single peer university; long bylines in three life-science UDAs), so a
+change to the order or number of draws on that path shows in its bytes.
 ``golden_compare.json`` holds the exact text of every file ``compare``
 writes in each format for ``RANKINGS``: entities dropped on both sides of
 every pair, tied scores, a ranking whose scores rise with rank, and top

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
@@ -256,6 +257,37 @@ def test_credit_shares_match_the_per_publication_reference(
     expected = reference_credit_shares(corpus, baselines)
     assert shares == expected
     assert repr(shares) == repr(expected)  # every float bit, signs of zero too
+
+
+@settings(max_examples=15, deadline=None)
+@given(params=synth_params, data=st.data())
+@example(params=SynthParams(seed=22, universities=6, udas=2, sds_per_uda=2), data=None)
+def test_scaling_every_citation_keeps_standardized_values_where_medians_are_positive(tmp_path_factory, params, data):
+    # x / m == c*x / (c*m) bit for bit when both divisions are correctly rounded and every operand is exact.  An
+    # even cell's median is a half-sum, exact only while c*(a + b) <= 2**53, so c stays under 2**52 / the largest
+    # count: at 2**53 / the largest, seed 22 rounds a scaled median and changes 2 values.  A zero median's cell
+    # divides by its mean instead, which does not scale exactly, so its publications are left out.
+    root = tmp_path_factory.mktemp("scaled")
+    synthesize(params, root)
+    corpus = load_corpus(root, WINDOW)
+    cells: dict[tuple[int, str], list[int]] = {}
+    for pub in corpus.publications:
+        for category, _ in pub.categories:
+            cells.setdefault((pub.year, category), []).append(pub.citations)
+    positive = {cell for cell, citations in cells.items() if statistics.median(citations) > 0}
+    largest = max(pub.citations for pub in corpus.publications)
+    c = 2**52 // largest if data is None else data.draw(st.integers(2, 2**52 // largest), label="c")
+    scaled = corpus._replace(
+        publications=tuple(pub._replace(citations=c * pub.citations) for pub in corpus.publications)
+    )
+    kept = {pub.pub_id for pub in corpus.publications if all((pub.year, cat) in positive for cat, _ in pub.categories)}
+    assert kept
+
+    def values(corpus: Corpus) -> dict[str, str]:
+        return {s.pub_id: repr(s.standardized_value) for s in credit_shares(corpus, compute_baselines(corpus))}
+
+    original, rescaled = values(corpus), values(scaled)
+    assert {pub_id: rescaled[pub_id] for pub_id in kept} == {pub_id: original[pub_id] for pub_id in kept}
 
 
 # Ids are stripped on reading, so only stripped, non-empty ids round-trip.
