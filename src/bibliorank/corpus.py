@@ -121,7 +121,7 @@ from contextlib import contextmanager
 from itertools import compress, islice, repeat
 from operator import is_, is_not, itemgetter, le
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import ValidationError
 
@@ -894,13 +894,17 @@ def read_indicators_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[
 # Emission
 
 
-def write_csv(path: Path, schema: str, rows: Iterable[Sequence]) -> None:
-    """Write rows under the header ``SCHEMAS[schema]`` as UTF-8 CSV with a fixed newline, so output is byte-stable.
+def row_writer(fh: TextIO, schema: str) -> Callable[[Iterable[Sequence]], None]:
+    """Write the header ``SCHEMAS[schema]`` to ``fh`` and return the function that writes rows under it.
 
     Each value is written as its :class:`ColumnSpec` says; a string is written as it is.
     """
     columns = SCHEMAS[schema]
     bools = [i for i, spec in enumerate(columns) if spec.kind == "bool"]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    if not bools:
+        return writer.writerows
 
     def spelled(row: Sequence) -> list:
         row = list(row)
@@ -909,8 +913,11 @@ def write_csv(path: Path, schema: str, rows: Iterable[Sequence]) -> None:
                 row[i] = "true" if row[i] else "false"
         return row
 
+    return lambda rows: writer.writerows(map(spelled, rows))
+
+
+def write_csv(path: Path, schema: str, rows: Iterable[Sequence]) -> None:
+    """Write rows with :func:`row_writer` as UTF-8 CSV with a fixed newline, so output is byte-stable."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(map(spelled, rows) if bools else rows)
+        row_writer(fh, schema)(rows)

@@ -31,6 +31,13 @@ quality, a Gamma(6, 1/6) draw, and citation medians stay under 5 x
 (0.35 + 0.65 x quality): far below numpy's Poisson limit (about 9.2e18)
 and the corpus's ``MAX_COUNT`` (2**53), so no draw is checked against them.
 
+``generate`` draws each file's rows into a row sink, nine lists by default.
+``synthesize`` hands it nine file sinks instead, which write each row to
+its file, under a temporary name in the output directory, as it is drawn,
+so the corpus is never held in memory whole; ``write_synth`` then commits
+the files by renaming them into place.  A run that fails after validation
+leaves no file behind.
+
 A fixed seed reproduces the corpus byte for byte under one numpy version.
 numpy's ``Generator`` streams may change between releases (NEP 19), and
 the package asks only for ``numpy>=1.24``.  The order and number of the
@@ -39,12 +46,13 @@ draws are part of the output: a draw added, dropped or moved changes it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, CorpusPaths, write_csv
+from .corpus import DEFAULT_WINDOW, HIGHER_IS_BETTER, CorpusPaths, row_writer
 from .errors import ValidationError
 
 STAFF_PRESENCE = 0.7
@@ -95,8 +103,41 @@ class SynthParams(NamedTuple):
             raise ValidationError(f"synth: peer_noise must be finite and >= 0, got {self.peer_noise}")
 
 
-# The generated rows of each corpus file, a list per stem; the QUALITY indicator rows carry the latent quality.
+# The row sink of each corpus file, one per stem; the QUALITY indicator rows carry the latent quality.  A sink
+# takes rows by append() and extend() and tells how many it took by len(): a list, or a file sink that
+# synthesize() commits with write_synth().
 SynthData = namedtuple("SynthData", CorpusPaths.__annotations__)
+
+
+class _FileSink:
+    """Rows of one corpus file, written as they come under a temporary name until :meth:`commit`."""
+
+    def __init__(self, temporary: Path, schema: str) -> None:
+        self.path = temporary  # the file's name on disk: the temporary, then the committed path
+        self.rows = 0
+        self._file = open(temporary, "x", encoding="utf-8", newline="")
+        self._write = row_writer(self._file, schema)  # the header only fills the file's buffer
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def extend(self, rows: Sequence[Sequence]) -> None:
+        self._write(rows)
+        self.rows += len(rows)
+
+    def append(self, row: Sequence) -> None:
+        self.extend((row,))
+
+    def commit(self, path: Path) -> None:
+        self._file.close()
+        self.path = self.path.replace(path)
+
+    def discard(self) -> None:
+        """Close the file and remove it, whether committed or not."""
+        with contextlib.suppress(OSError):
+            self._file.close()
+        with contextlib.suppress(OSError):
+            self.path.unlink()
 
 
 def _grade_counts(target_rating: float, total: int) -> tuple[int, int, int, int]:
@@ -126,8 +167,12 @@ def _grade_counts(target_rating: float, total: int) -> tuple[int, int, int, int]
     return excellent, good, acceptable, limited
 
 
-def generate(params: SynthParams) -> SynthData:
-    """Generate a full synthetic corpus; deterministic for a fixed seed."""
+def generate(params: SynthParams, data: SynthData | None = None) -> SynthData:
+    """Draw a full synthetic corpus into ``data``'s row sinks (nine new lists by default) and return it.
+
+    Deterministic for a fixed seed.  Each sink takes its rows in file order, in one ``extend`` per
+    university or per block of rows, or one ``append`` per row where the rows are few.
+    """
     import numpy as np  # here, its one user, so that importing SynthParams (as cli does) loads no numpy
 
     params.validate()
@@ -142,7 +187,8 @@ def generate(params: SynthParams) -> SynthData:
     udas = [f"UDA{i + 1}" for i in range(params.udas)]
     sds_of_uda: dict[str, list[str]] = {}
     sds_ids: list[str] = []
-    data = SynthData(*([] for _ in SynthData._fields))
+    if data is None:
+        data = SynthData(*([] for _ in SynthData._fields))
     for uda_index, uda in enumerate(udas):
         life = uda_index < params.life_science_udas
         members = [f"S{uda_index + 1}{j + 1:02d}" for j in range(params.sds_per_uda)]
@@ -157,7 +203,7 @@ def generate(params: SynthParams) -> SynthData:
 
     # Staff roster: each university is present in a random subset of SDSs.
     year_options = [round(window_len * fraction, 6) for fraction in (1.0, 1.0, 1.0, 1.0, 2.0 / 3.0, 1.0 / 3.0)]
-    staff_of_pair: dict[tuple[str, str], list[str]] = {}
+    staff_count: dict[tuple[str, str], int] = {}  # researchers per staffed (university, SDS) pair
     pair_fte: dict[tuple[str, str], float] = {}
     researcher_serial = 0
     for university in universities:
@@ -165,28 +211,31 @@ def generate(params: SynthParams) -> SynthData:
         present = [sds for sds, draw in zip(sds_ids, draws) if draw < STAFF_PRESENCE]
         if not present:
             present = [sds_ids[int(rng.integers(0, len(sds_ids)))]]
+        staff = []  # this university's rows, one extend
         for sds in present:
             count = int(rng.integers(STAFF_MIN, STAFF_MAX + 1))
             years = [year_options[int(rng.integers(0, len(year_options)))] for _ in range(count)]
             members = [f"R{researcher_serial + k:05d}" for k in range(1, count + 1)]
             researcher_serial += count
-            data.staff.extend([(researcher, university, sds, y) for researcher, y in zip(members, years)])
-            staff_of_pair[(university, sds)] = members
+            staff += [(researcher, university, sds, y) for researcher, y in zip(members, years)]
+            staff_count[(university, sds)] = count
             pair_fte[(university, sds)] = sum(years) / window_len
+        data.staff.extend(staff)
 
     # Publications with citations; authors drawn from the staffed pair.
     # A cross-university partner is drawn uniformly from the other
     # universities staffed in the same SDS, in ``universities`` order.
     staffed_in: dict[str, list[str]] = {
-        sds: [u for u in universities if (u, sds) in staff_of_pair] for sds in sds_ids
+        sds: [u for u in universities if (u, sds) in staff_count] for sds in sds_ids
     }
     doc_types = ("article", "article", "article", "review", "proceedings")
     pub_serial = 0
     for university in universities:
         citation_scale = 0.35 + 0.65 * quality[university]
+        publications, pub_categories, pub_authors = [], [], []  # this university's rows, one extend per sink
         for sds in sds_ids:
-            members = staff_of_pair.get((university, sds))
-            if not members:
+            n_staff = staff_count.get((university, sds))
+            if not n_staff:
                 continue
             peers = staffed_in[sds]
             home = peers.index(university)
@@ -205,7 +254,7 @@ def generate(params: SynthParams) -> SynthData:
                         cats = [(pub_id, home_category[sds], 0.6), (pub_id, home_category[other], 0.4)]
                         citation_base = 0.6 * category_base[sds] + 0.4 * category_base[other]
 
-                n_home = 1 + min(int(rng.poisson(1.2)), len(members) - 1)
+                n_home = 1 + min(int(rng.poisson(1.2)), n_staff - 1)
                 n_cross = 0
                 if rng.random() < params.cross_university_rate and len(peers) > 1:
                     pick = int(rng.integers(0, len(peers) - 1))
@@ -223,10 +272,13 @@ def generate(params: SynthParams) -> SynthData:
                     authors.append((pub_id, order[n_home + n_cross], False, "", ""))
 
                 citations = int(rng.lognormal(math.log(citation_base * citation_scale), CITATION_SIGMA))
-                data.publications.append((pub_id, year, doc_type, citations, total))
-                data.pub_categories.extend(cats)
+                publications.append((pub_id, year, doc_type, citations, total))
+                pub_categories += cats
                 authors.sort()
-                data.pub_authors.extend(authors)
+                pub_authors += authors
+        data.publications.extend(publications)
+        data.pub_categories.extend(pub_categories)
+        data.pub_authors.extend(pub_authors)
 
     # Peer outcomes per (university, UDA) with staff.
     q_values = [quality[u] for u in universities]
@@ -234,9 +286,7 @@ def generate(params: SynthParams) -> SynthData:
     spread = q_max - q_min
     for university in universities:
         for uda in udas:
-            headcount = sum(
-                len(staff_of_pair.get((university, sds), ())) for sds in sds_of_uda[uda]
-            )
+            headcount = sum(staff_count.get((university, sds), 0) for sds in sds_of_uda[uda])
             if headcount == 0:
                 continue
             total = max(1, round(headcount / 4))
@@ -255,20 +305,42 @@ def generate(params: SynthParams) -> SynthData:
     expenditure = 120.0 + 18.0 * (latitude - 41.5) + rng.normal(0.0, 25.0, len(universities))
     gdp = 24000.0 + 900.0 * (latitude - 41.5) + rng.normal(0.0, 2600.0, len(universities))
     for name, values, digits in (("LAT", latitude, 4), ("EXP", expenditure, 2), ("GDP", gdp, 2)):
-        for university, value in zip(universities, values):
-            data.indicators.append((name, HIGHER_IS_BETTER, university, round(float(value), digits)))
-    for university in universities:
-        data.indicators.append(("QUALITY", HIGHER_IS_BETTER, university, round(quality[university], 6)))
+        data.indicators.extend(
+            [(name, HIGHER_IS_BETTER, u, round(float(value), digits)) for u, value in zip(universities, values)]
+        )
+    data.indicators.extend([("QUALITY", HIGHER_IS_BETTER, u, round(quality[u], 6)) for u in universities])
     return data
 
 
 def write_synth(data: SynthData, out_dir: Path | str) -> None:
-    """Write all generated rows as corpus CSV files under ``out_dir``."""
-    for stem, path in vars(CorpusPaths.from_dir(out_dir)).items():
-        write_csv(path, stem, getattr(data, stem))
+    """Commit the file sinks of ``data``: close each and rename it to its corpus file under ``out_dir``."""
+    for sink, path in zip(data, vars(CorpusPaths.from_dir(out_dir)).values()):
+        sink.commit(path)
 
 
 def synthesize(params: SynthParams, out_dir: Path | str) -> SynthData:
-    data = generate(params)
-    write_synth(data, out_dir)
+    """Write the corpus of ``params`` as its nine CSV files under ``out_dir``, all or nothing, and return the sinks.
+
+    ``generate`` writes each row to its file as it draws it, so the rows are never all held at once; each
+    file is written under a temporary name in ``out_dir`` and :func:`write_synth` renames them into place.
+    On any failure after validation every file this run opened is closed and removed, committed or not, and
+    so are ``out_dir`` and its parents if this run created them.
+    """
+    params.validate()
+    out_dir = Path(out_dir)
+    created = [directory for directory in (out_dir, *out_dir.parents) if not directory.exists()]  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sinks: list[_FileSink] = []
+    try:
+        for stem, path in vars(CorpusPaths.from_dir(out_dir)).items():
+            sinks.append(_FileSink(path.with_name(f"{path.name}.tmp"), stem))
+        data = generate(params, SynthData(*sinks))
+        write_synth(data, out_dir)
+    except BaseException:
+        for sink in sinks:
+            sink.discard()
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     return data

@@ -6,6 +6,7 @@ import argparse
 import errno
 import gc
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -1003,9 +1004,9 @@ def test_every_subcommand_exits_0_on_the_seed3_chain(tmp_path, capsys):
         assert len(printed.out.splitlines()) == (4 if argv[0] == "rank" else 1)  # rank: one line per ranking
 
 
-# The writer that each subcommand calls first.
+# The writer that each subcommand calls first; synth writes each row to its file as it draws it.
 FIRST_WRITER = {
-    "synth": "bibliorank.synth.write_csv",
+    "synth": "bibliorank.synth._FileSink.extend",
     "score": "bibliorank.productivity.write_csv",
     "vtr": "bibliorank.peer_rating.write_csv",
     "rank": "bibliorank.rankcmp.write_csv",
@@ -1032,10 +1033,10 @@ def test_a_failed_write_exits_1_with_one_error_line(synth_dir, tmp_path, monkeyp
 def test_a_write_failing_after_the_first_file_exits_1_with_one_error_line(
     synth_dir, tmp_path, monkeypatch, capsys, command
 ):
-    # The first file is written whole; the run stops at the next, keeps what it wrote and prints one line.
+    # The run stops at the second write and prints one line.  The first file is written whole and kept,
+    # except by synth, which writes all its files or none.
     target = FIRST_WRITER[command]
-    module_name, name = target.rsplit(".", 1)
-    write = getattr(__import__(module_name, fromlist=[name]), name)
+    write = pkgutil.resolve_name(target)
     calls = []
 
     def disk_full_after_one(*args):
@@ -1051,5 +1052,43 @@ def test_a_write_failing_after_the_first_file_exits_1_with_one_error_line(
     printed = capsys.readouterr()
     assert printed.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"  # no traceback
     assert printed.out == ""
-    (written,) = out.iterdir()
-    assert written.read_bytes().endswith(b"\n")
+    if command == "synth":
+        assert not out.exists()
+    else:
+        (written,) = out.iterdir()
+        assert written.read_bytes().endswith(b"\n")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+@pytest.mark.parametrize("step", ["extend", "commit"])
+def test_a_synth_failing_midway_leaves_its_out_dir_as_it_was(tmp_path, monkeypatch, capsys, step, existing):
+    # A write that fails while the publications are drawn, or a rename after four files are in place, leaves
+    # no corpus file and no temporary, and removes the directories the run created.
+    sink_method = getattr(synth_mod._FileSink, step)
+    calls = []
+
+    def disk_full_midway(sink, *args):
+        calls.append(sink.path.name)
+        midway = sink.path.name == "pub_authors.csv.tmp" and len(sink) if step == "extend" else len(calls) == 5
+        if midway:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        sink_method(sink, *args)
+
+    monkeypatch.setattr(synth_mod._FileSink, step, disk_full_midway)
+    out = tmp_path / "new" / "out"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+    assert cli.main(["synth", "--seed", "3", "--out-dir", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"  # no traceback
+    assert printed.out == ""
+    if step == "extend":
+        assert calls.count("pub_authors.csv.tmp") == 2 and "staff.csv.tmp" in calls
+    else:
+        assert calls == ["publications.csv.tmp", "pub_categories.csv.tmp", "pub_authors.csv.tmp", "staff.csv.tmp",
+                         "taxonomy.csv.tmp"]
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert list(tmp_path.iterdir()) == []

@@ -7,12 +7,18 @@ grows with the corpus.  ``cProfile`` counts neither the iterations of one
 comprehension nor a call from C code to a C function (``map(str, ...)``),
 so scans of those kinds are left to the benchmark's wall time.  Nor does
 it count numpy's draws, so the synth count is of the Python around them.
+
+``synthesize`` writes each row to its file as it draws it, so its Python heap
+peak (``tracemalloc``, which counts numpy's buffers too) stays about flat as
+the corpus grows; a writer that held the rows until the end would peak at
+every row at once.
 """
 
 from __future__ import annotations
 
 import cProfile
 import pstats
+import tracemalloc
 from pathlib import Path
 
 from bibliorank import scoring
@@ -49,3 +55,33 @@ def test_synth_makes_no_more_calls_per_publication_on_a_larger_corpus():
         profiler.disable()
         counts[universities] = pstats.Stats(profiler).total_calls / len(data.publications)
     assert counts[40] <= counts[20], f"{counts[40]:.1f} calls per publication at 40 universities, {counts[20]:.1f} at 20"
+
+
+def test_synthesize_makes_no_more_calls_per_publication_on_a_larger_corpus(tmp_path):
+    synthesize(SynthParams(seed=6, universities=2), tmp_path / "warm")  # first-use imports and opens
+    counts = {}
+    for universities in (20, 40):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        data = synthesize(SynthParams(seed=6, universities=universities), tmp_path / str(universities))
+        profiler.disable()
+        counts[universities] = pstats.Stats(profiler).total_calls / len(data.publications)
+    assert counts[40] <= counts[20], f"{counts[40]:.1f} calls per publication at 40 universities, {counts[20]:.1f} at 20"
+
+
+def test_synthesize_heap_peak_does_not_grow_with_the_corpus(tmp_path):
+    synthesize(SynthParams(seed=6, universities=2), tmp_path / "warm")  # first-use imports are not held rows
+    peaks, publications = {}, {}
+    for universities in (20, 80):
+        tracemalloc.start()
+        try:
+            data = synthesize(SynthParams(seed=6, universities=universities, udas=4, sds_per_uda=5),
+                              tmp_path / str(universities))
+            peaks[universities] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        publications[universities] = len(data.publications)
+    assert publications[80] > 3 * publications[20]
+    # Only the per-(university, SDS) tables grow with the universities; a fourfold corpus held as rows
+    # would more than double the peak.
+    assert peaks[80] <= 1.25 * peaks[20], f"heap peak {peaks[80]:.2f} MB at 80 universities, {peaks[20]:.2f} MB at 20"
