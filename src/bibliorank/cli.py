@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, 
 
 from . import corpus as corpus_mod
 from .errors import ValidationError
-from .synth import SynthParams, synthesize
+from .synth import SynthParams, synthesize, temporary_path
 
 if TYPE_CHECKING:
     from . import productivity, rankcmp
@@ -424,7 +424,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = build_config(args)
     params = build_synth_params(config)
-    _refuse_existing(vars(corpus_mod.CorpusPaths.from_dir(config.out_dir)).values())
+    paths = vars(corpus_mod.CorpusPaths.from_dir(config.out_dir)).values()
+    # A killed synth leaves its temporaries behind, and a run cannot write its own over them.
+    _refuse_existing([*paths, *map(temporary_path, paths)])
     data = synthesize(params, config.out_dir)
     print(
         f"synthesized {len(data.publications)} publications, {len(data.staff)} staff, "

@@ -40,7 +40,12 @@ column by column in schema order.  A :class:`Column` parses each distinct
 raw value once and gives every row holding it the one resulting object.
 The column's values are then looked up in the column they reference, when
 the caller has read that one, and once the last key column is parsed the
-file's key is checked; both are set operations.  Only then does the loader
+file's key is checked; both are set operations.  While the first key
+column never decreases, as in every file synth writes, a key can only
+repeat one of the current run of that column's value, so the key check
+holds only that run's keys, beside references to the key columns read so
+far; the first decrease builds the set of every key read from them, and
+from then on the check holds every key.  Only then does the loader
 get the parsed columns, to check its row rules (positions within the
 byline, which slots carry a university and SDS, a domestic slot's staff
 entry) and keep what it needs.  A bad value gets its kind's message, such
@@ -74,12 +79,16 @@ repeat far more than the rows do: a 200-university corpus has 256k author
 slot rows but 86k distinct slots, 95k heads but 1.4k distinct ones, and
 119k category items but 420 distinct ones.  Sharing them takes about a
 sixth off the peak memory of a ``report`` on it.  The loader then groups
-the rows of the two per-publication files by pub id; synth writes both in
-pub-id order, and rows already in that order are grouped as they are,
-without the sort index and reordered copy that any other order needs.
-With that, and with ``report`` freeing the corpus before it compares
-rankings, the same ``report`` peaks at about 89 MB, and its load and its
-scoring peak within about half a megabyte of each other.
+the rows of the two per-publication files by pub id, finding each
+publication's rows by bisection on the ordered pub ids.  Synth writes both
+files in pub-id order, and rows already in that order are grouped as they
+are, without the sort index and reordered copies that any other order
+needs.  With that, with the key check above, with credit shares held as
+columns (``scoring.CreditTable``) and with ``report`` freeing the corpus
+before it compares rankings, the same ``report`` peaks at about 80 MB.
+Under ``tracemalloc`` its load peaks 19 MB above the 38 MB corpus it
+keeps, at the end of grouping the publication rows, and its scoring 17 MB
+above it.
 
 Each rule on outside input is checked once, where the input is read: by
 the loaders here, ``productivity.read_score_csv``,
@@ -116,7 +125,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, namedtuple
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
 from operator import is_, is_not, itemgetter, le
@@ -360,9 +370,15 @@ def read_rows(
     key_index = [i for i, spec in enumerate(columns) if spec.key]
     optional_keys = [j for j, i in enumerate(key_index) if columns[i].optional]
     key_name = columns[key_index[0]] if len(key_index) == 1 else f"({', '.join(columns[i] for i in key_index)})"
-    seen: set = set()  # the keys of the rows kept so far
+    # While the first key column never decreases, a key can only repeat one of the current run of that column's
+    # value (see the module docstring).
+    seen: set | None = None  # every key of the rows kept so far, once the first key column has decreased
+    read: list[list[list]] | None = []  # until then, the key columns of each block kept
+    run: set | None = set()  # and the keys kept whose first column holds the last value kept
+    run_value = None  # that value
 
     def check_block(lines: Sequence[int], raw_columns: list[tuple[str, ...]]) -> None:
+        nonlocal seen, read, run, run_value
         parsed: list[list] = []
         for spec, parse, raw in zip(columns, parsers, raw_columns):
             values = parse(raw)
@@ -370,15 +386,29 @@ def read_rows(
                 check_known(filter(None, values), known[spec.ref], lambda value: f"unknown {spec} {value!r}")
             parsed.append(values)
             if len(parsed) == key_index[-1] + 1:
-                keys = [parsed[i] for i in key_index]
+                key_columns = [parsed[i] for i in key_index]
                 for j in optional_keys:  # a row whose optional key column is blank has no key
-                    present = list(map(is_not, keys[j], repeat(None)))
-                    keys = [list(compress(values, present)) for values in keys]
-                keys = keys[0] if len(keys) == 1 else list(zip(*keys))  # a one-column key is its value
-                if len(set(keys)) != len(keys) or not seen.isdisjoint(keys):
+                    present = list(map(is_not, key_columns[j], repeat(None)))
+                    key_columns = [list(compress(values, present)) for values in key_columns]
+                first = key_columns[0]
+                keys = first if len(key_columns) == 1 else list(zip(*key_columns))  # a one-column key is its value
+                if seen is None and first and (
+                    run_value is not None and first[0] < run_value or not all(map(le, first, islice(first, 1, None)))
+                ):
+                    seen = set()
+                    for block_columns in read:
+                        seen.update(block_columns[0] if len(block_columns) == 1 else zip(*block_columns))
+                    read = run = None
+                if len(set(keys)) != len(keys) or not (run if seen is None else seen).isdisjoint(keys):
                     raise RowFault(f"duplicate {key_name} {keys[0]!r}")
         check(lines, parsed)
-        seen.update(keys)
+        if seen is not None:
+            seen.update(keys)
+        elif first:
+            read.append(key_columns)
+            if first[-1] != run_value:
+                run, run_value = set(), first[-1]
+            run.update(keys[bisect_left(first, run_value):])
 
     with _open_csv(path) as (reader, header):
         if tuple(header) != columns:
@@ -818,18 +848,17 @@ def _load_publications(
 def _runs(ids: list[str], keys: list[str], items: list) -> Iterator[list]:
     """For each of the sorted ``ids`` in turn, the ``items`` whose key is that id, in their original order.
 
-    Keys already in order are grouped as they are: no sort index and no reordered copy.
+    Each id's run is found by bisection on the ordered keys.  Keys already in order are grouped as they are: no
+    sort index and no reordered copy.
     """
-    if all(map(le, keys, islice(keys, 1, None))):
-        ordered = items
-    else:
+    if not all(map(le, keys, islice(keys, 1, None))):
         order = sorted(range(len(keys)), key=keys.__getitem__)  # stable, so original order within an id
-        ordered = list(map(items.__getitem__, order))
-    counts = Counter(keys)
+        items = list(map(items.__getitem__, order))
+        keys = list(map(keys.__getitem__, order))
     start = 0
     for key in ids:
-        end = start + counts[key]
-        yield ordered[start:end]
+        end = bisect_right(keys, key, start)
+        yield items[start:end]
         start = end
 
 

@@ -9,19 +9,22 @@ university matching the national average everywhere scores exactly 1.
 
 An SDS only enters the aggregation when at least half of its national
 staff belong to a (university, SDS) group with at least one credit share;
-ineligible SDSs are excluded from every downstream table.
+ineligible SDSs are excluded from every downstream table.  Credit comes as
+``scoring.CreditTable`` columns: eligibility reads its groups, and SDS
+productivity sums each group's credit by its code, in ``pub_id`` order.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import LEVELS, Corpus, RowFault, StaffEntry, check_known, read_rows, write_csv
 from .errors import ValidationError
-from .scoring import CreditShare, compute_baselines, credit_shares
+from .scoring import CreditTable, compute_baselines, credit_shares
 
 class ScoreEntry(NamedTuple):
     P: float
@@ -48,7 +51,7 @@ class ScoreTable(NamedTuple):
     national_means: dict[str, float]
 
 
-def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[str, EligibilityEntry]:
+def filter_eligible_sds(corpus: Corpus, shares: CreditTable) -> dict[str, EligibilityEntry]:
     """Per-SDS activity report: eligible iff >= 50% of national staff published.
 
     A researcher counts as publishing when any of their (university, SDS)
@@ -56,7 +59,7 @@ def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[s
     not tie individual publications to researcher ids.  A researcher with
     several affiliations in one SDS counts there once.
     """
-    active_groups = set(map(itemgetter(1, 2), shares))  # (university_id, sds_id)
+    active_groups = shares.groups  # (university_id, sds_id) -> code
     sds_ids = corpus.taxonomy.sds_to_uda
     staff_count, active_count = dict.fromkeys(sds_ids, 0), dict.fromkeys(sds_ids, 0)
     # The last researcher counted in each SDS.  Staff is sorted by researcher id first, so a researcher's
@@ -78,30 +81,30 @@ def filter_eligible_sds(corpus: Corpus, shares: Sequence[CreditShare]) -> dict[s
     return report
 
 
-def sds_productivity(
-    shares: Sequence[CreditShare], roster: Sequence[StaffEntry], window: tuple[int, int]
-) -> ScoreTable:
+def sds_productivity(shares: CreditTable, roster: Sequence[StaffEntry], window: tuple[int, int]) -> ScoreTable:
     """Per-(university, SDS) productivity plus the national mean of each SDS.
 
     Every (university, SDS) group present in the roster gets an entry;
     groups with staff but no shares score 0 and still enter the national
-    mean (productivity is per capita, silent staff count).
+    mean (productivity is per capita, silent staff count).  A group's
+    credit is summed over its shares in ``pub_id`` order.
     """
     window_len = window[1] - window[0] + 1
     rs: dict[tuple[str, str], float] = {}
-    # Sorting on the researcher (below, the pub) id alone gives each (university, SDS) key its terms in the order
-    # the full (university, SDS, id) key gave them; the sorts are stable, so ties keep input order either way.
+    # Sorting on the researcher id alone gives each (university, SDS) key its terms in the order the full
+    # (university, SDS, researcher_id) key gave them; the sort is stable, so ties keep input order either way.
     for _, university, sds, years_on_staff in sorted(roster, key=itemgetter(0)):  # by researcher_id
         key = (university, sds)
         rs[key] = rs.get(key, 0.0) + years_on_staff
-    numerators: dict[tuple[str, str], float] = {}
-    for _, university, sds, fraction, standardized_value in sorted(shares, key=itemgetter(0)):  # by pub_id
-        key = (university, sds)
-        numerators[key] = numerators.get(key, 0.0) + standardized_value * fraction
+    numerators = [0.0] * len(shares.groups)
+    for code, value, fraction in zip(shares.codes, shares.values, shares.fractions):  # in pub_id order
+        numerators[code] += value * fraction
+    groups = shares.groups
     entries: dict[tuple[str, str], ScoreEntry] = {}
     for key in sorted(rs):
         staff_equivalent = rs[key] / window_len
-        entries[key] = ScoreEntry(numerators.get(key, 0.0) / staff_equivalent, staff_equivalent)
+        code = groups.get(key)
+        entries[key] = ScoreEntry((0.0 if code is None else numerators[code]) / staff_equivalent, staff_equivalent)
     by_sds: dict[str, list[float]] = {}
     for (university, sds), entry in entries.items():
         by_sds.setdefault(sds, []).append(entry.P)
@@ -173,8 +176,12 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
     eligibility = filter_eligible_sds(corpus, shares)
     eligible = {sds for sds, entry in eligibility.items() if entry.eligible}
     roster = [e for e in corpus.staff if e.sds_id in eligible]
-    kept_shares = [s for s in shares if s.sds_id in eligible]
-    sds_table = sds_productivity(kept_shares, roster, corpus.window)
+    if len(eligible) < len(eligibility):  # keep the shares of eligible SDSs only
+        kept = [sds in eligible for _, sds in shares.groups]  # by code
+        mask = list(map(kept.__getitem__, shares.codes))
+        columns = (shares.pub_ids, shares.codes, shares.fractions, shares.values)
+        shares = CreditTable(shares.groups, *(list(compress(column, mask)) for column in columns))
+    sds_table = sds_productivity(shares, roster, corpus.window)
     return ScoreBundle(
         eligibility=eligibility,
         sds=sds_table,

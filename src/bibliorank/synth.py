@@ -109,6 +109,11 @@ class SynthParams(NamedTuple):
 SynthData = namedtuple("SynthData", CorpusPaths.__annotations__)
 
 
+def temporary_path(path: Path) -> Path:
+    """The name :func:`synthesize` writes the corpus file ``path`` under until it commits it."""
+    return path.with_name(f"{path.name}.tmp")
+
+
 class _FileSink:
     """Rows of one corpus file, written as they come under a temporary name until :meth:`commit`."""
 
@@ -333,7 +338,7 @@ def synthesize(params: SynthParams, out_dir: Path | str) -> SynthData:
     sinks: list[_FileSink] = []
     try:
         for stem, path in vars(CorpusPaths.from_dir(out_dir)).items():
-            sinks.append(_FileSink(path.with_name(f"{path.name}.tmp"), stem))
+            sinks.append(_FileSink(temporary_path(path), stem))
         data = generate(params, SynthData(*sinks))
         write_synth(data, out_dir)
     except BaseException:

@@ -1,5 +1,5 @@
-"""Shared fixture helpers: corpus CSV files from rows or a loaded corpus, input faults from the column table, and
-reference credit per publication."""
+"""Shared fixture helpers: corpus CSV files from rows or a loaded corpus, input faults from the column table,
+credit tables as rows, and reference credit per publication."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple
 import pytest
 
 from bibliorank.corpus import SCHEMAS, Corpus, CorpusPaths, PublicationRecord, Taxonomy, write_csv
-from bibliorank.scoring import CreditShare
+from bibliorank.scoring import CreditTable
 
 
 def write_file(directory: Path, name: str, rows: list[tuple]) -> Path:
@@ -246,10 +246,41 @@ def reference_standardized_value(pub: PublicationRecord, baselines: dict[tuple[i
     return total
 
 
-def reference_credit_shares(corpus: Corpus, baselines: dict[tuple[int, str], float]) -> list[CreditShare]:
-    """``scoring.credit_shares`` computed publication by publication with ``Fraction`` weights."""
+class Share(NamedTuple):
+    """One credit share: the fraction of a publication's standardized value that a (university, SDS) group owns."""
+
+    pub_id: str
+    university_id: str
+    sds_id: str
+    fraction: float
+    standardized_value: float
+
+
+def share_rows(table: CreditTable) -> list[Share]:
+    """The shares of ``table``, in its order, read from its columns."""
+    groups = list(table.groups)  # in code order
     return [
-        CreditShare(pub.pub_id, university, sds, fraction, reference_standardized_value(pub, baselines))
+        Share(pub_id, *groups[code], fraction, value)
+        for pub_id, code, fraction, value in zip(table.pub_ids, table.codes, table.fractions, table.values)
+    ]
+
+
+def credit_table(shares: Iterable[tuple]) -> CreditTable:
+    """The table of ``shares``, (pub_id, university_id, sds_id, fraction, standardized_value) rows, in their order."""
+    groups: dict[tuple[str, str], int] = {}
+    table = CreditTable(groups, [], [], [], [])
+    for pub_id, university, sds, fraction, value in shares:
+        table.pub_ids.append(pub_id)
+        table.codes.append(groups.setdefault((university, sds), len(groups)))
+        table.fractions.append(fraction)
+        table.values.append(value)
+    return table
+
+
+def reference_credit_shares(corpus: Corpus, baselines: dict[tuple[int, str], float]) -> list[Share]:
+    """The rows of ``scoring.credit_shares`` computed publication by publication with ``Fraction`` weights."""
+    return [
+        Share(pub.pub_id, university, sds, fraction, reference_standardized_value(pub, baselines))
         for pub in corpus.publications
         for (university, sds), fraction in reference_author_fractions(pub, corpus.taxonomy).items()
     ]

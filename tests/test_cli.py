@@ -1092,3 +1092,18 @@ def test_a_synth_failing_midway_leaves_its_out_dir_as_it_was(tmp_path, monkeypat
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
     else:
         assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_refuses_a_temporary_left_by_a_killed_run(tmp_path, capsys):
+    # A synth that is killed leaves its temporaries behind; the next run into that directory refuses them as it
+    # refuses the corpus files, and creates and removes nothing.
+    out = tmp_path / "out"
+    out.mkdir()
+    leftover = out / "staff.csv.tmp"
+    leftover.write_text("", encoding="utf-8")
+    assert cli.main(["synth", "--seed", "3", "--universities", "4", "--out-dir", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err == f"error: {leftover}: output file exists\n"
+    assert printed.out == ""
+    assert list(out.iterdir()) == [leftover]
+    assert leftover.read_text(encoding="utf-8") == ""

@@ -502,11 +502,34 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
         load_corpus(directory, WINDOW)
 
 
-@pytest.mark.parametrize("block_rows", [1, corpus_mod.BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 2, corpus_mod.BLOCK_ROWS])
 @pytest.mark.parametrize(
     "name, body, message",
     [
         ("taxonomy.csv", "S1,UDA1,false\nS1,UDA2,false\n", "taxonomy.csv:3: duplicate sds_id 'S1'"),
+        # The first copy lies before the first decrease of the first key column.
+        (
+            "taxonomy.csv", "S1,UDA1,false\nS2,UDA1,false\nS0,UDA1,false\nS1,UDA2,false\n",
+            "taxonomy.csv:5: duplicate sds_id 'S1'",
+        ),
+        (
+            "staff.csv", "R1,U1,S1,3.0\nR2,U1,S1,3.0\nR1,U2,S1,3.0\nR1,U1,S1,3.0\n",
+            "staff.csv:5: duplicate (researcher_id, university_id, sds_id) ('R1', 'U1', 'S1')",
+        ),
+        # One run of the first key column, over two and three blocks of two rows.
+        (
+            "staff.csv", "R1,U1,S1,3.0\nR1,U2,S1,3.0\nR1,U3,S1,3.0\nR1,U1,S1,3.0\n",
+            "staff.csv:5: duplicate (researcher_id, university_id, sds_id) ('R1', 'U1', 'S1')",
+        ),
+        (
+            "staff.csv", "R0,U1,S1,3.0\nR1,U1,S1,3.0\nR1,U2,S1,3.0\nR1,U3,S1,3.0\nR1,U4,S1,3.0\nR1,U1,S1,3.0\n",
+            "staff.csv:7: duplicate (researcher_id, university_id, sds_id) ('R1', 'U1', 'S1')",
+        ),
+        # A row of unknown position has no key, in the middle of a run too.
+        (
+            "pub_authors.csv", "P1,1,true,U1,S1\nP1,,false,,\nP1,1,false,,\n",
+            "pub_authors.csv:4: duplicate (pub_id, position) ('P1', 1)",
+        ),
         ("macro_map.csv", "UDA1,M1\nUDA1,M2\n", "macro_map.csv:3: duplicate uda_id 'UDA1'"),
         ("categories.csv", "C1,false\nC1,true\n", "categories.csv:3: duplicate category_id 'C1'"),
         (

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from bibliorank import corpus as corpus_mod
+from bibliorank import productivity
 from bibliorank.corpus import SCHEMAS, StaffEntry, Taxonomy, load_corpus
 from bibliorank.errors import ValidationError
 from bibliorank.productivity import (
@@ -19,9 +20,7 @@ from bibliorank.productivity import (
     university_productivity,
     write_score_csv,
 )
-from bibliorank.scoring import CreditShare
-
-from conftest import minimal_rows, write_corpus
+from conftest import Share, credit_table, minimal_rows, share_rows, write_corpus
 
 WINDOW = (2001, 2003)
 
@@ -31,21 +30,21 @@ def staff(researcher, university="U1", sds="S1", years=3.0):
 
 
 def share(university="U1", sds="S1", fraction=1.0, value=1.0, pub_id="P1"):
-    return CreditShare(pub_id, university, sds, fraction, value)
+    return Share(pub_id, university, sds, fraction, value)
 
 
 def test_staff_equivalent_full_window():
     roster = [staff("R1"), staff("R2")]
-    assert sds_productivity([], roster, WINDOW).entries[("U1", "S1")].RS == 2.0
+    assert sds_productivity(credit_table([]), roster, WINDOW).entries[("U1", "S1")].RS == 2.0
 
 
 def test_staff_equivalent_partial_years():
-    table = sds_productivity([], [staff("R1", years=2.0)], WINDOW)
+    table = sds_productivity(credit_table([]), [staff("R1", years=2.0)], WINDOW)
     assert table.entries[("U1", "S1")].RS == pytest.approx(2 / 3)
 
 
 def test_staff_equivalent_no_match():
-    assert ("U9", "S1") not in sds_productivity([], [staff("R1")], WINDOW).entries
+    assert ("U9", "S1") not in sds_productivity(credit_table([]), [staff("R1")], WINDOW).entries
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,7 @@ def _corpus_with_staff(tmp_path, n_staff, n_publishing):
     rows["pub_authors"] = [(f"P{i}", 1, "true", f"U{i}", "S1") for i in range(1, n_publishing + 1)]
     directory = write_corpus(tmp_path, **rows)
     corpus = load_corpus(directory, WINDOW)
-    shares = [share(university=f"U{i}") for i in range(1, n_publishing + 1)]
+    shares = credit_table(share(university=f"U{i}") for i in range(1, n_publishing + 1))
     return corpus, shares
 
 
@@ -83,7 +82,7 @@ def test_eligibility_no_staff(tmp_path):
     rows = minimal_rows()
     rows["taxonomy"].append(("S_EMPTY", "UDA1", "false"))
     corpus = load_corpus(write_corpus(tmp_path, **rows), WINDOW)
-    report = filter_eligible_sds(corpus, [])
+    report = filter_eligible_sds(corpus, credit_table([]))
     assert report["S_EMPTY"].active_fraction == 0.0
     assert not report["S_EMPTY"].eligible
 
@@ -96,11 +95,11 @@ def test_researcher_with_two_affiliations_in_an_sds_counts_once(tmp_path):
                      ("R1", "U1", "S1", "3.0")]
     rows["pub_authors"] = [("P1", 1, "true", "U2", "S1")]
     corpus = load_corpus(write_corpus(tmp_path, **rows), WINDOW)
-    report = filter_eligible_sds(corpus, [share(university="U2")])
+    report = filter_eligible_sds(corpus, credit_table([share(university="U2")]))
     assert report["S1"] == (2, 1, 0.5, True)
     assert report["S2"] == (1, 0, 0.0, False)
     # With U1 publishing too, both of R1's S1 affiliations are active, and R1 is still one active researcher.
-    report = filter_eligible_sds(corpus, [share(university="U1"), share(university="U2")])
+    report = filter_eligible_sds(corpus, credit_table([share(university="U1"), share(university="U2")]))
     assert report["S1"] == (2, 1, 0.5, True)
 
 
@@ -110,26 +109,26 @@ def test_researcher_with_two_affiliations_in_an_sds_counts_once(tmp_path):
 
 def test_sds_productivity_hand_example():
     roster = [staff("R1"), staff("R2")]  # RS = 2
-    shares = [share(value=2.0, fraction=1.0, pub_id="P1"), share(value=1.0, fraction=0.5, pub_id="P2")]
+    shares = credit_table([share(value=2.0, fraction=1.0, pub_id="P1"), share(value=1.0, fraction=0.5, pub_id="P2")])
     table = sds_productivity(shares, roster, WINDOW)
     assert table.entries[("U1", "S1")] == ScoreEntry(pytest.approx(1.25), 2.0)
 
 
 def test_sds_productivity_inactive_university_scores_zero():
-    table = sds_productivity([], [staff("R1")], WINDOW)
+    table = sds_productivity(credit_table([]), [staff("R1")], WINDOW)
     assert table.entries[("U1", "S1")].P == 0.0
 
 
 def test_sds_productivity_singleton_national_mean():
     roster = [staff("R1"), staff("R2")]
-    shares = [share(value=2.0), share(value=1.0, fraction=0.5, pub_id="P2")]
+    shares = credit_table([share(value=2.0), share(value=1.0, fraction=0.5, pub_id="P2")])
     table = sds_productivity(shares, roster, WINDOW)
     assert table.national_means["S1"] == pytest.approx(1.25)
 
 
 def test_national_mean_includes_silent_universities():
     roster = [staff("R1", "U1"), staff("R2", "U2")]
-    shares = [share(university="U1", value=2.0)]
+    shares = credit_table([share(university="U1", value=2.0)])
     table = sds_productivity(shares, roster, WINDOW)
     # U1 scores 2.0, U2 scores 0; unweighted mean over both
     assert table.national_means["S1"] == pytest.approx(1.0)
@@ -278,7 +277,7 @@ def test_normalization_identity_randomized():
 def test_window_rescaling_leaves_rankings_unchanged():
     """Scaling the window and years together rescales all P uniformly."""
     roster = [staff("R1", "U1", years=3.0), staff("R2", "U2", years=1.5)]
-    shares = [share(university="U1", value=2.0), share(university="U2", value=1.0, pub_id="P2")]
+    shares = credit_table([share(university="U1", value=2.0), share(university="U2", value=1.0, pub_id="P2")])
     base = sds_productivity(shares, roster, WINDOW)
     scaled_roster = [StaffEntry(e.researcher_id, e.university_id, e.sds_id, e.years_on_staff * 2) for e in roster]
     scaled = sds_productivity(shares, scaled_roster, (2000, 2005))  # window length doubled
@@ -297,7 +296,7 @@ def test_window_rescaling_leaves_rankings_unchanged():
 # Pipeline and CSV round-trip
 
 
-def test_score_corpus_excludes_ineligible_sds(tmp_path):
+def test_score_corpus_excludes_ineligible_sds(tmp_path, monkeypatch):
     rows = minimal_rows()
     rows["taxonomy"] = [("S1", "UDA1", "false"), ("S2", "UDA1", "false")]
     rows["staff"] = [
@@ -311,7 +310,16 @@ def test_score_corpus_excludes_ineligible_sds(tmp_path):
     rows["pub_categories"] = [("P1", "C1", "1.0"), ("P2", "C1", "1.0")]
     rows["pub_authors"] = [("P1", 1, "true", "U1", "S1"), ("P2", 1, "true", "U1", "S2")]
     corpus = load_corpus(write_corpus(tmp_path, **rows), WINDOW)
+    passed = []  # the shares score_corpus gives sds_productivity
+
+    def recording(shares, *args):
+        passed.append(share_rows(shares))
+        return sds_productivity(shares, *args)
+
+    monkeypatch.setattr(productivity, "sds_productivity", recording)
     bundle = score_corpus(corpus)
+    assert [(s.pub_id, s.sds_id) for s in passed[0]] == [("P1", "S1")]
+    assert bundle.sds.entries[("U1", "S1")].P == pytest.approx(4 / 3)  # P1's 2 citations over the cell median 1.5
     assert bundle.eligibility["S1"].eligible
     assert not bundle.eligibility["S2"].eligible
     assert all(sds != "S2" for _, sds in bundle.sds.entries)

@@ -7,6 +7,7 @@ import statistics
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -40,7 +41,9 @@ from bibliorank.rankcmp import (
 from bibliorank.scoring import compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, generate, synthesize
 
-from conftest import column_faults, emit_corpus, reference_credit_shares, reference_position_weights, spoil
+from conftest import (
+    column_faults, emit_corpus, reference_credit_shares, reference_position_weights, share_rows, spoil,
+)
 
 WINDOW = (2001, 2003)
 WINDOW_LEN = WINDOW[1] - WINDOW[0] + 1
@@ -158,7 +161,7 @@ def test_load_reports_the_first_bad_row_in_file_order_across_blocks(tmp_path_fac
 
 @settings(max_examples=10, deadline=None)
 @given(params=synth_params, data=st.data())
-def test_sds_productivity_bits_do_not_depend_on_share_or_roster_order(tmp_path_factory, params, data):
+def test_sds_productivity_bits_do_not_depend_on_roster_order(tmp_path_factory, params, data):
     root = tmp_path_factory.mktemp("order")
     synthesize(params, root)
     corpus = load_corpus(root, WINDOW)
@@ -166,7 +169,6 @@ def test_sds_productivity_bits_do_not_depend_on_share_or_roster_order(tmp_path_f
     roster = list(corpus.staff)
     expected = sds_productivity(shares, roster, WINDOW)
     rng = data.draw(st.randoms(use_true_random=False))
-    rng.shuffle(shares)
     rng.shuffle(roster)
     table = sds_productivity(shares, roster, WINDOW)
     assert repr(table.entries) == repr(expected.entries)
@@ -202,6 +204,49 @@ def test_runs_group_items_by_id_in_their_order(ids, picks, arrangement):
     assert sort.called == (keys != sorted(keys))  # keys in order take the path without a sort
 
 
+# Keys from small alphabets, so that keys repeat and runs of the first key column are long; a None position is blank.
+KEY_STRATEGIES = {
+    "staff": st.tuples(*(st.sampled_from([f"{c}1", f"{c}2"]) for c in "RUS")),
+    "pub_authors": st.tuples(st.sampled_from(["P1", "P2", "P3"]), st.sampled_from([None, 1, 2, 3])),
+}
+KEY_ROWS = {
+    "staff": lambda key: f"{key[0]},{key[1]},{key[2]},1.0",
+    "pub_authors": lambda key: f"{key[0]},{'' if key[1] is None else key[1]},false,,",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stem=st.sampled_from(sorted(KEY_STRATEGIES)),
+    block_rows=st.sampled_from([1, 2, 3, corpus_mod.BLOCK_ROWS]),
+    data=st.data(),
+)
+def test_a_repeated_key_is_named_where_a_set_of_every_key_read_names_it(tmp_path_factory, stem, block_rows, data):
+    # While the first key column is in order the reader keeps only its current run's keys; the first decrease
+    # builds the set of every key read so far.  Either way the row named is the first whose key came before.
+    keys = data.draw(st.lists(KEY_STRATEGIES[stem], max_size=14), label="keys")
+    cut = data.draw(st.integers(0, len(keys)), label="cut")  # rows from the cut on stay as drawn
+    keys[:cut] = sorted(keys[:cut], key=itemgetter(0))
+    path = tmp_path_factory.mktemp("keys") / f"{stem}.csv"
+    path.write_text("\n".join([",".join(SCHEMAS[stem]), *map(KEY_ROWS[stem], keys)]) + "\n", encoding="utf-8")
+    key_name = f"({', '.join(spec for spec in SCHEMAS[stem] if spec.key)})"
+    seen: set = set()
+    expected = None
+    for line, key in enumerate(keys, 2):
+        if key in seen:
+            expected = f"{path.name}:{line}: duplicate {key_name} {key!r}"
+            break
+        if None not in key:  # a row of unknown position has no key
+            seen.add(key)
+    with mock.patch.object(corpus_mod, "BLOCK_ROWS", block_rows):
+        try:
+            corpus_mod.read_rows(path, stem, lambda lines, columns: None, window_len=WINDOW_LEN)
+        except ValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+
 LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"LC"}))
 
 
@@ -229,7 +274,7 @@ def test_positional_group_fractions_and_residual_sum_to_one(n, life_science, sha
             groups[university] = groups.get(university, Fraction(0)) + weights[position]
     residual = sum((w for position, w in weights.items() if owners.get(position) is None), Fraction(0))
     assert sum(groups.values()) + residual == 1
-    shares = credit_shares(Corpus(WINDOW, (pub,), (), LIFE_TAXONOMY, (), ()), {(2001, category): 1.0})
+    shares = share_rows(credit_shares(Corpus(WINDOW, (pub,), (), LIFE_TAXONOMY, (), ()), {(2001, category): 1.0}))
     assert {(s.university_id, s.sds_id): s.fraction for s in shares} == {
         (u, "S1"): float(f) for u, f in sorted(groups.items())
     }
@@ -253,7 +298,7 @@ def test_credit_shares_match_the_per_publication_reference(
     synthesize(params, root)
     corpus = load_corpus(root, WINDOW)
     baselines = compute_baselines(corpus)
-    shares = credit_shares(corpus, baselines)
+    shares = share_rows(credit_shares(corpus, baselines))
     expected = reference_credit_shares(corpus, baselines)
     assert shares == expected
     assert repr(shares) == repr(expected)  # every float bit, signs of zero too
@@ -284,7 +329,8 @@ def test_scaling_every_citation_keeps_standardized_values_where_medians_are_posi
     assert kept
 
     def values(corpus: Corpus) -> dict[str, str]:
-        return {s.pub_id: repr(s.standardized_value) for s in credit_shares(corpus, compute_baselines(corpus))}
+        shares = share_rows(credit_shares(corpus, compute_baselines(corpus)))
+        return {s.pub_id: repr(s.standardized_value) for s in shares}
 
     original, rescaled = values(corpus), values(scaled)
     assert {pub_id: rescaled[pub_id] for pub_id in kept} == {pub_id: original[pub_id] for pub_id in kept}

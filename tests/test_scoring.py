@@ -7,7 +7,7 @@ import pytest
 from bibliorank.corpus import AuthorSlot, Corpus, PublicationRecord, Taxonomy, load_corpus
 from bibliorank.scoring import class_numerators, compute_baselines, credit_shares
 
-from conftest import minimal_rows, reference_position_weights, write_corpus
+from conftest import minimal_rows, reference_position_weights, share_rows, write_corpus
 
 PLAIN_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset())
 LIFE_TAXONOMY = Taxonomy({"S1": "UDA1"}, {}, frozenset({"LC"}))
@@ -36,7 +36,7 @@ def shares_of(pub, taxonomy, baselines=None):
     """Credit shares of a one-publication corpus; every cell's divisor is 1 unless ``baselines`` are given."""
     if baselines is None:
         baselines = {(pub.year, category): 1.0 for category, _ in pub.categories}
-    return credit_shares(Corpus((2001, 2003), (pub,), (), taxonomy, (), ()), baselines)
+    return share_rows(credit_shares(Corpus((2001, 2003), (pub,), (), taxonomy, (), ()), baselines))
 
 
 def fractions_of(pub, taxonomy):
@@ -48,7 +48,7 @@ def value_of(pub, baselines):
 
 
 def standardized_values(corpus, baselines):
-    return [share.standardized_value for share in credit_shares(corpus, baselines)]
+    return [share.standardized_value for share in share_rows(credit_shares(corpus, baselines))]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_credit_shares_composition(tmp_path):
     rows["pub_authors"] = [("P1", 1, "true", "U1", "S1"), ("P2", 1, "true", "U1", "S1")]
     corpus = load_corpus(write_corpus(tmp_path, **rows), (2001, 2003))
     baselines = compute_baselines(corpus)
-    shares = credit_shares(corpus, baselines)
+    shares = share_rows(credit_shares(corpus, baselines))
     # median of {4, 2} is 3
     assert [(s.pub_id, s.fraction, s.standardized_value) for s in shares] == [
         ("P1", 1.0, pytest.approx(4 / 3)),
@@ -322,7 +322,7 @@ def test_credit_shares_split(tmp_path):
     rows["pub_authors"] = [("P1", 1, "true", "U1", "S1"), ("P1", 2, "true", "U2", "S1")]
     rows["staff"] = [("R1", "U1", "S1", "3.0"), ("R2", "U2", "S1", "3.0")]
     corpus = load_corpus(write_corpus(tmp_path, **rows), (2001, 2003))
-    shares = credit_shares(corpus, compute_baselines(corpus))
+    shares = share_rows(credit_shares(corpus, compute_baselines(corpus)))
     assert [(s.university_id, s.fraction) for s in shares] == [("U1", 0.5), ("U2", 0.5)]
     assert math.isclose(sum(s.fraction for s in shares), 1.0)
 
@@ -333,4 +333,6 @@ def test_credit_shares_empty_corpus(tmp_path):
     rows["pub_categories"] = []
     rows["pub_authors"] = []
     corpus = load_corpus(write_corpus(tmp_path, **rows), (2001, 2003))
-    assert credit_shares(corpus, {}) == []
+    shares = credit_shares(corpus, {})
+    assert len(shares) == 0
+    assert share_rows(shares) == []
