@@ -83,12 +83,20 @@ the rows of the two per-publication files by pub id, finding each
 publication's rows by bisection on the ordered pub ids.  Synth writes both
 files in pub-id order, and rows already in that order are grouped as they
 are, without the sort index and reordered copies that any other order
-needs.  With that, with the key check above, with credit shares held as
-columns (``scoring.CreditTable``) and with ``report`` freeing the corpus
-before it compares rankings, the same ``report`` peaks at about 80 MB.
-Under ``tracemalloc`` its load peaks 19 MB above the 38 MB corpus it
-keeps, at the end of grouping the publication rows, and its scoring 17 MB
-above it.
+needs.  Grouping goes in stages, each freeing what the next does not read:
+the heads are listed in pub-id order and the pub-id map and the memos
+dropped; each publication's categories are checked and made one sorted
+tuple, and the category rows dropped; each byline is checked and sorted,
+and the slot rows dropped; last the records are built and the window and
+domestic-author filters applied.  A stage stops at its first faulty
+publication and the next checks only those before it, so the error is the
+first failing check of the first failing publication in pub-id order.
+With that, with the key check above, with credit shares held as typed
+arrays (``scoring.CreditTable``) and with ``report`` freeing the corpus
+before it compares rankings, the same ``report`` peaks at about 72 MB.
+Under ``tracemalloc`` its load peaks 9 MB above the 38 MB corpus it keeps,
+as the last stage builds the records (reading the author rows comes within
+1 MB of that), and its scoring 12 MB above it.
 
 Each rule on outside input is checked once, where the input is read: by
 the loaders here, ``productivity.read_score_csv``,
@@ -684,10 +692,10 @@ def _release_freed_heap() -> None:
     """Return the heap pages that the load's freed temporaries held to the OS (glibc only).
 
     glibc returns heap memory only from the top of its heap, and which
-    block ends up there depends on earlier allocation addresses.  Over 15
-    lengths of the corpus path, a 200-university ``report`` peaked at
-    90.6-91.6 MB with this, and without it at about 91 MB for 3 lengths and
-    105.4-108.0 MB for the other 12.
+    block ends up there depends on earlier allocation addresses.  Over 8
+    lengths of the corpus path on each of two 200-university corpora, a
+    ``report`` peaked at 71.0-74.8 MB with this and at 71.1-76.7 MB without
+    it, lower with it at 15 of the 16 and by about 2 MB at the median.
     """
     import ctypes
 
@@ -763,7 +771,7 @@ def _load_publications(
         heads.update(zip(pids, _interned(head_memo, zip(years, *head))))
 
     read_rows(paths.publications, "publications", publications_block, ids=ids)
-    known = {**known, "publications.pub_id": heads}  # a copy: heads goes on return, before the heap is trimmed
+    known = {**known, "publications.pub_id": heads}  # a copy, so heads goes before the records are grouped
 
     # Rows of the two per-publication files, kept flat: the pub_id of each row and its
     # (category_id, weight) or AuthorSlot.
@@ -805,43 +813,56 @@ def _load_publications(
 
     read_rows(paths.pub_authors, "pub_authors", authors_block, ids=ids, known=known)
 
-    cat_name, auth_name = paths.pub_categories.name, paths.pub_authors.name
-    shared: dict[tuple, tuple] = {}  # equal category tuples share one object
-    publications: list[PublicationRecord] = []
-    out_of_window = 0
-    no_domestic = 0
-    start, end = window
+    # Grouping goes in stages that free what later ones do not read; each stops at its first faulty publication
+    # and the next checks only those before it (see the module docstring).
     order = sorted(heads)
-    for pid, cats, pub_slots in zip(
-        order, _runs(order, category_pids, category_items), _runs(order, slot_pids, slots)
-    ):
-        year, citations, total = heads[pid]
+    pub_heads = list(map(heads.__getitem__, order))
+    del heads, known, head_memo, item_memo, slot_memo
+    cat_name, auth_name = paths.pub_categories.name, paths.pub_authors.name
+    fault = None
+    shared: dict[tuple, tuple] = {}  # equal category tuples share one object
+    pub_categories: list[tuple[tuple[str, float], ...]] = []
+    for pid, cats in zip(order, _runs(order, category_pids, category_items)):
         if not cats:
-            raise ValidationError(f"{cat_name}: pub {pid!r}: no categories listed")
+            fault = f"{cat_name}: pub {pid!r}: no categories listed"
+            break
         weight_sum = sum(map(itemgetter(1), cats))  # in file order, so the sum is stable
         if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"{cat_name}: pub {pid!r}: weights sum {weight_sum:g}")
+            fault = f"{cat_name}: pub {pid!r}: weights sum {weight_sum:g}"
+            break
+        cat_items = tuple(sorted(cats))
+        pub_categories.append(shared.setdefault(cat_items, cat_items))
+    del category_pids, category_items, shared
+
+    life_categories = taxonomy.life_science_categories
+    bylines: list[tuple[AuthorSlot, ...]] = []
+    totals = map(itemgetter(2), pub_heads)
+    for pid, total, cats, pub_slots in zip(order, totals, pub_categories, _runs(order, slot_pids, slots)):
         if len(pub_slots) > total:
             raise ValidationError(
                 f"{auth_name}: pub {pid!r}: {len(pub_slots)} listed authors exceed total_author_count {total}"
             )
-        cat_items = tuple(sorted(cats))
+        # Taxonomy.is_life_science_publication, asked before the record exists.
+        if pid in unplaced and not life_categories.isdisjoint(map(itemgetter(0), cats)):
+            raise ValidationError(f"{auth_name}: pub {pid!r}: life-science publication with unknown author positions")
         # Known positions are unique per publication, so they alone give the byline order.
         pub_slots.sort(key=_byline_order if pid in unplaced else itemgetter(0))
-        pub = PublicationRecord(
-            pid, year, citations, shared.setdefault(cat_items, cat_items), tuple(pub_slots), total
-        )
-        if pid in unplaced and taxonomy.is_life_science_publication(pub):
-            raise ValidationError(
-                f"{auth_name}: pub {pid!r}: life-science publication with unknown author positions"
-            )
+        bylines.append(tuple(pub_slots))
+    if fault is not None:
+        raise ValidationError(fault)
+    del slot_pids, slots, unplaced
+
+    publications: list[PublicationRecord] = []
+    out_of_window = 0
+    no_domestic = 0
+    start, end = window
+    for pid, (year, citations, total), cats, pub_slots in zip(order, pub_heads, pub_categories, bylines):
         if not start <= year <= end:
             out_of_window += 1
-            continue
-        if not any(map(itemgetter(1), pub_slots)):  # no domestic academic: no slot has a university
+        elif not any(map(itemgetter(1), pub_slots)):  # no domestic academic: no slot has a university
             no_domestic += 1
-            continue
-        publications.append(pub)
+        else:
+            publications.append(PublicationRecord(pid, year, citations, cats, pub_slots, total))
     return tuple(publications), out_of_window, no_domestic
 
 

@@ -17,6 +17,7 @@ productivity sums each group's credit by its code, in ``pub_id`` order.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
@@ -179,8 +180,8 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
     if len(eligible) < len(eligibility):  # keep the shares of eligible SDSs only
         kept = [sds in eligible for _, sds in shares.groups]  # by code
         mask = list(map(kept.__getitem__, shares.codes))
-        columns = (shares.pub_ids, shares.codes, shares.fractions, shares.values)
-        shares = CreditTable(shares.groups, *(list(compress(column, mask)) for column in columns))
+        columns = (shares.codes, shares.fractions, shares.values)
+        shares = CreditTable(shares.groups, *(array(column.typecode, compress(column, mask)) for column in columns))
     sds_table = sds_productivity(shares, roster, corpus.window)
     return ScoreBundle(
         eligibility=eligibility,

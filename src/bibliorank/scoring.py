@@ -24,16 +24,18 @@ written over: the same float that ``float()`` of the ``Fraction`` sum
 gives.
 
 Shares are kept as columns (:class:`CreditTable`): one entry per share in
-each of four lists, with each (university, SDS) group as a dense int code.
-The 124k shares of a 200-university corpus hold 11.0 MB of Python heap
-this way, against 16.4 MB as one record per share, and a group's credit
-is summed without a record, a key tuple or a sorted copy per share.
+each of three typed arrays, with each (university, SDS) group as a dense
+int code.  The 124k shares of a 200-university corpus hold 3.0 MB of
+Python heap this way, against 11.0 MB as four lists with the pub ids and
+16.4 MB as one record per share, and a group's credit is summed without a
+record, a key tuple or a sorted copy per share.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections import defaultdict
 from typing import Mapping
 
@@ -52,18 +54,16 @@ class CreditTable:
 
     ``groups`` maps each (university, SDS) group that owns a share to its
     code, 0, 1, ... in order of its first share.  Share ``i`` gives group
-    ``codes[i]`` the fraction ``fractions[i]`` of the standardized value
-    ``values[i]`` of publication ``pub_ids[i]``.  ``len()`` is the number of
-    shares.
+    ``codes[i]`` (an ``array('q')``) the fraction ``fractions[i]`` of its
+    publication's standardized value ``values[i]`` (both ``array('d')``).
+    No column names the publication: nothing downstream reads it.  ``len()``
+    is the number of shares.
     """
 
-    __slots__ = ("groups", "pub_ids", "codes", "fractions", "values")
+    __slots__ = ("groups", "codes", "fractions", "values")
 
-    def __init__(
-        self, groups: dict[tuple[str, str], int], pub_ids: list[str], codes: list[int], fractions: list[float],
-        values: list[float],
-    ) -> None:
-        self.groups, self.pub_ids, self.codes, self.fractions, self.values = groups, pub_ids, codes, fractions, values
+    def __init__(self, groups: dict[tuple[str, str], int], codes: array, fractions: array, values: array) -> None:
+        self.groups, self.codes, self.fractions, self.values = groups, codes, fractions, values
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -130,11 +130,11 @@ def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> Cre
     """
     is_life_science = corpus.taxonomy.is_life_science_publication
     groups: dict[tuple[str, str], int] = {}
-    table = CreditTable(groups, [], [], [], [])
-    add_pub_id, add_code = table.pub_ids.append, table.codes.append
+    table = CreditTable(groups, array("q"), array("d"), array("d"))
+    add_code = table.codes.append
     add_fraction, add_value = table.fractions.append, table.values.append
     for pub in corpus.publications:  # sorted by pub_id
-        pub_id, year, citations, categories, authors, n = pub
+        _, year, citations, categories, authors, n = pub
         value = 0.0
         for category, weight in categories:
             divisor = baselines[year, category]
@@ -164,7 +164,6 @@ def credit_shares(corpus: Corpus, baselines: Mapping[BaselineKey, float]) -> Cre
             numerators[group] = numerators.get(group, 0) + numerator
         # int / int is correctly rounded, so the float equals that of the exact Fraction sum.
         for group, numerator in sorted(numerators.items()):
-            add_pub_id(pub_id)
             add_code(groups.setdefault(group, len(groups)))
             add_fraction(numerator / denominator)
             add_value(value)

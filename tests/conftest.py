@@ -3,6 +3,7 @@ credit tables as rows, and reference credit per publication."""
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -249,7 +250,6 @@ def reference_standardized_value(pub: PublicationRecord, baselines: dict[tuple[i
 class Share(NamedTuple):
     """One credit share: the fraction of a publication's standardized value that a (university, SDS) group owns."""
 
-    pub_id: str
     university_id: str
     sds_id: str
     fraction: float
@@ -259,28 +259,32 @@ class Share(NamedTuple):
 def share_rows(table: CreditTable) -> list[Share]:
     """The shares of ``table``, in its order, read from its columns."""
     groups = list(table.groups)  # in code order
-    return [
-        Share(pub_id, *groups[code], fraction, value)
-        for pub_id, code, fraction, value in zip(table.pub_ids, table.codes, table.fractions, table.values)
-    ]
+    columns = zip(table.codes, table.fractions, table.values)
+    return [Share(*groups[code], fraction, value) for code, fraction, value in columns]
 
 
 def credit_table(shares: Iterable[tuple]) -> CreditTable:
-    """The table of ``shares``, (pub_id, university_id, sds_id, fraction, standardized_value) rows, in their order."""
-    groups: dict[tuple[str, str], int] = {}
-    table = CreditTable(groups, [], [], [], [])
-    for pub_id, university, sds, fraction, value in shares:
-        table.pub_ids.append(pub_id)
-        table.codes.append(groups.setdefault((university, sds), len(groups)))
+    """The table of ``shares``, (university_id, sds_id, fraction, standardized_value) rows, in their order."""
+    table = CreditTable({}, array("q"), array("d"), array("d"))
+    for university, sds, fraction, value in shares:
+        table.codes.append(table.groups.setdefault((university, sds), len(table.groups)))
         table.fractions.append(fraction)
         table.values.append(value)
     return table
 
 
+def share_pub_ids(corpus: Corpus) -> list[str]:
+    """The pub id of each of the corpus's credit shares, in table order: one per domestic group of a publication."""
+    return [
+        pub.pub_id for pub in corpus.publications
+        for _ in {(slot.university_id, slot.sds_id) for slot in pub.authors if slot.university_id is not None}
+    ]
+
+
 def reference_credit_shares(corpus: Corpus, baselines: dict[tuple[int, str], float]) -> list[Share]:
     """The rows of ``scoring.credit_shares`` computed publication by publication with ``Fraction`` weights."""
     return [
-        Share(pub.pub_id, university, sds, fraction, reference_standardized_value(pub, baselines))
+        Share(university, sds, fraction, reference_standardized_value(pub, baselines))
         for pub in corpus.publications
         for (university, sds), fraction in reference_author_fractions(pub, corpus.taxonomy).items()
     ]

@@ -1,7 +1,9 @@
 import gc
+import itertools
 import re
 import warnings
 from pathlib import Path
+from typing import Collection
 
 import pytest
 
@@ -194,6 +196,57 @@ def test_life_science_publication_requires_positions(tmp_path):
     rows["categories"] = [("C1", "true")]
     directory = write_corpus(tmp_path, **rows)
     with pytest.raises(ValidationError, match="unknown author positions"):
+        load_corpus(directory, WINDOW)
+
+
+# The publication-level checks in the order a publication is put through them, each with its message.
+PUBLICATION_FAULTS = {
+    "no-categories": "pub_categories.csv: pub {!r}: no categories listed",
+    "weight-sum": "pub_categories.csv: pub {!r}: weights sum 0.5",
+    "too-many-authors": "pub_authors.csv: pub {!r}: 3 listed authors exceed total_author_count 2",
+    "life-science-unknown-positions": (
+        "pub_authors.csv: pub {!r}: life-science publication with unknown author positions"
+    ),
+}
+
+
+def _publication_rows(pid: str, faults: Collection[str]) -> dict[str, list[tuple]]:
+    """The rows of a two-author publication that fails each of ``faults`` and no other check."""
+    category = "CL" if "life-science-unknown-positions" in faults else "C1"
+    weight = "0.5" if "weight-sum" in faults else "1.0"
+    authors = [(pid, "" if "life-science-unknown-positions" in faults else 1, "true", "U1", "S1")]
+    if "too-many-authors" in faults:
+        authors += [(pid, "", "false", "", "")] * 2
+    return {
+        "publications": [(pid, 2001, "article", 4, 2)],
+        "pub_categories": [] if "no-categories" in faults else [(pid, category, weight)],
+        "pub_authors": authors,
+    }
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        *([[first], [second]] for first, second in itertools.permutations(PUBLICATION_FAULTS, 2)),
+        *([[first], [second], [third]] for first, second, third in itertools.permutations(PUBLICATION_FAULTS, 3)),
+        # One publication failing two checks, before one failing a third.
+        [["no-categories", "too-many-authors"], ["weight-sum"]],
+        [["weight-sum", "too-many-authors"], ["no-categories"]],
+        [["weight-sum", "life-science-unknown-positions"], ["no-categories"]],
+        [["too-many-authors", "life-science-unknown-positions"], ["weight-sum"]],
+    ],
+    ids=lambda faults: " then ".join("+".join(pub) for pub in faults),
+)
+def test_the_first_failing_publication_in_pub_id_order_is_named_with_its_first_failing_check(tmp_path, faults):
+    # Valid P0 and P9 around the faulty P1, P2, ...; every file lists its rows in reverse pub-id order.
+    pubs = [("P0", ())] + [(f"P{i}", pub_faults) for i, pub_faults in enumerate(faults, 1)] + [("P9", ())]
+    rows = minimal_rows()
+    for stem in ("publications", "pub_categories", "pub_authors"):
+        rows[stem] = [row for pid, pub_faults in reversed(pubs) for row in _publication_rows(pid, pub_faults)[stem]]
+    rows["categories"] = [("C1", "false"), ("CL", "true")]
+    directory = write_corpus(tmp_path, **rows)
+    first = next(fault for fault in PUBLICATION_FAULTS if fault in faults[0])
+    with pytest.raises(ValidationError, match=f"^{re.escape(PUBLICATION_FAULTS[first].format('P1'))}$"):
         load_corpus(directory, WINDOW)
 
 

@@ -29,8 +29,8 @@ def staff(researcher, university="U1", sds="S1", years=3.0):
     return StaffEntry(researcher, university, sds, years)
 
 
-def share(university="U1", sds="S1", fraction=1.0, value=1.0, pub_id="P1"):
-    return Share(pub_id, university, sds, fraction, value)
+def share(university="U1", sds="S1", fraction=1.0, value=1.0):
+    return Share(university, sds, fraction, value)
 
 
 def test_staff_equivalent_full_window():
@@ -109,7 +109,7 @@ def test_researcher_with_two_affiliations_in_an_sds_counts_once(tmp_path):
 
 def test_sds_productivity_hand_example():
     roster = [staff("R1"), staff("R2")]  # RS = 2
-    shares = credit_table([share(value=2.0, fraction=1.0, pub_id="P1"), share(value=1.0, fraction=0.5, pub_id="P2")])
+    shares = credit_table([share(value=2.0, fraction=1.0), share(value=1.0, fraction=0.5)])
     table = sds_productivity(shares, roster, WINDOW)
     assert table.entries[("U1", "S1")] == ScoreEntry(pytest.approx(1.25), 2.0)
 
@@ -121,7 +121,7 @@ def test_sds_productivity_inactive_university_scores_zero():
 
 def test_sds_productivity_singleton_national_mean():
     roster = [staff("R1"), staff("R2")]
-    shares = credit_table([share(value=2.0), share(value=1.0, fraction=0.5, pub_id="P2")])
+    shares = credit_table([share(value=2.0), share(value=1.0, fraction=0.5)])
     table = sds_productivity(shares, roster, WINDOW)
     assert table.national_means["S1"] == pytest.approx(1.25)
 
@@ -277,7 +277,7 @@ def test_normalization_identity_randomized():
 def test_window_rescaling_leaves_rankings_unchanged():
     """Scaling the window and years together rescales all P uniformly."""
     roster = [staff("R1", "U1", years=3.0), staff("R2", "U2", years=1.5)]
-    shares = credit_table([share(university="U1", value=2.0), share(university="U2", value=1.0, pub_id="P2")])
+    shares = credit_table([share(university="U1", value=2.0), share(university="U2", value=1.0)])
     base = sds_productivity(shares, roster, WINDOW)
     scaled_roster = [StaffEntry(e.researcher_id, e.university_id, e.sds_id, e.years_on_staff * 2) for e in roster]
     scaled = sds_productivity(shares, scaled_roster, (2000, 2005))  # window length doubled
@@ -318,7 +318,7 @@ def test_score_corpus_excludes_ineligible_sds(tmp_path, monkeypatch):
 
     monkeypatch.setattr(productivity, "sds_productivity", recording)
     bundle = score_corpus(corpus)
-    assert [(s.pub_id, s.sds_id) for s in passed[0]] == [("P1", "S1")]
+    assert passed[0] == [share(fraction=1.0, value=4 / 3)]  # P1's share only
     assert bundle.sds.entries[("U1", "S1")].P == pytest.approx(4 / 3)  # P1's 2 citations over the cell median 1.5
     assert bundle.eligibility["S1"].eligible
     assert not bundle.eligibility["S2"].eligible

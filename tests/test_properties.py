@@ -6,7 +6,9 @@ import csv
 import statistics
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from unittest import mock
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bibliorank import cli
+from bibliorank import cli, productivity
 from bibliorank import corpus as corpus_mod
 from bibliorank.corpus import (
     HIGHER_IS_BETTER,
@@ -27,13 +29,16 @@ from bibliorank.corpus import (
     CorpusPaths,
     PeerOutcome,
     PublicationRecord,
+    StaffEntry,
     Taxonomy,
     load_corpus,
     write_csv,
 )
 from bibliorank.errors import ValidationError
 from bibliorank.peer_rating import rating_key
-from bibliorank.productivity import LEVELS, ScoreEntry, ScoreTable, read_score_csv, sds_productivity, write_score_csv
+from bibliorank.productivity import (
+    LEVELS, ScoreEntry, ScoreTable, read_score_csv, score_corpus, sds_productivity, write_score_csv,
+)
 from bibliorank.rankcmp import (
     build_ranking, compare_rankings, correlation_matrix, read_ranking_csv, render_comparison, render_matrix,
     write_ranking_csv,
@@ -42,7 +47,7 @@ from bibliorank.scoring import compute_baselines, credit_shares
 from bibliorank.synth import SynthParams, generate, synthesize
 
 from conftest import (
-    column_faults, emit_corpus, reference_credit_shares, reference_position_weights, share_rows, spoil,
+    column_faults, emit_corpus, reference_credit_shares, reference_position_weights, share_pub_ids, share_rows, spoil,
 )
 
 WINDOW = (2001, 2003)
@@ -173,6 +178,40 @@ def test_sds_productivity_bits_do_not_depend_on_roster_order(tmp_path_factory, p
     table = sds_productivity(shares, roster, WINDOW)
     assert repr(table.entries) == repr(expected.entries)
     assert repr(table.national_means) == repr(expected.national_means)
+
+
+@settings(max_examples=15, deadline=None)
+@given(params=synth_params, data=st.data())
+def test_an_ineligible_sds_loses_exactly_its_shares_and_leaves_every_score_table(tmp_path_factory, params, data):
+    root = tmp_path_factory.mktemp("ineligible")
+    synthesize(params, root)
+    corpus = load_corpus(root, WINDOW)
+    full = credit_shares(corpus, compute_baselines(corpus))
+    sds = data.draw(st.sampled_from(sorted({sds for _, sds in full.groups})), label="sds")
+    # More silent researchers than the SDS has staff entries, at a university that publishes nothing, leave
+    # under half of the SDS's researchers publishing.
+    silent = [StaffEntry(f"R~{i}", "U~silent", sds, 1.0) for i in range(len(corpus.staff) + 1)]
+    corpus = corpus._replace(staff=tuple(sorted((*corpus.staff, *silent), key=itemgetter(0, 1, 2))))
+    passed = []  # the shares score_corpus gives sds_productivity
+
+    def recording(shares, *args):
+        passed.append(shares)
+        return sds_productivity(shares, *args)
+
+    with mock.patch.object(productivity, "sds_productivity", recording):
+        bundle = score_corpus(corpus)
+    assert not bundle.eligibility[sds].eligible
+    (masked,) = passed
+    assert masked.groups == full.groups and len(masked) < len(full)
+    eligible = [bundle.eligibility[group_sds].eligible for _, group_sds in full.groups]  # by code
+    mask = list(map(eligible.__getitem__, full.codes))
+    assert (full.codes.typecode, full.fractions.typecode, full.values.typecode) == ("q", "d", "d")
+    for name in ("codes", "fractions", "values"):
+        column, unmasked = getattr(masked, name), getattr(full, name)
+        assert column.typecode == unmasked.typecode
+        assert column.tobytes() == array(unmasked.typecode, compress(unmasked, mask)).tobytes()
+    assert sds not in bundle.sds.national_means
+    assert all(unit != sds for table in bundle[1:] for _, unit in table.entries)
 
 
 ARRANGEMENTS = ("sorted", "partly sorted", "reversed", "as drawn")
@@ -328,9 +367,12 @@ def test_scaling_every_citation_keeps_standardized_values_where_medians_are_posi
     kept = {pub.pub_id for pub in corpus.publications if all((pub.year, cat) in positive for cat, _ in pub.categories)}
     assert kept
 
+    pub_ids = share_pub_ids(corpus)  # scaling keeps every byline, so both corpora's shares have these
+
     def values(corpus: Corpus) -> dict[str, str]:
         shares = share_rows(credit_shares(corpus, compute_baselines(corpus)))
-        return {s.pub_id: repr(s.standardized_value) for s in shares}
+        assert len(shares) == len(pub_ids)
+        return {pub_id: repr(s.standardized_value) for pub_id, s in zip(pub_ids, shares)}
 
     original, rescaled = values(corpus), values(scaled)
     assert {pub_id: rescaled[pub_id] for pub_id in kept} == {pub_id: original[pub_id] for pub_id in kept}
