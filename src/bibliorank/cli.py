@@ -313,7 +313,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.exists():
         raise ValidationError(f"{path}: missing input file")
-    header = corpus_mod.read_header(path)
+    with corpus_mod._open_csv(path) as (_, header):
+        header = tuple(header)
     # (unit, default label, university scores, direction) of each ranking in the file; indicators have no unit.
     found: list[tuple[str | None, str, dict[str, float], str]]
     if header == corpus_mod.SCHEMAS["scores"]:

@@ -34,69 +34,65 @@ and unit at one level), ``eligibility`` (active staff share per SDS),
 (tie-averaged ranks of one indicator).
 
 Every file goes through one reader, :func:`read_rows`, which checks it
-against its table entry.  It reads blocks of :data:`BLOCK_ROWS` rows, so a
-read holds one block of raw rows, never a whole file, and checks a block
-column by column in schema order.  A :class:`Column` parses each distinct
-raw value once and gives every row holding it the one resulting object.
-The column's values are then looked up in the column they reference, when
-the caller has read that one, and once the last key column is parsed the
-file's key is checked; both are set operations.  While the first key
+against its table entry and yields its rows in blocks of
+:data:`BLOCK_ROWS`, so a read holds one block of raw rows, never a whole
+file.  A block is checked column by column in schema order.  A
+:class:`Column` parses each distinct raw value once and gives every row
+holding it the one resulting object.  The column's values are then looked
+up in the column they reference, when the caller has read that one; a
+column blank exactly when an earlier one holds a given value, or holding
+one value per group of rows, is checked against them; and once the last
+key column is parsed the file's key is checked.  While the first key
 column never decreases, as in every file synth writes, a key can only
 repeat one of the current run of that column's value, so the key check
 holds only that run's keys, beside references to the key columns read so
 far; the first decrease builds the set of every key read from them, and
-from then on the check holds every key.  Only then does the loader
-get the parsed columns, to check its row rules (positions within the
-byline, which slots carry a university and SDS, a domestic slot's staff
-entry) and keep what it needs.  A bad value gets its kind's message, such
-as ``citations must be >= 0, got -1``; an unknown reference reads
-``unknown {column} {value!r}`` and a repeated key
+from then on the check holds every key.  Last, a loader may pass a
+predicate for the rules that only its file has: a position within its
+byline, a domestic slot's staff entry, a graded peer outcome.  A block is
+yielded only once it has passed every check, and only then does the reader
+keep what later blocks are checked against, their keys and each group's
+value, so the loaders only collect columns.  A bad value gets its kind's
+message, such as ``citations must be >= 0, got -1``; an unknown reference
+reads ``unknown {column} {value!r}`` and a repeated key
 ``duplicate {key columns} {key!r}``.  Each university, SDS, category,
 researcher and publication id is one shared ``str`` across all files, so
 the scoring dicts keyed on ids hash and compare them cheaply.  A byte that
 is not UTF-8 is one more bad value: files are decoded with
 ``surrogateescape``, and a :class:`Column` refuses a new raw value that is
 not ASCII unless it re-encodes to valid UTF-8.  Only when a block fails its
-checks are its rows checked again, one at a time, to find the first bad
-row.  Loading is fail-fast: the first violation in file order raises
-:class:`ValidationError` naming the file and line, with the message of the
-first check that row fails.  The records (:class:`AuthorSlot`,
-:class:`PublicationRecord`, :class:`StaffEntry`, :class:`PeerOutcome`,
-:class:`IndicatorTable`), :class:`Taxonomy` and :class:`Corpus` are named
-tuples, cheap to define when a process starts.  A record whose fields are
-exactly a file's columns is built from that file's ``SCHEMAS`` row, so its
-layout is declared once: :class:`StaffEntry` and :class:`PeerOutcome` here,
+checks are its rows checked again, one at a time, each passing row yielded
+alone, to find the first bad row.  Loading is fail-fast: the first
+violation in file order raises :class:`ValidationError` naming the file
+and line, with the message of the first check that row fails.  The records
+(:class:`AuthorSlot`, :class:`PublicationRecord`, :class:`StaffEntry`,
+:class:`PeerOutcome`, :class:`IndicatorTable`), :class:`Taxonomy` and
+:class:`Corpus` are named tuples, cheap to define when a process starts.
+A record whose fields are exactly a file's columns is built from that
+file's ``SCHEMAS`` row, so its layout is declared once:
+:class:`StaffEntry` and :class:`PeerOutcome` here,
 ``peer_rating.RatedOutcome`` and ``rankcmp.RankEntry``.  A loaded corpus
 is read-only: setting one of its attributes raises ``AttributeError``.  It
 is safe for unrestricted concurrent reads.
 
 Records are immutable, so equal ones can be one object, as equal field
-values are.  The publication loader keeps one object per distinct
-:class:`AuthorSlot`, per distinct (year, citations, total) head
-and per distinct (category_id, weight) item, through memo dicts that live
-for one load and see only rows that passed their block's checks.  Records
-repeat far more than the rows do: a 200-university corpus has 256k author
-slot rows but 86k distinct slots, 95k heads but 1.4k distinct ones, and
-119k category items but 420 distinct ones.  Sharing them takes about a
-sixth off the peak memory of a ``report`` on it.  The loader then groups
-the rows of the two per-publication files by pub id, finding each
-publication's rows by bisection on the ordered pub ids.  Synth writes both
-files in pub-id order, and rows already in that order are grouped as they
-are, without the sort index and reordered copies that any other order
-needs.  Grouping goes in stages, each freeing what the next does not read:
-the heads are listed in pub-id order and the pub-id map and the memos
-dropped; each publication's categories are checked and made one sorted
-tuple, and the category rows dropped; each byline is checked and sorted,
-and the slot rows dropped; last the records are built and the window and
+values are.  Records repeat far more than the rows do, so the publication
+loader keeps one object per distinct :class:`AuthorSlot`, per distinct
+(year, citations, total) head and per distinct (category_id, weight)
+item, through memo dicts that live for one load and see only rows that
+passed their block's checks.  The loader then groups the rows of the two
+per-publication files by pub id, finding each publication's rows by
+bisection on the ordered pub ids.  Synth writes both files in pub-id
+order, and rows already in that order are grouped as they are, without the
+sort index and reordered copies that any other order needs.  Grouping goes
+in stages, each freeing what the next does not read: the heads are listed
+in pub-id order and the pub-id map and the memos dropped; each
+publication's categories are checked and made one sorted tuple, and the
+category rows dropped; each byline is checked and sorted, and the slot
+rows dropped; last the records are built and the window and
 domestic-author filters applied.  A stage stops at its first faulty
 publication and the next checks only those before it, so the error is the
 first failing check of the first failing publication in pub-id order.
-With that, with the key check above, with credit shares held as typed
-arrays (``scoring.CreditTable``) and with ``report`` freeing the corpus
-before it compares rankings, the same ``report`` peaks at about 72 MB.
-Under ``tracemalloc`` its load peaks 9 MB above the 38 MB corpus it keeps,
-as the last stage builds the records (reading the author rows comes within
-1 MB of that), and its scoring 12 MB above it.
 
 Each rule on outside input is checked once, where the input is read: by
 the loaders here, ``productivity.read_score_csv``,
@@ -137,7 +133,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
-from operator import is_, is_not, itemgetter, le
+from operator import eq, is_, is_not, itemgetter, le, not_
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -170,7 +166,11 @@ class ColumnSpec(str):
     window length.  An ``optional`` column reads a blank value as ``None``.
     Every value of a column with a ``ref``, but a blank optional one, must be
     one of the values of that ``file.column``, when the reader is given them.
-    The ``key`` columns of a file together hold no value twice.
+    The ``key`` columns of a file together hold no value twice.  A column
+    with ``blank_when=(column, value)`` is blank exactly in the rows where
+    that earlier column holds ``value``.  A column with ``per``, a tuple of
+    earlier column names, holds one value in all rows that agree on those
+    columns; ``per=()`` is one value throughout the file.
     :func:`write_csv` writes a bool as ``true``/``false``, ``None`` as an
     empty field and any other value with ``str``, so a float as its shortest
     repr, which reads back bit for bit.
@@ -178,10 +178,12 @@ class ColumnSpec(str):
 
     def __new__(
         cls, name: str, kind: str | tuple[str, ...], bounds: Any = None, optional: bool = False,
-        ref: str | None = None, key: bool = False,
+        ref: str | None = None, key: bool = False, blank_when: tuple[str, Any] | None = None,
+        per: tuple[str, ...] | None = None,
     ) -> ColumnSpec:
         spec = super().__new__(cls, name)
         spec.kind, spec.bounds, spec.optional, spec.ref, spec.key = kind, bounds, optional, ref, key
+        spec.blank_when, spec.per = blank_when, per
         return spec
 
 
@@ -200,8 +202,8 @@ SCHEMAS: dict[str, tuple[ColumnSpec, ...]] = {
         _C("pub_id", "id", ref="publications.pub_id", key=True),
         _C("position", "int", (1, None), optional=True, key=True),
         _C("is_domestic_academic", "bool"),
-        _C("university_id", "id", optional=True, ref="staff.university_id"),
-        _C("sds_id", "id", optional=True, ref="taxonomy.sds_id"),
+        _C("university_id", "id", optional=True, ref="staff.university_id", blank_when=("is_domestic_academic", False)),
+        _C("sds_id", "id", optional=True, ref="taxonomy.sds_id", blank_when=("is_domestic_academic", False)),
     ),
     "staff": (
         _C("researcher_id", "id", key=True), _C("university_id", "id", key=True),
@@ -215,12 +217,13 @@ SCHEMAS: dict[str, tuple[ColumnSpec, ...]] = {
         *(_C(grade, "int", (0, None)) for grade in ("E", "G", "A", "L")),
     ),
     "indicators": (
-        _C("indicator_name", "id", key=True), _C("direction", DIRECTIONS),
+        _C("indicator_name", "id", key=True), _C("direction", DIRECTIONS, per=("indicator_name",)),
         _C("university_id", "id", key=True), _C("value", "float"),
     ),
     "categories": (_C("category_id", "id", key=True), _C("is_life_science", "bool")),
     "scores": (
-        _C("level", LEVELS), _C("university_id", "id", key=True), _C("unit_id", "text", key=True),
+        _C("level", LEVELS, per=()), _C("university_id", "id", key=True),
+        _C("unit_id", "text", key=True, blank_when=("level", "university")),
         _C("P", "float"), _C("RS", "float"),
     ),
     "eligibility": (
@@ -341,31 +344,35 @@ class RowFault(Exception):
     """
 
 
-# check(lines, columns): apply the row rules to one block and keep it; lines[i] is the file line of row i.
-BlockCheck = Callable[[Sequence[int], list[list]], None]
-
-
 def read_rows(
-    path: Path, schema: str, check: BlockCheck, required: bool = True, ids: dict[str, str] | None = None,
+    path: Path, schema: str, required: bool = True, ids: dict[str, str] | None = None,
     known: Mapping[str, Collection] = {}, window_len: int | None = None,
-) -> None:
-    """Check the data rows of ``path`` against ``SCHEMAS[schema]`` and pass them to ``check``, a block at a time.
+    check: Callable[[list[list]], None] | None = None,
+) -> Iterator[tuple[Sequence[int], list[list]]]:
+    """Yield the data rows of ``path``, checked against ``SCHEMAS[schema]``, as (lines, columns) blocks.
 
-    Optional files that do not exist give no blocks; existing files must
-    carry exactly the header ``SCHEMAS[schema]``.  Blank lines are skipped.
-    A row with the wrong number of fields, a record spanning more than one
-    line (a line break inside a quoted field) and a field over the csv
-    module's size limit are refused.  A byte that is not UTF-8 reads as a
-    lone surrogate, which the :class:`Column` parsing its field refuses as a
-    bad value.  Each block of up to :data:`BLOCK_ROWS` rows is checked column
-    by column in schema order: each column is parsed, then its values but
-    the blank optional ones are looked up in ``known[spec.ref]`` when the
-    caller gave that, and once the last key column is parsed the file's key
-    is checked.  Ids are shared through ``ids``, and a ``"window"`` bound is
-    ``window_len``.  ``check`` then gets the parsed columns, in schema
-    order.  It raises :class:`RowFault` for a block with a bad row, and
-    commits what it keeps only once every rule has passed.  The error raised names the first bad
-    line in file order, with the first test that line fails.
+    ``lines[i]`` is the file line of row ``i``, and ``columns`` holds each
+    column's parsed values, in schema order.  Optional files that do not
+    exist give no blocks; existing files must carry exactly the header
+    ``SCHEMAS[schema]``.  Blank lines are skipped.  A row with the wrong
+    number of fields, a record spanning more than one line (a line break
+    inside a quoted field) and a field over the csv module's size limit are
+    refused.  A byte that is not UTF-8 reads as a lone surrogate, which the
+    :class:`Column` parsing its field refuses as a bad value.  Each block of
+    up to :data:`BLOCK_ROWS` rows is checked column by column in schema
+    order: each column is parsed, then its values but the blank optional
+    ones are looked up in ``known[spec.ref]`` when the caller gave that, then
+    its ``blank_when`` and ``per`` rules are checked, and once the last key
+    column is parsed the file's key is checked.  Ids are shared through
+    ``ids``, and a ``"window"`` bound is ``window_len``.  Last, ``check``,
+    when given, gets the parsed columns; it raises :class:`RowFault` for a
+    block with a bad row and keeps nothing.  A block is yielded only once it
+    has passed every check, and only then are its keys and group values
+    kept for the checks of later rows.  A block that fails is checked again
+    row by row, each passing row yielded alone, and the error raised names
+    the first bad line in file order, with the first check that line fails.
+    The file is closed when the rows run out, on an error, and when the
+    consumer closes or drops the generator.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -384,14 +391,21 @@ def read_rows(
     read: list[list[list]] | None = []  # until then, the key columns of each block kept
     run: set | None = set()  # and the keys kept whose first column holds the last value kept
     run_value = None  # that value
+    groups = {spec: {} for spec in columns if spec.per is not None}  # each group's value in the rows kept so far
 
-    def check_block(lines: Sequence[int], raw_columns: list[tuple[str, ...]]) -> None:
+    def check_block(raw_columns: list[tuple[str, ...]]) -> list[list]:
         nonlocal seen, read, run, run_value
         parsed: list[list] = []
+        block_groups: dict[str, dict] = {}  # each ``per`` column's groups, with this block's
         for spec, parse, raw in zip(columns, parsers, raw_columns):
             values = parse(raw)
             if spec.ref in known:  # a blank optional id reads as None and refers to nothing
                 check_known(filter(None, values), known[spec.ref], lambda value: f"unknown {spec} {value!r}")
+            if spec.blank_when is not None:
+                _check_blank_when(spec, values, parsed[columns.index(spec.blank_when[0])])
+            if spec.per is not None:
+                group_columns = [parsed[columns.index(column)] for column in spec.per]
+                block_groups[spec] = _check_per(spec, values, group_columns, groups[spec])
             parsed.append(values)
             if len(parsed) == key_index[-1] + 1:
                 key_columns = [parsed[i] for i in key_index]
@@ -409,7 +423,8 @@ def read_rows(
                     read = run = None
                 if len(set(keys)) != len(keys) or not (run if seen is None else seen).isdisjoint(keys):
                     raise RowFault(f"duplicate {key_name} {keys[0]!r}")
-        check(lines, parsed)
+        if check is not None:
+            check(parsed)
         if seen is not None:
             seen.update(keys)
         elif first:
@@ -417,6 +432,8 @@ def read_rows(
             if first[-1] != run_value:
                 run, run_value = set(), first[-1]
             run.update(keys[bisect_left(first, run_value):])
+        groups.update(block_groups)
+        return parsed
 
     with _open_csv(path) as (reader, header):
         if tuple(header) != columns:
@@ -437,18 +454,12 @@ def read_rows(
             else:
                 rows, lines, fault = _split_at_fault(rows, last, width, fault)
             if rows:
-                _check_block(name, check_block, lines, list(zip(*rows)))
+                yield from _checked(name, check_block, lines, list(zip(*rows)))
             if fault is not None:
                 raise ValidationError(f"{name}:{fault}")
             if count < BLOCK_ROWS:
                 return
             last = reader.line_num
-
-
-def read_header(path: Path) -> tuple[str, ...]:
-    """The header row of an existing file."""
-    with _open_csv(path) as (_, header):
-        return tuple(header)
 
 
 @contextmanager
@@ -514,21 +525,50 @@ def _split_at_fault(
     return kept, lines, fault
 
 
-def _check_block(name: str, check: BlockCheck, lines: Sequence[int], columns: list[tuple[str, ...]]) -> None:
-    """Run ``check`` on a block; if it faults, run it on each row in turn and raise the first row's fault.
+def _checked(name: str, check_block: Callable, lines: Sequence[int], columns: list[tuple]) -> Iterator[tuple]:
+    """The checked block; if it faults, each row in turn as a block of its own, up to the first row's fault, raised.
 
-    A one-row block faults at its row's first failing test, and a check
-    commits what it keeps only after its last test, so the fault raised is
-    the one a row-by-row check would report.
+    A one-row block faults at its row's first failing check, and
+    ``check_block`` keeps what later rows are checked against only once a
+    block has passed, so the fault raised is the one a row-by-row check would
+    report.
     """
     try:
-        check(lines, columns)
+        block = check_block(columns)
     except RowFault:
         for i, line in enumerate(lines):
             try:
-                check(lines[i : i + 1], [column[i : i + 1] for column in columns])
+                row = check_block([column[i : i + 1] for column in columns])
             except RowFault as fault:
                 raise ValidationError(f"{name}:{line}: {fault}") from None
+            yield lines[i : i + 1], row
+    else:
+        yield lines, block
+
+
+def _check_blank_when(spec: ColumnSpec, values: list, condition: list) -> None:
+    """Fault unless ``values`` is blank exactly where ``condition``, the values of the column ``spec.blank_when``
+    names, holds the value it names."""
+    column, value = spec.blank_when
+    if [*map(not_, values)] != [*map(eq, condition, repeat(value))]:
+        raise RowFault(
+            f"{spec} must be empty when {column} is {value!r}, got {values[0]!r}" if condition[0] == value
+            else f"{spec} must not be empty unless {column} is {value!r}"
+        )
+
+
+def _check_per(spec: ColumnSpec, values: list, group_columns: list[list], kept: dict) -> dict:
+    """Fault unless each row holds its group's value, the one ``kept`` or else the first in the block; the value of
+    each group after the block."""
+    groups = list(zip(*group_columns)) if group_columns else [()] * len(values)
+    firsts = {**dict(zip(reversed(groups), reversed(values))), **kept}  # a group's first value in the block, or kept
+
+    def message(pair: tuple) -> str:
+        where = "".join(f" for {column} {part!r}" for column, part in zip(spec.per, pair[0]))
+        return f"{spec} must be {firsts[pair[0]]!r}{where or ' throughout the file'}, got {pair[1]!r}"
+
+    check_known(list(zip(groups, values)), firsts.items(), message)
+    return firsts
 
 
 class Column:
@@ -692,10 +732,8 @@ def _release_freed_heap() -> None:
     """Return the heap pages that the load's freed temporaries held to the OS (glibc only).
 
     glibc returns heap memory only from the top of its heap, and which
-    block ends up there depends on earlier allocation addresses.  Over 8
-    lengths of the corpus path on each of two 200-university corpora, a
-    ``report`` peaked at 71.0-74.8 MB with this and at 71.1-76.7 MB without
-    it, lower with it at 15 of the 16 and by about 2 MB at the median.
+    block ends up there depends on earlier allocation addresses, so without
+    this a ``report``'s peak after the load varies with them.
     """
     import ctypes
 
@@ -708,31 +746,20 @@ def _release_freed_heap() -> None:
 
 def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str], known: dict[str, Collection]) -> Taxonomy:
     sds_to_uda: dict[str, str] = {}
-
-    def taxonomy_block(lines: Sequence[int], columns: list[list]) -> None:
-        sds, udas, _ = columns  # is_life_science is checked, not kept
+    for _, (sds, udas, _) in read_rows(paths.taxonomy, "taxonomy", ids=ids):  # is_life_science is checked, not kept
         sds_to_uda.update(zip(sds, udas))
-
-    read_rows(paths.taxonomy, "taxonomy", taxonomy_block, ids=ids)
     known["taxonomy.sds_id"] = sds_to_uda
     known["taxonomy.uda_id"] = set(sds_to_uda.values())
 
     uda_to_macro: dict[str, str] = {}
-
-    def macro_block(lines: Sequence[int], columns: list[list]) -> None:
+    for _, columns in read_rows(paths.macro_map, "macro_map", required=False, ids=ids, known=known):
         uda_to_macro.update(zip(*columns))
-
-    read_rows(paths.macro_map, "macro_map", macro_block, required=False, ids=ids, known=known)
 
     categories: set[str] = set()
     life_categories: set[str] = set()
-
-    def categories_block(lines: Sequence[int], columns: list[list]) -> None:
-        cats, life = columns
+    for _, (cats, life) in read_rows(paths.categories, "categories", required=False, ids=ids):
         categories.update(cats)
         life_categories.update(compress(cats, life))
-
-    read_rows(paths.categories, "categories", categories_block, required=False, ids=ids)
     if paths.categories.exists():
         known["categories.category_id"] = categories
     return Taxonomy(
@@ -746,11 +773,8 @@ def _load_staff(
     path: Path, window_len: int, ids: dict[str, str], known: dict[str, Collection]
 ) -> tuple[StaffEntry, ...]:
     entries: list[StaffEntry] = []
-
-    def staff_block(lines: Sequence[int], columns: list[list]) -> None:
+    for _, columns in read_rows(path, "staff", ids=ids, known=known, window_len=window_len):
         entries.extend(_records(StaffEntry, *columns))
-
-    read_rows(path, "staff", staff_block, ids=ids, known=known, window_len=window_len)
     entries.sort(key=itemgetter(0, 1, 2))  # (researcher_id, university_id, sds_id)
     return tuple(entries)
 
@@ -765,12 +789,8 @@ def _load_publications(
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
     heads: dict[str, tuple[int, int, int]] = {}  # pub_id -> (year, citations, total)
     head_memo: dict[tuple, tuple] = {}  # equal heads share one tuple (see the module docstring)
-
-    def publications_block(lines: Sequence[int], columns: list[list]) -> None:
-        pids, years, _, *head = columns  # doc_type is checked, not kept
+    for _, (pids, years, _, *head) in read_rows(paths.publications, "publications", ids=ids):  # doc_type not kept
         heads.update(zip(pids, _interned(head_memo, zip(years, *head))))
-
-    read_rows(paths.publications, "publications", publications_block, ids=ids)
     known = {**known, "publications.pub_id": heads}  # a copy, so heads goes before the records are grouped
 
     # Rows of the two per-publication files, kept flat: the pub_id of each row and its
@@ -778,40 +798,32 @@ def _load_publications(
     category_pids: list[str] = []
     category_items: list[tuple[str, float]] = []
     item_memo: dict[tuple, tuple] = {}
-
-    def categories_block(lines: Sequence[int], columns: list[list]) -> None:
-        pids, cats, weights = columns
+    for _, (pids, cats, weights) in read_rows(paths.pub_categories, "pub_categories", ids=ids, known=known):
         category_pids.extend(pids)
         category_items.extend(_interned(item_memo, zip(cats, weights)))
-
-    read_rows(paths.pub_categories, "pub_categories", categories_block, ids=ids, known=known)
 
     slot_pids: list[str] = []
     slots: list[AuthorSlot] = []
     unplaced: set[str] = set()  # publications with a slot of unknown position
     slot_memo: dict[tuple, tuple] = {}
 
-    def authors_block(lines: Sequence[int], columns: list[list]) -> None:
+    def within_byline_and_staffed(columns: list[list]) -> None:
+        """Fault unless each placed slot lies within its byline and each domestic slot's group has a staff entry."""
         pids, positions, domestic, slot_universities, sds = columns
         placed_positions = list(compress(positions, positions))
         totals = list(map(itemgetter(2), map(heads.__getitem__, compress(pids, positions))))
         if not all(map(le, placed_positions, totals)):
             raise RowFault(f"position {placed_positions[0]} exceeds total_author_count {totals[0]}")
-        # A domestic slot has its university and SDS; an external slot has neither.
-        if not domestic == [*map(is_not, slot_universities, repeat(None))] == [*map(is_not, sds, repeat(None))]:
-            raise RowFault(
-                "domestic author requires university_id and sds_id" if domestic[0]
-                else "external author must have empty university_id and sds_id"
-            )
         check_known(
             list(zip(compress(slot_universities, domestic), compress(sds, domestic))), pairs,
             lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})",
         )
+
+    authors = read_rows(paths.pub_authors, "pub_authors", ids=ids, known=known, check=within_byline_and_staffed)
+    for _, (pids, positions, _, slot_universities, sds) in authors:
         unplaced.update(compress(pids, map(is_, positions, repeat(None))))
         slot_pids.extend(pids)
         slots.extend(_interned(slot_memo, _records(AuthorSlot, positions, slot_universities, sds)))
-
-    read_rows(paths.pub_authors, "pub_authors", authors_block, ids=ids, known=known)
 
     # Grouping goes in stages that free what later ones do not read; each stops at its first faulty publication
     # and the next checks only those before it (see the module docstring).
@@ -900,40 +912,32 @@ def _byline_order(slot: AuthorSlot) -> tuple:
     return (position is None, position or 0, slot.university_id or "", slot.sds_id or "")
 
 
+def _graded(columns: list[list]) -> None:
+    """Fault unless each peer outcome has a graded output."""
+    if 0 in map(sum, zip(*columns[2:])):
+        raise RowFault("all grade counts are zero")
+
+
 def read_peer_outcomes_csv(
     path: Path, ids: dict[str, str] | None = None, known: Mapping[str, Collection] = {}
 ) -> tuple[PeerOutcome, ...]:
     """Read peer-review grade counts, at least one graded output per (university, UDA) cell."""
     outcomes: list[PeerOutcome] = []
-
-    def outcomes_block(lines: Sequence[int], columns: list[list]) -> None:
-        if 0 in map(sum, zip(*columns[2:])):
-            raise RowFault("all grade counts are zero")
+    for _, columns in read_rows(path, "peer_outcomes", required=False, ids=ids, known=known, check=_graded):
         outcomes.extend(map(PeerOutcome, *columns))
-
-    read_rows(path, "peer_outcomes", outcomes_block, required=False, ids=ids, known=known)
     outcomes.sort(key=lambda o: (o.uda_id, o.university_id))
     return tuple(outcomes)
 
 
 def read_indicators_csv(path: Path, ids: dict[str, str] | None = None) -> tuple[IndicatorTable, ...]:
     """Read external indicator values, one table per indicator name."""
-    directions: dict[str, str] = {}
+    directions: dict[str, str] = {}  # one per indicator, as its ``per`` rule makes it
     values: dict[str, dict[str, float]] = {}
-
-    def indicators_block(lines: Sequence[int], columns: list[list]) -> None:
-        indicators, block_directions, universities, block_values = columns
-        first = dict(zip(reversed(indicators), reversed(block_directions)))  # each indicator's first direction
-        first.update((indicator, directions[indicator]) for indicator in first.keys() & directions.keys())
-        check_known(
-            list(zip(indicators, block_directions)), first.items(),
-            lambda pair: f"conflicting direction for indicator {pair[0]!r}",
-        )
-        directions.update(first)
+    rows = read_rows(path, "indicators", required=False, ids=ids)
+    for _, (indicators, block_directions, universities, block_values) in rows:
+        directions.update(zip(indicators, block_directions))
         for indicator, university, value in zip(indicators, universities, block_values):
             values.setdefault(indicator, {})[university] = value
-
-    read_rows(path, "indicators", indicators_block, required=False, ids=ids)
     return tuple(
         IndicatorTable(indicator, directions[indicator], {k: values[indicator][k] for k in sorted(values[indicator])})
         for indicator in sorted(values)

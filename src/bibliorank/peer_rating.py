@@ -107,9 +107,6 @@ def write_rated_csv(rated: Iterable[RatedOutcome], path) -> None:
 def read_rated_csv(path: Path) -> list[RatedOutcome]:
     """Read ratings written by :func:`write_rated_csv`: one per (university, UDA), each percentile in [0, 100]."""
     rated: list[RatedOutcome] = []
-
-    def rated_block(lines: Sequence[int], columns: list[list]) -> None:
+    for _, columns in read_rows(path, "rated"):
         rated.extend(map(RatedOutcome, *columns))
-
-    read_rows(path, "rated", rated_block)
     return rated

@@ -23,7 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import LEVELS, Corpus, RowFault, StaffEntry, check_known, read_rows, write_csv
+from .corpus import LEVELS, Corpus, StaffEntry, read_rows, write_csv
 from .errors import ValidationError
 from .scoring import CreditTable, compute_baselines, credit_shares
 
@@ -195,22 +195,10 @@ def score_corpus(corpus: Corpus) -> ScoreBundle:
 def read_score_csv(path: Path) -> ScoreTable:
     """Read a score table written by :func:`write_score_csv`; ``unit_id`` is empty exactly at university level."""
     entries: dict[tuple[str, str], ScoreEntry] = {}
-    level: str | None = None  # the level of the file's first row
-
-    def scores_block(lines: Sequence[int], columns: list[list]) -> None:
-        nonlocal level
-        levels, universities, units, p, rs = columns
-        file_level = level or levels[0]
-        if levels.count(file_level) != len(levels):
-            raise RowFault(f"mixed levels {file_level!r} and {levels[0]!r}")
-        if file_level == "university":
-            check_known(units, {""}, lambda unit: f"unit_id must be empty at level 'university', got {unit!r}")
-        elif "" in units:
-            raise RowFault(f"unit_id must not be empty at level {file_level!r}")
+    level: str | None = None  # one per file, as its ``per`` rule makes it
+    for _, (levels, universities, units, p, rs) in read_rows(path, "scores"):
+        level = levels[0]
         entries.update(zip(zip(universities, units), map(ScoreEntry, p, rs)))
-        level = file_level
-
-    read_rows(path, "scores", scores_block)
     if level is None:
         raise ValidationError(f"{path.name}: empty score table")
     return ScoreTable(level=level, entries=dict(sorted(entries.items())), national_means={})

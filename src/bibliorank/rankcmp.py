@@ -352,11 +352,9 @@ def read_ranking_csv(path: Path) -> RankingList:
     entries: list[RankEntry] = []
     lines: dict[str, int] = {}
 
-    def ranking_block(block_lines: Sequence[int], columns: list[list]) -> None:
+    for block_lines, columns in read_rows(path, "ranking"):
         entries.extend(map(RankEntry, *columns))
         lines.update(zip(columns[0], block_lines))
-
-    read_rows(path, "ranking", ranking_block)
     if not entries:
         raise ValidationError(f"{name}: empty ranking")
     entries.sort(key=lambda e: (e.rank, e.entity_id))

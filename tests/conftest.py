@@ -105,8 +105,19 @@ class Fault(NamedTuple):
     stem: str
     column: str
     label: str
-    value: str | None  # None: the row repeats the key of an earlier row
-    message: str  # for a repeated key, the message up to the key, which follows it
+    value: str | None  # None: the row repeats the key of an earlier row, or holds a value other than its group's
+    message: str  # for those two, the message up to the key or the values, which follow it
+
+    def applies(self, fields: list[str], index: int) -> bool:
+        """Whether :func:`spoil` makes a fault of row ``index``, holding ``fields``.
+
+        A repeated key or group value needs an earlier row, and a blanked
+        value needs one that is set.
+        """
+        if self.value is None:
+            return index > 0
+        column = SCHEMAS[self.stem].index(self.column)
+        return bool(self.value or SCHEMAS[self.stem][column].blank_when is None or fields[column].strip())
 
 
 def column_faults(stem: str, window_len: int) -> list[Fault]:
@@ -114,8 +125,9 @@ def column_faults(stem: str, window_len: int) -> list[Fault]:
 
     Each kind has its bad values (empty, of the wrong type, not finite), each
     bound a value just outside it, each reference an unknown value, and the
-    file's last key column a repeated key.  Every column refuses a byte that
-    is not UTF-8.
+    file's last key column a repeated key.  A ``blank_when`` column is
+    blanked where it must be set, and a ``per`` column given a value other
+    than its group's.  Every column refuses a byte that is not UTF-8.
     """
     columns = SCHEMAS[stem]
     key = [spec for spec in columns if spec.key]
@@ -153,6 +165,11 @@ def column_faults(stem: str, window_len: int) -> list[Fault]:
                 ]
         if spec.ref:
             found.append(("unknown reference", "ZZ_UNKNOWN", f"unknown {name} 'ZZ_UNKNOWN'"))
+        if spec.blank_when is not None:
+            column, value = spec.blank_when
+            found.append(("blank where set", "", f"{name} must not be empty unless {column} is {value!r}"))
+        if spec.per is not None:
+            found.append(("another group value", None, f"{name} must be "))
         if spec is key[-1]:
             found.append(("repeated key", None, f"duplicate {key_name} "))
         faults += [Fault(stem, name, label, raw, message) for label, raw, message in found]
@@ -160,11 +177,22 @@ def column_faults(stem: str, window_len: int) -> list[Fault]:
 
 
 def spoil(fault: Fault, fields: list[str], earlier: list[str]) -> tuple[list[str], str]:
-    """The row ``fields`` with ``fault`` in it, and its whole message; a repeated key is copied from ``earlier``."""
+    """The row ``fields`` with ``fault`` in it, and its whole message.
+
+    A repeated key is copied from ``earlier``; a group value fault takes
+    the group of ``earlier`` and another of its column's choices.
+    """
     columns = SCHEMAS[fault.stem]
+    index = columns.index(fault.column)
     if fault.value is not None:
-        index = columns.index(fault.column)
         return [*fields[:index], fault.value, *fields[index + 1:]], fault.message
+    spec = columns[index]
+    if spec.per is not None:
+        fields = [old if column in spec.per else new for column, old, new in zip(columns, earlier, fields)]
+        first = earlier[index].strip()
+        fields[index] = next(choice for choice in spec.kind if choice != first)
+        where = "".join(f" for {column} {earlier[columns.index(column)].strip()!r}" for column in spec.per)
+        return fields, fault.message + f"{first!r}{where or ' throughout the file'}, got {fields[index]!r}"
     fields = [old if spec.key else new for spec, old, new in zip(columns, earlier, fields)]
     key = tuple(int(raw) if spec.kind == "int" else raw.strip() for spec, raw in zip(columns, fields) if spec.key)
     return fields, fault.message + repr(key[0] if len(key) == 1 else key)

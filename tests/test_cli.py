@@ -363,11 +363,11 @@ def test_rank_rejects_an_oversized_header_field_with_file_and_line(tmp_path, cap
         ),
         (
             "scores_uda.csv", header("scores").encode() + b"uda,U1,UDA1,1.0,3.0\nuda,U2,,2.0,3.0\n",
-            "scores_uda.csv:3: unit_id must not be empty at level 'uda'",
+            "scores_uda.csv:3: unit_id must not be empty unless level is 'university'",
         ),
         (
             "scores_university.csv", header("scores").encode() + b"university,U1,,1.0,3.0\nuniversity,U2,X,2.0,3.0\n",
-            "scores_university.csv:3: unit_id must be empty at level 'university', got 'X'",
+            "scores_university.csv:3: unit_id must be empty when level is 'university', got 'X'",
         ),
     ],
     ids=["latin1-header", "latin1-university", "uda-without-unit", "university-with-unit"],

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+import sys
 import warnings
 from pathlib import Path
 from typing import Collection
@@ -146,7 +147,7 @@ def test_domestic_author_requires_affiliation(tmp_path):
     rows = minimal_rows()
     rows["pub_authors"] = [("P1", 1, "true", "U1", "")]
     directory = write_corpus(tmp_path, **rows)
-    with pytest.raises(ValidationError, match="requires university_id and sds_id"):
+    with pytest.raises(ValidationError, match="sds_id must not be empty unless is_domestic_academic is False"):
         load_corpus(directory, WINDOW)
 
 
@@ -159,7 +160,7 @@ def test_external_author_with_a_university_exits_2(tmp_path, capsys):
     directory = write_corpus(tmp_path / "corpus", **rows)
     out = tmp_path / "out"
     assert cli.main(["score", "--corpus-dir", str(directory), "--out-dir", str(out)]) == 2
-    message = "error: pub_authors.csv:3: external author must have empty university_id and sds_id\n"
+    message = "error: pub_authors.csv:3: university_id must be empty when is_domestic_academic is False, got 'U1'\n"
     assert capsys.readouterr().err == message
     assert not out.exists()
 
@@ -465,9 +466,27 @@ def test_a_valid_file_is_checked_once_per_block(tmp_path, monkeypatch):
     path = tmp_path / "macro_map.csv"
     rows = "".join(f"UDA{i},M1\n" for i in range(10))
     path.write_text(",".join(SCHEMAS["macro_map"]) + "\n" + rows, encoding="utf-8")
-    calls = []
-    corpus_mod.read_rows(path, "macro_map", lambda lines, columns: calls.append((list(lines), [*map(len, columns)])))
+    calls = [(list(lines), [*map(len, columns)]) for lines, columns in corpus_mod.read_rows(path, "macro_map")]
     assert calls == [([2, 3, 4, 5], [4, 4]), ([6, 7, 8, 9], [4, 4]), ([10, 11], [2, 2])]
+
+
+def test_an_abandoned_read_closes_its_file(tmp_path, monkeypatch):
+    # A consumer that stops after the first block drops the reader, which must close the file then.  A file left
+    # open warns when it is collected, as under -X dev; that warning is an error here, raised where nothing can catch
+    # it, so it reaches the unraisable hook.
+    monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", 4)
+    path = tmp_path / "macro_map.csv"
+    rows = "".join(f"UDA{i},M1\n" for i in range(10))
+    path.write_text(",".join(SCHEMAS["macro_map"]) + "\n" + rows, encoding="utf-8")
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for lines, _ in corpus_mod.read_rows(path, "macro_map"):
+            break
+        gc.collect()
+    assert list(lines) == [2, 3, 4, 5]
+    assert [hook.exc_value for hook in unraisable] == []
 
 
 def test_read_indicators_csv_standalone(tmp_path):
@@ -591,7 +610,7 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
         ),
         (
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,lower_is_better,U2,2.0\n",
-            "indicators.csv:3: conflicting direction for indicator 'LAT'",
+            "indicators.csv:3: direction must be 'higher_is_better' for indicator_name 'LAT', got 'lower_is_better'",
         ),
         (
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nLAT,higher_is_better,U1,2.0\n",
@@ -601,7 +620,10 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
             "indicators.csv", "LAT,higher_is_better,U1,1.0\nRES,higher_is_better,U1,2.0\nLAT,higher_is_better,U1,3.0\n",
             "indicators.csv:4: duplicate (indicator_name, university_id) ('LAT', 'U1')",
         ),
-        ("scores.csv", "uda,U1,X,1.0,3.0\nsds,U1,S1,1.0,3.0\n", "scores.csv:3: mixed levels 'uda' and 'sds'"),
+        (
+            "scores.csv", "uda,U1,X,1.0,3.0\nsds,U1,S1,1.0,3.0\n",
+            "scores.csv:3: level must be 'uda' throughout the file, got 'sds'",
+        ),
         (
             "scores.csv", "uda,U1,X,1.0,3.0\nuda,U1, X,2.0,3.0\n",
             "scores.csv:3: duplicate (university_id, unit_id) ('U1', 'X')",

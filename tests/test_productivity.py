@@ -342,12 +342,18 @@ def test_score_csv_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "body, message",
     [
-        ("sds,U1,S1,1.0,3.0\nsds,U2,,1.0,3.0\n", "scores.csv:3: unit_id must not be empty at level 'sds'"),
-        ("uda,U1,UDA1,1.0,3.0\nuda,U2, ,1.0,3.0\n", "scores.csv:3: unit_id must not be empty at level 'uda'"),
-        ("macro,U1,,1.0,3.0\n", "scores.csv:2: unit_id must not be empty at level 'macro'"),
+        (
+            "sds,U1,S1,1.0,3.0\nsds,U2,,1.0,3.0\n",
+            "scores.csv:3: unit_id must not be empty unless level is 'university'",
+        ),
+        (
+            "uda,U1,UDA1,1.0,3.0\nuda,U2, ,1.0,3.0\n",
+            "scores.csv:3: unit_id must not be empty unless level is 'university'",
+        ),
+        ("macro,U1,,1.0,3.0\n", "scores.csv:2: unit_id must not be empty unless level is 'university'"),
         (
             "university,U1,,1.0,3.0\nuniversity,U2,UDA1,1.0,3.0\n",
-            "scores.csv:3: unit_id must be empty at level 'university', got 'UDA1'",
+            "scores.csv:3: unit_id must be empty when level is 'university', got 'UDA1'",
         ),
     ],
 )

@@ -37,7 +37,8 @@ from bibliorank.corpus import (
 from bibliorank.errors import ValidationError
 from bibliorank.peer_rating import rating_key
 from bibliorank.productivity import (
-    LEVELS, ScoreEntry, ScoreTable, read_score_csv, score_corpus, sds_productivity, write_score_csv,
+    LEVELS, ScoreEntry, ScoreTable, macro_uda_productivity, read_score_csv, score_corpus, sds_productivity,
+    uda_productivity, university_productivity, write_score_csv,
 )
 from bibliorank.rankcmp import (
     build_ranking, compare_rankings, correlation_matrix, read_ranking_csv, render_comparison, render_matrix,
@@ -104,14 +105,9 @@ def _set(index: int, value: str, message: str):
     return lambda fields, earlier: ([*fields[:index], value, *fields[index + 1:]], message)
 
 
-def _not_first(fields: list[str], index: int) -> bool:
-    return index > 0
-
-
 def _column_fault(fault):
-    """A ``ROW_FAULTS`` entry for one fault that the column table implies; a repeated key needs an earlier row."""
-    applies = _not_first if fault.value is None else None
-    return fault.stem + ".csv", lambda fields, earlier: spoil(fault, fields, earlier), applies
+    """A ``ROW_FAULTS`` entry for one fault that the column table implies."""
+    return fault.stem + ".csv", lambda fields, earlier: spoil(fault, fields, earlier), fault.applies
 
 
 _LARGE_FILES = ("publications.csv", "pub_categories.csv", "pub_authors.csv", "staff.csv")
@@ -214,6 +210,30 @@ def test_an_ineligible_sds_loses_exactly_its_shares_and_leaves_every_score_table
     assert all(unit != sds for table in bundle[1:] for _, unit in table.entries)
 
 
+@settings(max_examples=100, deadline=None)
+@given(udas=st.lists(st.sampled_from(["UDA1", "UDA2", "UDA3"]), min_size=1, max_size=6), data=st.data())
+def test_a_university_at_the_national_mean_in_every_sds_scores_exactly_1_at_every_level(udas, data):
+    # SDS S<i> is in UDA udas[i].  U0's P is its SDS's national mean in every SDS where it has staff; U1 and U2 score
+    # anything.  The roll-ups read the table's national means as given.
+    sds_ids = [f"S{i}" for i in range(len(udas))]
+    macros = {uda: data.draw(st.sampled_from(["M1", "M2"]), label=uda) for uda in sorted(set(udas))}
+    taxonomy = Taxonomy(dict(zip(sds_ids, udas)), macros, frozenset())
+    positive = st.floats(1e-6, 1e6)
+    means = {sds: data.draw(positive, label=f"national mean of {sds}") for sds in sds_ids}
+    staffed = data.draw(st.lists(st.sampled_from(sds_ids), min_size=1, unique=True), label="U0's SDSs")
+    entries = {("U0", sds): ScoreEntry(means[sds], data.draw(positive, label=f"U0's RS in {sds}")) for sds in staffed}
+    others = st.dictionaries(
+        st.tuples(st.sampled_from(["U1", "U2"]), st.sampled_from(sds_ids)), st.tuples(st.floats(0, 1e6), positive)
+    )
+    entries.update((key, ScoreEntry(*entry)) for key, entry in data.draw(others, label="other entries").items())
+    table = ScoreTable("sds", dict(sorted(entries.items())), means)
+    for scores in (
+        uda_productivity(table, taxonomy), macro_uda_productivity(table, taxonomy), university_productivity(table)
+    ):
+        at_the_mean = [entry.P for (university, _), entry in scores.entries.items() if university == "U0"]
+        assert at_the_mean and set(at_the_mean) == {1.0}, scores.level
+
+
 ARRANGEMENTS = ("sorted", "partly sorted", "reversed", "as drawn")
 
 
@@ -279,7 +299,8 @@ def test_a_repeated_key_is_named_where_a_set_of_every_key_read_names_it(tmp_path
             seen.add(key)
     with mock.patch.object(corpus_mod, "BLOCK_ROWS", block_rows):
         try:
-            corpus_mod.read_rows(path, stem, lambda lines, columns: None, window_len=WINDOW_LEN)
+            for _ in corpus_mod.read_rows(path, stem, window_len=WINDOW_LEN):
+                pass
         except ValidationError as exc:
             assert str(exc) == expected
         else:
@@ -418,7 +439,10 @@ field_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_chara
 
 
 def _values(spec: ColumnSpec) -> st.SearchStrategy:
-    """Values of the kind of ``spec`` within its bounds, ``None`` for a blank optional one."""
+    """Values of the kind of ``spec`` within its bounds, ``None`` for a blank optional one.
+
+    A column with a ``blank_when`` rule is never blank here: :func:`_by_the_rules` blanks it where its rule says.
+    """
     kind = spec.kind
     if isinstance(kind, tuple):
         values = st.sampled_from(kind)
@@ -435,15 +459,33 @@ def _values(spec: ColumnSpec) -> st.SearchStrategy:
         values = st.floats(low, high, allow_nan=False, allow_infinity=False, exclude_min=interval[0] == "(")
     else:
         values = st.booleans()
+    if spec.blank_when is not None:
+        return values.filter(bool)
     return st.none() | values if spec.optional else values
+
+
+def _by_the_rules(columns: tuple[ColumnSpec, ...], rows: list[tuple]) -> list[tuple]:
+    """``rows`` made valid: each ``per`` column holds its group's first value, each ``blank_when`` column is blank
+    exactly where its rule says, and of the rows with one key only the first is kept."""
+    firsts: dict[str, dict] = {spec: {} for spec in columns if spec.per is not None}
+    kept: dict[tuple, tuple] = {}
+    for drawn in rows:
+        row = list(drawn)
+        for i, spec in enumerate(columns):
+            if spec.per is not None:
+                row[i] = firsts[spec].setdefault(tuple(row[columns.index(column)] for column in spec.per), row[i])
+            if spec.blank_when is not None:
+                column, value = spec.blank_when
+                if row[columns.index(column)] == value:
+                    row[i] = None if spec.optional else ""
+        kept.setdefault(tuple(value for spec, value in zip(columns, row) if spec.key), tuple(row))
+    return list(kept.values())
 
 
 def _rows(stem: str) -> st.SearchStrategy:
     columns = SCHEMAS[stem]
-    keys = [i for i, spec in enumerate(columns) if spec.key]
-    return st.lists(
-        st.tuples(*map(_values, columns)), min_size=1, max_size=12,
-        unique_by=lambda row: tuple(row[i] for i in keys),
+    return st.lists(st.tuples(*map(_values, columns)), min_size=1, max_size=12).map(
+        lambda rows: _by_the_rules(columns, rows)
     )
 
 
@@ -455,12 +497,9 @@ def test_write_then_read_gives_the_written_values_bit_for_bit(tmp_path_factory, 
     path = tmp_path_factory.mktemp("round") / f"{stem}.csv"
     write_csv(path, stem, rows)
     read: list[list] = [[] for _ in SCHEMAS[stem]]
-
-    def keep(lines, columns):
+    for _, columns in corpus_mod.read_rows(path, stem, window_len=WINDOW_LEN):
         for kept, column in zip(read, columns):
             kept.extend(column)
-
-    corpus_mod.read_rows(path, stem, keep, window_len=WINDOW_LEN)
     # repr tells every float bit pattern apart, -0.0 from 0.0 included, and a bool from an int.
     assert [list(map(repr, column)) for column in read] == [list(map(repr, column)) for column in zip(*rows)]
     # The reader takes any case of true/false, so the spelling the writer promises is checked on the text.
