@@ -42,19 +42,16 @@ holding it the one resulting object.  The column's values are then looked
 up in the column they reference, when the caller has read that one; a
 column blank exactly when an earlier one holds a given value, or holding
 one value per group of rows, is checked against them; and once the last
-key column is parsed the file's key is checked.  While the first key
-column never decreases, as in every file synth writes, a key can only
-repeat one of the current run of that column's value, so the key check
-holds only that run's keys, beside references to the key columns read so
-far; the first decrease builds the set of every key read from them, and
-from then on the check holds every key.  Last, a loader may pass a
-predicate for the rules that only its file has: a position within its
-byline, a domestic slot's staff entry, a graded peer outcome.  A block is
-yielded only once it has passed every check, and only then does the reader
-keep what later blocks are checked against, their keys and each group's
-value, so the loaders only collect columns.  A bad value gets its kind's
-message, such as ``citations must be >= 0, got -1``; an unknown reference
-reads ``unknown {column} {value!r}`` and a repeated key
+key column is parsed the file's key is checked against every key read,
+but in ``staff``, ``pub_categories`` and ``pub_authors``, whose loaders
+check it as they sort the staff entries and each publication's categories
+and byline.  Last, a loader may pass a predicate for the rules that only
+its file has: a position within its byline, a domestic slot's staff
+entry, a graded peer outcome.  A block is yielded only once it has passed
+every check, and only then does the reader keep what later blocks are
+checked against, their keys and each group's value.  A bad value gets its
+kind's message, such as ``citations must be >= 0, got -1``; an unknown
+reference reads ``unknown {column} {value!r}`` and a repeated key
 ``duplicate {key columns} {key!r}``.  Each university, SDS, category,
 researcher and publication id is one shared ``str`` across all files, so
 the scoring dicts keyed on ids hash and compare them cheaply.  A byte that
@@ -64,12 +61,14 @@ not ASCII unless it re-encodes to valid UTF-8.  Only when a block fails its
 checks are its rows checked again, one at a time, each passing row yielded
 alone, to find the first bad row.  Loading is fail-fast: the first
 violation in file order raises :class:`ValidationError` naming the file
-and line, with the message of the first check that row fails.  The records
-(:class:`AuthorSlot`, :class:`PublicationRecord`, :class:`StaffEntry`,
-:class:`PeerOutcome`, :class:`IndicatorTable`), :class:`Taxonomy` and
-:class:`Corpus` are named tuples, cheap to define when a process starts.
-A record whose fields are exactly a file's columns is built from that
-file's ``SCHEMAS`` row, so its layout is declared once:
+and line, with the message of the first check that row fails; a fault met
+before those three keys are checked is looked for again by a load that
+checks them in the reader, so that a repeat read before it is named.  The
+records (:class:`AuthorSlot`, :class:`PublicationRecord`,
+:class:`StaffEntry`, :class:`PeerOutcome`, :class:`IndicatorTable`),
+:class:`Taxonomy` and :class:`Corpus` are named tuples, cheap to define
+when a process starts.  A record whose fields are exactly a file's columns
+is built from that file's ``SCHEMAS`` row, so its layout is declared once:
 :class:`StaffEntry` and :class:`PeerOutcome` here,
 ``peer_rating.RatedOutcome`` and ``rankcmp.RankEntry``.  A loaded corpus
 is read-only: setting one of its attributes raises ``AttributeError``.  It
@@ -129,10 +128,11 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import compress, islice, repeat
+from functools import partial
+from itertools import compress, islice, pairwise, repeat, starmap
 from operator import eq, is_, is_not, itemgetter, le, not_
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -347,7 +347,7 @@ class RowFault(Exception):
 def read_rows(
     path: Path, schema: str, required: bool = True, ids: dict[str, str] | None = None,
     known: Mapping[str, Collection] = {}, window_len: int | None = None,
-    check: Callable[[list[list]], None] | None = None,
+    check: Callable[[list[list]], None] | None = None, keyed: bool = True,
 ) -> Iterator[tuple[Sequence[int], list[list]]]:
     """Yield the data rows of ``path``, checked against ``SCHEMAS[schema]``, as (lines, columns) blocks.
 
@@ -363,16 +363,18 @@ def read_rows(
     order: each column is parsed, then its values but the blank optional
     ones are looked up in ``known[spec.ref]`` when the caller gave that, then
     its ``blank_when`` and ``per`` rules are checked, and once the last key
-    column is parsed the file's key is checked.  Ids are shared through
-    ``ids``, and a ``"window"`` bound is ``window_len``.  Last, ``check``,
-    when given, gets the parsed columns; it raises :class:`RowFault` for a
-    block with a bad row and keeps nothing.  A block is yielded only once it
-    has passed every check, and only then are its keys and group values
-    kept for the checks of later rows.  A block that fails is checked again
-    row by row, each passing row yielded alone, and the error raised names
-    the first bad line in file order, with the first check that line fails.
-    The file is closed when the rows run out, on an error, and when the
-    consumer closes or drops the generator.
+    column is parsed the file's key is checked, unless ``keyed`` is false:
+    the ``staff``, ``pub_categories`` and ``pub_authors`` loaders check
+    theirs as they sort the rows.  Ids are shared through ``ids``, and a
+    ``"window"`` bound is ``window_len``.  Last, ``check``, when given, gets
+    the parsed columns; it raises :class:`RowFault` for a block with a bad
+    row and keeps nothing.  A block is yielded only once it has passed every
+    check, and only then are its keys and group values kept for the checks
+    of later rows.  A block that fails is checked again row by row, each
+    passing row yielded alone, and the error raised names the first bad line
+    in file order, with the first check that line fails.  The file is closed
+    when the rows run out, on an error, and when the consumer closes or
+    drops the generator.
     """
     columns = SCHEMAS[schema]
     name = path.name
@@ -385,17 +387,12 @@ def read_rows(
     key_index = [i for i, spec in enumerate(columns) if spec.key]
     optional_keys = [j for j, i in enumerate(key_index) if columns[i].optional]
     key_name = columns[key_index[0]] if len(key_index) == 1 else f"({', '.join(columns[i] for i in key_index)})"
-    # While the first key column never decreases, a key can only repeat one of the current run of that column's
-    # value (see the module docstring).
-    seen: set | None = None  # every key of the rows kept so far, once the first key column has decreased
-    read: list[list[list]] | None = []  # until then, the key columns of each block kept
-    run: set | None = set()  # and the keys kept whose first column holds the last value kept
-    run_value = None  # that value
+    seen: set = set()  # every key of the rows kept so far
     groups = {spec: {} for spec in columns if spec.per is not None}  # each group's value in the rows kept so far
 
     def check_block(raw_columns: list[tuple[str, ...]]) -> list[list]:
-        nonlocal seen, read, run, run_value
         parsed: list[list] = []
+        keys: Collection = ()
         block_groups: dict[str, dict] = {}  # each ``per`` column's groups, with this block's
         for spec, parse, raw in zip(columns, parsers, raw_columns):
             values = parse(raw)
@@ -407,31 +404,17 @@ def read_rows(
                 group_columns = [parsed[columns.index(column)] for column in spec.per]
                 block_groups[spec] = _check_per(spec, values, group_columns, groups[spec])
             parsed.append(values)
-            if len(parsed) == key_index[-1] + 1:
+            if keyed and len(parsed) == key_index[-1] + 1:
                 key_columns = [parsed[i] for i in key_index]
                 for j in optional_keys:  # a row whose optional key column is blank has no key
                     present = list(map(is_not, key_columns[j], repeat(None)))
                     key_columns = [list(compress(values, present)) for values in key_columns]
-                first = key_columns[0]
-                keys = first if len(key_columns) == 1 else list(zip(*key_columns))  # a one-column key is its value
-                if seen is None and first and (
-                    run_value is not None and first[0] < run_value or not all(map(le, first, islice(first, 1, None)))
-                ):
-                    seen = set()
-                    for block_columns in read:
-                        seen.update(block_columns[0] if len(block_columns) == 1 else zip(*block_columns))
-                    read = run = None
-                if len(set(keys)) != len(keys) or not (run if seen is None else seen).isdisjoint(keys):
+                keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))  # one column: its value
+                if len(set(keys)) != len(keys) or not seen.isdisjoint(keys):
                     raise RowFault(f"duplicate {key_name} {keys[0]!r}")
         if check is not None:
             check(parsed)
-        if seen is not None:
-            seen.update(keys)
-        elif first:
-            read.append(key_columns)
-            if first[-1] != run_value:
-                run, run_value = set(), first[-1]
-            run.update(keys[bisect_left(first, run_value):])
+        seen.update(keys)
         groups.update(block_groups)
         return parsed
 
@@ -707,11 +690,18 @@ def load_corpus(directory: Path | str, window: tuple[int, int]) -> Corpus:
     ids: dict[str, str] = {}
     known: dict[str, Collection] = {}  # "file.column" -> the values read from it that a ``ref`` may name
     taxonomy = _load_taxonomy(paths, ids, known)
-    staff = _load_staff(paths.staff, window_len, ids, known)
-    known["staff.university_id"] = {e.university_id for e in staff}
-    pairs = {(e.university_id, e.sds_id) for e in staff}
 
-    publications, out_of_window, no_domestic = _load_publications(paths, taxonomy, pairs, window, ids, known)
+    def load(keyed: bool) -> tuple:
+        staff = _load_staff(paths.staff, window_len, ids, known, keyed)
+        known["staff.university_id"] = {e.university_id for e in staff}
+        pairs = {(e.university_id, e.sds_id) for e in staff}
+        return staff, *_load_publications(paths, taxonomy, pairs, window, ids, known, keyed)
+
+    try:
+        loaded = load(keyed=False)
+    except ValidationError:  # met before the large files' keys were all checked (see the module docstring)
+        loaded = None  # the failed load's rows go with the fault, before the load that names the first fault
+    staff, publications, out_of_window, no_domestic = loaded or load(keyed=True)
     peer_outcomes = read_peer_outcomes_csv(paths.peer_outcomes, ids, known)
     indicators = read_indicators_csv(paths.indicators, ids)
     _release_freed_heap()
@@ -770,12 +760,14 @@ def _load_taxonomy(paths: CorpusPaths, ids: dict[str, str], known: dict[str, Col
 
 
 def _load_staff(
-    path: Path, window_len: int, ids: dict[str, str], known: dict[str, Collection]
+    path: Path, window_len: int, ids: dict[str, str], known: dict[str, Collection], keyed: bool
 ) -> tuple[StaffEntry, ...]:
     entries: list[StaffEntry] = []
-    for _, columns in read_rows(path, "staff", ids=ids, known=known, window_len=window_len):
+    for _, columns in read_rows(path, "staff", ids=ids, known=known, window_len=window_len, keyed=keyed):
         entries.extend(_records(StaffEntry, *columns))
     entries.sort(key=itemgetter(0, 1, 2))  # (researcher_id, university_id, sds_id)
+    if any(starmap(eq, pairwise(map(itemgetter(0, 1, 2), entries)))):
+        raise ValidationError(f"{path.name}: duplicate (researcher_id, university_id, sds_id)")
     return tuple(entries)
 
 
@@ -786,19 +778,20 @@ def _load_publications(
     window: tuple[int, int],
     ids: dict[str, str],
     known: dict[str, Collection],
+    keyed: bool,
 ) -> tuple[tuple[PublicationRecord, ...], int, int]:
     heads: dict[str, tuple[int, int, int]] = {}  # pub_id -> (year, citations, total)
     head_memo: dict[tuple, tuple] = {}  # equal heads share one tuple (see the module docstring)
     for _, (pids, years, _, *head) in read_rows(paths.publications, "publications", ids=ids):  # doc_type not kept
         heads.update(zip(pids, _interned(head_memo, zip(years, *head))))
-    known = {**known, "publications.pub_id": heads}  # a copy, so heads goes before the records are grouped
+    read = partial(read_rows, ids=ids, known={**known, "publications.pub_id": heads}, keyed=keyed)  # holds heads
 
     # Rows of the two per-publication files, kept flat: the pub_id of each row and its
     # (category_id, weight) or AuthorSlot.
     category_pids: list[str] = []
     category_items: list[tuple[str, float]] = []
     item_memo: dict[tuple, tuple] = {}
-    for _, (pids, cats, weights) in read_rows(paths.pub_categories, "pub_categories", ids=ids, known=known):
+    for _, (pids, cats, weights) in read(paths.pub_categories, "pub_categories"):
         category_pids.extend(pids)
         category_items.extend(_interned(item_memo, zip(cats, weights)))
 
@@ -819,7 +812,7 @@ def _load_publications(
             lambda key: f"no staff entry for ({key[0]!r}, {key[1]!r})",
         )
 
-    authors = read_rows(paths.pub_authors, "pub_authors", ids=ids, known=known, check=within_byline_and_staffed)
+    authors = read(paths.pub_authors, "pub_authors", check=within_byline_and_staffed)
     for _, (pids, positions, _, slot_universities, sds) in authors:
         unplaced.update(compress(pids, map(is_, positions, repeat(None))))
         slot_pids.extend(pids)
@@ -829,7 +822,7 @@ def _load_publications(
     # and the next checks only those before it (see the module docstring).
     order = sorted(heads)
     pub_heads = list(map(heads.__getitem__, order))
-    del heads, known, head_memo, item_memo, slot_memo
+    del heads, read, head_memo, item_memo, slot_memo
     cat_name, auth_name = paths.pub_categories.name, paths.pub_authors.name
     fault = None
     shared: dict[tuple, tuple] = {}  # equal category tuples share one object
@@ -843,6 +836,8 @@ def _load_publications(
             fault = f"{cat_name}: pub {pid!r}: weights sum {weight_sum:g}"
             break
         cat_items = tuple(sorted(cats))
+        if any(starmap(eq, pairwise(map(itemgetter(0), cat_items)))):
+            raise ValidationError(f"{cat_name}: pub {pid!r}: duplicate category_id")
         pub_categories.append(shared.setdefault(cat_items, cat_items))
     del category_pids, category_items, shared
 
@@ -859,10 +854,13 @@ def _load_publications(
             raise ValidationError(f"{auth_name}: pub {pid!r}: life-science publication with unknown author positions")
         # Known positions are unique per publication, so they alone give the byline order.
         pub_slots.sort(key=_byline_order if pid in unplaced else itemgetter(0))
+        if any(starmap(eq, pairwise(filter(None, map(itemgetter(0), pub_slots))))):  # a repeated known position
+            raise ValidationError(f"{auth_name}: pub {pid!r}: duplicate position")
         bylines.append(tuple(pub_slots))
     if fault is not None:
         raise ValidationError(fault)
     del slot_pids, slots, unplaced
+    _release_freed_heap()  # the flat rows' buffers, which the records' object arenas cannot reuse
 
     publications: list[PublicationRecord] = []
     out_of_window = 0

@@ -579,7 +579,7 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
     "name, body, message",
     [
         ("taxonomy.csv", "S1,UDA1,false\nS1,UDA2,false\n", "taxonomy.csv:3: duplicate sds_id 'S1'"),
-        # The first copy lies before the first decrease of the first key column.
+        # The first copy lies before a smaller key.
         (
             "taxonomy.csv", "S1,UDA1,false\nS2,UDA1,false\nS0,UDA1,false\nS1,UDA2,false\n",
             "taxonomy.csv:5: duplicate sds_id 'S1'",
@@ -588,7 +588,7 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
             "staff.csv", "R1,U1,S1,3.0\nR2,U1,S1,3.0\nR1,U2,S1,3.0\nR1,U1,S1,3.0\n",
             "staff.csv:5: duplicate (researcher_id, university_id, sds_id) ('R1', 'U1', 'S1')",
         ),
-        # One run of the first key column, over two and three blocks of two rows.
+        # Rows sharing a researcher, over two and three blocks of two rows.
         (
             "staff.csv", "R1,U1,S1,3.0\nR1,U2,S1,3.0\nR1,U3,S1,3.0\nR1,U1,S1,3.0\n",
             "staff.csv:5: duplicate (researcher_id, university_id, sds_id) ('R1', 'U1', 'S1')",
@@ -597,7 +597,7 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
             "staff.csv", "R0,U1,S1,3.0\nR1,U1,S1,3.0\nR1,U2,S1,3.0\nR1,U3,S1,3.0\nR1,U4,S1,3.0\nR1,U1,S1,3.0\n",
             "staff.csv:7: duplicate (researcher_id, university_id, sds_id) ('R1', 'U1', 'S1')",
         ),
-        # A row of unknown position has no key, in the middle of a run too.
+        # A row of unknown position has no key, between two rows of one publication too.
         (
             "pub_authors.csv", "P1,1,true,U1,S1\nP1,,false,,\nP1,1,false,,\n",
             "pub_authors.csv:4: duplicate (pub_id, position) ('P1', 1)",
@@ -628,12 +628,37 @@ def test_oversized_field_rejected_with_file_and_line(tmp_path):
             "scores.csv", "uda,U1,X,1.0,3.0\nuda,U1, X,2.0,3.0\n",
             "scores.csv:3: duplicate (university_id, unit_id) ('U1', 'X')",
         ),
+        # Weights that sum to 1 over a repeated category.
+        (
+            "pub_categories.csv", "P1,C1,0.5\nP1,C1,0.5\n",
+            "pub_categories.csv:3: duplicate (pub_id, category_id) ('P1', 'C1')",
+        ),
+        # A repeat is named before a fault that the loader meets first: in a later file, or in a group rule of a
+        # publication before or after the repeat's.  A body that is a dict gives the data rows of several files.
+        (
+            "pub_categories.csv",
+            {"pub_categories.csv": "P1,C1,0.5\nP1,C1,0.5\n", "pub_authors.csv": "P1,x,true,U1,S1\n"},
+            "pub_categories.csv:3: duplicate (pub_id, category_id) ('P1', 'C1')",
+        ),
+        *(
+            (
+                "pub_authors.csv",
+                {
+                    "publications.csv": "P1,2001,article,4,2\nP2,2001,article,4,2\n",
+                    "pub_categories.csv": f"P1,C1,{weights[0]}\nP2,C1,{weights[1]}\n",
+                    "pub_authors.csv": "P1,1,true,U1,S1\nP2,1,true,U1,S1\nP2,1,false,,\n",
+                },
+                "pub_authors.csv:4: duplicate (pub_id, position) ('P2', 1)",
+            )
+            for weights in (("0.5", "1.0"), ("1.0", "0.5"))
+        ),
     ],
 )
 def test_repeated_key_names_its_line_within_and_across_blocks(tmp_path, monkeypatch, block_rows, name, body, message):
     monkeypatch.setattr(corpus_mod, "BLOCK_ROWS", block_rows)
     path = write_corpus(tmp_path, **minimal_rows()) / name
-    path.write_text(",".join(SCHEMAS[path.stem]) + "\n" + body, encoding="utf-8")
+    for file_name, text in (body if isinstance(body, dict) else {name: body}).items():
+        (tmp_path / file_name).write_text(",".join(SCHEMAS[Path(file_name).stem]) + "\n" + text, encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         read_score_csv(path) if name == "scores.csv" else load_corpus(tmp_path, WINDOW)
 

@@ -16,8 +16,9 @@ every row at once.
 Loading and scoring are held to a heap peak within a share of the corpus they
 keep (``tracemalloc`` again, so the bound is on what the code allocates, not
 on where the allocator happens to place it): a load that grouped its rows with
-its temporaries alive, or a scoring that held its shares in lists, would cross
-it.
+its temporaries alive, or held a set of every key of the large files when
+their rows are out of order, or a scoring that held its shares in lists, would
+cross it.
 """
 
 from __future__ import annotations
@@ -95,20 +96,31 @@ def test_synthesize_heap_peak_does_not_grow_with_the_corpus(tmp_path):
 
 def test_load_and_score_heap_peaks_stay_within_a_share_of_the_corpus(tmp_path, monkeypatch):
     # At 20 universities of 14 UDAs x 10 SDSs (9.9k publications), read in blocks of 512 rows so that the block
-    # buffers do not set the load's peak, the load peaks 0.22 corpora above the corpus it keeps and score_corpus
+    # buffers do not set the load's peak, the load peaks 0.23 corpora above the corpus it keeps and score_corpus
     # 0.28 above it.  Grouping the publication rows with every load temporary still alive gave the load 0.46, and
-    # credit shares as four lists with a pub id column gave the scoring 0.44.
+    # credit shares as four lists with a pub id column gave the scoring 0.44.  With the data rows of the four large
+    # files reversed the load peaks 0.41 above the corpus; a set of every key read of staff, pub_categories and
+    # pub_authors gave it 0.89.
     monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 512)
-    synthesize(SynthParams(seed=6, universities=20, udas=14, sds_per_uda=10), tmp_path)
-    score_corpus(load_corpus(tmp_path, DEFAULT_WINDOW))  # first-use imports and caches are not held memory
-    tracemalloc.start()
-    try:
-        corpus = load_corpus(tmp_path, DEFAULT_WINDOW)
-        kept, load_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        score_corpus(corpus)
-        score_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert load_peak - kept <= 0.33 * kept, f"load peaks {(load_peak - kept) / kept:.2f} corpora above the corpus"
-    assert score_peak - kept <= 0.36 * kept, f"scoring peaks {(score_peak - kept) / kept:.2f} corpora above the corpus"
+    synthesize(SynthParams(seed=6, universities=20, udas=14, sds_per_uda=10), tmp_path / "in_order")
+    reversed_dir = tmp_path / "reversed"
+    reversed_dir.mkdir()
+    for path in (tmp_path / "in_order").iterdir():
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if path.stem in ("staff", "publications", "pub_categories", "pub_authors"):
+            rows.reverse()
+        (reversed_dir / path.name).write_text(header + "".join(rows), encoding="utf-8")
+    score_corpus(load_corpus(tmp_path / "in_order", DEFAULT_WINDOW))  # first-use imports and caches are not held
+    for directory, load_bound in ((tmp_path / "in_order", 0.33), (reversed_dir, 0.5)):
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(directory, DEFAULT_WINDOW)
+            kept, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            score_corpus(corpus)
+            score_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above = (load_peak - kept) / kept, (score_peak - kept) / kept
+        assert above[0] <= load_bound, f"{directory.name}: load peaks {above[0]:.2f} corpora above the corpus"
+        assert above[1] <= 0.36, f"{directory.name}: scoring peaks {above[1]:.2f} corpora above the corpus"

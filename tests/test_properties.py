@@ -263,14 +263,25 @@ def test_runs_group_items_by_id_in_their_order(ids, picks, arrangement):
     assert sort.called == (keys != sorted(keys))  # keys in order take the path without a sort
 
 
-# Keys from small alphabets, so that keys repeat and runs of the first key column are long; a None position is blank.
+# Keys from small alphabets, so that keys repeat; a None position is blank.
 KEY_STRATEGIES = {
     "staff": st.tuples(*(st.sampled_from([f"{c}1", f"{c}2"]) for c in "RUS")),
+    "pub_categories": st.tuples(st.sampled_from(["P1", "P2", "P3"]), st.sampled_from(["C1", "C2", "C3"])),
     "pub_authors": st.tuples(st.sampled_from(["P1", "P2", "P3"]), st.sampled_from([None, 1, 2, 3])),
 }
+# The row of a key, good or holding its file's bad value; a category row holds its publication's share of the
+# weight, so that the weights sum to 1.
 KEY_ROWS = {
-    "staff": lambda key: f"{key[0]},{key[1]},{key[2]},1.0",
-    "pub_authors": lambda key: f"{key[0]},{'' if key[1] is None else key[1]},false,,",
+    "staff": lambda key, bad, share: f"{key[0]},{key[1]},{key[2]},{0 if bad else 1.0}",
+    "pub_categories": lambda key, bad, share: f"{key[0]},{key[1]},{2 if bad else share}",
+    "pub_authors": lambda key, bad, share: (
+        f"{key[0]},{'' if key[1] is None else key[1]},{'maybe' if bad else 'false'},,"
+    ),
+}
+KEY_ROW_FAULTS = {
+    "staff": "years_on_staff must be in (0, 3], got 0",
+    "pub_categories": "weight must be in (0, 1], got 2",
+    "pub_authors": "is_domestic_academic must be true/false, got 'maybe'",
 }
 
 
@@ -281,26 +292,41 @@ KEY_ROWS = {
     data=st.data(),
 )
 def test_a_repeated_key_is_named_where_a_set_of_every_key_read_names_it(tmp_path_factory, stem, block_rows, data):
-    # While the first key column is in order the reader keeps only its current run's keys; the first decrease
-    # builds the set of every key read so far.  Either way the row named is the first whose key came before.
+    # The loader checks these files' keys as it sorts their rows, after it has read later rows and files; the row
+    # named is still the first whose key came before, unless a bad row comes first.
     keys = data.draw(st.lists(KEY_STRATEGIES[stem], max_size=14), label="keys")
     cut = data.draw(st.integers(0, len(keys)), label="cut")  # rows from the cut on stay as drawn
     keys[:cut] = sorted(keys[:cut], key=itemgetter(0))
-    path = tmp_path_factory.mktemp("keys") / f"{stem}.csv"
-    path.write_text("\n".join([",".join(SCHEMAS[stem]), *map(KEY_ROWS[stem], keys)]) + "\n", encoding="utf-8")
+    bad = data.draw(st.none() | st.integers(0, len(keys) - 1), label="bad row") if keys else None
+    counts = {pid: list(map(itemgetter(0), keys)).count(pid) for pid in ("P1", "P2", "P3")}
+    # Publications without a domestic author, which the load drops; with drawn categories, those that have some.
+    pids = [pid for pid, count in counts.items() if count or stem != "pub_categories"]
+    rows = {
+        "staff": [],
+        "taxonomy": ["S1,UDA1,false", "S2,UDA1,false"],
+        "publications": [f"{pid},2001,article,4,20" for pid in pids],
+        "pub_categories": [f"{pid},C1,1.0" for pid in pids],
+        "pub_authors": [],
+    }
+    rows[stem] = [KEY_ROWS[stem](key, i == bad, repr(1 / counts.get(key[0], 1))) for i, key in enumerate(keys)]
+    directory = tmp_path_factory.mktemp("keys")
+    for name, lines in rows.items():
+        (directory / f"{name}.csv").write_text("\n".join([",".join(SCHEMAS[name]), *lines]) + "\n", encoding="utf-8")
     key_name = f"({', '.join(spec for spec in SCHEMAS[stem] if spec.key)})"
     seen: set = set()
     expected = None
-    for line, key in enumerate(keys, 2):
+    for line, key in enumerate(keys, 2):  # a plain set of every key read, in file order
         if key in seen:
-            expected = f"{path.name}:{line}: duplicate {key_name} {key!r}"
+            expected = f"{stem}.csv:{line}: duplicate {key_name} {key!r}"
+            break
+        if line - 2 == bad:
+            expected = f"{stem}.csv:{line}: {KEY_ROW_FAULTS[stem]}"
             break
         if None not in key:  # a row of unknown position has no key
             seen.add(key)
     with mock.patch.object(corpus_mod, "BLOCK_ROWS", block_rows):
         try:
-            for _ in corpus_mod.read_rows(path, stem, window_len=WINDOW_LEN):
-                pass
+            load_corpus(directory, WINDOW)
         except ValidationError as exc:
             assert str(exc) == expected
         else:
