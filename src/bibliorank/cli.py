@@ -1,7 +1,9 @@
 """Command-line front end: score, vtr, rank, compare, synth, report.
 
 Outputs are written under ``--out-dir`` and are byte-identical across
-reruns with the same inputs and seed.
+reruns with the same inputs and seed.  ``rank`` writes every ranking its
+input holds, each to ``ranking_<label>.csv``: one per unit of a score table
+or of vtr ratings, and one per indicator.
 
 Every setting is one row of ``SETTINGS``: its config-file key, its flag and
 its cast.  That table alone gives each subcommand its setting flags, the
@@ -112,7 +114,7 @@ def parse_window(raw: str) -> tuple[int, int]:
 
 
 def parse_percentages(raw: str) -> tuple[float, ...]:
-    values = []
+    values: dict[str, float] = {}  # by the form csv and markdown print, so 50 and 50.0 are one percentage
     for piece in raw.split(","):
         piece = piece.strip()
         if not piece:
@@ -123,12 +125,13 @@ def parse_percentages(raw: str) -> tuple[float, ...]:
             raise ValidationError(f"bad percentage {piece!r}") from None
         if not 0 < value <= 100:
             raise ValidationError(f"percentage must be in (0, 100], got {piece}")
-        if value in values:  # by value, so 50 and 50.0 are one percentage
-            raise ValidationError(f"duplicate percentage {piece}")
-        values.append(value)
+        printed = f"{value:g}"
+        if printed in values:
+            raise ValidationError(f"duplicate percentage {piece} (prints as {printed})")
+        values[printed] = value
     if not values:
         raise ValidationError("empty percentages list")
-    return tuple(values)
+    return tuple(values.values())
 
 
 # Flag and cast of every setting, keyed by its (section, key) in a config file.
@@ -229,9 +232,11 @@ def _safe_label(label: str) -> str:
 
 
 def _check_labels(rankings: list[rankcmp.RankingList]) -> None:
-    """Reject rankings whose labels are equal or name the same output files once sanitised."""
+    """Reject rankings whose labels hold a line break, or are equal or name the same output files once sanitised."""
     seen: dict[str, str] = {}
     for ranking in rankings:
+        if "\n" in ranking.label or "\r" in ranking.label:  # it would split a line of the rendered comparisons
+            raise ValidationError(f"ranking label {ranking.label!r} holds a line break")
         safe = _safe_label(ranking.label)
         if safe in seen:
             raise ValidationError(
@@ -308,46 +313,35 @@ def cmd_rank(args: argparse.Namespace) -> int:
     from . import rankcmp
 
     config = build_config(args)
-    if args.label is not None and not args.label.strip():
-        raise ValidationError("--label must not be empty")
     path = Path(args.input)
     if not path.exists():
         raise ValidationError(f"{path}: missing input file")
     with corpus_mod._open_csv(path) as (_, header):
         header = tuple(header)
-    # (unit, default label, university scores, direction) of each ranking in the file; indicators have no unit.
-    found: list[tuple[str | None, str, dict[str, float], str]]
     if header == corpus_mod.SCHEMAS["scores"]:
         from . import productivity
 
         table = productivity.read_score_csv(path)
         units = _by_unit((unit, university, entry.P) for (university, unit), entry in table.entries.items())
-        found = [
-            (unit, f"P_{table.level}_{unit}" if unit else f"P_{table.level}", scores, corpus_mod.HIGHER_IS_BETTER)
+        rankings = [
+            rankcmp.build_ranking(
+                scores, corpus_mod.HIGHER_IS_BETTER, f"P_{table.level}_{unit}" if unit else f"P_{table.level}"
+            )
             for unit, scores in units
         ]
     elif header == corpus_mod.SCHEMAS["indicators"]:
-        found = [(None, t.indicator_name, t.values, t.direction) for t in corpus_mod.read_indicators_csv(path)]
+        rankings = [
+            rankcmp.build_ranking(t.values, t.direction, t.indicator_name) for t in corpus_mod.read_indicators_csv(path)
+        ]
     elif header == corpus_mod.SCHEMAS["rated"]:
         from . import peer_rating
 
         units = _by_unit((r.uda_id, r.university_id, r.R) for r in peer_rating.read_rated_csv(path))
-        found = [(uda, f"VTR_{uda}", scores, corpus_mod.HIGHER_IS_BETTER) for uda, scores in units]
+        rankings = [rankcmp.build_ranking(scores, corpus_mod.HIGHER_IS_BETTER, f"VTR_{uda}") for uda, scores in units]
     else:
         raise ValidationError(f"{path.name}:1: unrecognized header {','.join(header)!r}")
-    if not found:
+    if not rankings:
         raise ValidationError(f"{path.name}: no rows to rank")
-    if args.unit is not None:
-        if found[0][0] is None:
-            raise ValidationError("--unit does not apply to indicator files")
-        found = [ranking for ranking in found if ranking[0] == args.unit]
-        if not found:
-            raise ValidationError(f"{path.name}: no rows for unit {args.unit!r}")
-    if args.label is not None and len(found) > 1:
-        raise ValidationError(f"--label requires a single ranking; {path.name} holds {len(found)}")
-    rankings = [
-        rankcmp.build_ranking(scores, direction, args.label or label) for _, label, scores, direction in found
-    ]
     _check_labels(rankings)
     outputs = _ranking_outputs(rankings, config.out_dir)
     _write_outputs(outputs)
@@ -485,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     keys = {flag: f"[{section}] {key}" for (section, key), (flag, _) in SETTINGS.items()}
 
     def add(name: str, func: Callable[..., int], summary: str, flags: tuple[str, ...]) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, description=summary)
         setting_flags = (*flags, "--out-dir")
         for flag in setting_flags:
             p.add_argument(flag, help=f"overrides {keys[flag]} in the config file")
@@ -495,10 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("score", cmd_score, "compute productivity score tables from a corpus", ("--corpus-dir", "--window"))
     p_vtr = add("vtr", cmd_vtr, "compute peer-review ratings and category percentiles", ())
     p_vtr.add_argument("--outcomes", required=True, help="peer_outcomes.csv file")
-    p_rank = add("rank", cmd_rank, "build ranking lists from scores, indicators, or ratings", ())
+    p_rank = add("rank", cmd_rank, "write every ranking its input holds, each to ranking_<label>.csv", ())
     p_rank.add_argument("--input", required=True, help="score table, indicators, or vtr ratings CSV")
-    p_rank.add_argument("--unit", help="restrict to one unit id (SDS/UDA/macro)")
-    p_rank.add_argument("--label", help="ranking label (single ranking only)")
     p_cmp = add("compare", cmd_compare, "compare ranking files pairwise", ("--percentages", "--format"))
     p_cmp.add_argument("rankings", nargs="+", help="ranking CSV files (entity_id,score,rank)")
     synth_flags = tuple(flag for (section, _), (flag, _) in SETTINGS.items() if section == "synth")

@@ -242,34 +242,36 @@ def test_report_frees_the_corpus_before_the_comparisons(synth_dir, tmp_path, mon
     assert alive_at_compare == [False]
 
 
-@pytest.mark.parametrize("name", ["scores_uda.csv", "vtr_ratings.csv"])
-def test_rank_label_rejected_for_several_rankings(synth_dir, tmp_path, capsys, name):
-    argv = ["rank", "--input", str(synth_dir / "scores" / name), "--label", "X", "--out-dir", str(tmp_path)]
-    assert cli.main(argv) == 2
-    assert "--label requires a single ranking" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("name", ["scores_uda.csv", "vtr_ratings.csv"])
-def test_rank_label_with_unit_names_the_ranking(synth_dir, tmp_path, name):
-    argv = ["rank", "--input", str(synth_dir / "scores" / name), "--unit", "UDA1", "--label", "X"]
-    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["ranking_X.csv"]
-
-
-@pytest.mark.parametrize(
-    "name, unit, message",
-    [
-        ("corpus/indicators.csv", "UDA1", "--unit does not apply to indicator files"),
-        ("scores/scores_uda.csv", "UDA9", "scores_uda.csv: no rows for unit 'UDA9'"),
-        ("scores/vtr_ratings.csv", "UDA9", "vtr_ratings.csv: no rows for unit 'UDA9'"),
-    ],
-)
-def test_rank_unit_not_in_the_file_exits_2_and_writes_nothing(synth_dir, tmp_path, capsys, name, unit, message):
+@pytest.mark.parametrize("flag", ["--unit", "--label"])
+def test_rank_offers_neither_unit_nor_label(synth_dir, tmp_path, capsys, flag):
+    # rank writes every ranking its input holds, each under its own label, so neither picks nor renames one.
     out = tmp_path / "out"
-    assert cli.main(["rank", "--input", str(synth_dir / name), "--unit", unit, "--out-dir", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["rank", "--input", str(synth_dir / "scores" / "scores_uda.csv"), flag, "UDA1", "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {flag} UDA1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_writes_the_bytes_of_the_step_commands(synth_dir, tmp_path):
+    corpus, steps = synth_dir / "corpus", synth_dir / "scores"
+    for argv, out in [
+        (["report", "--corpus-dir", str(corpus)], "report"),
+        (["rank", "--input", str(corpus / "indicators.csv")], "indicators"),
+        (["rank", "--input", str(steps / "scores_university.csv")], "university"),
+    ]:
+        assert cli.main([*argv, "--out-dir", str(tmp_path / out)]) == 0
+    # Each file that report and a step command both write, by its name in report's output: steps holds what
+    # score and vtr wrote.
+    same = {path.name: path for path in (*steps.iterdir(), *(tmp_path / "indicators").iterdir())}
+    same["ranking_P.csv"] = tmp_path / "university" / "ranking_P_university.csv"
+    assert sorted(same) == [
+        "eligibility.csv", "ranking_EXP.csv", "ranking_GDP.csv", "ranking_LAT.csv", "ranking_P.csv",
+        "ranking_QUALITY.csv", "scores_macro.csv", "scores_sds.csv", "scores_uda.csv", "scores_university.csv",
+        "vtr_ratings.csv",
+    ]
+    for name, path in same.items():
+        assert (tmp_path / "report" / name).read_bytes() == path.read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -459,6 +461,20 @@ def test_compare_rejects_colliding_labels(tmp_path, capsys, stems, message):
     out = tmp_path / "out"
     assert cli.main(["compare", *paths, "--out-dir", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+@pytest.mark.parametrize("stem", ["x\ny", "x\ry"], ids=["LF", "CR"])
+def test_compare_rejects_a_label_with_a_line_break(tmp_path, capsys, stem, fmt):
+    # A file name is the one way a line break reaches a label: read_rows refuses one in any field.
+    paths = []
+    for name in (stem, "z"):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(header("ranking") + GOOD_RANKING, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["compare", *map(str, paths), "--format", fmt, "--out-dir", str(out)]) == 2
+    assert f"error: ranking label {stem!r} holds a line break" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -786,23 +802,25 @@ def test_a_removed_synth_setting_exits_2_as_a_config_key(tmp_path, monkeypatch, 
         (["synth", "--window", "2003-2001"], "synth: window end precedes start"),
         (["synth", "--cross-university-rate", "2"], "synth: cross_university_rate must be in [0, 1], got 2.0"),
         (["synth", "--gradient-strength", "1.01"], "synth: gradient_strength must be in [0, 1], got 1.01"),
-        (["report", "--percentages", "50,50.0"], "--percentages: duplicate percentage 50.0"),
+        (["report", "--percentages", "50,50.0"], "--percentages: duplicate percentage 50.0 (prints as 50)"),
+        (
+            ["report", "--percentages", "50.0000001,50.0000002"],
+            "--percentages: duplicate percentage 50.0000002 (prints as 50)",
+        ),
         (["report", "--percentages", "0"], "--percentages: percentage must be in (0, 100], got 0"),
         (["report", "--percentages", "10,101"], "--percentages: percentage must be in (0, 100], got 101"),
         (["report", "--percentages", "x"], "--percentages: bad percentage 'x'"),
         (["report", "--percentages", ","], "--percentages: empty percentages list"),
         (["score", "--corpus-dir", ".", "--window", "2003-2001"], "window 2003-2001: end year precedes start year"),
         (["score"], "no corpus directory given (use --corpus-dir or [corpus] dir)"),
-        (["rank", "--input", "indicators.csv", "--label", ""], "--label must not be empty"),
-        (["rank", "--input", "indicators.csv", "--label", " "], "--label must not be empty"),
     ],
     ids=["universities", "format", "window", "empty-out-dir", "empty-corpus-dir", "negative-seed",
          "negative-external-authors", "external-authors-over-limit", "external-authors-over-int64",
          "nan-peer-noise", "inf-peer-noise", "one-university", "no-udas",
          "no-sds-per-uda", "repeated-sds-ids", "too-many-life-science-udas", "negative-life-science-udas",
          "synth-reversed-window", "cross-university-rate-over-1", "gradient-strength-over-1",
-         "duplicate-percentages", "zero-percentage", "percentage-over-100", "non-numeric-percentage",
-         "empty-percentages", "reversed-window", "no-corpus-dir", "empty-label", "blank-label"],
+         "duplicate-percentages", "percentages-printing-alike", "zero-percentage", "percentage-over-100",
+         "non-numeric-percentage", "empty-percentages", "reversed-window", "no-corpus-dir"],
 )
 def test_bad_flag_value_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
